@@ -96,16 +96,6 @@ def default_ec_table() -> dict[str, ECRecord]:
     return ingest_ec_table(_data.EC_TABLE_TEXT)
 
 
-def _parse_gens(text: str) -> tuple[int, ...]:
-    gens = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok.startswith("w"):
-            raise DataError(f"bad generator token {tok!r}")
-        gens.append(int(tok[1:]))
-    return tuple(gens)
-
-
 def ingest_adjudications(source) -> dict:
     """Parse adjudicated verdicts: "N;generators;verdict;citation" per line."""
     if isinstance(source, str):
@@ -120,8 +110,11 @@ def ingest_adjudications(source) -> dict:
         parts = text.split(";", 3)
         if len(parts) != 4:
             raise DataError(f"expected 4 ';'-fields: {raw!r}", line=lineno)
-        N = int(parts[0])
-        sub = ALSubgroup(N, _parse_gens(parts[1]))
+        try:
+            N = int(parts[0])
+            sub = ALSubgroup.parse(N, parts[1])
+        except ValueError as exc:
+            raise DataError(f"bad level or subgroup in {raw!r}: {exc}", line=lineno) from exc
         verdict = parts[2].strip()
         if verdict not in ("not-bielliptic", "bielliptic-over-Q", "bielliptic-over-Q(sqrt(-3))"):
             raise DataError(f"unknown verdict {verdict!r}", line=lineno)
@@ -263,32 +256,6 @@ def _search(N: int, sub: ALSubgroup):
     return witness, refuted
 
 
-def confirm_bielliptic(N: int, W, _depth: int = 0) -> Witness | None:
-    """Find a commuting-involution group over W with quotient genus exactly 1.
-
-    Candidates run over the Atkin-Lehner involutions outside W and the
-    normalizer families available at the level; if nothing is found and the
-    w4-reduction applies, the search continues at the reduced level.
-    """
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
-    witness, _ = _search(N, sub)
-    if witness is not None:
-        return witness
-    red = iso_reduce_w4(N, sub)
-    if red is not None and _depth < 3:
-        N2, sub2 = red
-        lower = confirm_bielliptic(N2, sub2, _depth=_depth + 1)
-        if lower is not None:
-            return Witness(
-                lower.level,
-                lower.element,
-                lower.group,
-                lower.field,
-                chain=((N2, sub2.label()),) + lower.chain,
-            )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the rule battery
 
@@ -424,6 +391,17 @@ def _settle(N: int, sub: ALSubgroup, depth: int = 0):
         return "excluded", None, trace
 
     return "inconclusive", None, trace
+
+
+def confirm_bielliptic(N: int, W) -> Witness | None:
+    """The witness `_settle` exhibits for the pair, or None.
+
+    Candidates run over the Atkin-Lehner involutions outside W and the
+    normalizer families available at the level; if nothing is found and the
+    w4-reduction applies, the search continues at the reduced level.
+    """
+    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
+    return _settle(N, sub)[1]
 
 
 def _two_group_options(N: int, sub: ALSubgroup, refuted, g: int):

@@ -36,18 +36,10 @@ def _resolve(path: str | None) -> str | None:
 def _parse_subgroup(N: int, text: str | None) -> ALSubgroup:
     if not text:
         return ALSubgroup.trivial(N)
-    gens = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok.startswith("w") or not tok[1:].isdigit():
-            raise UsageError(f"bad subgroup generator {tok!r} (expected e.g. w8)")
-        d = int(tok[1:])
-        try:
-            ALSubgroup(N, (d,))
-        except ValueError:
-            raise UsageError(f"{tok} is not an Atkin-Lehner involution of level {N}")
-        gens.append(d)
-    return ALSubgroup(N, gens)
+    try:
+        return ALSubgroup.parse(N, text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 class UsageError(Exception):

@@ -481,25 +481,20 @@ def quotient_genus_hurwitz(N: int, group) -> int:
 
 def fix_table(N: int) -> list[tuple[str, int]]:
     """All computable fixed-point counts at one level, canonically ordered."""
-    entries: list[tuple[ExtInvolution, int]] = []
-    for d in hall_divisors(N)[1:]:
-        entries.append((ExtInvolution.al(N, d), fix_al(N, d)))
+    elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
     alpha = _two_alpha(N)
     if alpha >= 2:
         odd = [r for r in hall_divisors(N) if r % 2]
-        for r in odd:
-            entries.append((ExtInvolution.s2(N, r), fix_s2_wr(N, r) if r > 1 else fix_s2(N)))
-        for r in odd:
-            entries.append((ExtInvolution.v2(N, r), fix_v2(N, r)))
+        elems += [ExtInvolution.s2(N, r) for r in odd]
+        elems += [ExtInvolution.v2(N, r) for r in odd]
         if alpha >= 3:
-            for r in odd:
-                entries.append((ExtInvolution.v2(N, r << alpha), fix_v2_w2a(N, r)))
+            elems += [ExtInvolution.v2(N, r << alpha) for r in odd]
     if N % 9 == 0 and (N // 9) % 3:
-        for d in hall_divisors(N):
-            if _coprime3(d) % 3 == 1:
-                entries.append((ExtInvolution.v3(N, d), fix_v3(N, d)))
-    entries.sort(key=lambda pair: pair[0].sort_key())
-    return [(e.name, c) for e, c in entries]
+        elems += [
+            ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
+        ]
+    elems.sort(key=ExtInvolution.sort_key)
+    return [(e.name, fix_count(e)) for e in elems]
 
 
 def fix_table_tsv(N: int) -> str:

@@ -1,18 +1,28 @@
 """Weight-2 modular symbols for Gamma0(N) over exact rationals.
 
-The space is presented by Manin symbols indexed by P^1(Z/N).  The two-term
+The space M2 is presented by Manin symbols indexed by P^1(Z/N).  The two-term
 relation x + x.sigma = 0 is eliminated by pairing, the three-term relation
 x + x.tau + x.tau^2 = 0 by sparse integer Gaussian elimination, so every
-generator gets an exact rational expression in a free basis.  The cuspidal
-subspace is the kernel of the boundary map to cusp classes; its dimension is
-2*genus, which the builder asserts.
+generator gets an exact rational expression in a free basis.  The builder
+asserts dim M2 = 2*genus + #cusps - 1 and keeps one representative per cusp
+class, taken from the free generators' endpoints.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix; a general
 path {a, b} is converted back to Manin symbols with the continued-fraction
-convergent chain.  Quotient genera come from the trace formula
-dim V^W = (1/|W|) * sum of traces, which for an elementary abelian 2-group
-is the same subspace the +1-eigenspace intersection of the generators cuts
-out.
+convergent chain.  The boundary map sends M2 onto the degree-zero cusp
+divisors and commutes with w_Q (Stein, Modular Forms: A Computational
+Approach, ch. 8), so on the cuspidal subspace S2
+
+    tr(w_Q | S2) = tr(w_Q | M2) - (#cusp classes fixed by w_Q - 1),
+
+and a trace needs only the diagonal of w_Q on the free generators.  Quotient
+genera come from dim S2^W = (1/|W|) * sum of traces, which for an elementary
+abelian 2-group is the same subspace the +1-eigenspace intersection of the
+generators cuts out.
+
+The cuspidal subspace itself (the kernel of the boundary map, of dimension
+2*genus) is built on demand, only for the reference routes: full operator
+matrices and the eigenspace genus.
 """
 
 from __future__ import annotations
@@ -20,11 +30,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import IntegrityError
-from .ntheory import ALSubgroup, egcd, hall_divisors, psi
+from .ntheory import ALSubgroup, egcd, psi
 from .x0invariants import cusp_count, genus_x0
 
 
@@ -53,11 +64,6 @@ def p1_normalize(N: int, c: int, d: int) -> P1Element:
         if cand < best:
             best = cand
     return P1Element(*best)
-
-
-def p1_enumerate(N: int) -> list[P1Element]:
-    """All psi(N) canonical representatives, ascending."""
-    return list(build_space(N).reps)
 
 
 def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
@@ -144,7 +150,8 @@ def _int_rref(rows) -> dict:
 
 
 class ModSymSpace:
-    """Built modular-symbols data for one level.  Immutable once constructed."""
+    """Built modular-symbols data for one level.  Immutable once constructed;
+    the cuspidal basis is computed on first use."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -246,35 +253,45 @@ class ModSymSpace:
                 expr.append({k: -v for k, v in expr_col[col].items()})
         self.expr = tuple(expr)
 
-        # boundary map on the free generators and its kernel
-        cusp_reps: list[tuple[int, int]] = []
-
-        def cusp_index(p, q):
-            p, q = _cusp_normalize(p, q)
-            for k2, known in enumerate(cusp_reps):
-                if cusp_equiv(N, (p, q), known):
-                    return k2
-            cusp_reps.append((p, q))
-            return len(cusp_reps) - 1
-
-        brows: dict[int, dict[int, int]] = {}
+        # one representative per cusp class, from the free generators' endpoints;
+        # the boundary map is onto, so every class shows up (oo is seeded for N = 1)
+        cusps = [(1, 0)]
         for c in free:
-            a, b, cc, dd = _sl2_lift(*reps[c])
-            i1 = cusp_index(a, cc)
-            i2 = cusp_index(b, dd)
-            if i1 != i2:
-                r1 = brows.setdefault(i1, {})
-                r1[c] = r1.get(c, 0) + 1
-                r2 = brows.setdefault(i2, {})
-                r2[c] = r2.get(c, 0) - 1
-        self._boundary_rows = tuple(
-            tuple(sorted(r.items())) for r in brows.values() if r
-        )
-        bpivots = _int_rref(brows.values())
-        self.boundary_rank = len(bpivots)
+            for cusp in self._manin_path(c):
+                if not any(cusp_equiv(N, cusp, rep) for rep in cusps):
+                    cusps.append(cusp)
+        self.cusps = tuple(cusps)
+        if len(cusps) != self.nu_inf:
+            raise IntegrityError(
+                f"level {N}: found {len(cusps)} cusp classes, expected {self.nu_inf}"
+            )
 
+    # -- boundary map and cuspidal subspace (reference routes only) ---
+
+    def _boundary(self, vec: dict) -> list:
+        """Boundary of a free-coordinate vector: its coefficient on each cusp class."""
+        out = [0] * len(self.cusps)
+        for c, v in vec.items():
+            for sgn, cusp in zip((-1, 1), self._manin_path(c)):
+                for k, rep in enumerate(self.cusps):
+                    if cusp_equiv(self.N, cusp, rep):
+                        out[k] += sgn * v
+                        break
+                else:
+                    raise IntegrityError(f"level {self.N}: cusp {cusp} is in no known class")
+        return out
+
+    @cached_property
+    def cuspidal_basis(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """Integer basis of the boundary kernel, as (leading free column, vector)."""
+        rows: list[dict[int, int]] = [{} for _ in self.cusps]
+        for c in self.free:
+            for k, v in enumerate(self._boundary({c: 1})):
+                if v:
+                    rows[k][c] = v
+        bpivots = _int_rref(rows)
         basis = []
-        for f in [c for c in free if c not in bpivots]:
+        for f in [c for c in self.free if c not in bpivots]:
             touching = [(c2, row) for c2, row in bpivots.items() if f in row]
             scale = 1
             for c2, row in touching:
@@ -283,11 +300,12 @@ class ModSymSpace:
             for c2, row in touching:
                 vec[c2] = -row[f] * (scale // row[c2])
             basis.append((f, _reduce_int_row(vec)))
-        self.cuspidal_basis = tuple(basis)
         if len(basis) != 2 * self.genus:
             raise IntegrityError(
-                f"level {N}: cuspidal dimension {len(basis)} != 2*genus = {2 * self.genus}"
+                f"level {self.N}: cuspidal dimension {len(basis)} != "
+                f"2*genus = {2 * self.genus}"
             )
+        return tuple(basis)
 
     # -- symbol plumbing ----------------------------------------------
 
@@ -330,14 +348,12 @@ class ModSymSpace:
             qm2, qm1 = qm1, qk
         return out
 
-    def path_vector(self, start, end, restrict=None) -> dict[int, Fraction]:
+    def path_vector(self, start, end) -> dict[int, Fraction]:
         """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
         vec: dict[int, Fraction] = {}
         for sgn, cusp in ((-1, start), (1, end)):
             for idx in self.symbols_from_infinity(*cusp):
                 for col, v in self.expr[idx].items():
-                    if restrict is not None and col not in restrict:
-                        continue
                     vec[col] = vec.get(col, Fraction(0)) + sgn * v
         return {col: v for col, v in vec.items() if v}
 
@@ -366,49 +382,50 @@ class ModSymSpace:
         p, q = cusp
         return _cusp_normalize(a * p + b * q, c * p + d * q)
 
-    def _al_columns(self, Q: int, restrict=None) -> dict[int, dict[int, Fraction]]:
+    def _al_columns(self, Q: int) -> dict[int, dict[int, Fraction]]:
         mat = self.al_matrix(Q)
         cols = {}
         for c in self.free:
             start, end = self._manin_path(c)
-            cols[c] = self.path_vector(
-                self._moebius(mat, start), self._moebius(mat, end), restrict=restrict
-            )
+            cols[c] = self.path_vector(self._moebius(mat, start), self._moebius(mat, end))
         return cols
 
     def al_trace_cuspidal(self, Q: int) -> int:
-        """Trace of w_Q on the cuspidal subspace (exact integer)."""
+        """Trace of w_Q on the cuspidal subspace (exact integer).
+
+        The diagonal of w_Q on the free generators gives the trace on M2; the
+        boundary part contributes #(cusp classes fixed by w_Q) - 1.
+        """
         if Q == 1:
             return 2 * self.genus
         with self._trace_lock:
             if Q in self._trace_cache:
                 return self._trace_cache[Q]
-        needed = {f for f, _ in self.cuspidal_basis}
-        cols = self._al_columns(Q, restrict=needed)
-        tr = Fraction(0)
-        for f, vec in self.cuspidal_basis:
-            num = Fraction(0)
-            for c, v in vec.items():
-                col = cols[c]
-                if f in col:
-                    num += v * col[f]
-            tr += num / vec[f]
-        if tr.denominator != 1:
-            raise IntegrityError(f"non-integral trace for w_{Q} at level {self.N}")
+        mat = self.al_matrix(Q)
+        diag = Fraction(0)
+        for c in self.free:
+            start, end = self._manin_path(c)
+            for sgn, cusp in ((-1, start), (1, end)):
+                for idx in self.symbols_from_infinity(*self._moebius(mat, cusp)):
+                    v = self.expr[idx].get(c)
+                    if v:
+                        diag += sgn * v
+        fixed = sum(
+            cusp_equiv(self.N, self._moebius(mat, cusp), cusp) for cusp in self.cusps
+        )
+        tr = diag - (fixed - 1)
+        if tr.denominator != 1 or tr % 2 or abs(tr) > 2 * self.genus:
+            raise IntegrityError(
+                f"trace {tr} of w_{Q} at level {self.N} is not an even integer "
+                f"of size at most 2*genus = {2 * self.genus}"
+            )
         with self._trace_lock:
             self._trace_cache.setdefault(Q, int(tr))
         return int(tr)
 
     def boundary_of(self, vec: dict[int, Fraction]) -> bool:
         """Whether a free-coordinate vector lies in the cuspidal subspace."""
-        for row in self._boundary_rows:
-            total = Fraction(0)
-            for col, a in row:
-                if col in vec:
-                    total += a * vec[col]
-            if total:
-                return False
-        return True
+        return not any(self._boundary(vec))
 
 
 _CACHE: dict[int, ModSymSpace] = {}
@@ -428,27 +445,6 @@ def build_space(N: int) -> ModSymSpace:
 def clear_cache() -> None:
     with _CACHE_LOCK:
         _CACHE.clear()
-
-
-def cusp_classes(N: int) -> list[list[tuple[int, int]]]:
-    """Partition of all boundary cusps of the Manin generators into classes."""
-    space = build_space(N)
-    classes: list[list[tuple[int, int]]] = []
-    for i in range(len(space.reps)):
-        start, end = space._manin_path(i)
-        for cusp in (start, end):
-            for cls in classes:
-                if cusp_equiv(N, cusp, cls[0]):
-                    if cusp not in cls:
-                        cls.append(cusp)
-                    break
-            else:
-                classes.append([cusp])
-    if len(classes) != cusp_count(N):
-        raise IntegrityError(
-            f"level {N}: found {len(classes)} cusp classes, expected {cusp_count(N)}"
-        )
-    return [sorted(cls) for cls in classes]
 
 
 @dataclass(frozen=True)
@@ -558,21 +554,3 @@ def invariant_genus_eigenspace(N: int, W=()) -> int:
     if dim % 2:
         raise IntegrityError("odd eigenspace dimension")
     return dim // 2
-
-
-def space_report(N: int) -> str:
-    """Debug dump: one key=value per line, stable key order."""
-    space = build_space(N)
-    lines = [
-        f"level={N}",
-        f"psi={psi(N)}",
-        f"manin_generators={len(space.reps)}",
-        f"dim_modular_symbols={space.dim}",
-        f"cusp_classes={space.nu_inf}",
-        f"boundary_rank={space.boundary_rank}",
-        f"cuspidal_dim={len(space.cuspidal_basis)}",
-        f"genus={space.genus}",
-    ]
-    for q in hall_divisors(N)[1:]:
-        lines.append(f"trace_w{q}={space.al_trace_cuspidal(q)}")
-    return "\n".join(lines)

@@ -241,6 +241,17 @@ class ALSubgroup:
     def trivial(cls, level: int) -> "ALSubgroup":
         return cls(level, ())
 
+    @classmethod
+    def parse(cls, level: int, text: str) -> "ALSubgroup":
+        """The subgroup generated by text like "w8,w3"; ValueError names a bad token."""
+        gens = []
+        for tok in text.split(","):
+            tok = tok.strip()
+            if not tok.startswith("w") or not tok[1:].isdecimal():
+                raise ValueError(f"bad subgroup generator {tok!r} (expected e.g. w8)")
+            gens.append(int(tok[1:]))
+        return cls(level, gens)
+
     @property
     def order(self) -> int:
         return len(self.elements)

@@ -93,16 +93,11 @@ class RuleResult:
         return f"{self.rule_id}({args}) -> {self.verdict} [{self.citation}]{tail}"
 
 
-def trace_lines(results) -> str:
-    return "\n".join(r.line() for r in results)
-
-
 _CASTELNUOVO = "Castelnuovo inequality (Accola, special form)"
 _MANYFIX = "involution with more than 8 fixed points forces biellipticity or none"
 _UNRAMIFIED = "unramified covering criterion for non-hyperelliptic targets"
 _TWOGROUP = "2-group orbit argument on the fixed points of a central involution"
 _OGG = "supersingular-point count bound on the quotient index"
-_DEGREE = "strong Weil parametrization degree divides twice the subgroup order"
 _CLOSURE = "total ramification forces every fixed-point-bearing involution inside"
 
 
@@ -168,17 +163,6 @@ def rule_ogg_bound(N: int, w_order: int, p: int) -> RuleResult:
         "ogg-bound", _OGG, verdict, (N, w_order, p),
         detail=f"psi/|W|={psi(N)}/{w_order}, bound={rhs}/{w_order * (p - 1)}",
     )
-
-
-def rule_modular_degree(w_order: int, degree: int | None) -> RuleResult:
-    """A conductor-N elliptic quotient forces the strong Weil degree to divide
-    2|W|."""
-    if degree is None:
-        return RuleResult(
-            "modular-degree", _DEGREE, "missing-degree-data", (w_order, degree)
-        )
-    verdict = "excludes" if (2 * w_order) % degree else "inconclusive"
-    return RuleResult("modular-degree", _DEGREE, verdict, (w_order, degree))
 
 
 def rule_fixed_point_closure(N: int, W) -> RuleResult:

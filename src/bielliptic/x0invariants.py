@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import IntegrityError
@@ -48,17 +47,3 @@ def genus_x0(N: int) -> int:
     if val % 12:
         raise IntegrityError(f"genus formula non-integral at N={N}")
     return val // 12
-
-
-@dataclass(frozen=True)
-class LevelInvariants:
-    N: int
-    index: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
-
-
-def invariants(N: int) -> LevelInvariants:
-    return LevelInvariants(N, psi(N), nu2(N), nu3(N), cusp_count(N), genus_x0(N))

@@ -92,7 +92,7 @@ def test_criterion_1_printed_deviations_are_misprints():
 def test_criterion_2_cuspidal_dimension():
     t0 = time.time()
     for N in range(1, 301):
-        space = ModSymSpace(N)  # the constructor itself asserts the identity
+        space = ModSymSpace(N)  # the on-demand basis itself asserts the identity
         assert len(space.cuspidal_basis) == 2 * genus_x0(N), N
     _report(
         "criterion-2 cuspidal dim = 2g for N <= 300",

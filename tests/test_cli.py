@@ -1,3 +1,5 @@
+import pytest
+
 from bielliptic import cli
 
 
@@ -82,6 +84,25 @@ def test_malformed_data_file(capsys, tmp_path):
     code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
     assert code == 1
     assert "integrity failure" in err
+
+
+@pytest.mark.parametrize("line", [
+    "84;wx;not-bielliptic;cited",
+    "x;w3;not-bielliptic;cited",
+    "84;w5;not-bielliptic;cited",
+])
+def test_malformed_adjudication_line(capsys, tmp_path, line):
+    bad = tmp_path / "adjudications.txt"
+    bad.write_text(line + "\n")
+    code, _, err = run(capsys, "screen", "84", "--w", "w3", "--adjudications", str(bad))
+    assert code == 1
+    assert "line 1:" in err
+
+
+def test_malformed_subgroup_usage_error(capsys):
+    code, _, err = run(capsys, "screen", "84", "--w", "wx")
+    assert code == 2
+    assert "'wx'" in err
 
 
 def test_bad_verb(capsys):

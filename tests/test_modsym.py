@@ -4,27 +4,27 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bielliptic import modsym
 from bielliptic.modsym import (
     ModSymSpace,
     al_operator,
     build_space,
-    cusp_classes,
+    cusp_equiv,
     invariant_genus,
     invariant_genus_eigenspace,
-    p1_enumerate,
     p1_normalize,
-    space_report,
 )
 from bielliptic.ntheory import hall_divisors, hall_product, psi
+from bielliptic.screening import gate_levels
 from bielliptic.x0invariants import cusp_count, genus_x0
 
 
 def test_p1_sizes():
-    assert len(p1_enumerate(1)) == 1
-    assert len(p1_enumerate(6)) == 12
-    assert len(p1_enumerate(558)) == 1152
+    assert len(build_space(1).reps) == 1
+    assert len(build_space(6).reps) == 12
+    assert len(build_space(558).reps) == 1152
     for N in (2, 11, 24, 49, 90):
-        assert len(p1_enumerate(N)) == psi(N)
+        assert len(build_space(N).reps) == psi(N)
 
 
 def test_p1_normalize_idempotent_and_total():
@@ -50,9 +50,13 @@ def test_dimensions_small():
 
 
 def test_cusp_classes():
-    assert len(cusp_classes(1)) == 1
-    assert len(cusp_classes(4)) == 3
-    assert len(cusp_classes(126)) == cusp_count(126)
+    assert build_space(1).cusps == ((1, 0),)
+    assert len(build_space(4).cusps) == 3
+    cusps = build_space(126).cusps
+    assert len(cusps) == cusp_count(126) and cusps[0] == (1, 0)
+    assert not any(
+        cusp_equiv(126, a, b) for i, a in enumerate(cusps) for b in cusps[:i]
+    )
 
 
 def test_path_vector_roundtrip():
@@ -109,10 +113,31 @@ def test_al_operator_involution_and_commutation(N):
 
 
 def test_full_matrix_trace_matches_restricted_route():
-    for N in (44, 56, 63, 90):
+    # the trace route (diagonal on M2 minus the fixed cusp classes) against
+    # the trace of the full matrix on the cuspidal basis
+    pairs = [(N, Q) for N in gate_levels() if N <= 100 for Q in hall_divisors(N)[1:]]
+    assert len(pairs) == 99
+    for N, Q in pairs:
         space = build_space(N)
+        assert al_operator(space, Q).trace() == space.al_trace_cuspidal(Q), (N, Q)
+
+
+def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):
+    calls = []
+    rref = modsym._int_rref
+
+    def counting_rref(rows):
+        calls.append(1)
+        return rref(rows)
+
+    monkeypatch.setattr(modsym, "_int_rref", counting_rref)
+    for N in (60, 90, 126):
+        calls.clear()
+        space = ModSymSpace(N)
+        assert len(calls) == 1
         for Q in hall_divisors(N)[1:]:
-            assert al_operator(space, Q).trace() == space.al_trace_cuspidal(Q)
+            space.al_trace_cuspidal(Q)
+        assert "cuspidal_basis" not in vars(space)
 
 
 def test_identity_operator():
@@ -160,12 +185,12 @@ def test_invariant_dims_even():
 
 
 def test_space_report():
-    report = space_report(60)
-    lines = dict(line.split("=") for line in report.splitlines())
-    assert lines["level"] == "60"
-    assert lines["manin_generators"] == "144"
-    assert lines["cuspidal_dim"] == "14"
-    assert lines["trace_w4"] == str(4 * 3 - 2 * 7)
+    space = build_space(60)
+    assert len(space.reps) == 144
+    assert space.dim == 2 * 7 + 12 - 1
+    assert len(space.cusps) == 12
+    assert len(space.cuspidal_basis) == 14
+    assert space.al_trace_cuspidal(4) == 4 * 3 - 2 * 7
 
 
 def test_build_rejects_bad_level():

@@ -15,12 +15,10 @@ from bielliptic.screening import (
     rule_castelnuovo,
     rule_fixed_point_closure,
     rule_many_fixed_points,
-    rule_modular_degree,
     rule_ogg_bound,
     rule_two_group,
     rule_unramified_cover,
     star_gate,
-    trace_lines,
 )
 
 
@@ -101,13 +99,6 @@ def test_rule_ogg_bound():
         rule_ogg_bound(284, 2, 2)  # 2 | 284
 
 
-def test_rule_modular_degree():
-    assert rule_modular_degree(2, 24).verdict == "excludes"
-    assert rule_modular_degree(2, 4).verdict == "inconclusive"
-    assert rule_modular_degree(4, 12).verdict == "excludes"
-    assert rule_modular_degree(2, None).verdict == "missing-degree-data"
-
-
 def test_rule_fixed_point_closure():
     # at 420-free levels with a non-subhyperelliptic full quotient, any proper
     # subgroup missing a fixed-point-bearing involution is excluded
@@ -162,5 +153,5 @@ def test_iso_reduce_v3_involutive_and_genus_preserving():
 
 def test_trace_serialization():
     res = rule_two_group(14, 4)
-    line = trace_lines([res])
+    line = res.line()
     assert line.startswith("two-group(14,4) -> excludes")

@@ -1,11 +1,21 @@
 """Weight-2 modular symbols for Gamma0(N) over exact rationals.
 
-The space M2 is presented by Manin symbols indexed by P^1(Z/N).  The two-term
-relation x + x.sigma = 0 is eliminated by pairing, the three-term relation
-x + x.tau + x.tau^2 = 0 by sparse integer Gaussian elimination, so every
-generator gets an exact rational expression in a free basis.  The builder
-asserts dim M2 = 2*genus + #cusps - 1 and keeps one representative per cusp
-class, taken from the free generators' endpoints.
+The space M2 is presented by Manin symbols indexed by P^1(Z/N).  A point
+(c : d) is named by the lexicographic minimum of its orbit under the units of
+Z/N (Cremona, Algorithms for Modular Elliptic Curves, 2.2): (0, 1) when
+c = 0, else (g, v) with g = gcd(c, N) and v the least second coordinate over
+the units fixing g, those t = 1 (mod N/g), at most g of them.  A space keeps
+its points sorted and one such stabiliser per divisor g < N, so a lookup is
+that minimum plus a binary search, and no map from pairs to indices exists.
+
+The two-term relation x + x.sigma = 0 is eliminated by pairing, the
+three-term relation x + x.tau + x.tau^2 = 0 by sparse integer Gaussian
+elimination: forward, then one back-substitution from the highest pivot
+down, in which each row is cleared with rows that are already final.  Every
+generator gets an exact expression in a free basis, with int coefficients
+where the pivot is 1 and Fractions otherwise.  The builder asserts
+dim M2 = 2*genus + #cusps - 1 and keeps one representative per cusp class,
+taken from the free generators' endpoints.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix; a general
 path {a, b} is converted back to Manin symbols with the continued-fraction
@@ -28,6 +38,7 @@ matrices and the eigenspace genus.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,24 +57,44 @@ class P1Element(NamedTuple):
     d: int
 
 
-def _units(N: int) -> list[int]:
-    return [u for u in range(1, N) if gcd(u, N) == 1] if N > 1 else [1]
+def _stabiliser(N: int, g: int) -> tuple[int, ...]:
+    """The units t = 1 (mod N/g) of Z/N: those fixing the first coordinate g."""
+    return tuple(t for t in range(1, N, N // g) if gcd(t, N) == 1)
+
+
+def _p1_canonical(N: int, c: int, d: int, stabiliser) -> tuple[int, int]:
+    """Lexicographic minimum of the unit orbit of (c : d) in P^1(Z/N), N > 1.
+
+    For c = 0 it is (0, 1), for a unit c it is (1, d/c).  Otherwise the first
+    coordinate is g = gcd(c, N): a unit s with s*c = g (mod N) is c/g inverted
+    mod N/g, lifted by multiples of N/g until it is a unit mod N, and the units
+    keeping g fixed are `stabiliser(g)`, so the second coordinate is
+    min(s*d*t) over those t.
+    """
+    c %= N
+    d %= N
+    if c == 0:
+        if gcd(d, N) != 1:
+            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
+        return 0, 1
+    g = gcd(c, N)
+    if g == 1:
+        return 1, pow(c, -1, N) * d % N
+    if gcd(g, d) != 1:
+        raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
+    M = N // g
+    s = pow(c // g, -1, M)
+    while gcd(s, N) != 1:
+        s += M
+    e = s * d % N
+    return g, min([e * t % N for t in stabiliser(g)])
 
 
 def p1_normalize(N: int, c: int, d: int) -> P1Element:
     """Canonical representative: lexicographic minimum of the unit-scaling orbit."""
     if N == 1:
         return P1Element(0, 1)
-    c %= N
-    d %= N
-    if gcd(gcd(c, d), N) != 1:
-        raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
-    best = (c, d)
-    for u in _units(N):
-        cand = ((u * c) % N, (u * d) % N)
-        if cand < best:
-            best = cand
-    return P1Element(*best)
+    return P1Element(*_p1_canonical(N, c, d, lambda g: _stabiliser(N, g)))
 
 
 def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
@@ -111,41 +142,45 @@ def _reduce_int_row(row: dict) -> dict:
     return row
 
 
+def _eliminate(row: dict, piv: dict, col: int) -> None:
+    """Clear column `col` of `row` in place with the pivot row `piv`."""
+    a, b = piv[col], row[col]
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in piv.items():
+        x = row.get(k, 0) - b * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
 def _int_rref(rows) -> dict:
     """Sparse reduced echelon form over Z; returns {pivot column: row dict}.
 
     Rows are gcd-normalized with positive pivots, pivot columns eliminated
-    from every other row, so the result is basis-independent data.
+    from every other row, so the result is basis-independent data.  The
+    back-substitution runs once, from the highest pivot down: the other pivot
+    columns a row holds are higher, so their rows are already final and
+    clearing them brings in non-pivot columns only.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        row = dict(row)
-        while True:
-            row = {k: v for k, v in row.items() if v}
-            if not row:
-                break
+        row = {k: v for k, v in row.items() if v}
+        while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
+                pivots[lead] = _reduce_int_row(row)
                 break
-            a, b = piv[lead], row[lead]
-            row = {
-                k: a * row.get(k, 0) - b * piv.get(k, 0)
-                for k in set(row) | set(piv)
-            }
-        if row:
-            pivots[min(row)] = _reduce_int_row(row)
+            _eliminate(row, piv, lead)
     for col in sorted(pivots, reverse=True):
-        piv = pivots[col]
-        for col2, row2 in list(pivots.items()):
-            if col2 == col or col not in row2:
-                continue
-            a, b = piv[col], row2[col]
-            new = {
-                k: a * row2.get(k, 0) - b * piv.get(k, 0)
-                for k in set(row2) | set(piv)
-            }
-            pivots[col2] = _reduce_int_row(new)
+        row = pivots[col]
+        for j in [j for j in row if j != col and j in pivots]:
+            _eliminate(row, pivots[j], j)
+        if row[col] != 1:
+            pivots[col] = _reduce_int_row(row)
     return pivots
 
 
@@ -167,34 +202,25 @@ class ModSymSpace:
 
     def _build(self):
         N = self.N
-        units = _units(N)
-        pairmap: dict[tuple[int, int], int] = {}
-        reps: list[P1Element] = []
-        if N == 1:
-            reps = [P1Element(0, 1)]
-        else:
-            for c in range(N):
-                for d in range(N):
-                    if (c, d) in pairmap:
-                        continue
-                    if gcd(gcd(c, d), N) != 1:
-                        continue
-                    orbit = [((u * c) % N, (u * d) % N) for u in units]
-                    idx = len(reps)
-                    reps.append(P1Element(*min(orbit)))
-                    for pair in orbit:
-                        pairmap[pair] = idx
+        # per divisor g < N, the points (g : v) in increasing v: an unseen v
+        # is its orbit's minimum, and marks the orbit v * stabiliser(g)
+        self._stabilisers = {
+            g: _stabiliser(N, g) for g in range(1, N) if N % g == 0
+        }
+        reps = [P1Element(0, 1)]
+        for g, stab in self._stabilisers.items():
+            marked = bytearray(N)
+            for v in range(N):
+                if marked[v] or gcd(v, g) != 1:
+                    continue
+                reps.append(P1Element(g, v))
+                for t in stab:
+                    marked[v * t % N] = 1
         self.reps = tuple(reps)
-        self._units = tuple(units)
         n = len(reps)
         if n != psi(N):
             raise IntegrityError(f"P1(Z/{N}) has {n} points, expected psi = {psi(N)}")
-        self._rep_index = {rep: i for i, rep in enumerate(reps)}
-
-        def look(c, d):
-            if N == 1:
-                return 0
-            return pairmap[(c % N, d % N)]
+        look = self.p1_index
 
         # two-term relation: identify x.sigma with -x, sigma: (c,d) -> (d,-c)
         part: dict[int, tuple[int, int]] = {}
@@ -238,11 +264,13 @@ class ModSymSpace:
                 f"level {N}: modular-symbols dimension {self.dim} != {expected}"
             )
 
-        expr_col: dict[int, dict[int, Fraction]] = {c: {c: Fraction(1)} for c in free}
+        expr_col: dict[int, dict] = {c: {c: 1} for c in free}
         for c, row in pivots.items():
             p = row[c]
-            expr_col[c] = {k: Fraction(-v, p) for k, v in row.items() if k != c}
-        expr: list[dict[int, Fraction]] = []
+            expr_col[c] = {
+                k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
+            }
+        expr: list[dict] = []
         for i in range(n):
             s, col = part[i]
             if s == 0:
@@ -310,17 +338,11 @@ class ModSymSpace:
     # -- symbol plumbing ----------------------------------------------
 
     def p1_index(self, c: int, d: int) -> int:
-        N = self.N
-        if N == 1:
+        """Position in `reps` (sorted) of the point (c : d)."""
+        if self.N == 1:
             return 0
-        c %= N
-        d %= N
-        best = (c, d)
-        for u in self._units:
-            cand = ((u * c) % N, (u * d) % N)
-            if cand < best:
-                best = cand
-        return self._rep_index[P1Element(*best)]
+        rep = _p1_canonical(self.N, c, d, self._stabilisers.__getitem__)
+        return bisect_left(self.reps, rep)
 
     def _manin_path(self, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Endpoints {b/d, a/c} of the modular symbol of generator i."""
@@ -402,7 +424,7 @@ class ModSymSpace:
             if Q in self._trace_cache:
                 return self._trace_cache[Q]
         mat = self.al_matrix(Q)
-        diag = Fraction(0)
+        diag = 0
         for c in self.free:
             start, end = self._manin_path(c)
             for sgn, cusp in ((-1, start), (1, end)):

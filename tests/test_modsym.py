@@ -1,8 +1,9 @@
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bielliptic import modsym
 from bielliptic.modsym import (
@@ -41,6 +42,115 @@ def test_p1_normalize_orbit_invariance(N, c, d, u):
     if gcd(gcd(c, d), N) != 1 or gcd(u, N) != 1:
         return
     assert p1_normalize(N, c, d) == p1_normalize(N, u * c, u * d)
+
+
+def _units(N):
+    return [u for u in range(1, N) if gcd(u, N) == 1]
+
+
+def _p1_oracle(N, c, d):
+    """Brute force: the lexicographic minimum over every unit scaling of (c : d)."""
+    return min((u * c % N, u * d % N) for u in _units(N))
+
+
+def _p1_oracle_reps(N):
+    """The sorted orbit minima of P^1(Z/N), each orbit found by a full pair scan."""
+    units = _units(N)
+    seen = set()
+    minima = []
+    for c in range(N):
+        for d in range(N):
+            if (c, d) in seen or gcd(gcd(c, d), N) != 1:
+                continue
+            orbit = [(u * c % N, u * d % N) for u in units]
+            seen.update(orbit)
+            minima.append(min(orbit))
+    return sorted(minima)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 8, 12, 30, 45, 72, 360, 840]),
+       st.integers(-5000, 5000), st.integers(-5000, 5000))
+def test_p1_normalize_matches_unit_scan(N, c, d):
+    assume(gcd(gcd(c, d), N) == 1)
+    assert p1_normalize(N, c, d) == _p1_oracle(N, c, d)
+    space = build_space(N)
+    assert space.reps[space.p1_index(c, d)] == _p1_oracle(N, c, d)
+
+
+def test_p1_normalize_rejects_non_points():
+    for c, d in ((2, 4), (0, 6), (3, 0)):
+        with pytest.raises(ValueError):
+            p1_normalize(12, c, d)
+
+
+def test_reps_are_the_sorted_orbit_minima():
+    for N in range(2, 201):
+        assert list(build_space(N).reps) == _p1_oracle_reps(N), N
+
+
+def _primitive(rref):
+    """Rows scaled to coprime integers with a positive pivot."""
+    out = {}
+    for col, row in rref.items():
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        ints = {k: int(v * den) for k, v in row.items() if v}
+        g = gcd(*ints.values())
+        sign = 1 if ints[col] > 0 else -1
+        out[col] = {k: sign * v // g for k, v in ints.items()}
+    return out
+
+
+def _fraction_rref(rows, ncols):
+    """Dense Gauss-Jordan over the rationals: {pivot column: row with pivot 1}."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    out = {}
+    r = 0
+    for col in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        out[col] = r
+        r += 1
+    return {col: {j: x for j, x in enumerate(m[i]) if x} for col, i in out.items()}
+
+
+_MATRICES = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=5,
+    ).map(lambda dense: (ncols, [{j: v for j, v in enumerate(r) if v} for r in dense]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES)
+@example((3, [{0: 1, 1: 1}, {1: 2, 2: 1}]))  # back-substitution through pivot 2
+def test_int_rref_matches_fraction_gauss_jordan(matrix):
+    # entries in [-6, 6] make pivots other than 1 common, a branch no
+    # production level reaches
+    ncols, rows = matrix
+    got = modsym._int_rref(rows)
+    assert got == _primitive(got) == _primitive(_fraction_rref(rows, ncols))
+
+
+def test_build_memory_stays_small():
+    # about 3 MB; a build that keeps an index map over all (c, d) pairs
+    # peaks at about 16 MB here
+    build_space(420)  # imports and level invariants outside the measurement
+    tracemalloc.start()
+    try:
+        ModSymSpace(420)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_dimensions_small():
@@ -198,14 +308,13 @@ def test_build_rejects_bad_level():
         build_space(0)
 
 
-def test_concurrent_builds_and_traces():
+def test_concurrent_builds_and_traces(monkeypatch):
     # distinct levels build in parallel; duplicate builds of one level are
-    # idempotent; trace fills race safely
+    # idempotent; trace fills race safely.  The cache is the test's own, so
+    # the spaces other tests built stay cached.
     import threading
 
-    from bielliptic import modsym
-
-    modsym.clear_cache()
+    monkeypatch.setattr(modsym, "_CACHE", {})
     results = {}
 
     def work(N):

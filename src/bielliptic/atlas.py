@@ -26,10 +26,11 @@ from .involutions import (
     InvolutionGroup,
     fix_table,
     group_closure,
+    level_involutions,
     quotient_genus_hurwitz,
 )
 from .modsym import invariant_genus
-from .ntheory import ALSubgroup, all_subgroups, factor, hall_divisors
+from .ntheory import ALSubgroup, all_subgroups, factor
 from .screening import (
     RuleResult,
     gate_levels,
@@ -203,30 +204,6 @@ class Witness:
         return head + via
 
 
-def _candidate_involutions(N: int, sub: ALSubgroup) -> list[ExtInvolution]:
-    seen: dict[ExtInvolution, None] = {}
-    for d in hall_divisors(N)[1:]:
-        if d in sub:
-            continue
-        seen.setdefault(ExtInvolution.al(N, d))
-    if N % 4 == 0:
-        odd = [r for r in hall_divisors(N) if r % 2]
-        alpha = factor(N).valuation(2)
-        for ctor in (ExtInvolution.s2, ExtInvolution.s2_conj, ExtInvolution.v2):
-            for r in odd:
-                seen.setdefault(ctor(N, r))
-        if alpha >= 3:
-            for r in odd:
-                seen.setdefault(ExtInvolution.v2(N, r << alpha))
-    if N % 9 == 0 and (N // 9) % 3:
-        for d in hall_divisors(N):
-            try:
-                seen.setdefault(ExtInvolution.v3(N, d))
-            except OrderViolation:
-                continue
-    return list(seen)
-
-
 def _search(N: int, sub: ALSubgroup):
     """Try every candidate; return (witness or None, refutation list).
 
@@ -237,7 +214,9 @@ def _search(N: int, sub: ALSubgroup):
     refuted = []
     seen_groups = set()
     witness = None
-    for v in _candidate_involutions(N, sub):
+    for v in level_involutions(N):
+        if v.kind == "al" and v._al_part() in sub:
+            continue
         try:
             G = group_closure(N, gens + [v])
         except OrderViolation:
@@ -283,7 +262,7 @@ def _al_supergroups(N: int, sub: ALSubgroup):
             yield big
 
 
-def _settle(N: int, sub: ALSubgroup, depth: int = 0):
+def _settle(N: int, sub: ALSubgroup):
     """Witness search plus exclusion rules for one pair (any level).
 
     Returns (status, witness, trace) with status one of
@@ -307,7 +286,7 @@ def _settle(N: int, sub: ALSubgroup, depth: int = 0):
 
     # isomorphism reduction: the reduced pair is the same curve
     red = iso_reduce_w4(N, sub)
-    if red is not None and depth < 3:
+    if red is not None:
         N2, sub2 = red
         if invariant_genus(N2, sub2) != g:
             raise IntegrityError(f"w4-reduction changed the genus at {N}, {sub.label()}")
@@ -320,7 +299,8 @@ def _settle(N: int, sub: ALSubgroup, depth: int = 0):
                 detail=f"-> level {N2}, {sub2.label()}",
             )
         )
-        status2, witness2, trace2 = _settle(N2, sub2, depth + 1)
+        # 2 || N/2, so the reduced pair does not reduce again
+        status2, witness2, trace2 = _settle(N2, sub2)
         trace.extend(trace2)
         if status2 == "bielliptic":
             chained = Witness(
@@ -400,7 +380,7 @@ def confirm_bielliptic(N: int, W) -> Witness | None:
     normalizer families available at the level; if nothing is found and the
     w4-reduction applies, the search continues at the reduced level.
     """
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
+    sub = ALSubgroup.of(N, W)
     return _settle(N, sub)[1]
 
 
@@ -470,7 +450,7 @@ def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int, refuted):
     # identify the hyperelliptic involution of the full quotient inside the
     # normalizer families
     hyper = None
-    for v in _candidate_involutions(N, ALSubgroup.full(N)):
+    for v in level_involutions(N):
         if v.kind == "al":
             continue
         try:
@@ -525,7 +505,7 @@ class PairRecord:
 
 def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     """Terminal status for one in-scope pair."""
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
+    sub = ALSubgroup.of(N, W)
     adjudications = default_adjudications() if adjudications is None else adjudications
     g = invariant_genus(N, sub)
     hyper = _quotient_hyperelliptic(N, sub, g) is True

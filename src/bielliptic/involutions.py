@@ -310,8 +310,15 @@ class InvolutionGroup:
 
 
 def group_closure(N: int, generators) -> InvolutionGroup:
-    """Close a generator list under composition; all elements must be involutions."""
-    elems = {ExtInvolution.identity(N)}
+    """The group a generator list spans; all elements must be involutions.
+
+    Built by doubling: a generator g not yet in the group G adds the coset
+    G*g, which doubles G because its elements commute and square to the
+    identity.  A product outside the commuting-involution framework raises
+    OrderViolation; a coset that meets G means the published rules do not
+    form a group and raises IntegrityError.
+    """
+    gens = []
     for g in generators:
         if isinstance(g, str):
             g = parse_element(N, g)
@@ -319,28 +326,22 @@ def group_closure(N: int, generators) -> InvolutionGroup:
             g = ExtInvolution.al(N, g)
         if g.level != N:
             raise ValueError("generator level mismatch")
-        elems.add(g)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                try:
-                    c = compose(a, b)
-                except OrderViolation as exc:
-                    raise OrderViolation(
-                        f"<{', '.join(sorted(e.name for e in elems if not e.is_identity))}> "
-                        f"is not an involution group: {exc}",
-                        rule=exc.rule,
-                    ) from exc
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
-        if len(elems) > 64:
-            raise OrderViolation("closure did not terminate", rule="runaway-closure")
-    if len(elems) & (len(elems) - 1):
-        raise IntegrityError(f"closure of order {len(elems)} is not a 2-group")
-    return InvolutionGroup(N, frozenset(elems))
+        gens.append(g)
+    elems = [ExtInvolution.identity(N)]
+    for g in gens:
+        if g in elems:
+            continue
+        try:
+            elems += [compose(e, g) for e in elems]
+        except OrderViolation as exc:
+            raise OrderViolation(
+                f"<{', '.join(e.name for e in gens)}> is not an involution group: {exc}",
+                rule=exc.rule,
+            ) from exc
+    group = frozenset(elems)
+    if len(group) < len(elems):
+        raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
+    return InvolutionGroup(N, group)
 
 
 # -- fixed-point counts ------------------------------------------------
@@ -479,20 +480,34 @@ def quotient_genus_hurwitz(N: int, group) -> int:
 # -- tables -------------------------------------------------------------
 
 
-def fix_table(N: int) -> list[tuple[str, int]]:
-    """All computable fixed-point counts at one level, canonically ordered."""
+def level_involutions(N: int) -> list[ExtInvolution]:
+    """Every involution the witness search tries at level N, in search order.
+
+    The w_d first; when 4 | N, then S2*w_r, S2C*w_r, V2*w_r and V2*w_{2^a r}
+    for odd Hall divisors r; then the V3*w_d of order 2 when 9 || N.  An
+    element reached twice (S2C*w_r = V2*w_r when 4 || N) is listed once.
+    """
     elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
     alpha = _two_alpha(N)
     if alpha >= 2:
         odd = [r for r in hall_divisors(N) if r % 2]
-        elems += [ExtInvolution.s2(N, r) for r in odd]
-        elems += [ExtInvolution.v2(N, r) for r in odd]
+        for ctor in (ExtInvolution.s2, ExtInvolution.s2_conj, ExtInvolution.v2):
+            elems += [ctor(N, r) for r in odd]
         if alpha >= 3:
             elems += [ExtInvolution.v2(N, r << alpha) for r in odd]
     if N % 9 == 0 and (N // 9) % 3:
         elems += [
             ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
         ]
+    return list(dict.fromkeys(elems))
+
+
+def fix_table(N: int) -> list[tuple[str, int]]:
+    """All computable fixed-point counts at one level, canonically ordered.
+
+    S2C*w_r is left out: it is conjugate to S2*w_r and has the same count.
+    """
+    elems = [e for e in level_involutions(N) if e.kind != "s2c"]
     elems.sort(key=ExtInvolution.sort_key)
     return [(e.name, fix_count(e)) for e in elems]
 

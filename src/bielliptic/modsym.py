@@ -528,14 +528,6 @@ def al_operator(space_or_level, Q: int) -> ALOperator:
     return ALOperator(space.N, Q, space.al_matrix(Q), action)
 
 
-def _subgroup_elements(N: int, W) -> ALSubgroup:
-    if isinstance(W, ALSubgroup):
-        if W.level != N:
-            raise ValueError("subgroup level mismatch")
-        return W
-    return ALSubgroup(N, tuple(W))
-
-
 def invariant_genus(N: int, W=()) -> int:
     """Genus of X0(N)/W for an Atkin-Lehner subgroup W.
 
@@ -543,7 +535,7 @@ def invariant_genus(N: int, W=()) -> int:
     the cuspidal subspace; the dimension itself comes from the averaged trace
     over the (abelian, exponent-2) subgroup, which is the same number.
     """
-    sub = _subgroup_elements(N, W)
+    sub = ALSubgroup.of(N, W)
     space = build_space(N)
     total = 0
     for q in sub:
@@ -561,7 +553,7 @@ def invariant_genus_eigenspace(N: int, W=()) -> int:
 
     Slower; retained as an independent route for cross-checking.
     """
-    sub = _subgroup_elements(N, W)
+    sub = ALSubgroup.of(N, W)
     space = build_space(N)
     k = 2 * space.genus
     rows = []

@@ -199,39 +199,34 @@ class ALSubgroup:
     """Subgroup of the Atkin-Lehner group B(N), stored as its full element set.
 
     Elements are Hall divisors of N; the group is elementary abelian of
-    order 2^omega(N), with d*e/gcd(d,e)^2 as the product.
+    order 2^omega(N), with d*e/gcd(d,e)^2 as the product.  It is built by
+    doubling: a generator g not yet in the group adds the coset g*H, so
+    each generator costs one pass over the elements found so far.
     """
 
-    __slots__ = ("level", "elements", "_masks")
+    __slots__ = ("level", "elements")
 
     def __init__(self, level: int, generators=()):
         self.level = level
         elems = {1}
-        pending = [int(g) for g in generators]
-        for g in pending:
+        for g in map(int, generators):
             if g < 1 or level % g or gcd(g, level // g) != 1:
                 raise ValueError(f"w{g} is not an Atkin-Lehner involution at level {level}")
-        changed = True
-        elems.update(pending)
-        while changed:
-            changed = False
-            for a in list(elems):
-                for b in list(elems):
-                    c = hall_product(a, b)
-                    if c not in elems:
-                        elems.add(c)
-                        changed = True
+            if g not in elems:
+                elems |= {hall_product(e, g) for e in elems}
         self.elements = frozenset(elems)
-        pp = factor(level).prime_powers()
-        self._masks = {d: self._mask(d, pp) for d in self.elements}
 
-    @staticmethod
-    def _mask(d: int, prime_powers) -> int:
-        m = 0
-        for i, q in enumerate(prime_powers):
-            if d % q == 0:
-                m |= 1 << i
-        return m
+    @classmethod
+    def of(cls, level: int, W) -> "ALSubgroup":
+        """W itself when it is a subgroup at this level, else the group its
+        generators span; ValueError when W belongs to another level."""
+        if isinstance(W, ALSubgroup):
+            if W.level != level:
+                raise ValueError(
+                    f"subgroup {W.label()} of level {W.level} used at level {level}"
+                )
+            return W
+        return cls(level, W)
 
     @classmethod
     def full(cls, level: int) -> "ALSubgroup":
@@ -287,19 +282,28 @@ class ALSubgroup:
     def is_fricke(self) -> bool:
         return self.elements == frozenset({1, self.level}) and self.level > 1
 
-    def generators(self) -> tuple[int, ...]:
-        """Canonical generators: greedily take elements of smallest mask."""
-        gens: list[int] = []
+    def _masked_generators(self) -> list[tuple[int, int]]:
+        """Canonical generators as (mask, d): greedily take elements of
+        smallest mask, bit i of a mask marking the i-th prime power of N."""
+        pp = factor(self.level).prime_powers()
+        by_mask = sorted(
+            (sum(1 << i for i, q in enumerate(pp) if d % q == 0), d)
+            for d in self.elements if d != 1
+        )
+        gens: list[tuple[int, int]] = []
         span = {0}
-        by_mask = sorted((self._masks[d], d) for d in self.elements if d != 1)
         for m, d in by_mask:
             if m in span:
                 continue
-            gens.append(d)
+            gens.append((m, d))
             span |= {s ^ m for s in span}
             if len(span) == self.order:
                 break
-        return tuple(gens)
+        return gens
+
+    def generators(self) -> tuple[int, ...]:
+        """Canonical generators, in the order `label` prints them."""
+        return tuple(d for _, d in self._masked_generators())
 
     def label(self) -> str:
         if self.is_trivial:
@@ -307,39 +311,22 @@ class ALSubgroup:
         return "<" + ",".join(f"w{d}" for d in self.generators()) + ">"
 
     def extend(self, d: int) -> "ALSubgroup":
-        return ALSubgroup(self.level, tuple(self.generators()) + (d,))
+        return ALSubgroup(self.level, (*self.elements, d))
 
     def sort_key(self):
-        gens = self.generators()
-        return (
-            self.order,
-            tuple(sorted(bin(self._masks[g]).count("1") for g in gens)),
-            tuple(sorted(self._masks[g] for g in gens)),
-        )
+        masks = sorted(m for m, _ in self._masked_generators())
+        return (self.order, tuple(sorted(bin(m).count("1") for m in masks)), tuple(masks))
 
 
 def all_subgroups(level: int) -> list[ALSubgroup]:
-    """Every subgroup of B(N), sorted canonically (reference-table row order)."""
-    f = factor(level)
-    basis = f.prime_powers()
+    """Every subgroup of B(N), sorted canonically (reference-table row order).
+
+    Each subgroup of order 2^(k+1) extends one of order 2^k by an element
+    outside it, so the lattice grows one layer per round from the trivial group.
+    """
     nonzero = hall_divisors(level)[1:]
-    seen = {}
-    out = [ALSubgroup.trivial(level)]
-    # dim-1 spans, then grow: subgroup lattice of a tiny F2-vector space
-    frontier = [ALSubgroup(level, (d,)) for d in nonzero]
-    for sub in frontier:
-        seen.setdefault(sub.elements, sub)
-    grow = list(seen.values())
+    found = grow = {ALSubgroup.trivial(level)}
     while grow:
-        nxt = {}
-        for sub in grow:
-            for d in nonzero:
-                if d in sub:
-                    continue
-                big = sub.extend(d)
-                if big.elements not in seen:
-                    nxt[big.elements] = big
-        seen.update(nxt)
-        grow = list(nxt.values())
-    out.extend(seen.values())
-    return sorted(out, key=ALSubgroup.sort_key)
+        grow = {s.extend(d) for s in grow for d in nonzero if d not in s} - found
+        found |= grow
+    return sorted(found, key=ALSubgroup.sort_key)

@@ -172,7 +172,7 @@ def rule_fixed_point_closure(N: int, W) -> RuleResult:
     gate = star_gate(N)
     if gate.kind != "bielliptic":
         raise ValueError(f"closure rule only applies at bielliptic-gate levels, not {N}")
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
+    sub = ALSubgroup.of(N, W)
     for d in hall_divisors(N)[1:]:
         if d not in sub and fix_al(N, d) > 0:
             return RuleResult(
@@ -197,11 +197,8 @@ def rule_fixed_point_closure(N: int, W) -> RuleResult:
 def iso_reduce_w4(N: int, W) -> tuple[int, ALSubgroup] | None:
     """When 4 || N and w4 lies in W, X0(N)/W is isomorphic to X0(N/2)/W'
     with W' the odd part of W.  Returns None when not applicable."""
-    fac = factor(N)
-    if fac.valuation(2) != 2:
-        return None
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
-    if 4 not in sub:
+    sub = ALSubgroup.of(N, W)
+    if factor(N).valuation(2) != 2 or 4 not in sub:
         return None
     odd = [d for d in sub if d % 2 and d > 1]
     return N // 2, ALSubgroup(N // 2, odd)
@@ -210,10 +207,9 @@ def iso_reduce_w4(N: int, W) -> tuple[int, ALSubgroup] | None:
 def iso_reduce_v3(N: int, W) -> ALSubgroup:
     """Twist a subgroup by w9 on generators whose prime-to-3 part is 2 mod 3;
     the two quotients are isomorphic.  Applying it twice gives W back."""
-    fac = factor(N)
-    if fac.valuation(3) != 2:
+    sub = ALSubgroup.of(N, W)
+    if factor(N).valuation(3) != 2:
         raise ValueError(f"V3 twist needs 9 || N, got {N}")
-    sub = W if isinstance(W, ALSubgroup) else ALSubgroup(N, W)
     gens = []
     for d in sub.generators():
         m = d

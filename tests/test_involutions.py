@@ -15,11 +15,12 @@ from bielliptic.involutions import (
     fix_v2_w2a,
     fix_v3,
     group_closure,
+    level_involutions,
     parse_element,
     quotient_genus_hurwitz,
 )
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import hall_divisors
+from bielliptic.ntheory import all_subgroups, hall_divisors
 
 
 def test_fix_al_examples():
@@ -148,6 +149,103 @@ def test_group_closure_rejections():
         group_closure(126, ["V3", "w2"])
     with pytest.raises(OrderViolation):
         group_closure(252, ["S2", "V3"])
+
+
+def _saturation_closure(N, generators):
+    """Closure by saturation: compose every pair of elements and repeat
+    until nothing new appears.  Reference for the doubling in group_closure."""
+    elems = {ExtInvolution.identity(N), *generators}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(elems):
+            for b in list(elems):
+                c = compose(a, b)
+                if c not in elems:
+                    elems.add(c)
+                    changed = True
+    return frozenset(elems)
+
+
+def _closure_outcome(closure, N, generators):
+    try:
+        return closure(N, generators)
+    except OrderViolation:
+        return "order-violation"
+
+
+def _product(a, b):
+    try:
+        return compose(a, b)
+    except OrderViolation:
+        return None
+
+
+def test_group_closure_matches_saturation():
+    # doubling and saturation agree on every witness-search input: each
+    # subgroup's generators plus one candidate, and every pair of candidates
+    from bielliptic.atlas import scope_levels
+
+    def doubling(N, gens):
+        return group_closure(N, gens).elements
+
+    cases = 0
+    for N in scope_levels():
+        cands = level_involutions(N)
+        inputs = [
+            [ExtInvolution.al(N, d) for d in sub.generators()] + [v]
+            for sub in all_subgroups(N)
+            for v in cands
+        ]
+        inputs += [[u, v] for i, u in enumerate(cands) for v in cands[i + 1:]]
+        for gens in inputs:
+            assert _closure_outcome(doubling, N, gens) == _closure_outcome(
+                _saturation_closure, N, gens
+            ), (N, [g.name for g in gens])
+        cases += len(inputs)
+    assert cases == 16689
+
+
+def test_compose_is_commutative_and_associative():
+    # what doubling relies on: uv = vu, and (uv)w = u(vw) whenever both sides
+    # exist, over every involution the search tries plus the identity
+    from bielliptic.atlas import scope_levels
+
+    pairs = triples = 0
+    for N in scope_levels():
+        cands = level_involutions(N)
+        elems = [ExtInvolution.identity(N)] + cands
+        products = {(u, v): _product(u, v) for u in elems for v in elems}
+        for u in cands:
+            for v in cands:
+                assert products[u, v] == products[v, u], (N, u.name, v.name)
+        pairs += len(cands) ** 2
+        for (u, v), uv in products.items():
+            if uv is None:
+                continue
+            for w in elems:
+                vw = products[v, w]
+                if vw is None:
+                    continue
+                left, right = _product(uv, w), _product(u, vw)
+                if left is None or right is None:
+                    continue
+                assert left == right, (N, u.name, v.name, w.name)
+                triples += 1
+    assert (pairs, triples) == (12814, 111632)
+
+
+def test_level_involutions_are_distinct_and_ordered():
+    # w_d first, then the S2 family, then V3; 4 || 60 folds S2C into V2
+    names = [e.name for e in level_involutions(60)]
+    assert names == [
+        "w3", "w4", "w5", "w12", "w15", "w20", "w60",
+        "S2", "S2*w3", "S2*w5", "S2*w15", "V2", "V2*w3", "V2*w5", "V2*w15",
+    ]
+    for N in (120, 126, 252, 360, 558):
+        elems = level_involutions(N)
+        assert len(set(elems)) == len(elems)
+        assert all(not e.is_identity for e in elems)
 
 
 def test_quotient_genus_examples():

@@ -145,3 +145,26 @@ class TestALSubgroup:
         assert labels[0] == "1"
         assert labels[1:4] == ["<w4>", "<w3>", "<w5>"]
         assert labels[-1] == "<w4,w3,w5>"
+
+    def test_of_validates_the_level(self):
+        sub = ALSubgroup(60, (4,))
+        assert ALSubgroup.of(60, sub) is sub
+        assert ALSubgroup.of(60, (4, 3)) == ALSubgroup(60, (3, 4))
+        with pytest.raises(ValueError, match="level 180 used at level 60"):
+            ALSubgroup.of(60, ALSubgroup(180, (4,)))
+
+    def test_extend_doubles(self):
+        sub = ALSubgroup(420, (4, 3))
+        assert sub.extend(35).order == 8
+        assert sub.extend(12) == sub
+
+
+def test_all_subgroups_is_the_subgroup_lattice():
+    # distinct, closed under the group law, and as many as an F2-space of
+    # dimension omega has subspaces
+    for N in range(1, 2001):
+        subs = all_subgroups(N)
+        assert len(subs) == (1, 2, 5, 16, 67)[factor(N).omega], N
+        assert len({s.elements for s in subs}) == len(subs), N
+        for s in subs:
+            assert {hall_product(a, b) for a in s.elements for b in s.elements} == s.elements

@@ -139,6 +139,13 @@ def test_iso_reduce_v3_examples():
         iso_reduce_v3(54, ALSubgroup(54, (2,)))  # 27 | 54
 
 
+def test_iso_reductions_reject_a_subgroup_of_another_level():
+    with pytest.raises(ValueError, match="level 180"):
+        iso_reduce_w4(60, ALSubgroup(180, (4,)))
+    with pytest.raises(ValueError, match="level 180"):
+        iso_reduce_v3(90, ALSubgroup(180, (9,)))
+
+
 def test_iso_reduce_v3_involutive_and_genus_preserving():
     for N in (90, 117, 126, 153, 171, 198, 252, 315):
         from bielliptic.ntheory import all_subgroups

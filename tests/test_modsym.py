@@ -15,7 +15,8 @@ from bielliptic.modsym import (
     invariant_genus_eigenspace,
     p1_normalize,
 )
-from bielliptic.ntheory import hall_divisors, hall_product, psi
+from bielliptic.involutions import fix_al
+from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors, hall_product, psi
 from bielliptic.screening import gate_levels
 from bielliptic.x0invariants import cusp_count, genus_x0
 
@@ -388,6 +389,21 @@ def test_concurrent_builds_and_traces(monkeypatch):
         by_level.setdefault(N, set()).add(val)
     assert all(len(vals) == 1 for vals in by_level.values())
     assert build_space(77) is build_space(77)
+
+
+def test_clear_cache_is_the_one_reset(monkeypatch):
+    # the reset empties the space cache and every per-level memo table; a
+    # private space cache keeps the session's spaces built
+    cache = {11: ModSymSpace(11)}
+    monkeypatch.setattr(modsym, "_CACHE", cache)
+    fix_al(11, 11)
+    all_subgroups(12)
+    assert all(_MEMO_TABLES.values())
+    modsym.clear_cache()
+    assert cache == {}
+    assert not any(_MEMO_TABLES.values())
+    assert genus_x0(11) == 1
+    assert list(_MEMO_TABLES["bielliptic.x0invariants.genus_x0"]) == [(11,)]
 
 
 def test_rebuild_is_identical():

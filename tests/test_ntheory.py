@@ -1,10 +1,19 @@
+import importlib
+import inspect
+import random
+import sys
+import threading
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bielliptic import modsym
+from bielliptic.involutions import fix_al
 from bielliptic.ntheory import (
+    _MEMO_TABLES,
     ALSubgroup,
+    _subgroup_lattice,
     all_subgroups,
     class_number,
     class_number_oracle,
@@ -15,6 +24,8 @@ from bielliptic.ntheory import (
     kronecker,
     psi,
 )
+from bielliptic.screening import gate_levels
+from bielliptic.x0invariants import cusp_count, genus_x0
 
 
 def test_factor_examples():
@@ -168,3 +179,86 @@ def test_all_subgroups_is_the_subgroup_lattice():
         assert len({s.elements for s in subs}) == len(subs), N
         for s in subs:
             assert {hall_product(a, b) for a in s.elements for b in s.elements} == s.elements
+
+
+# -- memoised per-level functions ------------------------------------------
+
+
+def _table(fn):
+    return _MEMO_TABLES[f"{fn.__module__}.{fn.__qualname__}"]
+
+
+def test_memoised_functions_stay_traceable():
+    # perfbench/tracer.py wraps a module attribute only when it is a plain
+    # function defined in that module; a functools.cache object is neither,
+    # and would silently drop out of the per-layer metrics.
+    public = {}
+    for name in _MEMO_TABLES:
+        module, attr = name.rsplit(".", 1)
+        if not attr.startswith("_"):
+            public[name] = (module, getattr(importlib.import_module(module), attr))
+    assert set(public) == {
+        "bielliptic.ntheory.factor",
+        "bielliptic.x0invariants.cusp_count",
+        "bielliptic.x0invariants.genus_x0",
+        "bielliptic.involutions.fix_al",
+    }
+    for name, (module, fn) in public.items():
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ == module, name
+
+
+def test_memoised_values_equal_the_undecorated_functions():
+    for n in range(1, 3001):
+        assert factor(n) == factor.__wrapped__(n)
+        assert cusp_count(n) == cusp_count.__wrapped__(n)
+        assert genus_x0(n) == genus_x0.__wrapped__(n)
+    for N in gate_levels():
+        for Q in hall_divisors(N)[1:]:
+            assert fix_al(N, Q) == fix_al.__wrapped__(N, Q), (N, Q)
+        assert all_subgroups(N) == list(_subgroup_lattice.__wrapped__(N))
+
+
+def test_all_subgroups_returns_a_fresh_list():
+    first = all_subgroups(420)
+    expected = list(first)
+    random.Random(0).shuffle(first)
+    assert first != expected
+    assert all_subgroups(420) == expected
+
+
+def test_failed_calls_store_nothing():
+    for fn, args in ((factor, (0,)), (fix_al, (60, 6))):
+        with pytest.raises(ValueError):
+            fn(*args)
+        assert args not in _table(fn)
+
+
+def test_concurrent_first_calls_agree(monkeypatch):
+    # every table and a private space cache start empty, so each thread's
+    # calls race to be the first at level 90
+    monkeypatch.setattr(modsym, "_CACHE", {})
+    modsym.clear_cache()
+    calls = ((factor, (90,)), (genus_x0, (90,)), (fix_al, (90, 9)), (all_subgroups, (90,)))
+    results = {fn: [] for fn, _ in calls}
+
+    def work():
+        for fn, args in calls:
+            results[fn].append(fn(*args))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[factor] == [factor.__wrapped__(90)] * 8
+    assert results[genus_x0] == [genus_x0.__wrapped__(90)] * 8
+    assert results[fix_al] == [fix_al.__wrapped__(90, 9)] * 8
+    assert results[all_subgroups] == [list(_subgroup_lattice.__wrapped__(90))] * 8
+    assert list(_table(genus_x0)) == [(90,)]

@@ -9,12 +9,8 @@ and which have infinitely many quadratic points.
 from .involutions import (
     ExtInvolution,
     fix_al,
-    fix_s2,
-    fix_s2_wr,
+    fix_count,
     fix_table,
-    fix_v2,
-    fix_v2_w2a,
-    fix_v3,
     group_closure,
     quotient_genus_hurwitz,
 )
@@ -30,12 +26,8 @@ __all__ = [
     "cusp_count",
     "factor",
     "fix_al",
-    "fix_s2",
-    "fix_s2_wr",
+    "fix_count",
     "fix_table",
-    "fix_v2",
-    "fix_v2_w2a",
-    "fix_v3",
     "genus_x0",
     "group_closure",
     "hall_divisors",

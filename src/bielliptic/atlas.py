@@ -548,8 +548,12 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     return PairRecord(N, sub, g, "inconclusive", hyper, None, None, tuple(trace))
 
 
-def classify_all(ec_table=None, adjudications=None, strict: bool = True) -> list[PairRecord]:
-    """Classify every in-scope pair and decide its quadratic-point status."""
+def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
+    """Classify every in-scope pair and decide its quadratic-point status.
+
+    Raises IntegrityError when a pair stays inconclusive or a published
+    bielliptic pair comes out not bielliptic.
+    """
     ec = default_ec_table() if ec_table is None else ec_table
     adjudications = default_adjudications() if adjudications is None else adjudications
     records = []
@@ -558,16 +562,15 @@ def classify_all(ec_table=None, adjudications=None, strict: bool = True) -> list
         rec.quadratic_points = quadratic_points(rec, ec)
         records.append(rec)
     records.sort(key=PairRecord.sort_key)
-    if strict:
-        open_pairs = [r for r in records if r.status == "inconclusive"]
-        if open_pairs:
-            names = ", ".join(f"({r.N},{r.subgroup.label()})" for r in open_pairs)
-            raise IntegrityError(f"unresolved pairs: {names}")
-        for rec in records:
-            if rec.bielliptic is False and rec.key() in _published_bielliptic_keys():
-                raise IntegrityError(
-                    f"({rec.N},{rec.subgroup.label()}) wrongly excluded"
-                )
+    open_pairs = [r for r in records if r.status == "inconclusive"]
+    if open_pairs:
+        names = ", ".join(f"({r.N},{r.subgroup.label()})" for r in open_pairs)
+        raise IntegrityError(f"unresolved pairs: {names}")
+    for rec in records:
+        if rec.bielliptic is False and rec.key() in _published_bielliptic_keys():
+            raise IntegrityError(
+                f"({rec.N},{rec.subgroup.label()}) wrongly excluded"
+            )
     return records
 
 
@@ -799,6 +802,14 @@ def verify_classification(records=None):
     for key, genus in expected.items():
         if got[key] != genus:
             raise IntegrityError(f"genus mismatch for bielliptic pair {key}")
+    non_rational = {r.key() for r in records if r.bielliptic and r.field != RATIONAL}
+    published = {_pair_key(N, gens) for N, gens in _data.NON_RATIONAL_BIELLIPTIC}
+    if non_rational != published:
+        wrong = [
+            f"({r.N},{r.subgroup.label()}) over {r.field}"
+            for r in records if r.key() in non_rational ^ published
+        ]
+        raise IntegrityError(f"field mismatch for bielliptic pairs: {', '.join(wrong)}")
     infinite_expected = published_infinite_pairs()
     infinite_got = {
         r.key() for r in records if (r.quadratic_points or "").startswith("infinite")

@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import invariant_genus
-from .ntheory import class_number, factor, hall_divisors, hall_product, memoise
+from .ntheory import hall_divisors, hall_product, memoise
 from .x0invariants import genus_x0
 
 _ID2 = (0, 0)
@@ -361,100 +361,47 @@ def fix_al(N: int, Q: int) -> int:
     return count
 
 
-def fix_al_classnumber_crosscheck(N: int) -> int:
-    """Class-number form of #(w_N, X0(N)) for squarefree N > 3.
-
-    h(-4N), plus h(-N) when N = 3 (mod 4); must agree with fix_al(N, N).
-    """
-    fac = factor(N)
-    if not fac.is_squarefree:
-        raise ValueError(f"class-number crosscheck needs squarefree N, got {N}")
-    if N <= 3:
-        raise ValueError("crosscheck defined for N > 3")
-    count = class_number(-4 * N)
-    if N % 4 == 3:
-        count += class_number(-N)
-    return count
-
-
-def fix_s2(N: int) -> int:
-    """#(S2, X0(N)) = (2g(N) - 2) - 2(2g(N/2) - 2); also the count of its conjugate."""
-    if N % 4:
-        raise ValueError(f"S2 needs 4 | N, got {N}")
-    return (2 * genus_x0(N) - 2) - 2 * (2 * genus_x0(N // 2) - 2)
-
-
-def fix_s2_wr(N: int, r: int) -> int:
-    """#(S2 w_r, X0(N)) = 2 #(w_r, X0(N/2)) - #(w_r, X0(N)) for odd r || N."""
-    if N % 4:
-        raise ValueError(f"S2 needs 4 | N, got {N}")
-    if r == 1:
-        return fix_s2(N)
-    if r % 2 == 0 or N % r or gcd(r, N // r) != 1:
-        raise ValueError(f"need an odd Hall divisor of {N}, got {r}")
-    count = 2 * fix_al(N // 2, r) - fix_al(N, r)
-    if count < 0:
-        raise IntegrityError(f"negative count for S2*w{r} at level {N}")
-    return count
-
-
-def fix_v2(N: int, r: int = 1) -> int:
-    """#(V2 w_r, X0(N)) = #(w_{2^a} w_r, X0(N)) for odd r || N (or r = 1)."""
-    if N % 4:
-        raise ValueError(f"V2 needs 4 | N, got {N}")
-    if r != 1 and (r % 2 == 0 or N % r or gcd(r, N // r) != 1):
-        raise ValueError(f"need an odd Hall divisor of {N}, got {r}")
-    return fix_al(N, r << _two_alpha(N))
-
-
-def fix_v2_w2a(N: int, r: int = 1) -> int:
-    """#(V2 w_{2^a} w_r, X0(N)) = 2 #(S2 w_r, X0(N/2)) - #(S2 w_r, X0(N)).
-
-    Needs 2^a || N with a >= 3; for a = 2 the element V2 w_4 has order 3.
-    """
-    alpha = _two_alpha(N)
-    if alpha < 3:
-        raise OrderViolation(
-            f"V2*w{1 << alpha} has order > 2 when 2^{alpha} || N",
-            rule="v2-even-tail-needs-alpha-3",
-        )
-    count = 2 * fix_s2_wr(N // 2, r) - fix_s2_wr(N, r)
-    if count < 0:
-        raise IntegrityError(f"negative count for V2*w{(1 << alpha) * r} at level {N}")
-    return count
-
-
-def fix_v3(N: int, d: int = 1) -> int:
-    """#(V3 w_d, X0(N)) = #(w_9 w_r, X0(N)) where r is the prime-to-3 part of d.
-
-    Defined when r = 1 (mod 3); for r = 2 (mod 3) the element has order 4.
-    """
-    if N % 9 or (N // 9) % 3 == 0:
-        raise ValueError(f"V3 needs 9 || N, got N={N}")
-    if d < 1 or N % d or gcd(d, N // d) != 1:
-        raise ValueError(f"need a Hall divisor of {N}, got {d}")
-    r = _coprime3(d)
-    if r % 3 == 2:
-        raise OrderViolation(f"V3*w{d} has order 4 at level {N}", rule="v3-tail-2-mod-3")
-    return fix_al(N, hall_product(9, r))
-
-
 def fix_count(elem: ExtInvolution) -> int:
-    """Fixed points of a canonical extended involution on X0(N)."""
+    """Fixed points of a canonical extended involution on X0(N).
+
+    Every count reduces to Atkin-Lehner counts and genera, by conjugation and
+    by #(uv, X) = 2#(u, X/v) - #(u, X) for commuting u, v.  With r the odd
+    tail and 2^a || N:
+      V2 w_r          the count of w_{2^a r};
+      V3 w_d          the count of w_{9r}, r the prime-to-3 part of d;
+      S2 (and S2C)    (2g(N) - 2) - 2(2g(N/2) - 2);
+      S2 w_r          2#(w_r, X0(N/2)) - #(w_r, X0(N));
+      V2 w_{2^a r}    2#(S2 w_r, X0(N/2)) - #(S2 w_r, X0(N)).
+    The constructors have already checked that the element exists and has
+    order 2; a negative count raises IntegrityError.
+    """
     N = elem.level
     kind = elem.kind
     if kind == "id":
         raise ValueError("the identity has no fixed-point count")
     if kind == "al":
         return fix_al(N, elem._al_part())
-    if kind in ("s2", "s2c"):
-        return fix_s2_wr(N, elem.tail) if elem.tail > 1 else fix_s2(N)
-    if kind == "v2":
-        if elem.word2 == (2, 0):
-            return fix_v2_w2a(N, elem.tail)
-        return fix_v2(N, elem.tail)
-    # v3: the tail may carry the 2-part through the word
-    return fix_v3(N, elem._al_part())
+    if kind == "v3":
+        return fix_al(N, hall_product(9, _coprime3(elem._al_part())))
+    r = elem.tail
+    if kind == "v2" and elem.word2 == _V2W:
+        return fix_al(N, r << _two_alpha(N))
+
+    def s2_count(M: int) -> int:
+        if r == 1:
+            count = (2 * genus_x0(M) - 2) - 2 * (2 * genus_x0(M // 2) - 2)
+        else:
+            count = 2 * fix_al(M // 2, r) - fix_al(M, r)
+        if count < 0:
+            raise IntegrityError(f"negative count for S2*w{r} at level {M}")
+        return count
+
+    if kind != "v2":
+        return s2_count(N)
+    count = 2 * s2_count(N // 2) - s2_count(N)
+    if count < 0:
+        raise IntegrityError(f"negative count for V2*w{r << _two_alpha(N)} at level {N}")
+    return count
 
 
 def quotient_genus_hurwitz(N: int, group) -> int:

@@ -35,31 +35,22 @@ genera come from dim S2^W = (1/|W|) * sum of traces, which for an elementary
 abelian 2-group is the same subspace the +1-eigenspace intersection of the
 generators cuts out.
 
-The cuspidal subspace itself (the kernel of the boundary map, of dimension
-2*genus) is built on demand, only for the reference routes: full operator
-matrices and the eigenspace genus.
+Only this route lives here.  The independent reference routes (the
+cuspidal subspace as the kernel of the boundary map, full operator matrices
+and the genus from +1-eigenspaces) are the test suite's oracles, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
-from typing import NamedTuple
+from math import gcd
 
 from .errors import IntegrityError
 from .ntheory import _MEMO_TABLES, ALSubgroup, egcd, psi
 from .x0invariants import cusp_count, genus_x0
-
-
-class P1Element(NamedTuple):
-    """Canonical representative of a point of P^1(Z/N)."""
-
-    c: int
-    d: int
 
 
 def _stabiliser(N: int, g: int) -> tuple[int, ...]:
@@ -93,13 +84,6 @@ def _p1_canonical(N: int, c: int, d: int, stabiliser) -> tuple[int, int]:
         s += M
     e = s * d % N
     return g, min([e * t % N for t in stabiliser(g)])
-
-
-def p1_normalize(N: int, c: int, d: int) -> P1Element:
-    """Canonical representative: lexicographic minimum of the unit-scaling orbit."""
-    if N == 1:
-        return P1Element(0, 1)
-    return P1Element(*_p1_canonical(N, c, d, lambda g: _stabiliser(N, g)))
 
 
 def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
@@ -216,8 +200,10 @@ def _int_rref(rows) -> dict:
 
 
 class ModSymSpace:
-    """Built modular-symbols data for one level.  Immutable once constructed;
-    the cuspidal basis is computed on first use."""
+    """Built modular-symbols data for one level: the sorted P^1 points
+    `reps`, the free generators and each point's expression in them, and one
+    representative per cusp class.  Immutable once constructed, apart from
+    the cache of traces."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -238,13 +224,13 @@ class ModSymSpace:
         self._stabilisers = {
             g: _stabiliser(N, g) for g in range(1, N) if N % g == 0
         }
-        reps = [P1Element(0, 1)]
+        reps = [(0, 1)]
         for g, stab in self._stabilisers.items():
             marked = bytearray(N)
             for v in range(N):
                 if marked[v] or gcd(v, g) != 1:
                     continue
-                reps.append(P1Element(g, v))
+                reps.append((g, v))
                 for t in stab:
                     marked[v * t % N] = 1
         self.reps = tuple(reps)
@@ -325,47 +311,6 @@ class ModSymSpace:
                 f"level {N}: found {len(cusps)} cusp classes, expected {self.nu_inf}"
             )
 
-    # -- boundary map and cuspidal subspace (reference routes only) ---
-
-    def _boundary(self, vec: dict) -> list:
-        """Boundary of a free-coordinate vector: its coefficient on each cusp class."""
-        out = [0] * len(self.cusps)
-        for c, v in vec.items():
-            for sgn, cusp in zip((-1, 1), self._manin_path(c)):
-                for k, rep in enumerate(self.cusps):
-                    if cusp_equiv(self.N, cusp, rep):
-                        out[k] += sgn * v
-                        break
-                else:
-                    raise IntegrityError(f"level {self.N}: cusp {cusp} is in no known class")
-        return out
-
-    @cached_property
-    def cuspidal_basis(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """Integer basis of the boundary kernel, as (leading free column, vector)."""
-        rows: list[dict[int, int]] = [{} for _ in self.cusps]
-        for c in self.free:
-            for k, v in enumerate(self._boundary({c: 1})):
-                if v:
-                    rows[k][c] = v
-        bpivots = _int_rref(rows)
-        basis = []
-        for f in [c for c in self.free if c not in bpivots]:
-            touching = [(c2, row) for c2, row in bpivots.items() if f in row]
-            scale = 1
-            for c2, row in touching:
-                scale = lcm(scale, row[c2])
-            vec = {f: scale}
-            for c2, row in touching:
-                vec[c2] = -row[f] * (scale // row[c2])
-            basis.append((f, _reduce_int_row(vec)))
-        if len(basis) != 2 * self.genus:
-            raise IntegrityError(
-                f"level {self.N}: cuspidal dimension {len(basis)} != "
-                f"2*genus = {2 * self.genus}"
-            )
-        return tuple(basis)
-
     # -- symbol plumbing ----------------------------------------------
 
     def p1_index(self, c: int, d: int) -> int:
@@ -379,19 +324,6 @@ class ModSymSpace:
         """Endpoints {b/d, a/c} of the modular symbol of generator i."""
         a, b, c, d = _sl2_lift(*self.reps[i])
         return _cusp_normalize(b, d), _cusp_normalize(a, c)
-
-    def symbols_from_infinity(self, p: int, q: int) -> list[int]:
-        """Manin generator indices (coefficient +1 each) expressing {oo, p/q}."""
-        return [self.p1_index(c, d) for c, d in _convergent_chain(p, q)]
-
-    def path_vector(self, start, end) -> dict[int, Fraction]:
-        """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
-        vec: dict[int, Fraction] = {}
-        for sgn, cusp in ((-1, start), (1, end)):
-            for idx in self.symbols_from_infinity(*cusp):
-                for col, v in self.expr[idx].items():
-                    vec[col] = vec.get(col, Fraction(0)) + sgn * v
-        return {col: v for col, v in vec.items() if v}
 
     # -- Atkin-Lehner action ------------------------------------------
 
@@ -417,14 +349,6 @@ class ModSymSpace:
         a, b, c, d = mat
         p, q = cusp
         return _cusp_normalize(a * p + b * q, c * p + d * q)
-
-    def _al_columns(self, Q: int) -> dict[int, dict[int, Fraction]]:
-        mat = self.al_matrix(Q)
-        cols = {}
-        for c in self.free:
-            start, end = self._manin_path(c)
-            cols[c] = self.path_vector(self._moebius(mat, start), self._moebius(mat, end))
-        return cols
 
     def al_trace_cuspidal(self, Q: int) -> int:
         """Trace of w_Q on the cuspidal subspace (exact integer).
@@ -470,10 +394,6 @@ class ModSymSpace:
             self._trace_cache.setdefault(Q, int(tr))
         return int(tr)
 
-    def boundary_of(self, vec: dict[int, Fraction]) -> bool:
-        """Whether a free-coordinate vector lies in the cuspidal subspace."""
-        return not any(self._boundary(vec))
-
 
 _CACHE: dict[int, ModSymSpace] = {}
 _CACHE_LOCK = threading.Lock()
@@ -497,65 +417,6 @@ def clear_cache() -> None:
             table.clear()
 
 
-@dataclass(frozen=True)
-class ALOperator:
-    """Exact action of w_Q on the cuspidal basis of one level."""
-
-    level: int
-    Q: int
-    matrix_entries: tuple[int, int, int, int]
-    action: tuple[tuple[Fraction, ...], ...]
-
-    def trace(self) -> int:
-        tr = sum(self.action[i][i] for i in range(len(self.action)))
-        return int(tr)
-
-
-def _action_on_basis(space: ModSymSpace, cols) -> list[list[Fraction]]:
-    basis = space.cuspidal_basis
-    k = len(basis)
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for j, (_, bvec) in enumerate(basis):
-        img: dict[int, Fraction] = {}
-        for c, v in bvec.items():
-            for col2, w in cols[c].items():
-                img[col2] = img.get(col2, Fraction(0)) + v * w
-        img = {c2: v for c2, v in img.items() if v}
-        if not space.boundary_of(img):
-            raise IntegrityError("operator image left the cuspidal subspace")
-        residual = dict(img)
-        for i, (f, bvec2) in enumerate(basis):
-            coef = Fraction(img.get(f, 0), bvec2[f])
-            mat[i][j] = coef
-            if coef:
-                for c2, v in bvec2.items():
-                    residual[c2] = residual.get(c2, Fraction(0)) - coef * v
-        if any(residual.values()):
-            raise IntegrityError("cuspidal image not in the kernel basis span")
-    return mat
-
-
-def al_operator(space_or_level, Q: int) -> ALOperator:
-    """Full exact matrix of w_Q on the cuspidal basis; asserts it is an involution."""
-    space = (
-        space_or_level
-        if isinstance(space_or_level, ModSymSpace)
-        else build_space(space_or_level)
-    )
-    cols = space._al_columns(Q)
-    mat = _action_on_basis(space, cols)
-    k = len(mat)
-    for i in range(k):
-        for j in range(k):
-            val = sum(mat[i][t] * mat[t][j] for t in range(k))
-            if val != (1 if i == j else 0):
-                raise IntegrityError(
-                    f"w_{Q} at level {space.N} does not square to the identity"
-                )
-    action = tuple(tuple(row) for row in mat)
-    return ALOperator(space.N, Q, space.al_matrix(Q), action)
-
-
 def invariant_genus(N: int, W=()) -> int:
     """Genus of X0(N)/W for an Atkin-Lehner subgroup W.
 
@@ -573,26 +434,4 @@ def invariant_genus(N: int, W=()) -> int:
         raise IntegrityError(f"invariant dimension non-integral at N={N}, W={sub.label()}")
     if dim % 2:
         raise IntegrityError(f"odd invariant dimension at N={N}, W={sub.label()}")
-    return dim // 2
-
-
-def invariant_genus_eigenspace(N: int, W=()) -> int:
-    """Same genus via explicit intersection of +1-eigenspaces of generators.
-
-    Slower; retained as an independent route for cross-checking.
-    """
-    sub = ALSubgroup.of(N, W)
-    space = build_space(N)
-    k = 2 * space.genus
-    rows = []
-    for g in sub.generators():
-        op = al_operator(space, g)
-        for i in range(k):
-            row = {j: op.action[i][j] - (1 if i == j else 0) for j in range(k)}
-            den = lcm(*(v.denominator for v in row.values()), 1)
-            rows.append({j: int(v * den) for j, v in row.items() if v})
-    pivots = _int_rref(rows)
-    dim = k - len(pivots)
-    if dim % 2:
-        raise IntegrityError("odd eigenspace dimension")
     return dim // 2

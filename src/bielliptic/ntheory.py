@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import DataError
 
@@ -209,27 +209,6 @@ def class_number(D: int) -> int:
                 h += 2
         a += 1
     return h
-
-
-def class_number_oracle(D: int) -> int:
-    """Independent brute force: test the reduction conditions literally on
-    every triple with 0 < a <= sqrt(|D|/3) and |b| <= a."""
-    validate_discriminant(D)
-    count = 0
-    for a in range(1, isqrt(-D // 3) + 1):
-        for b in range(-a, a + 1):
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if not (abs(b) <= a <= c):
-                continue
-            if b < 0 and (abs(b) == a or a == c):
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            count += 1
-    return count
 
 
 class ALSubgroup:

@@ -1,0 +1,204 @@
+"""Independent reference routes the tests check the library against.
+
+None of this is on a production path.  The modular-symbols routes build the
+cuspidal subspace of a `ModSymSpace` as the kernel of the boundary map and
+act on it with full Atkin-Lehner matrices, so a genus can be read off the
++1-eigenspaces instead of the traces.  The number-theory routes count
+reduced forms literally and count Atkin-Lehner fixed points by complex
+multiplication.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+from bielliptic.errors import IntegrityError
+from bielliptic.modsym import (
+    _convergent_chain,
+    _int_rref,
+    _reduce_int_row,
+    build_space,
+    cusp_equiv,
+)
+from bielliptic.ntheory import (
+    ALSubgroup,
+    class_number,
+    factor,
+    kronecker,
+    validate_discriminant,
+)
+
+# -- modular symbols -----------------------------------------------------
+
+
+def boundary(space, vec: dict) -> list:
+    """Boundary of a free-coordinate vector: its coefficient on each cusp class."""
+    out = [0] * len(space.cusps)
+    for c, v in vec.items():
+        for sgn, cusp in zip((-1, 1), space._manin_path(c)):
+            for k, rep in enumerate(space.cusps):
+                if cusp_equiv(space.N, cusp, rep):
+                    out[k] += sgn * v
+                    break
+            else:
+                raise IntegrityError(f"level {space.N}: cusp {cusp} is in no known class")
+    return out
+
+
+def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
+    """Integer basis of the boundary kernel, as (leading free column, vector)."""
+    rows: list[dict[int, int]] = [{} for _ in space.cusps]
+    for c in space.free:
+        for k, v in enumerate(boundary(space, {c: 1})):
+            if v:
+                rows[k][c] = v
+    bpivots = _int_rref(rows)
+    basis = []
+    for f in [c for c in space.free if c not in bpivots]:
+        touching = [(c2, row) for c2, row in bpivots.items() if f in row]
+        scale = 1
+        for c2, row in touching:
+            scale = lcm(scale, row[c2])
+        vec = {f: scale}
+        for c2, row in touching:
+            vec[c2] = -row[f] * (scale // row[c2])
+        basis.append((f, _reduce_int_row(vec)))
+    if len(basis) != 2 * space.genus:
+        raise IntegrityError(
+            f"level {space.N}: cuspidal dimension {len(basis)} != "
+            f"2*genus = {2 * space.genus}"
+        )
+    return tuple(basis)
+
+
+def path_vector(space, start, end) -> dict[int, Fraction]:
+    """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
+    vec: dict[int, Fraction] = {}
+    for sgn, cusp in ((-1, start), (1, end)):
+        for c, d in _convergent_chain(*cusp):
+            for col, v in space.expr[space.p1_index(c, d)].items():
+                vec[col] = vec.get(col, Fraction(0)) + sgn * v
+    return {col: v for col, v in vec.items() if v}
+
+
+def al_columns(space, Q: int) -> dict[int, dict[int, Fraction]]:
+    """The image under w_Q of each free generator, in free coordinates."""
+    mat = space.al_matrix(Q)
+    cols = {}
+    for c in space.free:
+        start, end = space._manin_path(c)
+        cols[c] = path_vector(space, space._moebius(mat, start), space._moebius(mat, end))
+    return cols
+
+
+def action_on_basis(space, basis, cols) -> list[list[Fraction]]:
+    """Matrix of the operator with free-generator images `cols` on `basis`."""
+    k = len(basis)
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for j, (_, bvec) in enumerate(basis):
+        img: dict[int, Fraction] = {}
+        for c, v in bvec.items():
+            for col2, w in cols[c].items():
+                img[col2] = img.get(col2, Fraction(0)) + v * w
+        img = {c2: v for c2, v in img.items() if v}
+        if any(boundary(space, img)):
+            raise IntegrityError("operator image left the cuspidal subspace")
+        residual = dict(img)
+        for i, (f, bvec2) in enumerate(basis):
+            coef = Fraction(img.get(f, 0), bvec2[f])
+            mat[i][j] = coef
+            if coef:
+                for c2, v in bvec2.items():
+                    residual[c2] = residual.get(c2, Fraction(0)) - coef * v
+        if any(residual.values()):
+            raise IntegrityError("cuspidal image not in the kernel basis span")
+    return mat
+
+
+def al_operator(space, Q: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Full exact matrix of w_Q on the cuspidal basis; asserts it is an involution."""
+    mat = action_on_basis(space, cuspidal_basis(space), al_columns(space, Q))
+    k = len(mat)
+    for i in range(k):
+        for j in range(k):
+            val = sum(mat[i][t] * mat[t][j] for t in range(k))
+            if val != (1 if i == j else 0):
+                raise IntegrityError(
+                    f"w_{Q} at level {space.N} does not square to the identity"
+                )
+    return tuple(tuple(row) for row in mat)
+
+
+def invariant_genus_eigenspace(N: int, W=()) -> int:
+    """Genus of X0(N)/W from the intersection of the generators' +1-eigenspaces."""
+    sub = ALSubgroup.of(N, W)
+    space = build_space(N)
+    k = 2 * space.genus
+    rows = []
+    for g in sub.generators():
+        op = al_operator(space, g)
+        for i in range(k):
+            row = {j: op[i][j] - (1 if i == j else 0) for j in range(k)}
+            den = lcm(*(v.denominator for v in row.values()), 1)
+            rows.append({j: int(v * den) for j, v in row.items() if v})
+    pivots = _int_rref(rows)
+    dim = k - len(pivots)
+    if dim % 2:
+        raise IntegrityError("odd eigenspace dimension")
+    return dim // 2
+
+
+# -- number theory -------------------------------------------------------
+
+
+def class_number_oracle(D: int) -> int:
+    """Brute force: test the reduction conditions literally on every triple
+    with 0 < a <= sqrt(|D|/3) and |b| <= a."""
+    validate_discriminant(D)
+    count = 0
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a, a + 1):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if not (abs(b) <= a <= c):
+                continue
+            if b < 0 and (abs(b) == a or a == c):
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            count += 1
+    return count
+
+
+def cm_fix_oracle(N: int, Q: int) -> int:
+    """#(w_Q, X0(N)) for squarefree N via CM class numbers.
+
+    Fixed points carry complex multiplication by the orders whose
+    discriminant supports an element of norm Q, with one local embedding
+    factor per prime of N/Q (two at p=2 for the conductor-2 order -4Q).
+    At Q = N > 3 this is h(-4N), plus h(-N) when N = 3 (mod 4).
+    """
+    if not factor(N).is_squarefree:
+        raise ValueError(f"the CM count needs squarefree N, got {N}")
+    M = N // Q
+    if Q == 2:
+        discs = [-4, -8]
+    elif Q == 3:
+        discs = [-3, -12]
+    elif Q % 4 == 3:
+        discs = [-Q, -4 * Q]
+    else:
+        discs = [-4 * Q]
+    total = 0
+    for D in discs:
+        term = class_number(D)
+        for p, _ in factor(M).factors:
+            if p == 2 and D == -4 * Q and Q % 4 == 3:
+                term *= 2
+            else:
+                term *= 1 + kronecker(D, p)
+        total += term
+    return total

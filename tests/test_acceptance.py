@@ -24,20 +24,16 @@ from bielliptic._data import (
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     fix_al,
-    fix_al_classnumber_crosscheck,
     fix_table,
     group_closure,
     quotient_genus_hurwitz,
 )
 from bielliptic.modsym import ModSymSpace, invariant_genus
-from bielliptic.ntheory import (
-    ALSubgroup,
-    class_number,
-    class_number_oracle,
-    factor,
-)
+from bielliptic.ntheory import ALSubgroup, class_number, factor
 from bielliptic.screening import iso_reduce_v3, iso_reduce_w4
 from bielliptic.x0invariants import genus_x0
+
+from oracles import class_number_oracle, cm_fix_oracle, cuspidal_basis
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -92,8 +88,8 @@ def test_criterion_1_printed_deviations_are_misprints():
 def test_criterion_2_cuspidal_dimension():
     t0 = time.time()
     for N in range(1, 301):
-        space = ModSymSpace(N)  # the on-demand basis itself asserts the identity
-        assert len(space.cuspidal_basis) == 2 * genus_x0(N), N
+        space = ModSymSpace(N)  # the oracle's basis itself asserts the identity
+        assert len(cuspidal_basis(space)) == 2 * genus_x0(N), N
     _report(
         "criterion-2 cuspidal dim = 2g for N <= 300",
         True,
@@ -222,7 +218,7 @@ def test_criterion_8_ntheory_oracles():
     for N in range(5, 201):
         if not factor(N).is_squarefree:
             continue
-        assert fix_al_classnumber_crosscheck(N) == fix_al(N, N), N
+        assert cm_fix_oracle(N, N) == fix_al(N, N), N
         fricke += 1
     _report(
         "criterion-8 number-theory oracles",

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from bielliptic import atlas
 from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
-from bielliptic.errors import DataError
+from bielliptic.errors import DataError, IntegrityError
 from bielliptic.modsym import invariant_genus
 from bielliptic.ntheory import ALSubgroup
 
@@ -166,6 +167,22 @@ class TestClassification:
             r = recs[(N, ALSubgroup(N, gens).elements)]
             assert r.field == "Q(sqrt(-3))"
             assert r.quadratic_points == "finite"
+
+    @pytest.mark.parametrize("N,gens,field", [
+        (126, (63,), "Q"),
+        (90, (9,), "Q(sqrt(-3))"),
+    ])
+    def test_verify_rejects_a_flipped_field(self, classification, N, gens, field):
+        # the records' quadratic points are left as they are, so only the
+        # published list of bielliptic-over-an-extension pairs catches the flip
+        key = (N, ALSubgroup(N, gens).elements)
+        flipped = [
+            dataclasses.replace(r, field=field) if r.key() == key else r
+            for r in classification
+        ]
+        assert [r for r in flipped if r.key() == key][0].bielliptic
+        with pytest.raises(IntegrityError, match="field mismatch"):
+            atlas.verify_classification(flipped)
 
     def test_witness_families_match_annotations(self, classification):
         annotations = atlas.witness_annotations()

@@ -6,14 +6,8 @@ from bielliptic.involutions import (
     ExtInvolution,
     compose,
     fix_al,
-    fix_al_classnumber_crosscheck,
     fix_count,
-    fix_s2,
-    fix_s2_wr,
     fix_table_tsv,
-    fix_v2,
-    fix_v2_w2a,
-    fix_v3,
     group_closure,
     level_involutions,
     parse_element,
@@ -21,6 +15,9 @@ from bielliptic.involutions import (
 )
 from bielliptic.modsym import invariant_genus
 from bielliptic.ntheory import all_subgroups, hall_divisors
+from bielliptic.x0invariants import genus_x0
+
+from oracles import cm_fix_oracle
 
 
 def test_fix_al_examples():
@@ -34,47 +31,56 @@ def test_fix_al_examples():
         fix_al(120, 1)
 
 
+def _fix_s2(N):
+    """#(S2, X0(N)) from the genera: (2g(N) - 2) - 2(2g(N/2) - 2)."""
+    return (2 * genus_x0(N) - 2) - 2 * (2 * genus_x0(N // 2) - 2)
+
+
 def test_fix_s2_examples():
-    assert fix_s2(120) == 8
-    assert fix_s2(44) == 2
-    assert fix_s2(60) == 4
+    assert fix_count(ExtInvolution.s2(120)) == _fix_s2(120) == 8
+    assert fix_count(ExtInvolution.s2(44)) == _fix_s2(44) == 2
+    assert fix_count(ExtInvolution.s2(60)) == _fix_s2(60) == 4
     with pytest.raises(ValueError):
-        fix_s2(30)
+        ExtInvolution.s2(30)
 
 
 def test_fix_s2_wr_examples():
-    assert fix_s2_wr(120, 15) == 2 * fix_al(60, 15) - fix_al(120, 15) == 8
-    assert fix_s2_wr(44, 11) == 2 * fix_al(22, 11) - fix_al(44, 11)
-    assert fix_s2_wr(120, 1) == fix_s2(120)
+    s2 = ExtInvolution.s2
+    assert fix_count(s2(120, 15)) == 2 * fix_al(60, 15) - fix_al(120, 15) == 8
+    assert fix_count(s2(44, 11)) == 2 * fix_al(22, 11) - fix_al(44, 11)
+    assert fix_count(s2(120, 1)) == fix_count(s2(120))
     with pytest.raises(ValueError):
-        fix_s2_wr(120, 8)
+        s2(120, 8)
 
 
 def test_fix_v2_examples():
-    assert fix_v2(120, 1) == 0
-    assert fix_v2(120, 3) == 8
-    assert fix_v2(176, 11) == 12
-    assert fix_v2(120, 15) == fix_al(120, 120)
+    v2 = ExtInvolution.v2
+    assert fix_count(v2(120, 1)) == 0
+    assert fix_count(v2(120, 3)) == 8
+    assert fix_count(v2(176, 11)) == 12
+    assert fix_count(v2(120, 15)) == fix_al(120, 120)
 
 
 def test_fix_v2_w2a_examples():
-    assert fix_v2_w2a(120, 5) == 16  # V2*w40
-    assert fix_v2_w2a(120, 1) == 0   # V2*w8
-    assert fix_v2_w2a(176, 1) == 4   # V2*w16
+    v2 = ExtInvolution.v2
+    assert fix_count(v2(120, 40)) == 16
+    assert fix_count(v2(120, 8)) == 0
+    assert fix_count(v2(176, 16)) == 4
     with pytest.raises(OrderViolation):
-        fix_v2_w2a(60, 1)  # 4 || 60, so V2*w4 has order 3
+        v2(60, 4)  # 4 || 60, so V2*w4 has order 3
 
 
 def test_fix_v3_examples():
-    assert fix_v3(252, 7) == 24
-    assert fix_v3(252, 4) == fix_al(252, 36) == 0
-    assert fix_v3(126, 7) == 16
-    assert fix_v3(126, 63) == 16
-    assert fix_v3(126, 9) == fix_v3(126, 1) == 0
+    v3 = ExtInvolution.v3
+    assert fix_count(v3(252, 7)) == 24
+    assert fix_count(v3(252, 4)) == fix_al(252, 36) == 0
+    assert fix_count(v3(126, 7)) == 16
+    assert fix_count(v3(126, 63)) == 16
+    assert fix_count(v3(126, 9)) == fix_count(v3(126, 1)) == 0
     with pytest.raises(OrderViolation):
-        fix_v3(126, 2)  # 2 = 2 mod 3
+        v3(126, 2)  # 2 = 2 mod 3
     with pytest.raises(ValueError):
-        fix_v3(120, 1)  # 9 does not divide 120
+        v3(120, 1)  # 9 does not divide 120
 
 
 def test_conjugate_counts_match():
@@ -82,9 +88,10 @@ def test_conjugate_counts_match():
     for N in (88, 120, 176):
         s2 = ExtInvolution.s2(N)
         s2c = ExtInvolution.s2_conj(N)
-        assert fix_count(s2) == fix_count(s2c) == fix_s2(N)
-    assert fix_v3(126, 9) == fix_v3(126, 1)
-    assert fix_v3(252, 63) == fix_v3(252, 7)
+        assert fix_count(s2) == fix_count(s2c) == _fix_s2(N)
+    v3 = ExtInvolution.v3
+    assert fix_count(v3(126, 9)) == fix_count(v3(126, 1))
+    assert fix_count(v3(252, 63)) == fix_count(v3(252, 7))
 
 
 def test_compose_al():
@@ -261,7 +268,6 @@ def test_hurwitz_matches_modsym_on_al_groups(classification):
     # subgroup of every level in scope (the caches are warm at this point)
     from bielliptic.atlas import scope_levels
     from bielliptic.ntheory import all_subgroups
-    from bielliptic.x0invariants import genus_x0
 
     checked = 0
     for N in scope_levels():
@@ -283,7 +289,7 @@ def test_commuting_product_identity():
     # computed independently
     for N in (88, 104, 120, 176):
         for r in [r for r in hall_divisors(N) if r % 2 == 1 and r > 1]:
-            lhs = fix_s2_wr(N, r)
+            lhs = fix_count(ExtInvolution.s2(N, r))
             assert lhs == 2 * fix_al(N // 2, r) - fix_al(N, r)
 
 
@@ -294,35 +300,7 @@ def test_fix_table_tsv():
     table = dict(line.split("\t") for line in lines[1:])
     assert table["V3*w7"] == "24"
     assert table["w63"] == "24"
-    assert table["S2"] == str(fix_s2(252))
-
-
-def _cm_fix_oracle(N: int, Q: int) -> int:
-    """Independent count of #(w_Q, X0(N)) for squarefree N via CM class
-    numbers: fixed points carry complex multiplication by the orders whose
-    discriminant supports an element of norm Q, with one local embedding
-    factor per prime of N/Q (two at p=2 for the conductor-2 order -4Q)."""
-    from bielliptic.ntheory import class_number, factor, kronecker
-
-    M = N // Q
-    if Q == 2:
-        discs = [-4, -8]
-    elif Q == 3:
-        discs = [-3, -12]
-    elif Q % 4 == 3:
-        discs = [-Q, -4 * Q]
-    else:
-        discs = [-4 * Q]
-    total = 0
-    for D in discs:
-        term = class_number(D)
-        for p, _ in factor(M).factors:
-            if p == 2 and D == -4 * Q and Q % 4 == 3:
-                term *= 2
-            else:
-                term *= 1 + kronecker(D, p)
-        total += term
-    return total
+    assert table["S2"] == str(_fix_s2(252))
 
 
 def test_fix_counts_against_cm_oracle(classification):
@@ -335,17 +313,18 @@ def test_fix_counts_against_cm_oracle(classification):
         if not factor(N).is_squarefree:
             continue
         for Q in hall_divisors(N)[1:]:
-            assert fix_al(N, Q) == _cm_fix_oracle(N, Q), (N, Q)
+            assert fix_al(N, Q) == cm_fix_oracle(N, Q), (N, Q)
             checked += 1
     assert checked == 345
 
 
 def test_fricke_crosscheck_examples():
-    assert fix_al_classnumber_crosscheck(15) == 4 == fix_al(15, 15)
-    assert fix_al_classnumber_crosscheck(11) == 4 == fix_al(11, 11)
-    assert fix_al_classnumber_crosscheck(21) == fix_al(21, 21)
+    # the CM count at Q = N is h(-4N), plus h(-N) when N = 3 (mod 4)
+    assert cm_fix_oracle(15, 15) == 4 == fix_al(15, 15)
+    assert cm_fix_oracle(11, 11) == 4 == fix_al(11, 11)
+    assert cm_fix_oracle(21, 21) == fix_al(21, 21)
     with pytest.raises(ValueError):
-        fix_al_classnumber_crosscheck(12)
+        cm_fix_oracle(12, 12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,6 @@ from bielliptic.ntheory import (
     _subgroup_lattice,
     all_subgroups,
     class_number,
-    class_number_oracle,
     egcd,
     factor,
     hall_divisors,
@@ -26,6 +25,8 @@ from bielliptic.ntheory import (
 )
 from bielliptic.screening import gate_levels
 from bielliptic.x0invariants import cusp_count, genus_x0
+
+from oracles import class_number_oracle
 
 
 def test_factor_examples():

@@ -737,7 +737,16 @@ def emit_report(records, fmt: str = "markdown") -> str:
 
 
 def verify_genus_tables(levels=None) -> int:
-    """Recompute every genus cell; raises on any mismatch, returns cell count."""
+    """Recompute every genus cell; raises on any mismatch, returns cell count.
+
+    `levels` restricts the check; a level with no published row is a
+    ValueError that names it.
+    """
+    if levels is not None:
+        published = _data.GENUS_TABLE_2P.keys() | _data.GENUS_TABLE_3P.keys()
+        missing = sorted(set(levels) - published)
+        if missing:
+            raise ValueError(f"no published genus row for level(s) {missing}")
     checked = 0
     for N, row in sorted(_data.GENUS_TABLE_2P.items()):
         if levels is not None and N not in levels:

@@ -84,7 +84,9 @@ def cmd_fix(args) -> int:
 def cmd_group_genus(args) -> int:
     if not args.gens:
         raise UsageError("group-genus needs --gens")
-    gens = [g.strip() for g in args.gens.split(",") if g.strip()]
+    gens = [g.strip() for g in args.gens.split(",")]
+    if not all(gens):
+        raise UsageError(f"empty generator in --gens {args.gens!r}")
     group = involutions.group_closure(args.level, gens)
     print(involutions.quotient_genus_hurwitz(args.level, group))
     return EXIT_OK

@@ -3,10 +3,12 @@
 The space M2 is presented by Manin symbols indexed by P^1(Z/N).  A point
 (c : d) is named by the lexicographic minimum of its orbit under the units of
 Z/N (Cremona, Algorithms for Modular Elliptic Curves, 2.2): (0, 1) when
-c = 0, else (g, v) with g = gcd(c, N) and v the least second coordinate over
-the units fixing g, those t = 1 (mod N/g), at most g of them.  A space keeps
-its points sorted and one such stabiliser per divisor g < N, so a lookup is
-that minimum plus a binary search, and no map from pairs to indices exists.
+c = 0, else (g, v) with g = gcd(c, N) and v least.  With M = N/g, the point
+(c : d) is (g : r) for r = (c/g)^-1 * d mod M, and two points with first
+coordinate g are equal exactly when their r agree mod M (prime by prime, the
+units t = 1 (mod M), which fix g, carry v to every v' = v (mod M) prime to
+g).  A space keeps one residue table of length M per divisor g < N, read
+at r, so a lookup is a gcd, one inverse mod M and a table read.
 
 The two-term relation x + x.sigma = 0 is eliminated by pairing, the
 three-term relation x + x.tau + x.tau^2 = 0 by sparse integer Gaussian
@@ -17,7 +19,10 @@ is unique, so the row order changes only the fill-in, never the result.  Every
 generator gets an exact expression in a free basis, with int coefficients
 where the pivot is 1 and Fractions otherwise.  The builder asserts
 dim M2 = 2*genus + #cusps - 1 and keeps one representative per cusp class,
-taken from the free generators' endpoints.
+taken from the free generators' endpoints.  A reduced cusp p/q with
+d = gcd(q, N) lies in the class keyed (d, p*(q/d) mod gcd(d, N/d)); this is
+Cremona's equivalence criterion (Prop. 2.2.3) as a key, so neither the build
+nor the fixed-cusp count of a trace compares cusps pairwise.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix; a general
 path {a, b} = {oo, b} - {oo, a} is converted back to Manin symbols with the
@@ -44,46 +49,12 @@ tests/oracles.py.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
 from .errors import IntegrityError
 from .ntheory import _MEMO_TABLES, ALSubgroup, egcd, psi
 from .x0invariants import cusp_count, genus_x0
-
-
-def _stabiliser(N: int, g: int) -> tuple[int, ...]:
-    """The units t = 1 (mod N/g) of Z/N: those fixing the first coordinate g."""
-    return tuple(t for t in range(1, N, N // g) if gcd(t, N) == 1)
-
-
-def _p1_canonical(N: int, c: int, d: int, stabiliser) -> tuple[int, int]:
-    """Lexicographic minimum of the unit orbit of (c : d) in P^1(Z/N), N > 1.
-
-    For c = 0 it is (0, 1), for a unit c it is (1, d/c).  Otherwise the first
-    coordinate is g = gcd(c, N): a unit s with s*c = g (mod N) is c/g inverted
-    mod N/g, lifted by multiples of N/g until it is a unit mod N, and the units
-    keeping g fixed are `stabiliser(g)`, so the second coordinate is
-    min(s*d*t) over those t.
-    """
-    c %= N
-    d %= N
-    if c == 0:
-        if gcd(d, N) != 1:
-            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
-        return 0, 1
-    g = gcd(c, N)
-    if g == 1:
-        return 1, pow(c, -1, N) * d % N
-    if gcd(g, d) != 1:
-        raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
-    M = N // g
-    s = pow(c // g, -1, M)
-    while gcd(s, N) != 1:
-        s += M
-    e = s * d % N
-    return g, min([e * t % N for t in stabiliser(g)])
 
 
 def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
@@ -97,16 +68,16 @@ def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-def cusp_equiv(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
-    """Gamma0(N)-equivalence of cusps p1/q1 and p2/q2 (reduced fractions)."""
-    p1, q1 = c1
-    p2, q2 = c2
-    _, s1, _ = egcd(p1, q1)
-    _, s2, _ = egcd(p2, q2)
-    m = gcd(q1 * q2, N)
-    if m == 0:
-        m = N
-    return (s1 * q2 - s2 * q1) % m == 0
+def _cusp_class(N: int, cusp: tuple[int, int]) -> tuple[int, int]:
+    """Key of the Gamma0(N)-class of a reduced cusp p/q with q >= 0.
+
+    The class is (d, p*(q/d) mod gcd(d, N/d)) with d = gcd(q, N): Cremona's
+    pairwise criterion (Algorithms for Modular Elliptic Curves, Prop. 2.2.3)
+    rewritten as a key, so equal keys are exactly equivalent cusps.
+    """
+    p, q = cusp
+    d = gcd(q, N)
+    return d, p * (q // d) % gcd(d, N // d)
 
 
 def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
@@ -219,20 +190,19 @@ class ModSymSpace:
 
     def _build(self):
         N = self.N
-        # per divisor g < N, the points (g : v) in increasing v: an unseen v
-        # is its orbit's minimum, and marks the orbit v * stabiliser(g)
-        self._stabilisers = {
-            g: _stabiliser(N, g) for g in range(1, N) if N % g == 0
-        }
+        # per divisor g < N, the points (g : v) in increasing v: the first v
+        # of each residue r = v mod N/g is its class's minimum
         reps = [(0, 1)]
-        for g, stab in self._stabilisers.items():
-            marked = bytearray(N)
+        self._p1_tables = {}
+        for g in range(1, N):
+            if N % g:
+                continue
+            M = N // g
+            table = self._p1_tables[g] = [None] * M
             for v in range(N):
-                if marked[v] or gcd(v, g) != 1:
-                    continue
-                reps.append((g, v))
-                for t in stab:
-                    marked[v * t % N] = 1
+                if table[v % M] is None and gcd(v, g) == 1:
+                    table[v % M] = len(reps)
+                    reps.append((g, v))
         self.reps = tuple(reps)
         n = len(reps)
         if n != psi(N):
@@ -300,12 +270,11 @@ class ModSymSpace:
 
         # one representative per cusp class, from the free generators' endpoints;
         # the boundary map is onto, so every class shows up (oo is seeded for N = 1)
-        cusps = [(1, 0)]
+        classes = {_cusp_class(N, (1, 0)): (1, 0)}
         for c in free:
             for cusp in self._manin_path(c):
-                if not any(cusp_equiv(N, cusp, rep) for rep in cusps):
-                    cusps.append(cusp)
-        self.cusps = tuple(cusps)
+                classes.setdefault(_cusp_class(N, cusp), cusp)
+        cusps = self.cusps = tuple(classes.values())
         if len(cusps) != self.nu_inf:
             raise IntegrityError(
                 f"level {N}: found {len(cusps)} cusp classes, expected {self.nu_inf}"
@@ -314,11 +283,19 @@ class ModSymSpace:
     # -- symbol plumbing ----------------------------------------------
 
     def p1_index(self, c: int, d: int) -> int:
-        """Position in `reps` (sorted) of the point (c : d)."""
-        if self.N == 1:
+        """Position in `reps` of the point (c : d).
+
+        With g = gcd(c, N) < N and M = N/g, the point is (g : r) for
+        r = (c/g)^-1 * d mod M, and `_p1_tables[g][r]` holds its position.
+        """
+        N = self.N
+        g = gcd(c, N)
+        if gcd(g, d) != 1:
+            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
+        if g == N:
             return 0
-        rep = _p1_canonical(self.N, c, d, self._stabilisers.__getitem__)
-        return bisect_left(self.reps, rep)
+        M = N // g
+        return self._p1_tables[g][pow(c // g, -1, M) * d % M]
 
     def _manin_path(self, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Endpoints {b/d, a/c} of the modular symbol of generator i."""
@@ -381,8 +358,10 @@ class ModSymSpace:
                 diag -= expr[look(*cd)].get(c, 0)
             for cd in from_end[k:]:
                 diag += expr[look(*cd)].get(c, 0)
+        N = self.N
         fixed = sum(
-            cusp_equiv(self.N, self._moebius(mat, cusp), cusp) for cusp in self.cusps
+            _cusp_class(N, self._moebius(mat, cusp)) == _cusp_class(N, cusp)
+            for cusp in self.cusps
         )
         tr = diag - (fixed - 1)
         if tr.denominator != 1 or tr % 2 or abs(tr) > 2 * self.genus:

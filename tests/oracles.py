@@ -14,22 +14,34 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from bielliptic.errors import IntegrityError
-from bielliptic.modsym import (
-    _convergent_chain,
-    _int_rref,
-    _reduce_int_row,
-    build_space,
-    cusp_equiv,
-)
+from bielliptic.modsym import _convergent_chain, _int_rref, _reduce_int_row, build_space
 from bielliptic.ntheory import (
     ALSubgroup,
     class_number,
+    egcd,
     factor,
     kronecker,
     validate_discriminant,
 )
 
 # -- modular symbols -----------------------------------------------------
+
+
+def cusp_equiv(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
+    """Gamma0(N)-equivalence of reduced cusps p1/q1 and p2/q2, pairwise.
+
+    Cremona, Algorithms for Modular Elliptic Curves, Prop. 2.2.3: with
+    s_j p_j = 1 (mod q_j), the cusps are equivalent iff
+    s1 q2 = s2 q1 (mod gcd(q1 q2, N)).
+    """
+    p1, q1 = c1
+    p2, q2 = c2
+    _, s1, _ = egcd(p1, q1)
+    _, s2, _ = egcd(p2, q2)
+    m = gcd(q1 * q2, N)
+    if m == 0:
+        m = N
+    return (s1 * q2 - s2 * q1) % m == 0
 
 
 def boundary(space, vec: dict) -> list:

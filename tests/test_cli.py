@@ -30,6 +30,13 @@ def test_group_genus(capsys):
     assert (code, out.strip()) == (0, "1")
 
 
+@pytest.mark.parametrize("gens", [",", "w9,", ",w9", "w9,,V3*w7"])
+def test_group_genus_empty_generator_usage_error(capsys, gens):
+    code, out, err = run(capsys, "group-genus", "126", "--gens", gens)
+    assert (code, out) == (2, "")
+    assert "empty generator" in err
+
+
 def test_fix_element(capsys):
     code, out, _ = run(capsys, "fix", "252", "--element", "V3*w7")
     assert (code, out.strip()) == (0, "24")
@@ -59,6 +66,13 @@ def test_selftest_levels(capsys):
     code, out, _ = run(capsys, "selftest", "--genus-tables", "--levels", "60,120")
     assert code == 0
     assert "32 genus cells verified" in out
+
+
+@pytest.mark.parametrize("levels,named", [("61", "[61]"), ("0", "[0]"), ("60,61,7", "[7, 61]")])
+def test_selftest_level_without_genus_row_usage_error(capsys, levels, named):
+    code, out, err = run(capsys, "selftest", "--genus-tables", "--levels", levels)
+    assert (code, out) == (2, "")
+    assert f"no published genus row for level(s) {named}" in err
 
 
 def test_selftest_fix_tables(capsys):

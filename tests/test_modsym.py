@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bielliptic import modsym
-from bielliptic.modsym import ModSymSpace, build_space, cusp_equiv, invariant_genus
+from bielliptic.modsym import ModSymSpace, build_space, invariant_genus
 from bielliptic.involutions import fix_al
 from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors, hall_product, psi
 from bielliptic.screening import gate_levels
@@ -65,9 +66,11 @@ def _p1_oracle_reps(N):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 8, 12, 30, 45, 72, 360, 840]),
+@given(st.sampled_from([2, 8, 12, 30, 45, 72, 360, 840, 1000, 1088, 2310]),
        st.integers(-5000, 5000), st.integers(-5000, 5000))
 def test_p1_normalize_matches_unit_scan(N, c, d):
+    # 1000 and 1088 have divisors g that share primes with N/g; 2310 has
+    # the most residue tables, one per divisor
     assume(gcd(gcd(c, d), N) == 1)
     space = build_space(N)
     assert space.reps[space.p1_index(c, d)] == _p1_oracle(N, c, d)
@@ -197,8 +200,36 @@ def test_cusp_classes():
     cusps = build_space(126).cusps
     assert len(cusps) == cusp_count(126) and cusps[0] == (1, 0)
     assert not any(
-        cusp_equiv(126, a, b) for i, a in enumerate(cusps) for b in cusps[:i]
+        oracles.cusp_equiv(126, a, b) for i, a in enumerate(cusps) for b in cusps[:i]
     )
+
+
+def _cusp_sample(N, rng, count):
+    """oo, 0, -1 and `count` random reduced p/q, q >= 0, over every gcd(q, N)."""
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    cusps = [(1, 0), (-1, 0), (0, 1), (-1, 1)]
+    while len(cusps) < count:
+        q = rng.choice(divisors) * rng.randrange(1, 2 * N)
+        p = rng.randrange(-4 * N, 4 * N)
+        if gcd(p, q) == 1:
+            cusps.append((p, q))
+    return cusps
+
+
+def test_cusp_class_matches_pairwise_criterion():
+    # equal keys exactly for Cremona-equivalent cusps.  Equivalence is
+    # transitive, so checking each cusp against the first one drawn with its
+    # key, and those firsts pairwise, covers every pair.
+    rng = random.Random(2022)
+    for N in [*range(1, 201), 1000, 1088, 2310]:
+        firsts = {}
+        for cusp in _cusp_sample(N, rng, 80):
+            first = firsts.setdefault(modsym._cusp_class(N, cusp), cusp)
+            assert oracles.cusp_equiv(N, cusp, first), (N, cusp, first)
+        firsts = list(firsts.values())
+        assert not any(
+            oracles.cusp_equiv(N, a, b) for i, a in enumerate(firsts) for b in firsts[:i]
+        ), N
 
 
 def test_path_vector_roundtrip():
@@ -276,7 +307,8 @@ def test_cancelled_trace_matches_full_diagonal():
             diag = sum(cols[c].get(c, 0) for c in space.free)
             mat = space.al_matrix(Q)
             fixed = sum(
-                cusp_equiv(N, space._moebius(mat, cusp), cusp) for cusp in space.cusps
+                oracles.cusp_equiv(N, space._moebius(mat, cusp), cusp)
+                for cusp in space.cusps
             )
             assert space.al_trace_cuspidal(Q) == diag - (fixed - 1), (N, Q)
             count += 1

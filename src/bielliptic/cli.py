@@ -131,7 +131,10 @@ def cmd_selftest(args) -> int:
     if args.genus_tables or args.all:
         levels = None
         if args.levels:
-            levels = {int(tok) for tok in args.levels.split(",")}
+            toks = [tok.strip() for tok in args.levels.split(",")]
+            if not all(tok.isdecimal() for tok in toks):
+                raise UsageError(f"bad --levels {args.levels!r} (expected e.g. 60,120)")
+            levels = {int(tok) for tok in toks}
         count = atlas.verify_genus_tables(levels)
         print(f"genus-tables: {count} genus cells verified")
         ran_any = True

@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import invariant_genus
-from .ntheory import hall_divisors, hall_product, memoise
+from .ntheory import hall_divisors, hall_product, memoise, parse_w
 from .x0invariants import genus_x0
 
 _ID2 = (0, 0)
@@ -207,19 +207,18 @@ class ExtInvolution:
 
 
 def parse_element(N: int, text: str) -> ExtInvolution:
-    """Parse "w63", "S2", "S2C*w11", "V2*w40", "V3*w7" at the given level."""
-    parts = text.strip().split("*")
-    head = parts[0]
-    tail = 1
-    rest = parts[1:]
+    """Parse "w63", "S2", "S2C*w11", "V2*w40", "V3*w7" at the given level;
+    each w token is read by `parse_w`, as in `ALSubgroup.parse`."""
+    if N < 1:
+        raise ValueError(f"level {N} is not positive")
+    head, *rest = text.strip().split("*")
     if head.startswith("w"):
         if rest:
             raise ValueError(f"unexpected factor after {head!r} in {text!r}")
-        return ExtInvolution.al(N, int(head[1:]))
-    if rest:
-        if len(rest) != 1 or not rest[0].startswith("w"):
-            raise ValueError(f"cannot parse involution {text!r}")
-        tail = int(rest[0][1:])
+        return ExtInvolution.al(N, parse_w(head))
+    if len(rest) > 1:
+        raise ValueError(f"cannot parse involution {text!r}")
+    tail = parse_w(rest[0]) if rest else 1
     if head == "id":
         return ExtInvolution.identity(N)
     if head == "S2":

@@ -10,26 +10,30 @@ units t = 1 (mod M), which fix g, carry v to every v' = v (mod M) prime to
 g).  A space keeps one residue table of length M per divisor g < N, read
 at r, so a lookup is a gcd, one inverse mod M and a table read.
 
-The two-term relation x + x.sigma = 0 is eliminated by pairing, the
-three-term relation x + x.tau + x.tau^2 = 0 by sparse integer Gaussian
-elimination: forward over the relations sorted by lead column, highest
-first, then one back-substitution from the highest pivot down, in which each
-row is cleared with rows that are already final.  The reduced echelon form
-is unique, so the row order changes only the fill-in, never the result.  Every
-generator gets an exact expression in a free basis, with int coefficients
-where the pivot is 1 and Fractions otherwise.  The builder asserts
-dim M2 = 2*genus + #cusps - 1 and keeps one representative per cusp class,
-taken from the free generators' endpoints.  A reduced cusp p/q with
-d = gcd(q, N) lies in the class keyed (d, p*(q/d) mod gcd(d, N/d)); this is
-Cremona's equivalence criterion (Prop. 2.2.3) as a key, so neither the build
-nor the fixed-cusp count of a trace compares cusps pairwise.
+The two-term relation x + x.sigma = 0 is eliminated by pairing: each point
+is stored once as (sign, column), +1 or -1 times the column of its pair's
+first point, or sign 0 where x = -x.  The three-term relation
+x + x.tau + x.tau^2 = 0 is eliminated over those columns by sparse integer
+Gaussian elimination: forward over the relations sorted by lead column,
+highest first, then one back-substitution from the highest pivot down, in
+which each row is cleared with rows that are already final.  The reduced
+echelon form is unique, so the row order changes only the fill-in, never the
+result.  Every column gets one exact expression row in the free basis, with
+int coefficients where the pivot is 1 and Fractions otherwise; a point's
+expression is its sign times its column's row, and is never stored.  The
+builder asserts dim M2 = 2*genus + #cusps - 1, stores the endpoints of each
+free generator's path and keeps one representative per cusp class, taken
+from those endpoints.  A reduced cusp p/q with d = gcd(q, N) lies in the
+class keyed (d, p*(q/d) mod gcd(d, N/d)); this is Cremona's equivalence
+criterion (Prop. 2.2.3) as a key, so neither the build nor the fixed-cusp
+count of a trace compares cusps pairwise.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix; a general
 path {a, b} = {oo, b} - {oo, a} is converted back to Manin symbols with the
-continued-fraction convergent chains of a and b.  A trace maps both endpoints
-of each free generator's path, drops the entries the two chains share at
-their start (the same symbols with opposite signs) and looks up only the
-rest.  The boundary map sends M2 onto the degree-zero cusp divisors and
+continued-fraction convergent chains of a and b.  A trace maps the stored
+endpoints of each free generator's path, drops the entries the two chains
+share at their start (the same symbols with opposite signs) and looks up only
+the rest.  The boundary map sends M2 onto the degree-zero cusp divisors and
 commutes with w_Q (Stein, Modular Forms: A Computational Approach, ch. 8),
 so on the cuspidal subspace S2
 
@@ -171,10 +175,14 @@ def _int_rref(rows) -> dict:
 
 
 class ModSymSpace:
-    """Built modular-symbols data for one level: the sorted P^1 points
-    `reps`, the free generators and each point's expression in them, and one
-    representative per cusp class.  Immutable once constructed, apart from
-    the cache of traces."""
+    """Built modular-symbols data for one level.
+
+    `reps` holds the P^1 points, `points` one (sign, column) per point,
+    `rows` one expression {free generator: coefficient} per column, `free`
+    the free generators, `paths` the endpoints (start, end) of each free
+    generator's path, aligned with `free`, and `cusps` one representative
+    per cusp class.  Immutable once constructed, apart from the cache of
+    traces."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -209,20 +217,18 @@ class ModSymSpace:
             raise IntegrityError(f"P1(Z/{N}) has {n} points, expected psi = {psi(N)}")
         look = self.p1_index
 
-        # two-term relation: identify x.sigma with -x, sigma: (c,d) -> (d,-c)
-        part: dict[int, tuple[int, int]] = {}
+        # two-term relation: x.sigma = -x, sigma: (c,d) -> (d,-c).  Each point
+        # is sign * (the column of its pair's first point); sign 0 where x = -x.
+        points: list = [None] * n
         for i, (c, d) in enumerate(reps):
-            if i in part:
-                continue
-            j = look(d, -c)
-            if j == i:
-                part[i] = (0, i)
-            else:
-                part[i] = (1, i)
-                part[j] = (-1, i)
-        # three-term relation rows over the paired coordinates,
-        # tau: (c,d) -> (d, -c-d)
-        rows = []
+            if points[i] is None:
+                j = look(d, -c)
+                points[i] = (0 if j == i else 1, i)
+                if j != i:
+                    points[j] = (-1, i)
+        self.points = tuple(points)
+        # three-term relation rows over the columns, tau: (c,d) -> (d, -c-d)
+        relations = []
         seen = [False] * n
         for i in range(n):
             if seen[i]:
@@ -233,15 +239,15 @@ class ModSymSpace:
             row: dict[int, int] = {}
             for m in (i, j, k):
                 seen[m] = True
-                s, col = part[m]
+                s, col = points[m]
                 if s:
                     row[col] = row.get(col, 0) + s
             row = {c2: v for c2, v in row.items() if v}
             if row:
-                rows.append(row)
-        pivots = _int_rref(rows)
+                relations.append(row)
+        pivots = _int_rref(relations)
 
-        kept = sorted({part[i][1] for i in range(n) if part[i][0]})
+        kept = sorted({col for s, col in points if s})
         free = [c for c in kept if c not in pivots]
         self.free = tuple(free)
         self.dim = len(free)
@@ -251,28 +257,19 @@ class ModSymSpace:
                 f"level {N}: modular-symbols dimension {self.dim} != {expected}"
             )
 
-        expr_col: dict[int, dict] = {c: {c: 1} for c in free}
+        self.rows = {c: {c: 1} for c in free}
         for c, row in pivots.items():
             p = row[c]
-            expr_col[c] = {
+            self.rows[c] = {
                 k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
             }
-        expr: list[dict] = []
-        for i in range(n):
-            s, col = part[i]
-            if s == 0:
-                expr.append({})
-            elif s == 1:
-                expr.append(expr_col[col])
-            else:
-                expr.append({k: -v for k, v in expr_col[col].items()})
-        self.expr = tuple(expr)
+        self.paths = tuple(self._manin_path(c) for c in free)
 
         # one representative per cusp class, from the free generators' endpoints;
         # the boundary map is onto, so every class shows up (oo is seeded for N = 1)
         classes = {_cusp_class(N, (1, 0)): (1, 0)}
-        for c in free:
-            for cusp in self._manin_path(c):
+        for path in self.paths:
+            for cusp in path:
                 classes.setdefault(_cusp_class(N, cusp), cusp)
         cusps = self.cusps = tuple(classes.values())
         if len(cusps) != self.nu_inf:
@@ -343,10 +340,9 @@ class ModSymSpace:
             if Q in self._trace_cache:
                 return self._trace_cache[Q]
         mat = self.al_matrix(Q)
-        look, expr = self.p1_index, self.expr
+        look, points, rows = self.p1_index, self.points, self.rows
         diag = 0
-        for c in self.free:
-            start, end = self._manin_path(c)
+        for c, (start, end) in zip(self.free, self.paths):
             from_start = _convergent_chain(*self._moebius(mat, start))
             from_end = _convergent_chain(*self._moebius(mat, end))
             k = 0
@@ -355,9 +351,13 @@ class ModSymSpace:
                     break
                 k += 1
             for cd in from_start[k:]:
-                diag -= expr[look(*cd)].get(c, 0)
+                s, col = points[look(*cd)]
+                if s:
+                    diag -= s * rows[col].get(c, 0)
             for cd in from_end[k:]:
-                diag += expr[look(*cd)].get(c, 0)
+                s, col = points[look(*cd)]
+                if s:
+                    diag += s * rows[col].get(c, 0)
         N = self.N
         fixed = sum(
             _cusp_class(N, self._moebius(mat, cusp)) == _cusp_class(N, cusp)

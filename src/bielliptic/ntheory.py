@@ -211,6 +211,14 @@ def class_number(D: int) -> int:
     return h
 
 
+def parse_w(token: str) -> int:
+    """d of an Atkin-Lehner token "w<d>", d in decimal digits only (no sign,
+    underscore or space); ValueError names a bad token."""
+    if not token.startswith("w") or not token[1:].isdecimal():
+        raise ValueError(f"bad Atkin-Lehner token {token!r} (expected e.g. w8)")
+    return int(token[1:])
+
+
 class ALSubgroup:
     """Subgroup of the Atkin-Lehner group B(N), stored as its full element set.
 
@@ -254,14 +262,11 @@ class ALSubgroup:
 
     @classmethod
     def parse(cls, level: int, text: str) -> "ALSubgroup":
-        """The subgroup generated by text like "w8,w3"; ValueError names a bad token."""
-        gens = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not tok.startswith("w") or not tok[1:].isdecimal():
-                raise ValueError(f"bad subgroup generator {tok!r} (expected e.g. w8)")
-            gens.append(int(tok[1:]))
-        return cls(level, gens)
+        """The subgroup generated by text like "w8,w3"; ValueError names a bad
+        token or a level below 1."""
+        if level < 1:
+            raise ValueError(f"level {level} is not positive")
+        return cls(level, [parse_w(tok.strip()) for tok in text.split(",")])
 
     @property
     def order(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .involutions import fix_al
 from .modsym import invariant_genus
-from .ntheory import ALSubgroup, factor, hall_divisors, hall_product, psi
+from .ntheory import ALSubgroup, factor, hall_divisors, psi
 
 # ---------------------------------------------------------------------------
 # level gate data: classification of the full quotients X0(N)/B(N)
@@ -191,7 +191,7 @@ def rule_fixed_point_closure(N: int, W) -> RuleResult:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism reductions
+# isomorphism reduction
 
 
 def iso_reduce_w4(N: int, W) -> tuple[int, ALSubgroup] | None:
@@ -202,21 +202,6 @@ def iso_reduce_w4(N: int, W) -> tuple[int, ALSubgroup] | None:
         return None
     odd = [d for d in sub if d % 2 and d > 1]
     return N // 2, ALSubgroup(N // 2, odd)
-
-
-def iso_reduce_v3(N: int, W) -> ALSubgroup:
-    """Twist a subgroup by w9 on generators whose prime-to-3 part is 2 mod 3;
-    the two quotients are isomorphic.  Applying it twice gives W back."""
-    sub = ALSubgroup.of(N, W)
-    if factor(N).valuation(3) != 2:
-        raise ValueError(f"V3 twist needs 9 || N, got {N}")
-    gens = []
-    for d in sub.generators():
-        m = d
-        while m % 3 == 0:
-            m //= 3
-        gens.append(hall_product(d, 9) if m % 3 == 2 else d)
-    return ALSubgroup(N, gens)
 
 
 def gate_levels() -> list[int]:

@@ -3,9 +3,10 @@
 None of this is on a production path.  The modular-symbols routes build the
 cuspidal subspace of a `ModSymSpace` as the kernel of the boundary map and
 act on it with full Atkin-Lehner matrices, so a genus can be read off the
-+1-eigenspaces instead of the traces.  The number-theory routes count
-reduced forms literally and count Atkin-Lehner fixed points by complex
-multiplication.
++1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
+reduction the classification does not apply; the tests check its genus
+identity.  The number-theory routes count reduced forms literally and count
+Atkin-Lehner fixed points by complex multiplication.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bielliptic.ntheory import (
     class_number,
     egcd,
     factor,
+    hall_product,
     kronecker,
     validate_discriminant,
 )
@@ -84,12 +86,18 @@ def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
     return tuple(basis)
 
 
+def point_expression(space, i: int) -> dict:
+    """The expression of the i-th P^1 point in the free generators."""
+    s, col = space.points[i]
+    return {c: s * v for c, v in space.rows[col].items()} if s else {}
+
+
 def path_vector(space, start, end) -> dict[int, Fraction]:
     """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
     vec: dict[int, Fraction] = {}
     for sgn, cusp in ((-1, start), (1, end)):
         for c, d in _convergent_chain(*cusp):
-            for col, v in space.expr[space.p1_index(c, d)].items():
+            for col, v in point_expression(space, space.p1_index(c, d)).items():
                 vec[col] = vec.get(col, Fraction(0)) + sgn * v
     return {col: v for col, v in vec.items() if v}
 
@@ -159,6 +167,24 @@ def invariant_genus_eigenspace(N: int, W=()) -> int:
     if dim % 2:
         raise IntegrityError("odd eigenspace dimension")
     return dim // 2
+
+
+# -- isomorphism reductions ----------------------------------------------
+
+
+def iso_reduce_v3(N: int, W) -> ALSubgroup:
+    """Twist a subgroup by w9 on generators whose prime-to-3 part is 2 mod 3;
+    the two quotients are isomorphic.  Applying it twice gives W back."""
+    sub = ALSubgroup.of(N, W)
+    if factor(N).valuation(3) != 2:
+        raise ValueError(f"V3 twist needs 9 || N, got {N}")
+    gens = []
+    for d in sub.generators():
+        m = d
+        while m % 3 == 0:
+            m //= 3
+        gens.append(hall_product(d, 9) if m % 3 == 2 else d)
+    return ALSubgroup(N, gens)
 
 
 # -- number theory -------------------------------------------------------

@@ -30,10 +30,10 @@ from bielliptic.involutions import (
 )
 from bielliptic.modsym import ModSymSpace, invariant_genus
 from bielliptic.ntheory import ALSubgroup, class_number, factor
-from bielliptic.screening import iso_reduce_v3, iso_reduce_w4
+from bielliptic.screening import iso_reduce_w4
 from bielliptic.x0invariants import genus_x0
 
-from oracles import class_number_oracle, cm_fix_oracle, cuspidal_basis
+from oracles import class_number_oracle, cm_fix_oracle, cuspidal_basis, iso_reduce_v3
 
 
 def _report(name: str, ok: bool, detail: str = ""):

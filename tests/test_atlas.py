@@ -71,6 +71,12 @@ class TestAdjudications:
         with pytest.raises(DataError):
             atlas.ingest_adjudications("84;w3;maybe;because")
 
+    @pytest.mark.parametrize("level", ["0", "-84"])
+    def test_level_below_one(self, level):
+        with pytest.raises(DataError, match="not positive") as err:
+            atlas.ingest_adjudications(f"84;w3;not-bielliptic;x\n{level};w1;not-bielliptic;x")
+        assert err.value.line == 2
+
 
 class TestConfirm:
     def test_90_w9(self):

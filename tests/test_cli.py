@@ -75,6 +75,35 @@ def test_selftest_level_without_genus_row_usage_error(capsys, levels, named):
     assert f"no published genus row for level(s) {named}" in err
 
 
+@pytest.mark.parametrize("argv,token", [
+    (("fix", "60", "--element", "w1_2"), "'w1_2'"),
+    (("fix", "60", "--element", "S2*w+3"), "'w+3'"),
+    (("fix", "60", "--element", "w+4"), "'w+4'"),
+    (("fix", "60", "--element", "w"), "'w'"),
+    (("group-genus", "60", "--gens", "w1_2"), "'w1_2'"),
+    (("genus", "60", "--w", "w1_2"), "'w1_2'"),
+    (("selftest", "--genus-tables", "--levels", "6_0"), "'6_0'"),
+    (("selftest", "--genus-tables", "--levels", "60,+120"), "'60,+120'"),
+])
+def test_non_decimal_number_usage_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert token in err and "int()" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("genus", "0", "--w", "w1"),
+    ("screen", "0", "--w", "w1"),
+    ("fix", "0", "--element", "w1"),
+    ("fix", "-4", "--element", "S2"),
+    ("group-genus", "0", "--gens", "w1"),
+])
+def test_level_below_one_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"level {argv[1]} is not positive" in err
+
+
 def test_selftest_fix_tables(capsys):
     code, out, _ = run(capsys, "selftest", "--fix-tables")
     assert code == 0
@@ -104,6 +133,7 @@ def test_malformed_data_file(capsys, tmp_path):
     "84;wx;not-bielliptic;cited",
     "x;w3;not-bielliptic;cited",
     "84;w5;not-bielliptic;cited",
+    "0;w1;not-bielliptic;cited",
 ])
 def test_malformed_adjudication_line(capsys, tmp_path, line):
     bad = tmp_path / "adjudications.txt"

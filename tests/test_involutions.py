@@ -138,6 +138,12 @@ def test_parse_element():
     assert parse_element(120, "w15").name == "w15"
     with pytest.raises(ValueError):
         parse_element(120, "V9*w2")
+    # w tokens are decimal digits only, as in ALSubgroup.parse
+    for text in ("w1_2", "w+4", "S2*w+3", "w", "S2*3", "w 15"):
+        with pytest.raises(ValueError, match="bad Atkin-Lehner token"):
+            parse_element(60, text)
+    with pytest.raises(ValueError, match="level 0 is not positive"):
+        parse_element(0, "w1")
 
 
 def test_group_closure_examples():

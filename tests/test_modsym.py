@@ -173,6 +173,36 @@ def test_build_memory_stays_small():
     assert peak < 8 * 2**20, peak
 
 
+def test_space_retains_one_expression_per_column():
+    # about 6 MB at 2310; one expression per point, half of them stored
+    # negated, keeps 9.6 MB
+    build_space(11)  # imports and level invariants outside the measurement
+    tracemalloc.start()
+    try:
+        space = ModSymSpace(2310)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert space.dim and retained < 8 * 2**20, retained
+
+
+def test_traces_read_the_stored_paths(monkeypatch):
+    # the free generators' endpoints are computed once, by the build
+    space = ModSymSpace(420)
+    calls = []
+    manin_path = ModSymSpace._manin_path
+
+    def counting_manin_path(self, i):
+        calls.append(i)
+        return manin_path(self, i)
+
+    monkeypatch.setattr(ModSymSpace, "_manin_path", counting_manin_path)
+    for Q in hall_divisors(420)[1:]:
+        space.al_trace_cuspidal(Q)
+    assert calls == []
+    assert space.paths == tuple(manin_path(space, c) for c in space.free)
+
+
 def test_build_fill_in_stays_small(monkeypatch):
     # 1 532 row operations; the three-term relations eliminated in
     # Manin-symbol order take 40 373
@@ -236,13 +266,13 @@ def test_path_vector_roundtrip():
     space = build_space(30)
     # {0, oo} is the class of the identity Manin symbol (0:1)
     vec = oracles.path_vector(space, (0, 1), (1, 0))
-    want = dict(space.expr[space.p1_index(0, 1)])
+    want = oracles.point_expression(space, space.p1_index(0, 1))
     assert vec == {k: Fraction(v) for k, v in want.items() if v}
     # every generator's own path converts back to its expression
     for i in (0, 3, 7, 11):
         start, end = space._manin_path(i)
         assert oracles.path_vector(space, start, end) == {
-            k: v for k, v in space.expr[i].items() if v
+            k: v for k, v in oracles.point_expression(space, i).items() if v
         }
 
 
@@ -444,7 +474,9 @@ def test_rebuild_is_identical():
     a = ModSymSpace(90)
     b = ModSymSpace(90)
     assert a.free == b.free
-    assert a.expr == b.expr
+    assert [oracles.point_expression(a, i) for i in range(len(a.reps))] == [
+        oracles.point_expression(b, i) for i in range(len(b.reps))
+    ]
     assert oracles.cuspidal_basis(a) == oracles.cuspidal_basis(b)
     for Q in hall_divisors(90)[1:]:
         assert a.al_trace_cuspidal(Q) == b.al_trace_cuspidal(Q)

@@ -10,7 +10,6 @@ from bielliptic.screening import (
     GATE_GENUS1,
     GATE_GENUS2,
     GATE_HYPERELLIPTIC,
-    iso_reduce_v3,
     iso_reduce_w4,
     rule_castelnuovo,
     rule_fixed_point_closure,
@@ -20,6 +19,8 @@ from bielliptic.screening import (
     rule_unramified_cover,
     star_gate,
 )
+
+from oracles import iso_reduce_v3
 
 
 def test_star_gate_examples():

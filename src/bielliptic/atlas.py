@@ -61,6 +61,14 @@ class ECRecord:
     modular_degree: int | None
 
 
+def _decimal(token: str, what: str, lineno: int) -> int:
+    """A numeric data field by the CLI's rule: decimal digits only, with no
+    sign, underscore or space; DataError names the line otherwise."""
+    if not token.isdecimal():
+        raise DataError(f"{what} {token!r} is not in decimal digits", line=lineno)
+    return int(token)
+
+
 def ingest_ec_table(source) -> dict[str, ECRecord]:
     """Parse a curve table: "label conductor rank degree" per line, '-' for
     an absent degree, '#' comments.  Rejects duplicate labels."""
@@ -77,16 +85,13 @@ def ingest_ec_table(source) -> dict[str, ECRecord]:
         if len(parts) != 4:
             raise DataError(f"expected 4 fields, got {len(parts)}: {raw!r}", line=lineno)
         label, cond_s, rank_s, deg_s = parts
-        try:
-            conductor = int(cond_s)
-            rank = int(rank_s)
-            degree = None if deg_s == "-" else int(deg_s)
-        except ValueError as exc:
-            raise DataError(f"bad integer field in {raw!r}", line=lineno) from exc
+        conductor = _decimal(cond_s, "conductor", lineno)
+        rank = _decimal(rank_s, "rank", lineno)
+        degree = None if deg_s == "-" else _decimal(deg_s, "degree", lineno)
         if conductor < 11:
             raise DataError(f"conductor {conductor} below 11", line=lineno)
-        if rank < 0 or (degree is not None and degree < 1):
-            raise DataError(f"bad rank/degree in {raw!r}", line=lineno)
+        if degree == 0:
+            raise DataError(f"degree 0 in {raw!r}", line=lineno)
         if label in out:
             raise DataError(f"duplicate label {label}", line=lineno)
         out[label] = ECRecord(label, conductor, rank, degree)
@@ -111,11 +116,16 @@ def ingest_adjudications(source) -> dict:
         parts = text.split(";", 3)
         if len(parts) != 4:
             raise DataError(f"expected 4 ';'-fields: {raw!r}", line=lineno)
+        level = parts[0].strip()
+        if not level.isdecimal() or int(level) < 1:
+            raise DataError(
+                f"level {level!r} is not positive or not in decimal digits", line=lineno
+            )
+        N = int(level)
         try:
-            N = int(parts[0])
             sub = ALSubgroup.parse(N, parts[1])
         except ValueError as exc:
-            raise DataError(f"bad level or subgroup in {raw!r}: {exc}", line=lineno) from exc
+            raise DataError(f"bad subgroup in {raw!r}: {exc}", line=lineno) from exc
         verdict = parts[2].strip()
         if verdict not in ("not-bielliptic", "bielliptic-over-Q", "bielliptic-over-Q(sqrt(-3))"):
             raise DataError(f"unknown verdict {verdict!r}", line=lineno)

@@ -29,6 +29,13 @@ _S2W = (0, 1)
 _V2W = (1, 1)
 
 
+def _need_level(N: int) -> None:
+    """Reject a level below 1 where an element is made, so that `_two_alpha`
+    and the divisor tests only ever see positive levels."""
+    if N < 1:
+        raise ValueError(f"level {N} is not positive")
+
+
 def _two_alpha(N: int) -> int:
     a = 0
     while N % 2 == 0:
@@ -71,10 +78,12 @@ class ExtInvolution:
 
     @classmethod
     def identity(cls, N: int) -> "ExtInvolution":
+        _need_level(N)
         return cls(N, _ID2, 0, 1)
 
     @classmethod
     def al(cls, N: int, d: int) -> "ExtInvolution":
+        _need_level(N)
         if d < 1 or N % d or gcd(d, N // d) != 1:
             raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
         alpha = _two_alpha(N)
@@ -100,6 +109,7 @@ class ExtInvolution:
     @classmethod
     def v2(cls, N: int, d: int = 1) -> "ExtInvolution":
         """V2 * w_d; d may carry the full 2-part 2^alpha only when alpha >= 3."""
+        _need_level(N)
         alpha = _two_alpha(N)
         if alpha < 2:
             raise ValueError(f"V2 needs 4 | N, got N={N}")
@@ -121,6 +131,7 @@ class ExtInvolution:
 
     @classmethod
     def v3(cls, N: int, d: int = 1) -> "ExtInvolution":
+        _need_level(N)
         if N % 9 or (N // 9) % 3 == 0:
             raise ValueError(f"V3 needs 9 || N, got N={N}")
         if d < 1 or N % d or gcd(d, N // d) != 1:
@@ -140,6 +151,7 @@ class ExtInvolution:
 
     @staticmethod
     def _need_s2(N: int, r: int):
+        _need_level(N)
         if N % 4:
             raise ValueError(f"S2-type involutions need 4 | N, got N={N}")
         if r < 1 or r % 2 == 0 or N % r or gcd(r, N // r) != 1:
@@ -209,8 +221,7 @@ class ExtInvolution:
 def parse_element(N: int, text: str) -> ExtInvolution:
     """Parse "w63", "S2", "S2C*w11", "V2*w40", "V3*w7" at the given level;
     each w token is read by `parse_w`, as in `ALSubgroup.parse`."""
-    if N < 1:
-        raise ValueError(f"level {N} is not positive")
+    _need_level(N)
     head, *rest = text.strip().split("*")
     if head.startswith("w"):
         if rest:

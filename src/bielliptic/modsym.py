@@ -1,53 +1,73 @@
 """Weight-2 modular symbols for Gamma0(N) over exact rationals.
 
-The space M2 is presented by Manin symbols indexed by P^1(Z/N).  A point
-(c : d) is named by the lexicographic minimum of its orbit under the units of
-Z/N (Cremona, Algorithms for Modular Elliptic Curves, 2.2): (0, 1) when
-c = 0, else (g, v) with g = gcd(c, N) and v least.  With M = N/g, the point
-(c : d) is (g : r) for r = (c/g)^-1 * d mod M, and two points with first
-coordinate g are equal exactly when their r agree mod M (prime by prime, the
-units t = 1 (mod M), which fix g, carry v to every v' = v (mod M) prime to
-g).  A space keeps one residue table of length M per divisor g < N, read
-at r, so a lookup is a gcd, one inverse mod M and a table read.
+A space presents the sign +1 quotient M2+ = M2/(1 - eta) of the modular
+symbols, where the star involution eta sends {a, b} to {-a, -b} and the
+Manin symbol (c : d) to (-c : d).  eta commutes with every w_Q and splits
+the cuspidal subspace S2 into two halves that are isomorphic as modules
+for the Atkin-Lehner group (Cremona, Algorithms for Modular Elliptic
+Curves, 2.5 on H+; Stein, Modular Forms: A Computational Approach, ch. 8 on
+the sign), so
 
-The two-term relation x + x.sigma = 0 is eliminated by pairing: each point
-is stored once as (sign, column), +1 or -1 times the column of its pair's
-first point, or sign 0 where x = -x.  The three-term relation
-x + x.tau + x.tau^2 = 0 is eliminated over those columns by sparse integer
-Gaussian elimination: forward over the relations sorted by lead column,
-highest first, then one back-substitution from the highest pivot down, in
-which each row is cleared with rows that are already final.  The reduced
-echelon form is unique, so the row order changes only the fill-in, never the
-result.  Every column gets one exact expression row in the free basis, with
-int coefficients where the pivot is 1 and Fractions otherwise; a point's
-expression is its sign times its column's row, and is never stored.  The
-builder asserts dim M2 = 2*genus + #cusps - 1, stores the endpoints of each
-free generator's path and keeps one representative per cusp class, taken
-from those endpoints.  A reduced cusp p/q with d = gcd(q, N) lies in the
-class keyed (d, p*(q/d) mod gcd(d, N/d)); this is Cremona's equivalence
-criterion (Prop. 2.2.3) as a key, so neither the build nor the fixed-cusp
-count of a trace compares cusps pairwise.
+    tr(w_Q | S2) = 2 * tr(w_Q | S2+)
+
+and a space of about half the dimension gives every trace.
+
+The space is presented by Manin symbols indexed by P^1(Z/N).  A point
+(c : d) is named by the lexicographic minimum of its orbit under the units of
+Z/N (Cremona, 2.2): (0, 1) when c = 0, else (g, v) with g = gcd(c, N) and v
+least.  With M = N/g, the point (c : d) is (g : r) for r = (c/g)^-1 * d
+mod M, and two points with first coordinate g are equal exactly when their r
+agree mod M (prime by prime, the units t = 1 (mod M), which fix g, carry v
+to every v' = v (mod M) prime to g).  A space keeps one residue table of
+length M per divisor g < N, read at r, so a lookup is a gcd, one inverse mod
+M and a table read, and the eta-image (g : -v) of a stored point is slot
+-v mod M of the same table.
+
+The relations x + x.sigma = 0 and x = x.eta are eliminated by orbits:
+sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
+{x, x.sigma, x.eta, x.sigma.eta}, stored as one column with signs +1, -1,
++1, -1, or sign 0 where the orbit forces x = -x (x = x.sigma or
+x = x.sigma.eta).  The three-term relation x + x.tau + x.tau^2 = 0 is
+eliminated over those columns by sparse integer Gaussian elimination; the
+rows of x and of x.eta.sigma agree up to sign, so only one of each pair is
+built.  The elimination runs forward over the relations sorted by lead
+column, highest first, then one back-substitution from the highest pivot
+down, in which each row is cleared with rows that are already final.  The
+reduced echelon form is unique, so the row order changes only the fill-in,
+never the result.  Every column gets one exact expression row in the free
+basis, with int coefficients where the pivot is 1 and Fractions otherwise; a
+point's expression is its sign times its column's row, and is never stored.
+
+The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
+classes up to eta (`x0invariants.cusp_count_plus`), stores the endpoints of
+each free generator's path and keeps one representative per eta-orbit of
+cusp classes, taken from those endpoints.  A reduced cusp p/q with
+d = gcd(q, N) lies in the class keyed (d, u) with u = p*(q/d) mod
+gcd(d, N/d); this is Cremona's equivalence criterion (Prop. 2.2.3) as a key.
+eta sends u to -u, so the orbit is keyed (d, min(u, -u mod gcd(d, N/d))),
+and neither the build nor the fixed-cusp count of a trace compares cusps
+pairwise.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix; a general
 path {a, b} = {oo, b} - {oo, a} is converted back to Manin symbols with the
 continued-fraction convergent chains of a and b.  A trace maps the stored
 endpoints of each free generator's path, drops the entries the two chains
 share at their start (the same symbols with opposite signs) and looks up only
-the rest.  The boundary map sends M2 onto the degree-zero cusp divisors and
-commutes with w_Q (Stein, Modular Forms: A Computational Approach, ch. 8),
-so on the cuspidal subspace S2
+the rest.  The boundary map sends M2+ onto the degree-zero divisors on the
+eta-orbits of cusps and commutes with w_Q (Stein, ch. 8), so on the
+cuspidal subspace S2+
 
-    tr(w_Q | S2) = tr(w_Q | M2) - (#cusp classes fixed by w_Q - 1),
+    tr(w_Q | S2+) = tr(w_Q | M2+) - (#cusp orbits fixed by w_Q - 1),
 
 and a trace needs only the diagonal of w_Q on the free generators.  Quotient
 genera come from dim S2^W = (1/|W|) * sum of traces, which for an elementary
 abelian 2-group is the same subspace the +1-eigenspace intersection of the
 generators cuts out.
 
-Only this route lives here.  The independent reference routes (the
-cuspidal subspace as the kernel of the boundary map, full operator matrices
-and the genus from +1-eigenspaces) are the test suite's oracles, in
-tests/oracles.py.
+Only this route lives here.  The independent reference routes (all of M2
+with its sigma-only pairing, the cuspidal subspace as the kernel of the
+boundary map, full operator matrices and the genus from +1-eigenspaces) are
+the test suite's oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -58,7 +78,7 @@ from math import gcd
 
 from .errors import IntegrityError
 from .ntheory import _MEMO_TABLES, ALSubgroup, egcd, psi
-from .x0invariants import cusp_count, genus_x0
+from .x0invariants import cusp_count_plus, genus_x0
 
 
 def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
@@ -82,6 +102,13 @@ def _cusp_class(N: int, cusp: tuple[int, int]) -> tuple[int, int]:
     p, q = cusp
     d = gcd(q, N)
     return d, p * (q // d) % gcd(d, N // d)
+
+
+def _cusp_orbit(N: int, cusp: tuple[int, int]) -> tuple[int, int]:
+    """Key of the eta-orbit of a cusp class: eta sends p/q to -p/q, so the
+    class key (d, u) to (d, -u), and the orbit is keyed by the smaller u."""
+    d, u = _cusp_class(N, cusp)
+    return d, min(u, -u % gcd(d, N // d))
 
 
 def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
@@ -148,8 +175,9 @@ def _int_rref(rows) -> dict:
     result depends on the row space only, not on the order of the rows.  The
     forward phase is therefore free to take the nonzero rows highest lead
     column first (a stable sort), which keeps fill-in small on the three-term
-    relations: at N = 840 the whole elimination makes 1 532 row operations
-    where Manin-symbol order makes 40 373.  The back-substitution runs once,
+    relations of all of M2: at N = 840 their elimination makes 1 532 row
+    operations where Manin-symbol order makes 40 373.  The relations of the
+    sign +1 quotient take 357 in either order.  The back-substitution runs once,
     from the highest pivot down: the other pivot columns a row holds are
     higher, so their rows are already final and clearing them brings in
     non-pivot columns only.
@@ -174,22 +202,44 @@ def _int_rref(rows) -> dict:
     return pivots
 
 
+def _p1_points(N: int) -> tuple[tuple, dict]:
+    """The points of P^1(Z/N) in order and one residue table per divisor g < N.
+
+    Per divisor g the points (g : v) come in increasing v: the first v of
+    each residue r = v mod N/g is its class's minimum, and `tables[g][r]`
+    holds its position.
+    """
+    reps = [(0, 1)]
+    tables = {}
+    for g in range(1, N):
+        if N % g:
+            continue
+        M = N // g
+        table = tables[g] = [None] * M
+        for v in range(N):
+            if table[v % M] is None and gcd(v, g) == 1:
+                table[v % M] = len(reps)
+                reps.append((g, v))
+    if len(reps) != psi(N):
+        raise IntegrityError(f"P1(Z/{N}) has {len(reps)} points, expected psi = {psi(N)}")
+    return tuple(reps), tables
+
+
 class ModSymSpace:
-    """Built modular-symbols data for one level.
+    """Built sign +1 modular-symbols data for one level.
 
     `reps` holds the P^1 points, `points` one (sign, column) per point,
     `rows` one expression {free generator: coefficient} per column, `free`
     the free generators, `paths` the endpoints (start, end) of each free
     generator's path, aligned with `free`, and `cusps` one representative
-    per cusp class.  Immutable once constructed, apart from the cache of
-    traces."""
+    per eta-orbit of cusp classes.  Immutable once constructed, apart from
+    the cache of traces."""
 
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("level must be positive")
         self.N = N
         self.genus = genus_x0(N)
-        self.nu_inf = cusp_count(N)
         self._build()
         self._trace_cache: dict[int, int] = {}
         self._trace_lock = threading.Lock()
@@ -198,36 +248,31 @@ class ModSymSpace:
 
     def _build(self):
         N = self.N
-        # per divisor g < N, the points (g : v) in increasing v: the first v
-        # of each residue r = v mod N/g is its class's minimum
-        reps = [(0, 1)]
-        self._p1_tables = {}
-        for g in range(1, N):
-            if N % g:
-                continue
-            M = N // g
-            table = self._p1_tables[g] = [None] * M
-            for v in range(N):
-                if table[v % M] is None and gcd(v, g) == 1:
-                    table[v % M] = len(reps)
-                    reps.append((g, v))
-        self.reps = tuple(reps)
+        reps, tables = self.reps, self._p1_tables = _p1_points(N)
         n = len(reps)
-        if n != psi(N):
-            raise IntegrityError(f"P1(Z/{N}) has {n} points, expected psi = {psi(N)}")
         look = self.p1_index
 
-        # two-term relation: x.sigma = -x, sigma: (c,d) -> (d,-c).  Each point
-        # is sign * (the column of its pair's first point); sign 0 where x = -x.
+        def eta(i):  # position of (-c : d) = (g : -v), read from g's table
+            g, v = reps[i]
+            return tables[g][-v % (N // g)] if g else 0
+
+        # sigma: (c,d) -> (d,-c) and eta commute; an orbit {x, x.sigma, x.eta,
+        # x.sigma.eta} is one column with signs +1, -1, +1, -1, or 0 where it
+        # forces x = -x.  `swap` is eta.sigma: (c : d) -> (d : c).
         points: list = [None] * n
+        swap = [0] * n
         for i, (c, d) in enumerate(reps):
             if points[i] is None:
                 j = look(d, -c)
-                points[i] = (0 if j == i else 1, i)
-                if j != i:
-                    points[j] = (-1, i)
+                k, m = eta(i), eta(j)
+                s = 0 if i in (j, m) else 1
+                points[i] = points[k] = (s, i)
+                points[j] = points[m] = (-s, i)
+                swap[i], swap[m], swap[j], swap[k] = m, i, k, j
         self.points = tuple(points)
-        # three-term relation rows over the columns, tau: (c,d) -> (d, -c-d)
+        # three-term relation rows over the columns, tau: (c,d) -> (d, -c-d).
+        # The row of x.swap is minus the row of x (x.swap.tau = x.tau^2.swap
+        # and x.swap.tau^2 = x.tau.swap), so it is skipped.
         relations = []
         seen = [False] * n
         for i in range(n):
@@ -238,7 +283,7 @@ class ModSymSpace:
             k = look(-c - d, c)
             row: dict[int, int] = {}
             for m in (i, j, k):
-                seen[m] = True
+                seen[m] = seen[swap[m]] = True
                 s, col = points[m]
                 if s:
                     row[col] = row.get(col, 0) + s
@@ -251,10 +296,11 @@ class ModSymSpace:
         free = [c for c in kept if c not in pivots]
         self.free = tuple(free)
         self.dim = len(free)
-        expected = 2 * self.genus + self.nu_inf - 1
+        nu_plus = cusp_count_plus(N)
+        expected = self.genus + nu_plus - 1
         if self.dim != expected:
             raise IntegrityError(
-                f"level {N}: modular-symbols dimension {self.dim} != {expected}"
+                f"level {N}: sign +1 modular-symbols dimension {self.dim} != {expected}"
             )
 
         self.rows = {c: {c: 1} for c in free}
@@ -265,16 +311,17 @@ class ModSymSpace:
             }
         self.paths = tuple(self._manin_path(c) for c in free)
 
-        # one representative per cusp class, from the free generators' endpoints;
-        # the boundary map is onto, so every class shows up (oo is seeded for N = 1)
-        classes = {_cusp_class(N, (1, 0)): (1, 0)}
+        # one representative per eta-orbit of cusp classes, from the free
+        # generators' endpoints; the boundary map is onto, so every orbit
+        # shows up (oo is seeded for N = 1)
+        orbits = {_cusp_orbit(N, (1, 0)): (1, 0)}
         for path in self.paths:
             for cusp in path:
-                classes.setdefault(_cusp_class(N, cusp), cusp)
-        cusps = self.cusps = tuple(classes.values())
-        if len(cusps) != self.nu_inf:
+                orbits.setdefault(_cusp_orbit(N, cusp), cusp)
+        cusps = self.cusps = tuple(orbits.values())
+        if len(cusps) != nu_plus:
             raise IntegrityError(
-                f"level {N}: found {len(cusps)} cusp classes, expected {self.nu_inf}"
+                f"level {N}: found {len(cusps)} cusp orbits, expected {nu_plus}"
             )
 
     # -- symbol plumbing ----------------------------------------------
@@ -325,14 +372,18 @@ class ModSymSpace:
         return _cusp_normalize(a * p + b * q, c * p + d * q)
 
     def al_trace_cuspidal(self, Q: int) -> int:
-        """Trace of w_Q on the cuspidal subspace (exact integer).
+        """Trace of w_Q on the cuspidal subspace S2 (exact integer).
 
-        The diagonal of w_Q on the free generators gives the trace on M2; the
-        boundary part contributes #(cusp classes fixed by w_Q) - 1.  The image
-        of generator c is {oo, end} - {oo, start} for the images start, end of
-        its endpoints.  Where the two convergent chains begin with the same
-        entries, the same Manin symbols enter with coefficients -1 and +1 and
-        cancel, so only the entries after the common prefix are looked up.
+        The diagonal of w_Q on the free generators gives the trace on M2+;
+        the boundary part contributes #(cusp orbits fixed by w_Q) - 1.  The
+        image of generator c is {oo, end} - {oo, start} for the images start,
+        end of its endpoints.  Where the two convergent chains begin with the
+        same entries, the same Manin symbols enter with coefficients -1 and +1
+        and cancel, so only the entries after the common prefix are looked
+        up.  The trace tr+ on S2+ is an integer of the parity of the genus
+        and at most the genus in size, and tr(w_Q | S2) = 2 * tr+ (the
+        halves S2+ and S2- are isomorphic as w_Q-modules; see the module
+        docstring).
         """
         if Q == 1:
             return 2 * self.genus
@@ -358,20 +409,21 @@ class ModSymSpace:
                 s, col = points[look(*cd)]
                 if s:
                     diag += s * rows[col].get(c, 0)
-        N = self.N
+        N, g = self.N, self.genus
         fixed = sum(
-            _cusp_class(N, self._moebius(mat, cusp)) == _cusp_class(N, cusp)
+            _cusp_orbit(N, self._moebius(mat, cusp)) == _cusp_orbit(N, cusp)
             for cusp in self.cusps
         )
         tr = diag - (fixed - 1)
-        if tr.denominator != 1 or tr % 2 or abs(tr) > 2 * self.genus:
+        if tr.denominator != 1 or (tr - g) % 2 or abs(tr) > g:
             raise IntegrityError(
-                f"trace {tr} of w_{Q} at level {self.N} is not an even integer "
-                f"of size at most 2*genus = {2 * self.genus}"
+                f"trace {tr} of w_{Q} on S2+ at level {N} is not an integer of "
+                f"the parity of genus = {g} and of size at most it"
             )
+        tr = 2 * int(tr)
         with self._trace_lock:
-            self._trace_cache.setdefault(Q, int(tr))
-        return int(tr)
+            self._trace_cache.setdefault(Q, tr)
+        return tr
 
 
 _CACHE: dict[int, ModSymSpace] = {}

@@ -3,7 +3,8 @@
 `cusp_count` and `genus_x0` are memoised per level (`ntheory.memoise`): a
 classification asks for the genus of the same 115 levels thousands of times.
 After one each table holds 115 entries, and `modsym.clear_cache()`
-empties them.
+empties them.  `cusp_count_plus`, the cusp count up to the star involution,
+is asked once per modular-symbols build and is not memoised.
 """
 
 from __future__ import annotations
@@ -55,3 +56,14 @@ def genus_x0(N: int) -> int:
     if val % 12:
         raise IntegrityError(f"genus formula non-integral at N={N}")
     return val // 12
+
+
+def cusp_count_plus(N: int) -> int:
+    """Number of cusp classes of X0(N) up to the star involution p/q -> -p/q:
+    sum of ceil(phi(gcd(d, N/d)) / 2) over d | N.  The involution sends the
+    class (d, u) to (d, -u), and u = -u only where gcd(d, N/d) <= 2."""
+    total = 0
+    for d in range(1, N + 1):
+        if N % d == 0:
+            total += (euler_phi(gcd(d, N // d)) + 1) // 2
+    return total

@@ -1,9 +1,13 @@
 """Independent reference routes the tests check the library against.
 
-None of this is on a production path.  The modular-symbols routes build the
-cuspidal subspace of a `ModSymSpace` as the kernel of the boundary map and
-act on it with full Atkin-Lehner matrices, so a genus can be read off the
-+1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
+None of this is on a production path.  The library's modular-symbols space
+is the sign +1 quotient M2+; `FullSpace` is all of M2, with only the
+two-term relation paired and every three-term relation eliminated, and
+`full_trace` is its trace route.  The routes below work on either space:
+they build the cuspidal subspace as the kernel of the boundary map, matching
+cusps by Cremona's pairwise criterion (up to the star involution on M2+),
+and act on it with full Atkin-Lehner matrices, so a genus can be read off
+the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
 identity.  The number-theory routes count reduced forms literally and count
 Atkin-Lehner fixed points by complex multiplication.
@@ -15,7 +19,13 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from bielliptic.errors import IntegrityError
-from bielliptic.modsym import _convergent_chain, _int_rref, _reduce_int_row, build_space
+from bielliptic.modsym import (
+    ModSymSpace,
+    _convergent_chain,
+    _int_rref,
+    _p1_points,
+    _reduce_int_row,
+)
 from bielliptic.ntheory import (
     ALSubgroup,
     class_number,
@@ -25,6 +35,7 @@ from bielliptic.ntheory import (
     kronecker,
     validate_discriminant,
 )
+from bielliptic.x0invariants import cusp_count, genus_x0
 
 # -- modular symbols -----------------------------------------------------
 
@@ -46,13 +57,94 @@ def cusp_equiv(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (s1 * q2 - s2 * q1) % m == 0
 
 
+class FullSpace:
+    """All of M2 for one level, the space the library's sign +1 quotient halves.
+
+    Each point is (sign, column) under the two-term relation x + x.sigma = 0
+    alone, with sign 0 where x = -x; every three-term relation is
+    eliminated; `cusps` holds one representative per cusp class, found by
+    the pairwise criterion.  The attributes mirror `ModSymSpace`, whose P^1
+    lookup, path endpoints and Atkin-Lehner witness it borrows.
+    """
+
+    p1_index = ModSymSpace.p1_index
+    _manin_path = ModSymSpace._manin_path
+    al_matrix = ModSymSpace.al_matrix
+    _moebius = staticmethod(ModSymSpace._moebius)
+
+    def __init__(self, N: int):
+        self.N = N
+        self.genus = genus_x0(N)
+        self.reps, self._p1_tables = _p1_points(N)
+        look = self.p1_index
+        n = len(self.reps)
+        points: list = [None] * n
+        for i, (c, d) in enumerate(self.reps):
+            if points[i] is None:
+                j = look(d, -c)
+                points[i] = (0 if j == i else 1, i)
+                if j != i:
+                    points[j] = (-1, i)
+        self.points = tuple(points)
+        relations = []
+        seen = [False] * n
+        for i, (c, d) in enumerate(self.reps):
+            if seen[i]:
+                continue
+            row: dict[int, int] = {}
+            for m in (i, look(d, -c - d), look(-c - d, c)):
+                seen[m] = True
+                s, col = points[m]
+                if s:
+                    row[col] = row.get(col, 0) + s
+            relations.append(row)
+        pivots = _int_rref(relations)
+        kept = sorted({col for s, col in points if s})
+        self.free = tuple(c for c in kept if c not in pivots)
+        self.dim = len(self.free)
+        expected = 2 * self.genus + cusp_count(N) - 1
+        if self.dim != expected:
+            raise IntegrityError(f"level {N}: dim M2 = {self.dim} != {expected}")
+        self.rows = {c: {c: 1} for c in self.free}
+        for c, row in pivots.items():
+            p = row[c]
+            self.rows[c] = {
+                k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
+            }
+        cusps = [(1, 0)]
+        for cusp in dict.fromkeys(e for c in self.free for e in self._manin_path(c)):
+            if not any(cusp_equiv(N, cusp, rep) for rep in cusps):
+                cusps.append(cusp)
+        if len(cusps) != cusp_count(N):
+            raise IntegrityError(f"level {N}: {len(cusps)} cusp classes found")
+        self.cusps = tuple(cusps)
+
+
+def _is_plus(space) -> bool:
+    return isinstance(space, ModSymSpace)
+
+
+def _same_cusp(space, cusp, rep) -> bool:
+    """Whether `cusp` lies in the class of `rep`; on M2+ the classes of p/q
+    and -p/q are one (the star involution), so either may match."""
+    p, q = cusp
+    return cusp_equiv(space.N, cusp, rep) or (
+        _is_plus(space) and cusp_equiv(space.N, (-p, q), rep)
+    )
+
+
+def cuspidal_dim(space) -> int:
+    """dim S2 = 2 * genus, or dim S2+ = genus on the sign +1 quotient."""
+    return space.genus if _is_plus(space) else 2 * space.genus
+
+
 def boundary(space, vec: dict) -> list:
     """Boundary of a free-coordinate vector: its coefficient on each cusp class."""
     out = [0] * len(space.cusps)
     for c, v in vec.items():
         for sgn, cusp in zip((-1, 1), space._manin_path(c)):
             for k, rep in enumerate(space.cusps):
-                if cusp_equiv(space.N, cusp, rep):
+                if _same_cusp(space, cusp, rep):
                     out[k] += sgn * v
                     break
             else:
@@ -78,10 +170,9 @@ def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
         for c2, row in touching:
             vec[c2] = -row[f] * (scale // row[c2])
         basis.append((f, _reduce_int_row(vec)))
-    if len(basis) != 2 * space.genus:
+    if len(basis) != cuspidal_dim(space):
         raise IntegrityError(
-            f"level {space.N}: cuspidal dimension {len(basis)} != "
-            f"2*genus = {2 * space.genus}"
+            f"level {space.N}: cuspidal dimension {len(basis)} != {cuspidal_dim(space)}"
         )
     return tuple(basis)
 
@@ -97,9 +188,10 @@ def path_vector(space, start, end) -> dict[int, Fraction]:
     vec: dict[int, Fraction] = {}
     for sgn, cusp in ((-1, start), (1, end)):
         for c, d in _convergent_chain(*cusp):
-            for col, v in point_expression(space, space.p1_index(c, d)).items():
-                vec[col] = vec.get(col, Fraction(0)) + sgn * v
-    return {col: v for col, v in vec.items() if v}
+            s, col = space.points[space.p1_index(c, d)]  # point_expression, inlined
+            for f, v in space.rows[col].items() if s else ():
+                vec[f] = vec.get(f, 0) + sgn * s * v
+    return {f: v for f, v in vec.items() if v}
 
 
 def al_columns(space, Q: int) -> dict[int, dict[int, Fraction]]:
@@ -110,6 +202,15 @@ def al_columns(space, Q: int) -> dict[int, dict[int, Fraction]]:
         start, end = space._manin_path(c)
         cols[c] = path_vector(space, space._moebius(mat, start), space._moebius(mat, end))
     return cols
+
+
+def full_trace(space, Q: int):
+    """Trace of w_Q on the cuspidal subspace of `space`, from the uncancelled
+    diagonal of w_Q on the free generators minus (#cusp classes fixed - 1)."""
+    cols = al_columns(space, Q)
+    mat = space.al_matrix(Q)
+    fixed = sum(_same_cusp(space, space._moebius(mat, rep), rep) for rep in space.cusps)
+    return sum(cols[c].get(c, 0) for c in space.free) - (fixed - 1)
 
 
 def action_on_basis(space, basis, cols) -> list[list[Fraction]]:
@@ -140,21 +241,24 @@ def al_operator(space, Q: int) -> tuple[tuple[Fraction, ...], ...]:
     """Full exact matrix of w_Q on the cuspidal basis; asserts it is an involution."""
     mat = action_on_basis(space, cuspidal_basis(space), al_columns(space, Q))
     k = len(mat)
+    # square den * mat in integers: (den * mat)^2 = den^2 exactly when mat^2 = 1
+    den = lcm(1, *(x.denominator for row in mat for x in row))
+    ints = [[int(x * den) for x in row] for row in mat]
     for i in range(k):
         for j in range(k):
-            val = sum(mat[i][t] * mat[t][j] for t in range(k))
-            if val != (1 if i == j else 0):
+            val = sum(ints[i][t] * ints[t][j] for t in range(k))
+            if val != (den * den if i == j else 0):
                 raise IntegrityError(
                     f"w_{Q} at level {space.N} does not square to the identity"
                 )
     return tuple(tuple(row) for row in mat)
 
 
-def invariant_genus_eigenspace(N: int, W=()) -> int:
-    """Genus of X0(N)/W from the intersection of the generators' +1-eigenspaces."""
-    sub = ALSubgroup.of(N, W)
-    space = build_space(N)
-    k = 2 * space.genus
+def invariant_genus_eigenspace(space, W=()) -> int:
+    """Genus of X0(N)/W from the intersection of the generators' +1-eigenspaces
+    on the cuspidal subspace of `space`: all of it on M2+, half of it on M2."""
+    sub = ALSubgroup.of(space.N, W)
+    k = cuspidal_dim(space)
     rows = []
     for g in sub.generators():
         op = al_operator(space, g)
@@ -162,8 +266,9 @@ def invariant_genus_eigenspace(N: int, W=()) -> int:
             row = {j: op[i][j] - (1 if i == j else 0) for j in range(k)}
             den = lcm(*(v.denominator for v in row.values()), 1)
             rows.append({j: int(v * den) for j, v in row.items() if v})
-    pivots = _int_rref(rows)
-    dim = k - len(pivots)
+    dim = k - len(_int_rref(rows))
+    if _is_plus(space):
+        return dim
     if dim % 2:
         raise IntegrityError("odd eigenspace dimension")
     return dim // 2

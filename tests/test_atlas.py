@@ -54,6 +54,16 @@ class TestECTable:
             atlas.ingest_ec_table("ok 15 0 -\nbroken line here")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("row", [
+        "99a 9_9 1 4", "99a +99 1 4", "99a 99 +1 4", "99a 99 -1 4",
+        "99a 99 1 4_0", "99a 99 1 0",
+    ])
+    def test_fields_are_decimal_digits(self, row):
+        # int() would read 9_9 as 99 and +1 as 1
+        with pytest.raises(DataError) as err:
+            atlas.ingest_ec_table(f"15a 15 0 -\n{row}")
+        assert err.value.line == 2
+
     def test_default_table_parses(self, ec_table):
         assert ec_table["99a"].rank == 1
         assert all(rec.conductor >= 11 for rec in ec_table.values())
@@ -74,6 +84,14 @@ class TestAdjudications:
     @pytest.mark.parametrize("level", ["0", "-84"])
     def test_level_below_one(self, level):
         with pytest.raises(DataError, match="not positive") as err:
+            atlas.ingest_adjudications(f"84;w3;not-bielliptic;x\n{level};w1;not-bielliptic;x")
+        assert err.value.line == 2
+
+
+    @pytest.mark.parametrize("level", ["8_4", "+90", "8 4", "84.0", ""])
+    def test_level_is_decimal_digits(self, level):
+        # int() would read 8_4 as 84 and +90 as 90
+        with pytest.raises(DataError, match="decimal digits") as err:
             atlas.ingest_adjudications(f"84;w3;not-bielliptic;x\n{level};w1;not-bielliptic;x")
         assert err.value.line == 2
 

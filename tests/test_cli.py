@@ -129,11 +129,21 @@ def test_malformed_data_file(capsys, tmp_path):
     assert "integrity failure" in err
 
 
+def test_non_decimal_curve_field(capsys, tmp_path):
+    bad = tmp_path / "curves.txt"
+    bad.write_text("15a 15 0 -\n99a 9_9 1 4\n")
+    code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
+    assert code == 1
+    assert "line 2:" in err and "'9_9'" in err
+
+
 @pytest.mark.parametrize("line", [
     "84;wx;not-bielliptic;cited",
     "x;w3;not-bielliptic;cited",
     "84;w5;not-bielliptic;cited",
     "0;w1;not-bielliptic;cited",
+    "8_4;w3;not-bielliptic;cited",
+    "+90;w9;not-bielliptic;cited",
 ])
 def test_malformed_adjudication_line(capsys, tmp_path, line):
     bad = tmp_path / "adjudications.txt"

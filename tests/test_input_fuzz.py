@@ -31,6 +31,8 @@ def _accepts(parse, *args) -> bool:
 @given(TEXT)
 @example("15a 15 0 -\n99a 99 1 4")
 @example("15a 15_0 0 -")
+@example("99a 9_9 1 4")
+@example("99a 99 +1 4")
 def test_ec_table_parses_or_raises_data_error(text):
     try:
         atlas.ingest_ec_table(text)
@@ -43,6 +45,8 @@ def test_ec_table_parses_or_raises_data_error(text):
 @example("84;w3;not-bielliptic;x")
 @example("0;w1;not-bielliptic;x")
 @example("84;w3,w;not-bielliptic;x")
+@example("8_4;w3;not-bielliptic;x")
+@example("+90;w9;not-bielliptic;x")
 def test_adjudications_parse_or_raise_data_error(text):
     try:
         atlas.ingest_adjudications(text)

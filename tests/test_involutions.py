@@ -194,6 +194,37 @@ def _product(a, b):
         return None
 
 
+@pytest.mark.parametrize("N", [0, -4])
+@pytest.mark.parametrize("make", [
+    ExtInvolution.identity,
+    lambda N: ExtInvolution.al(N, 1),
+    ExtInvolution.s2,
+    ExtInvolution.s2_conj,
+    ExtInvolution.v2,
+    ExtInvolution.v3,
+    lambda N: group_closure(N, [1]),
+    lambda N: group_closure(N, []),
+])
+def test_level_below_one_is_rejected(N, make):
+    # level 0 once sent _two_alpha into an endless loop, so the call runs in
+    # a worker thread that must finish within the timeout
+    import threading
+
+    outcome = []
+
+    def work():
+        try:
+            make(N)
+        except ValueError as exc:
+            outcome.append(str(exc))
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), f"level {N} still running after 5 s"
+    assert outcome == [f"level {N} is not positive"]
+
+
 def test_group_closure_matches_saturation():
     # doubling and saturation agree on every witness-search input: each
     # subgroup's generators plus one candidate, and every pair of candidates

@@ -11,9 +11,10 @@ from bielliptic.modsym import ModSymSpace, build_space, invariant_genus
 from bielliptic.involutions import fix_al
 from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors, hall_product, psi
 from bielliptic.screening import gate_levels
-from bielliptic.x0invariants import cusp_count, genus_x0
+from bielliptic.x0invariants import cusp_count, cusp_count_plus, genus_x0
 
 import oracles
+from oracles import FullSpace
 
 
 def test_p1_sizes():
@@ -161,8 +162,8 @@ def test_int_rref_ignores_row_order(case):
 
 
 def test_build_memory_stays_small():
-    # about 3 MB; a build that keeps an index map over all (c, d) pairs
-    # peaks at about 16 MB here
+    # about 0.5 MB (1.1 MB for all of M2); a build that keeps an index map
+    # over all (c, d) pairs peaks at about 16 MB here
     build_space(420)  # imports and level invariants outside the measurement
     tracemalloc.start()
     try:
@@ -174,8 +175,8 @@ def test_build_memory_stays_small():
 
 
 def test_space_retains_one_expression_per_column():
-    # about 6 MB at 2310; one expression per point, half of them stored
-    # negated, keeps 9.6 MB
+    # about 3.6 MB at 2310 on M2+; all of M2 keeps 6 MB, and one expression
+    # per point, half of them stored negated, 9.6 MB
     build_space(11)  # imports and level invariants outside the measurement
     tracemalloc.start()
     try:
@@ -183,7 +184,7 @@ def test_space_retains_one_expression_per_column():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert space.dim and retained < 8 * 2**20, retained
+    assert space.dim and retained < 5 * 2**20, retained
 
 
 def test_traces_read_the_stored_paths(monkeypatch):
@@ -204,8 +205,8 @@ def test_traces_read_the_stored_paths(monkeypatch):
 
 
 def test_build_fill_in_stays_small(monkeypatch):
-    # 1 532 row operations; the three-term relations eliminated in
-    # Manin-symbol order take 40 373
+    # 357 row operations on the sign +1 quotient; all of M2 takes 1 532, and
+    # 40 373 with its three-term relations in Manin-symbol order
     calls = []
     eliminate = modsym._eliminate
 
@@ -215,23 +216,50 @@ def test_build_fill_in_stays_small(monkeypatch):
 
     monkeypatch.setattr(modsym, "_eliminate", counting_eliminate)
     ModSymSpace(840)
-    assert len(calls) < 4000, len(calls)
+    assert len(calls) < 1000, len(calls)
 
 
 def test_dimensions_small():
-    assert len(oracles.cuspidal_basis(build_space(11))) == 2
-    assert len(oracles.cuspidal_basis(build_space(60))) == 14
-    assert len(oracles.cuspidal_basis(build_space(120))) == 34
+    # 2g on all of M2, g on the sign +1 quotient
+    for N, g in ((11, 1), (60, 7), (120, 17)):
+        assert len(oracles.cuspidal_basis(FullSpace(N))) == 2 * g
+        assert len(oracles.cuspidal_basis(build_space(N))) == g
+
+
+def _plus_equiv(N, a, b):
+    return oracles.cusp_equiv(N, a, b) or oracles.cusp_equiv(N, (-a[0], a[1]), b)
 
 
 def test_cusp_classes():
+    # the space keeps one cusp per orbit of the star involution p/q -> -p/q;
+    # all of M2 keeps one per class
     assert build_space(1).cusps == ((1, 0),)
     assert len(build_space(4).cusps) == 3
-    cusps = build_space(126).cusps
-    assert len(cusps) == cusp_count(126) and cusps[0] == (1, 0)
+    for N in (126, 1000, 2310):
+        cusps = build_space(N).cusps
+        assert len(cusps) == cusp_count_plus(N) and cusps[0] == (1, 0)
+        assert not any(
+            _plus_equiv(N, a, b) for i, a in enumerate(cusps) for b in cusps[:i]
+        ), N
+    cusps = FullSpace(126).cusps
+    assert len(cusps) == cusp_count(126) > cusp_count_plus(126)
     assert not any(
         oracles.cusp_equiv(126, a, b) for i, a in enumerate(cusps) for b in cusps[:i]
     )
+
+
+def test_cusp_orbit_key_matches_pairwise_criterion():
+    # equal orbit keys exactly for cusps equivalent up to p/q -> -p/q
+    rng = random.Random(2026)
+    for N in [*range(1, 201), 1000, 1088, 2310]:
+        firsts = {}
+        for cusp in _cusp_sample(N, rng, 80):
+            first = firsts.setdefault(modsym._cusp_orbit(N, cusp), cusp)
+            assert _plus_equiv(N, cusp, first), (N, cusp, first)
+        firsts = list(firsts.values())
+        assert not any(
+            _plus_equiv(N, a, b) for i, a in enumerate(firsts) for b in firsts[:i]
+        ), N
 
 
 def _cusp_sample(N, rng, count):
@@ -289,60 +317,66 @@ def test_al_witness_shape():
 
 @pytest.mark.parametrize("N", [35, 40, 54, 60, 63, 90])
 def test_al_operator_involution_and_commutation(N):
-    space = build_space(N)
+    # on all of M2 and on the sign +1 quotient
     divs = hall_divisors(N)[1:]
-    ops = {Q: oracles.al_operator(space, Q) for Q in divs}  # asserts op^2 = 1
-    k = len(oracles.cuspidal_basis(space))
+    for space in (FullSpace(N), build_space(N)):
+        ops = {Q: oracles.al_operator(space, Q) for Q in divs}  # asserts op^2 = 1
+        k = len(oracles.cuspidal_basis(space))
+        assert k == oracles.cuspidal_dim(space)
+        # exact products in integers: each op scaled by a common denominator
+        den = lcm(1, *(x.denominator for op in ops.values() for row in op for x in row))
+        ints = {
+            Q: tuple(tuple(int(x * den) for x in row) for row in op)
+            for Q, op in ops.items()
+        }
 
-    def mul(A, B):
-        return tuple(
-            tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(k))
-            for i in range(k)
-        )
+        def mul(A, B):
+            return tuple(
+                tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(k))
+                for i in range(k)
+            )
 
-    for Q1 in divs:
-        for Q2 in divs:
-            prod = mul(ops[Q1], ops[Q2])
-            prod2 = mul(ops[Q2], ops[Q1])
-            assert prod == prod2
-            Q3 = hall_product(Q1, Q2)
-            if Q3 == 1:
-                assert all(
-                    prod[i][j] == (1 if i == j else 0)
-                    for i in range(k) for j in range(k)
-                )
-            else:
-                assert prod == ops[Q3]
+        for Q1 in divs:
+            for Q2 in divs:
+                prod = mul(ints[Q1], ints[Q2])
+                prod2 = mul(ints[Q2], ints[Q1])
+                assert prod == prod2
+                Q3 = hall_product(Q1, Q2)
+                if Q3 == 1:
+                    assert all(
+                        prod[i][j] == (den * den if i == j else 0)
+                        for i in range(k) for j in range(k)
+                    )
+                else:
+                    assert prod == tuple(tuple(den * x for x in row) for row in ints[Q3])
 
 
 def test_full_matrix_trace_matches_restricted_route():
-    # the trace route (diagonal on M2 minus the fixed cusp classes) against
-    # the trace of the full matrix on the cuspidal basis
+    # the production trace (twice the diagonal on M2+ minus the fixed cusp
+    # orbits) against the trace of the full matrix on the cuspidal basis of
+    # all of M2, and against twice the full matrix's trace on M2+
     pairs = [(N, Q) for N in gate_levels() if N <= 100 for Q in hall_divisors(N)[1:]]
     assert len(pairs) == 99
     for N, Q in pairs:
-        space = build_space(N)
-        op = oracles.al_operator(space, Q)
-        assert sum(op[i][i] for i in range(len(op))) == space.al_trace_cuspidal(Q), (N, Q)
+        tr = build_space(N).al_trace_cuspidal(Q)
+        for space, halves in ((FullSpace(N), 1), (build_space(N), 2)):
+            op = oracles.al_operator(space, Q)
+            assert halves * sum(op[i][i] for i in range(len(op))) == tr, (N, Q, halves)
 
 
 def test_cancelled_trace_matches_full_diagonal():
-    # the trace drops the Manin symbols both endpoint chains share; the
-    # reference sums the uncancelled diagonal of w_Q through path_vector
+    # the trace drops the Manin symbols both endpoint chains share and works
+    # on M2+; the references sum the uncancelled diagonal of w_Q through
+    # path_vector, on all of M2 and on M2+
     count = 0
-    for N in range(2, 151):
+    for N in [*range(2, 151), 840]:
+        full = FullSpace(N)
         space = build_space(N)
         for Q in hall_divisors(N)[1:]:
-            cols = oracles.al_columns(space, Q)
-            diag = sum(cols[c].get(c, 0) for c in space.free)
-            mat = space.al_matrix(Q)
-            fixed = sum(
-                oracles.cusp_equiv(N, space._moebius(mat, cusp), cusp)
-                for cusp in space.cusps
-            )
-            assert space.al_trace_cuspidal(Q) == diag - (fixed - 1), (N, Q)
+            tr = space.al_trace_cuspidal(Q)
+            assert tr == oracles.full_trace(full, Q) == 2 * oracles.full_trace(space, Q), (N, Q)
             count += 1
-    assert count == 427
+    assert count == 427 + 15
 
 
 def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):
@@ -368,10 +402,32 @@ def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):
         assert all(after[k] is built[k] for k in built)
 
 
+@pytest.mark.parametrize("dups,scale,tr", [(0, Fraction(1, 3), "-7/3"), (1, 1, "-2"), (8, 1, "-9")])
+def test_trace_checks_raise(dups, scale, tr):
+    # at N = 60, w_4 has diagonal 2 on M2+ and fixes 4 of the 12 cusp orbits,
+    # so tr+ = -1 with genus 7.  Each case breaks one check: a diagonal of
+    # 2/3 is no integer, one more fixed orbit gives -2 (the wrong parity),
+    # eight more give -9 (parity right, size above the genus).
+    space = ModSymSpace(60)
+    mat = space.al_matrix(4)
+    fixed = [
+        c for c in space.cusps
+        if modsym._cusp_orbit(60, space._moebius(mat, c)) == modsym._cusp_orbit(60, c)
+    ]
+    assert len(fixed) == 4 and space.genus == 7
+    space.cusps += (fixed[0],) * dups
+    space.rows = {col: {f: v * scale for f, v in row.items()} for col, row in space.rows.items()}
+    with pytest.raises(modsym.IntegrityError, match=f"trace {tr} of w_4"):
+        space.al_trace_cuspidal(4)
+    assert space._trace_cache == {}
+
+
 def test_identity_operator():
-    op = oracles.al_operator(build_space(40), 1)
-    k = len(op)
-    assert all(op[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k))
+    for space in (FullSpace(40), build_space(40)):
+        op = oracles.al_operator(space, 1)
+        k = len(op)
+        assert k == oracles.cuspidal_dim(space)
+        assert all(op[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k))
 
 
 def test_fricke_11():
@@ -402,7 +458,10 @@ def test_invariant_genus_monotone():
 
 @pytest.mark.parametrize("N,W", [(60, (4, 3)), (88, (8,)), (126, (9,)), (120, (8, 15))])
 def test_trace_route_matches_eigenspace_route(N, W):
-    assert invariant_genus(N, W) == oracles.invariant_genus_eigenspace(N, W)
+    # the +1-eigenspaces on all of M2 and on M2+ give the same genus
+    g = invariant_genus(N, W)
+    assert g == oracles.invariant_genus_eigenspace(FullSpace(N), W)
+    assert g == oracles.invariant_genus_eigenspace(build_space(N), W)
 
 
 def test_invariant_dims_even():
@@ -413,11 +472,17 @@ def test_invariant_dims_even():
 
 
 def test_space_report():
+    full = FullSpace(60)
+    assert len(full.reps) == 144
+    assert full.dim == 2 * 7 + 12 - 1
+    assert len(full.cusps) == 12
+    assert len(oracles.cuspidal_basis(full)) == 14
     space = build_space(60)
-    assert len(space.reps) == 144
-    assert space.dim == 2 * 7 + 12 - 1
-    assert len(space.cusps) == 12
-    assert len(oracles.cuspidal_basis(space)) == 14
+    assert space.reps == full.reps
+    assert cusp_count_plus(60) == 12
+    assert space.dim == 7 + cusp_count_plus(60) - 1
+    assert len(space.cusps) == cusp_count_plus(60)
+    assert len(oracles.cuspidal_basis(space)) == 7
     assert space.al_trace_cuspidal(4) == 4 * 3 - 2 * 7
 
 
@@ -470,13 +535,17 @@ def test_clear_cache_is_the_one_reset(monkeypatch):
 
 
 def test_rebuild_is_identical():
-    # two independent builds give the same basis, expressions and traces
-    a = ModSymSpace(90)
-    b = ModSymSpace(90)
-    assert a.free == b.free
-    assert [oracles.point_expression(a, i) for i in range(len(a.reps))] == [
-        oracles.point_expression(b, i) for i in range(len(b.reps))
-    ]
-    assert oracles.cuspidal_basis(a) == oracles.cuspidal_basis(b)
+    # two independent builds give the same basis, expressions and traces,
+    # on M2+ and on all of M2
+    for build in (ModSymSpace, FullSpace):
+        a = build(90)
+        b = build(90)
+        assert a.free == b.free
+        assert [oracles.point_expression(a, i) for i in range(len(a.reps))] == [
+            oracles.point_expression(b, i) for i in range(len(b.reps))
+        ]
+        assert oracles.cuspidal_basis(a) == oracles.cuspidal_basis(b)
+        for Q in hall_divisors(90)[1:]:
+            assert oracles.full_trace(a, Q) == oracles.full_trace(b, Q)
     for Q in hall_divisors(90)[1:]:
-        assert a.al_trace_cuspidal(Q) == b.al_trace_cuspidal(Q)
+        assert ModSymSpace(90).al_trace_cuspidal(Q) == build_space(90).al_trace_cuspidal(Q)

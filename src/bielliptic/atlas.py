@@ -11,8 +11,9 @@ exactly one terminal status:
 * ``adjudicated``: the mechanical rules are silent and the verdict is taken
   from the adjudication table, which cites the method that settles it.
 
-The driver never consults the expected classification; the regression data
-lives in selftest helpers only.
+The pipeline checks one piece of the expected classification: `classify_all`
+raises IntegrityError when a published bielliptic pair comes out not
+bielliptic.  All other regression data lives in the selftest helpers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .involutions import (
     quotient_genus_hurwitz,
 )
 from .modsym import invariant_genus
-from .ntheory import ALSubgroup, all_subgroups, factor
+from .ntheory import ALSubgroup, all_subgroups, factor, parse_decimal, parse_level
 from .screening import (
     RuleResult,
     gate_levels,
@@ -61,41 +62,46 @@ class ECRecord:
     modular_degree: int | None
 
 
-def _decimal(token: str, what: str, lineno: int) -> int:
-    """A numeric data field by the CLI's rule: decimal digits only, with no
-    sign, underscore or space; DataError names the line otherwise."""
-    if not token.isdecimal():
-        raise DataError(f"{what} {token!r} is not in decimal digits", line=lineno)
-    return int(token)
+def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
+    """{key: value} from `read_row(*fields) -> (key, value)` over the lines of
+    a string or an iterable of str or UTF-8 bytes lines, skipping '#' comments
+    and blank lines.  A line splits on `sep` (None: whitespace) into exactly
+    `nfields` fields, the last keeping any further `sep`.  A ValueError from a
+    line's decoding, field count, fields or repeated key is a DataError that
+    names the line."""
+    out = {}
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = (raw.decode() if isinstance(raw, bytes) else raw).split("#", 1)[0].strip()
+            if not text:
+                continue
+            fields = text.split() if sep is None else text.split(sep, nfields - 1)
+            if len(fields) != nfields:
+                raise ValueError(f"expected {nfields} fields, got {len(fields)}: {text!r}")
+            key, value = read_row(*map(str.strip, fields))
+            if key in out:
+                raise ValueError(f"{text!r} repeats an earlier entry")
+            out[key] = value
+        except ValueError as exc:
+            raise DataError(str(exc), line=lineno) from exc
+    return out
 
 
 def ingest_ec_table(source) -> dict[str, ECRecord]:
     """Parse a curve table: "label conductor rank degree" per line, '-' for
     an absent degree, '#' comments.  Rejects duplicate labels."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-    out: dict[str, ECRecord] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 4:
-            raise DataError(f"expected 4 fields, got {len(parts)}: {raw!r}", line=lineno)
-        label, cond_s, rank_s, deg_s = parts
-        conductor = _decimal(cond_s, "conductor", lineno)
-        rank = _decimal(rank_s, "rank", lineno)
-        degree = None if deg_s == "-" else _decimal(deg_s, "degree", lineno)
+
+    def read_row(label, conductor, rank, degree):
+        conductor = parse_decimal(conductor, "conductor")
         if conductor < 11:
-            raise DataError(f"conductor {conductor} below 11", line=lineno)
+            raise ValueError(f"conductor {conductor} below 11")
+        degree = None if degree == "-" else parse_decimal(degree, "degree")
         if degree == 0:
-            raise DataError(f"degree 0 in {raw!r}", line=lineno)
-        if label in out:
-            raise DataError(f"duplicate label {label}", line=lineno)
-        out[label] = ECRecord(label, conductor, rank, degree)
-    return out
+            raise ValueError("degree 0")
+        return label, ECRecord(label, conductor, parse_decimal(rank, "rank"), degree)
+
+    return _read_table(source, None, 4, read_row)
 
 
 def default_ec_table() -> dict[str, ECRecord]:
@@ -104,36 +110,14 @@ def default_ec_table() -> dict[str, ECRecord]:
 
 def ingest_adjudications(source) -> dict:
     """Parse adjudicated verdicts: "N;generators;verdict;citation" per line."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-    out = {}
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split(";", 3)
-        if len(parts) != 4:
-            raise DataError(f"expected 4 ';'-fields: {raw!r}", line=lineno)
-        level = parts[0].strip()
-        if not level.isdecimal() or int(level) < 1:
-            raise DataError(
-                f"level {level!r} is not positive or not in decimal digits", line=lineno
-            )
-        N = int(level)
-        try:
-            sub = ALSubgroup.parse(N, parts[1])
-        except ValueError as exc:
-            raise DataError(f"bad subgroup in {raw!r}: {exc}", line=lineno) from exc
-        verdict = parts[2].strip()
+
+    def read_row(level, generators, verdict, citation):
+        N = parse_level(level)
         if verdict not in ("not-bielliptic", "bielliptic-over-Q", "bielliptic-over-Q(sqrt(-3))"):
-            raise DataError(f"unknown verdict {verdict!r}", line=lineno)
-        key = (N, sub.elements)
-        if key in out:
-            raise DataError(f"duplicate adjudication for {N}, {sub.label()}", line=lineno)
-        out[key] = (verdict, parts[3].strip())
-    return out
+            raise ValueError(f"unknown verdict {verdict!r}")
+        return (N, ALSubgroup.parse(N, generators).elements), (verdict, citation)
+
+    return _read_table(source, ";", 4, read_row)
 
 
 def default_adjudications() -> dict:
@@ -615,7 +599,8 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 
 
 # ---------------------------------------------------------------------------
-# regression targets (selftest data, never consulted by the pipeline)
+# regression targets (selftest data; `classify_all` checks only the
+# published bielliptic pairs)
 
 
 _PUBLISHED_KEYS = None

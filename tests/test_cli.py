@@ -84,6 +84,10 @@ def test_selftest_level_without_genus_row_usage_error(capsys, levels, named):
     (("genus", "60", "--w", "w1_2"), "'w1_2'"),
     (("selftest", "--genus-tables", "--levels", "6_0"), "'6_0'"),
     (("selftest", "--genus-tables", "--levels", "60,+120"), "'60,+120'"),
+    (("genus", "6_0"), "'6_0'"),
+    (("genus", "+60"), "'+60'"),
+    (("fix", "2_52", "--element", "V3*w7"), "'2_52'"),
+    (("screen", "9_2", "--w", "w4"), "'9_2'"),
 ])
 def test_non_decimal_number_usage_error(capsys, argv, token):
     code, out, err = run(capsys, *argv)
@@ -119,6 +123,20 @@ def test_missing_data_file(capsys):
     code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", "/no/such/file")
     assert code == 3
     assert "missing data file" in err
+
+
+def test_data_path_is_a_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert "unreadable data file" in err and str(tmp_path) in err
+
+
+def test_data_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "curves.txt"
+    bad.write_bytes(b"15a 15 0 -\n99a 99 \xff 4\n")
+    code, out, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
+    assert (code, out) == (1, "")
+    assert "line 2:" in err and "utf-8" in err
 
 
 def test_malformed_data_file(capsys, tmp_path):

@@ -2,16 +2,20 @@
 
 Each parser reads input from outside the program: data files, or subgroup
 and involution arguments on the command line.  Any other exception would
-escape the CLI's exit-code mapping.
+escape the CLI's exit-code mapping.  Every number in that input is read by
+one rule, `parse_decimal`.
 """
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bielliptic import atlas
+from bielliptic import atlas, cli
 from bielliptic.errors import DataError
 from bielliptic.involutions import parse_element
-from bielliptic.ntheory import ALSubgroup
+from bielliptic.ntheory import ALSubgroup, parse_decimal, parse_w
 
 # characters the parsers split on or test for, mixed into arbitrary text
 _ALPHABET = st.sampled_from(list("wSCV23*,;#-_+ 0123456789\n\t")) | st.characters()
@@ -83,3 +87,32 @@ def test_one_w_token_is_read_alike_by_both_parsers(level, lead, digits, trail):
 def test_one_w_token_examples_agree(token):
     assert ALSubgroup.parse(60, token) == ALSubgroup(60, (12,))
     assert parse_element(60, token).name == "w12"
+
+
+# a token as one whitespace-separated field carries it: no space, no '#'
+TOKEN = st.text(_ALPHABET, max_size=6).filter(
+    lambda t: "#" not in t and t == "".join(t.split())
+)
+
+
+def _cli_accepts_level(token) -> bool:
+    # "--" keeps a token like "-h" from being read as an option
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(["group-genus", "--gens", "w1", "--", token]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(TOKEN)
+@example("60")
+@example("0060")
+@example("٦٠")
+@example("6_0")
+@example("+60")
+@example("-4")
+@example("0")
+@example("")
+def test_every_number_field_takes_the_decimal_tokens(token):
+    decimal = _accepts(parse_decimal, token, "number")
+    assert _accepts(parse_w, "w" + token) == decimal
+    assert _accepts(atlas.ingest_ec_table, f"11a 11 {token} -") == decimal
+    assert _cli_accepts_level(token) == (decimal and parse_decimal(token, "level") >= 1)

@@ -164,6 +164,21 @@ def test_group_closure_rejections():
         group_closure(252, ["S2", "V3"])
 
 
+def test_group_closure_rejects_a_float_generator():
+    # it once reached the generator's missing .level: AttributeError
+    with pytest.raises(ValueError, match="w4.0 is not an Atkin-Lehner involution"):
+        group_closure(60, [4.0])
+
+
+@pytest.mark.parametrize("make", [
+    ExtInvolution.al, ExtInvolution.s2, ExtInvolution.v2, ExtInvolution.v3,
+])
+def test_constructors_reject_a_float_tail(make):
+    # V2 once shifted the float 72.0 and raised TypeError
+    with pytest.raises(ValueError, match="72.0"):
+        make(360, 72.0)
+
+
 def _saturation_closure(N, generators):
     """Closure by saturation: compose every pair of elements and repeat
     until nothing new appears.  Reference for the doubling in group_closure."""

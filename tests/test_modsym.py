@@ -445,6 +445,9 @@ def test_eigenspace_dimension_120_15():
 
 def test_invariant_genus_examples():
     assert invariant_genus(60, (4,)) == 3
+    # int() once read the generator 4.5 as 4, so this returned 3
+    with pytest.raises(ValueError, match="w4.5 is not an Atkin-Lehner involution"):
+        invariant_genus(60, (4.5,))
     assert invariant_genus(120, (15,)) == 5
     assert invariant_genus(40, (40,)) == 1
     assert invariant_genus(60) == genus_x0(60)

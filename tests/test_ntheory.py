@@ -137,6 +137,13 @@ class TestALSubgroup:
         with pytest.raises(ValueError):
             ALSubgroup(120, (7,))
 
+    def test_generators_are_ints(self):
+        # int() once read "6_0" as 60 and " 12" as 12
+        with pytest.raises(ValueError, match="not an Atkin-Lehner involution"):
+            ALSubgroup(60, ["6_0", " 12"])
+        with pytest.raises(ValueError, match="not an Atkin-Lehner involution"):
+            ALSubgroup(60, (4.0,))
+
     def test_fricke_and_full(self):
         assert ALSubgroup(60, (60,)).is_fricke
         assert not ALSubgroup(60, (4,)).is_fricke

@@ -25,6 +25,7 @@ from .errors import DataError, IntegrityError, OrderViolation
 from .involutions import (
     ExtInvolution,
     InvolutionGroup,
+    _group_genus,
     fix_table,
     group_closure,
     level_involutions,
@@ -346,7 +347,7 @@ def _settle(N: int, sub: ALSubgroup):
             return "excluded", None, trace
 
     # 2-groups of automorphisms acting on the fixed points
-    for H_order, tag in _two_group_options(N, sub, refuted, g):
+    for H_order, tag in _two_group_options(N, sub, g):
         result = rule_two_group(g, H_order)
         if result.verdict == "excludes":
             trace.append(
@@ -378,12 +379,11 @@ def confirm_bielliptic(N: int, W) -> Witness | None:
     return _settle(N, sub)[1]
 
 
-def _two_group_options(N: int, sub: ALSubgroup, refuted, g: int):
+def _two_group_options(N: int, sub: ALSubgroup, g: int):
     """Orders of elementary-abelian 2-groups acting faithfully on the pair,
     with every involution already refuted by the witness search."""
     if g < 6:
         return
-    by_group = {G.elements: h for _, G, h in refuted}
     full = ALSubgroup.full(N)
     index = full.order // sub.order
     if index > 1:
@@ -418,10 +418,8 @@ def _two_group_options(N: int, sub: ALSubgroup, refuted, g: int):
             except OrderViolation:
                 faithful = False
                 break
-            h = by_group.get(G.elements)
-            if h is None:
-                h = quotient_genus_hurwitz(N, G)
-            if h >= g:
+            # read through the per-group memo the witness search filled
+            if _group_genus(G) >= g:
                 faithful = False
                 break
         if faithful:

@@ -8,6 +8,16 @@ symmetric of order 6 for a = 2), times an optional V3, times an Atkin-Lehner
 tail.  Composition uses only the published commutation rules; any product
 that leaves the commuting-involution framework raises OrderViolation.
 
+Each level has one involution table, memoised: the identity and
+`level_involutions(N)`, with the product of every ordered pair as an index,
+or as the rule and message of the OrderViolation `compose` raises for it.
+Building it checks that the table is closed (a product that is an
+involution but not listed raises IntegrityError).  `group_closure` reads
+products from the table and holds the group as a bitmask over its indices,
+so it calls no `compose`, and it returns one shared InvolutionGroup per
+mask; `quotient_genus_hurwitz` is memoised per group.
+`modsym.clear_cache()` empties these tables with the others.
+
 All Atkin-Lehner fixed-point counts are derived from quotient genera
 (2g + 2 - 4h); the counts of the extra involutions reduce to those through
 conjugation and the two-commuting-involutions identity
@@ -17,6 +27,7 @@ conjugation and the two-commuting-involutions identity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import invariant_genus
@@ -26,6 +37,7 @@ from .x0invariants import genus_x0
 _ID2 = (0, 0)
 _S2W = (0, 1)
 _V2W = (1, 1)
+_KIND_ORDER = {"id": 0, "al": 1, "s2": 2, "s2c": 3, "v2": 4, "v3": 5}
 
 
 def _two_alpha(N: int) -> int:
@@ -165,7 +177,7 @@ class ExtInvolution:
     def _al_coprime3(self) -> int:
         return _coprime3(self._al_part())
 
-    @property
+    @cached_property
     def kind(self) -> str:
         alpha = self._alpha()
         if self.e3:
@@ -180,7 +192,7 @@ class ExtInvolution:
             return "v2"
         raise IntegrityError(f"unnamed word {self.word2}")
 
-    @property
+    @cached_property
     def name(self) -> str:
         kind = self.kind
         if kind == "id":
@@ -198,8 +210,7 @@ class ExtInvolution:
         return base if self.tail == 1 else f"{base}*w{self.tail}"
 
     def sort_key(self):
-        order = {"id": 0, "al": 1, "s2": 2, "s2c": 3, "v2": 4, "v3": 5}
-        return (order[self.kind], self.tail, self.word2, self.e3)
+        return (_KIND_ORDER[self.kind], self.tail, self.word2, self.e3)
 
     def __str__(self):
         return self.name
@@ -313,32 +324,94 @@ def group_closure(N: int, generators) -> InvolutionGroup:
     G*g, which doubles G because its elements commute and square to the
     identity.  A product outside the commuting-involution framework raises
     OrderViolation; a coset that meets G means the published rules do not
-    form a group and raises IntegrityError.
+    form a group and raises IntegrityError.  Elements are indices into the
+    level's involution table and G is a bitmask over them, so a closure
+    reads products and calls no `compose`.
     """
-    gens = []
-    for g in generators:
+    table = _involution_table(N)
+    gens = [table.position(N, g) for g in generators]
+    products = table.products
+    elems = [0]
+    mask = 1
+    for g in gens:
+        if mask >> g & 1:
+            continue
+        coset = [products[e][g] for e in elems]
+        for p in coset:
+            if type(p) is not int:
+                rule, message = p
+                names = ", ".join(table.elements[i].name for i in gens)
+                raise OrderViolation(
+                    f"<{names}> is not an involution group: {message}", rule=rule
+                )
+            mask |= 1 << p
+        elems += coset
+    size = mask.bit_count()
+    if size < len(elems):
+        raise IntegrityError(f"closure of {size} elements is not a 2-group")
+    return _mask_group(N, mask)
+
+
+class _InvolutionTable:
+    """The identity and `level_involutions(N)`, with every ordered product.
+
+    ``products[i][j]`` is the index of elements[i] * elements[j], or the
+    (rule, message) of the OrderViolation that `compose` raises for the pair.
+    A product that is an involution but not an element raises IntegrityError:
+    the table must be closed for bitmask closures to be exact.
+    """
+
+    __slots__ = ("elements", "index", "al_index", "products")
+
+    def __init__(self, N: int):
+        elements = (ExtInvolution.identity(N), *_level_involutions(N))
+        self.elements = elements
+        self.index = {e: i for i, e in enumerate(elements)}
+        self.al_index = {
+            e._al_part(): i for i, e in enumerate(elements) if e.kind in ("id", "al")
+        }
+        self.products = tuple(tuple(self._product(a, b) for b in elements) for a in elements)
+
+    def _product(self, a: ExtInvolution, b: ExtInvolution):
+        try:
+            c = compose(a, b)
+        except OrderViolation as exc:
+            return exc.rule, str(exc)
+        i = self.index.get(c)
+        if i is None:
+            raise IntegrityError(
+                f"{a.name} * {b.name} is not in the involution table of level {a.level}"
+            )
+        return i
+
+    def position(self, N: int, g) -> int:
+        """Index of a generator: an int d (w_d), a name, or an ExtInvolution."""
+        if type(g) is int and g in self.al_index:
+            return self.al_index[g]
         if isinstance(g, str):
             g = parse_element(N, g)
         elif not isinstance(g, ExtInvolution):
             g = ExtInvolution.al(N, g)
         if g.level != N:
             raise ValueError("generator level mismatch")
-        gens.append(g)
-    elems = [ExtInvolution.identity(N)]
-    for g in gens:
-        if g in elems:
-            continue
-        try:
-            elems += [compose(e, g) for e in elems]
-        except OrderViolation as exc:
-            raise OrderViolation(
-                f"<{', '.join(e.name for e in gens)}> is not an involution group: {exc}",
-                rule=exc.rule,
-            ) from exc
-    group = frozenset(elems)
-    if len(group) < len(elems):
-        raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
-    return InvolutionGroup(N, group)
+        i = self.index.get(g)
+        if i is None:
+            raise ValueError(f"{g!r} is not an involution of level {N}")
+        return i
+
+
+@memoise
+def _involution_table(N: int) -> _InvolutionTable:
+    return _InvolutionTable(N)
+
+
+@memoise
+def _mask_group(N: int, mask: int) -> InvolutionGroup:
+    """The one shared group whose elements are the table's set bits."""
+    elements = _involution_table(N).elements
+    return InvolutionGroup(
+        N, frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+    )
 
 
 # -- fixed-point counts ------------------------------------------------
@@ -406,6 +479,7 @@ def quotient_genus_hurwitz(N: int, group) -> int:
 
     Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
     a non-integral solution means a wrong count somewhere and raises.
+    Memoised per group.
     """
     if isinstance(group, InvolutionGroup):
         G = group
@@ -413,6 +487,12 @@ def quotient_genus_hurwitz(N: int, group) -> int:
         G = group_closure(N, group)
     if G.level != N:
         raise ValueError("group level mismatch")
+    return _group_genus(G)
+
+
+@memoise
+def _group_genus(G: InvolutionGroup) -> int:
+    N = G.level
     total = sum(fix_count(e) for e in G.nontrivial())
     rhs = 2 * genus_x0(N) - 2 - total
     if rhs % (2 * G.order):
@@ -435,6 +515,11 @@ def level_involutions(N: int) -> list[ExtInvolution]:
     for odd Hall divisors r; then the V3*w_d of order 2 when 9 || N.  An
     element reached twice (S2C*w_r = V2*w_r when 4 || N) is listed once.
     """
+    return list(_level_involutions(N))
+
+
+@memoise
+def _level_involutions(N: int) -> tuple[ExtInvolution, ...]:
     elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
     alpha = _two_alpha(N)
     if alpha >= 2:
@@ -447,7 +532,7 @@ def level_involutions(N: int) -> list[ExtInvolution]:
         elems += [
             ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
         ]
-    return list(dict.fromkeys(elems))
+    return tuple(dict.fromkeys(elems))
 
 
 def fix_table(N: int) -> list[tuple[str, int]]:

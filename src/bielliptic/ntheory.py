@@ -5,10 +5,12 @@ every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
 and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
-here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al` in
-`involutions`.  Each table holds one entry per argument tuple it was called
-with, so after a full classification they hold 124 factorizations, 97
-lattices, 115 cusp counts, 115 genera and 470 fixed-point counts.
+here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al`, the
+involution lists and product tables, the closed groups and their Hurwitz
+genera in `involutions`.  Each table holds one entry per argument tuple it
+was called with, so after a full classification they hold 124
+factorizations, 97 lattices, 115 cusp counts, 115 genera, 470 fixed-point
+counts, 67 involution lists, 67 product tables, 725 groups and 722 genera.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """
@@ -257,7 +259,7 @@ class ALSubgroup:
     each generator costs one pass over the elements found so far.
     """
 
-    __slots__ = ("level", "elements")
+    __slots__ = ("level", "elements", "_gens")
 
     def __init__(self, level: int, generators=()):
         self.level = level
@@ -331,9 +333,14 @@ class ALSubgroup:
     def is_fricke(self) -> bool:
         return self.elements == frozenset({1, self.level}) and self.level > 1
 
-    def _masked_generators(self) -> list[tuple[int, int]]:
+    def _masked_generators(self) -> tuple[tuple[int, int], ...]:
         """Canonical generators as (mask, d): greedily take elements of
-        smallest mask, bit i of a mask marking the i-th prime power of N."""
+        smallest mask, bit i of a mask marking the i-th prime power of N.
+        Computed on first use and kept in the instance."""
+        try:
+            return self._gens
+        except AttributeError:
+            pass
         pp = factor(self.level).prime_powers()
         by_mask = sorted(
             (sum(1 << i for i, q in enumerate(pp) if d % q == 0), d)
@@ -348,7 +355,8 @@ class ALSubgroup:
             span |= {s ^ m for s in span}
             if len(span) == self.order:
                 break
-        return gens
+        self._gens = tuple(gens)
+        return self._gens
 
     def generators(self) -> tuple[int, ...]:
         """Canonical generators, in the order `label` prints them."""

@@ -9,8 +9,10 @@ cusps by Cremona's pairwise criterion (up to the star involution on M2+),
 and act on it with full Atkin-Lehner matrices, so a genus can be read off
 the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
-identity.  The number-theory routes count reduced forms literally and count
-Atkin-Lehner fixed points by complex multiplication.
+identity.  `closure_by_compose` closes an involution group by calling
+`compose` on every product, as `group_closure` did before it read the
+level's product table.  The number-theory routes count reduced forms
+literally and count Atkin-Lehner fixed points by complex multiplication.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from bielliptic.errors import IntegrityError
+from bielliptic.errors import IntegrityError, OrderViolation
+from bielliptic.involutions import ExtInvolution, InvolutionGroup, compose, parse_element
 from bielliptic.modsym import (
     ModSymSpace,
     _convergent_chain,
@@ -303,6 +306,39 @@ def iso_reduce_v3(N: int, W) -> ALSubgroup:
             m //= 3
         gens.append(hall_product(d, 9) if m % 3 == 2 else d)
     return ALSubgroup(N, gens)
+
+
+# -- involution groups ---------------------------------------------------
+
+
+def closure_by_compose(N: int, generators) -> InvolutionGroup:
+    """The group a generator list spans, by doubling with `compose`: a
+    generator g outside G adds the coset G*g.  Raises the OrderViolation
+    `group_closure` raises, with the same rule and message."""
+    gens = []
+    for g in generators:
+        if isinstance(g, str):
+            g = parse_element(N, g)
+        elif not isinstance(g, ExtInvolution):
+            g = ExtInvolution.al(N, g)
+        if g.level != N:
+            raise ValueError("generator level mismatch")
+        gens.append(g)
+    elems = [ExtInvolution.identity(N)]
+    for g in gens:
+        if g in elems:
+            continue
+        try:
+            elems += [compose(e, g) for e in elems]
+        except OrderViolation as exc:
+            raise OrderViolation(
+                f"<{', '.join(e.name for e in gens)}> is not an involution group: {exc}",
+                rule=exc.rule,
+            ) from exc
+    group = frozenset(elems)
+    if len(group) < len(elems):
+        raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
+    return InvolutionGroup(N, group)
 
 
 # -- number theory -------------------------------------------------------

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bielliptic import atlas, involutions, modsym
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
+    _involution_table,
     compose,
     fix_al,
     fix_count,
@@ -14,10 +18,10 @@ from bielliptic.involutions import (
     quotient_genus_hurwitz,
 )
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import all_subgroups, hall_divisors
+from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors
 from bielliptic.x0invariants import genus_x0
 
-from oracles import cm_fix_oracle
+from oracles import closure_by_compose, cm_fix_oracle
 
 
 def test_fix_al_examples():
@@ -263,6 +267,119 @@ def test_group_closure_matches_saturation():
             ), (N, [g.name for g in gens])
         cases += len(inputs)
     assert cases == 16689
+
+
+# the scope levels plus 2-power and 3-power levels the classification skips
+TABLE_LEVELS = sorted({*atlas.scope_levels(), 8, 16, 32, 36, 72, 144})
+
+
+def _accepted_elements(N):
+    """Every element a public constructor or `parse_element` accepts at N,
+    with any Hall divisor as the tail."""
+    halls = hall_divisors(N)
+    attempts = [lambda: ExtInvolution.identity(N), lambda: parse_element(N, "id")]
+    for d in halls:
+        for make in (ExtInvolution.al, ExtInvolution.s2, ExtInvolution.s2_conj,
+                     ExtInvolution.v2, ExtInvolution.v3):
+            attempts.append(lambda make=make, d=d: make(N, d))
+        for text in (f"w{d}", f"S2*w{d}", f"S2C*w{d}", f"V2*w{d}", f"V3*w{d}"):
+            attempts.append(lambda text=text: parse_element(N, text))
+    for text in ("S2", "S2C", "V2", "V3"):
+        attempts.append(lambda text=text: parse_element(N, text))
+    accepted = []
+    for attempt in attempts:
+        try:
+            accepted.append(attempt())
+        except ValueError:  # OrderViolation included
+            pass
+    return accepted
+
+
+def test_involution_table_matches_compose():
+    # every ordered pair of the identity and level_involutions(N): the table
+    # holds compose's product, or the rule and message of its OrderViolation
+    products = accepted = 0
+    for N in TABLE_LEVELS:
+        table = _involution_table(N)
+        elems = table.elements
+        assert list(elems) == [ExtInvolution.identity(N), *level_involutions(N)]
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                entry = table.products[i][j]
+                try:
+                    c = compose(a, b)
+                except OrderViolation as exc:
+                    assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
+                else:
+                    assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
+        products += len(elems) ** 2
+        for e in _accepted_elements(N):
+            assert e in table.index, (N, e.name)
+            accepted += 1
+    assert (products, accepted) == (14980, 2828)
+
+
+def test_group_closure_matches_compose_doubling():
+    # every candidate group of the witness search: the table and bitmask
+    # closure spans the same elements, or raises the same OrderViolation
+    outcomes = Counter()
+    for N, sub in atlas.enumerate_pairs():
+        for v in level_involutions(N):
+            if v.kind == "al" and v._al_part() in sub:
+                continue
+            gens = list(sub.generators()) + [v]
+            try:
+                want = closure_by_compose(N, gens).elements
+            except OrderViolation as exc:
+                with pytest.raises(OrderViolation) as got:
+                    group_closure(N, gens)
+                assert (got.value.rule, str(got.value)) == (exc.rule, str(exc))
+                outcomes[exc.rule] += 1
+                continue
+            assert group_closure(N, gens).elements == want, (N, sub.label(), v.name)
+            outcomes["closed"] += 1
+    assert outcomes == {"closed": 4354, "two-part-rotation": 1832, "v3-tail-2-mod-3": 384}
+
+
+def test_classify_composes_only_to_build_tables(monkeypatch):
+    # a cold classify calls compose once per ordered pair of each level's
+    # table and a warm one not at all; the closures raise the same
+    # OrderViolations on both passes, and clear_cache() drops the tables
+    composed = []
+    violations = Counter()
+    real_compose, real_closure = involutions.compose, involutions.group_closure
+
+    def counting_compose(a, b):
+        composed.append(a.level)
+        return real_compose(a, b)
+
+    def counting_closure(N, generators):
+        try:
+            return real_closure(N, generators)
+        except OrderViolation as exc:
+            violations[exc.rule] += 1
+            raise
+
+    monkeypatch.setattr(involutions, "compose", counting_compose)
+    for site in (involutions, atlas):
+        monkeypatch.setattr(site, "group_closure", counting_closure)
+    tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
+
+    modsym.clear_cache()
+    atlas.classify_all()
+    assert len(composed) == sum(len(t.elements) ** 2 for t in tables.values())
+    assert (len(tables), len(composed)) == (67, 9136)
+    assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+
+    composed.clear()
+    violations.clear()
+    atlas.classify_all()
+    assert composed == []
+    assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+
+    modsym.clear_cache()
+    for name in ("_involution_table", "_mask_group", "_group_genus", "_level_involutions"):
+        assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
 
 
 def test_compose_is_commutative_and_associative():

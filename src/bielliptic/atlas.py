@@ -11,6 +11,15 @@ exactly one terminal status:
 * ``adjudicated``: the mechanical rules are silent and the verdict is taken
   from the adjudication table, which cites the method that settles it.
 
+`_settle` decides a pair in this order: Castelnuovo's inequality for a
+hyperelliptic quotient; the witness search (`_search`, one list of every
+candidate with its closed group and quotient genus; the first of genus 1 is
+the witness); the w4-reduction, settling the reduced pair; then the
+exclusion rules.  `_exclusions` yields those in order (Ogg's bound,
+unramified covers, many fixed points, 2-group actions, hyperelliptic
+factoring) and `_settle` records the first that excludes.  A new exclusion
+rule goes into `_exclusions`, the one place the battery is written.
+
 The pipeline checks one piece of the expected classification: `classify_all`
 raises IntegrityError when a published bielliptic pair comes out not
 bielliptic.  All other regression data lives in the selftest helpers.
@@ -19,7 +28,7 @@ bielliptic.  All other regression data lives in the selftest helpers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from . import _data
 from .errors import DataError, IntegrityError, OrderViolation
 from .involutions import (
@@ -32,7 +41,7 @@ from .involutions import (
     quotient_genus_hurwitz,
 )
 from .modsym import invariant_genus
-from .ntheory import ALSubgroup, all_subgroups, factor, parse_decimal, parse_level
+from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
 from .screening import (
     RuleResult,
     gate_levels,
@@ -133,22 +142,14 @@ def _normalized(table: dict) -> dict:
     return {_pair_key(N, gens): val for (N, gens), val in table.items()}
 
 
-_HYPER_KEYS = None
-_WITNESS_DATA = None
-
-
+@memoise
 def hyperelliptic_pairs() -> dict:
-    global _HYPER_KEYS
-    if _HYPER_KEYS is None:
-        _HYPER_KEYS = _normalized(_data.HYPERELLIPTIC_TABLE)
-    return _HYPER_KEYS
+    return _normalized(_data.HYPERELLIPTIC_TABLE)
 
 
+@memoise
 def witness_annotations() -> dict:
-    global _WITNESS_DATA
-    if _WITNESS_DATA is None:
-        _WITNESS_DATA = _normalized(_data.WITNESS_TABLE)
-    return _WITNESS_DATA
+    return _normalized(_data.WITNESS_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -200,34 +201,25 @@ class Witness:
 
 
 def _search(N: int, sub: ALSubgroup):
-    """Try every candidate; return (witness or None, refutation list).
+    """Every candidate of the pair, in search order, as (candidate, group, genus).
 
-    A refutation records (element, group, quotient genus) for every candidate
-    that does induce an involution on the quotient but is not bielliptic.
+    The candidates are the involutions of the level outside W.  Each one is
+    closed with W's generators and the Hurwitz genus of the quotient taken,
+    also after the first genus-1 group (the witness); both are None when the
+    closure raises OrderViolation.
     """
     gens = list(sub.generators())
-    refuted = []
-    seen_groups = set()
-    witness = None
+    found = []
     for v in level_involutions(N):
         if v.kind == "al" and v._al_part() in sub:
             continue
         try:
             G = group_closure(N, gens + [v])
         except OrderViolation:
+            found.append((v, None, None))
             continue
-        if G.elements in seen_groups:
-            continue
-        seen_groups.add(G.elements)
-        h = quotient_genus_hurwitz(N, G)
-        if h == 1 and witness is None:
-            field = RATIONAL
-            if v.kind == "v3" and 9 not in sub:
-                field = SQRT_MINUS_3
-            witness = Witness(N, v, G, field)
-        else:
-            refuted.append((v, G, h))
-    return witness, refuted
+        found.append((v, G, _group_genus(G)))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +243,11 @@ def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
     return (N, sub.elements) in hyperelliptic_pairs()
 
 
-def _al_supergroups(N: int, sub: ALSubgroup):
-    for big in all_subgroups(N):
-        if sub.elements < big.elements:
-            yield big
-
-
 def _settle(N: int, sub: ALSubgroup):
     """Witness search plus exclusion rules for one pair (any level).
 
     Returns (status, witness, trace) with status one of
-    "bielliptic", "excluded", "inconclusive".
+    "bielliptic-confirmed", "excluded", "inconclusive".
     """
     trace: list[RuleResult] = []
     g = invariant_genus(N, sub)
@@ -275,9 +261,11 @@ def _settle(N: int, sub: ALSubgroup):
 
     # direct witness search first, so a confirmed pair carries an involution
     # at its own level whenever one exists
-    witness, refuted = _search(N, sub)
-    if witness is not None:
-        return "bielliptic", witness, trace
+    found = _search(N, sub)
+    for v, G, h in found:
+        if h == 1:
+            field = SQRT_MINUS_3 if v.kind == "v3" and 9 not in sub else RATIONAL
+            return "bielliptic-confirmed", Witness(N, v, G, field), trace
 
     # isomorphism reduction: the reduced pair is the same curve
     red = iso_reduce_w4(N, sub)
@@ -297,75 +285,68 @@ def _settle(N: int, sub: ALSubgroup):
         # 2 || N/2, so the reduced pair does not reduce again
         status2, witness2, trace2 = _settle(N2, sub2)
         trace.extend(trace2)
-        if status2 == "bielliptic":
-            chained = Witness(
-                witness2.level,
-                witness2.element,
-                witness2.group,
-                witness2.field,
-                chain=((N2, sub2.label()),) + witness2.chain,
-            )
-            return "bielliptic", chained, trace
-        if status2 == "excluded":
-            return "excluded", None, trace
+        if status2 == "bielliptic-confirmed":
+            witness2 = replace(witness2, chain=((N2, sub2.label()),) + witness2.chain)
+        if status2 != "inconclusive":
+            return status2, witness2, trace
         # otherwise fall through to the direct analysis
 
+    for result in _exclusions(N, sub, g, found):
+        if result.verdict == "excludes":
+            trace.append(result)
+            return "excluded", None, trace
+    return "inconclusive", None, trace
+
+
+def _exclusions(N: int, sub: ALSubgroup, g: int, found):
+    """The exclusion rules for a pair without a witness, in order.
+
+    Yields each rule's result; `_settle` records the first that excludes.
+    `found` is the pair's `_search` list.  A new rule goes here.
+    """
     # cheap point-count bound; sound on its own only for g >= 6, where the
     # bielliptic involution is unique and hence defined over the base field
-    for p in (3, 5, 7, 11, 13):
-        if N % p:
-            result = rule_ogg_bound(N, sub.order, p)
-            if result.verdict == "excludes" and g >= 6:
-                trace.append(result)
-                return "excluded", None, trace
-            break
+    if g >= 6:
+        for p in (3, 5, 7, 11, 13):
+            if N % p:
+                yield rule_ogg_bound(N, sub.order, p)
+                break
 
     # covers to Atkin-Lehner quotients of the pair
-    for big in _al_supergroups(N, sub):
+    for big in all_subgroups(N):
+        if not sub.elements < big.elements:
+            continue
         h = invariant_genus(N, big)
         if h < 2:
             continue
         y_hyp = _quotient_hyperelliptic(N, big, h)
-        if y_hyp is None:
-            continue
-        result = rule_unramified_cover(g, big.order // sub.order, h, y_hyp)
-        if result.verdict == "excludes":
-            trace.append(result)
-            return "excluded", None, trace
+        if y_hyp is not None:
+            yield rule_unramified_cover(g, big.order // sub.order, h, y_hyp)
 
-    # an involution of the quotient with many fixed points
-    for v, G, h in refuted:
-        count = 2 * g + 2 - 4 * h
-        result = rule_many_fixed_points(count, h == 1)
+    # an involution of the quotient with many fixed points; candidates with
+    # the same group repeat a result, so each group is tried once
+    seen = set()
+    for v, G, h in found:
+        if G is None or G in seen:
+            continue
+        seen.add(G)
+        result = rule_many_fixed_points(2 * g + 2 - 4 * h, h == 1)
         if result.verdict == "excludes":
-            trace.append(
-                RuleResult(
-                    result.rule_id, result.citation, result.verdict,
-                    result.inputs, detail=f"{v.name} on the quotient",
-                )
-            )
-            return "excluded", None, trace
+            result = replace(result, detail=f"{v.name} on the quotient")
+        yield result
 
     # 2-groups of automorphisms acting on the fixed points
-    for H_order, tag in _two_group_options(N, sub, g):
+    for H_order, tag in _two_group_options(N, sub, g, found):
         result = rule_two_group(g, H_order)
         if result.verdict == "excludes":
-            trace.append(
-                RuleResult(
-                    result.rule_id, result.citation, result.verdict,
-                    result.inputs, detail=tag,
-                )
-            )
-            return "excluded", None, trace
+            result = replace(result, detail=tag)
+        yield result
 
     # ramified cover of a hyperelliptic full quotient: the (unique, central)
     # bielliptic involution would induce the hyperelliptic involution there
-    result = _hyperelliptic_factoring(N, sub, g, refuted)
+    result = _hyperelliptic_factoring(N, sub, g)
     if result is not None:
-        trace.append(result)
-        return "excluded", None, trace
-
-    return "inconclusive", None, trace
+        yield result
 
 
 def confirm_bielliptic(N: int, W) -> Witness | None:
@@ -379,54 +360,41 @@ def confirm_bielliptic(N: int, W) -> Witness | None:
     return _settle(N, sub)[1]
 
 
-def _two_group_options(N: int, sub: ALSubgroup, g: int):
-    """Orders of elementary-abelian 2-groups acting faithfully on the pair,
-    with every involution already refuted by the witness search."""
+def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
+    """Orders of elementary-abelian 2-groups acting faithfully on the pair.
+
+    The extended groups' involutions are search candidates, so their
+    quotient genera are read from the pair's `_search` list `found`."""
     if g < 6:
         return
     full = ALSubgroup.full(N)
     index = full.order // sub.order
-    if index > 1:
-        faithful = True
-        for d in full:
-            if d in sub or d == 1:
-                continue
-            h = invariant_genus(N, sub.extend(d))
-            if h >= g:
-                faithful = False
-                break
-        if faithful:
-            yield index, "image of the full Atkin-Lehner group"
+    if index > 1 and all(
+        invariant_genus(N, sub.extend(d)) < g for d in full if d != 1 and d not in sub
+    ):
+        yield index, "image of the full Atkin-Lehner group"
     # extended: adjoin one normalizer involution that commutes with everything
     extras = []
     if N % 8 == 0:
         extras.append(ExtInvolution.v2(N))
     if N % 9 == 0 and (N // 9) % 3:
         extras.append(ExtInvolution.v3(N))
+    # every involution outside W is a candidate; None where its closure raised
+    genus = {v: h for v, _, h in found}
     for extra in extras:
         try:
             big = group_closure(N, list(full.generators()) + [extra])
         except OrderViolation:
             continue
-        image = big.order // sub.order
-        faithful = True
-        for elem in big.nontrivial():
-            if elem.kind == "al" and elem._al_part() in sub:
-                continue
-            try:
-                G = group_closure(N, list(sub.generators()) + [elem])
-            except OrderViolation:
-                faithful = False
-                break
-            # read through the per-group memo the witness search filled
-            if _group_genus(G) >= g:
-                faithful = False
-                break
-        if faithful:
-            yield image, f"image of the Atkin-Lehner group extended by {extra.name}"
+        if all(
+            genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
+        ):
+            yield big.order // sub.order, (
+                f"image of the Atkin-Lehner group extended by {extra.name}"
+            )
 
 
-def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int, refuted):
+def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
     if g < 6 or factor(N).is_squarefree:
         return None
     try:
@@ -476,9 +444,9 @@ class PairRecord:
     genus: int
     status: str
     hyperelliptic: bool
-    witness: Witness | None
-    field: str | None
-    rule_trace: tuple[RuleResult, ...]
+    witness: Witness | None = None
+    field: str | None = None
+    rule_trace: tuple[RuleResult, ...] = ()
     adjudication: tuple[str, str] | None = None
     quadratic_points: str | None = None
 
@@ -503,7 +471,7 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     hyper = _quotient_hyperelliptic(N, sub, g) is True
     trace: list[RuleResult] = []
     if g < 2:
-        return PairRecord(N, sub, g, "genus-too-small", hyper, None, None, ())
+        return PairRecord(N, sub, g, "genus-too-small", hyper)
 
     gate = star_gate(N)
     if gate.kind == "fails-gate":
@@ -511,33 +479,29 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
             RuleResult("star-gate", "the full quotient is neither subhyperelliptic "
                        "nor bielliptic", "excludes", (N,))
         )
-        return PairRecord(N, sub, g, "excluded", hyper, None, None, tuple(trace))
+        return PairRecord(N, sub, g, "excluded", hyper, rule_trace=tuple(trace))
     if gate.kind == "bielliptic":
         closure = rule_fixed_point_closure(N, sub)
         trace.append(closure)
         if closure.verdict == "excludes":
-            return PairRecord(N, sub, g, "excluded", hyper, None, None, tuple(trace))
+            return PairRecord(N, sub, g, "excluded", hyper, rule_trace=tuple(trace))
 
     status, witness, sub_trace = _settle(N, sub)
-    trace.extend(sub_trace)
-    if status == "bielliptic":
-        return PairRecord(
-            N, sub, g, "bielliptic-confirmed", hyper, witness, witness.field, tuple(trace)
-        )
-    if status == "excluded":
-        return PairRecord(N, sub, g, "excluded", hyper, None, None, tuple(trace))
-
+    trace = tuple(trace + sub_trace)
+    if status != "inconclusive":
+        field = witness.field if witness else None
+        return PairRecord(N, sub, g, status, hyper, witness, field, trace)
     verdict = adjudications.get((N, sub.elements))
-    if verdict is not None:
-        field = None
-        if verdict[0] == "bielliptic-over-Q":
-            field = RATIONAL
-        elif verdict[0].startswith("bielliptic"):
-            field = SQRT_MINUS_3
-        return PairRecord(
-            N, sub, g, "adjudicated", hyper, None, field, tuple(trace), adjudication=verdict
-        )
-    return PairRecord(N, sub, g, "inconclusive", hyper, None, None, tuple(trace))
+    if verdict is None:
+        return PairRecord(N, sub, g, status, hyper, rule_trace=trace)
+    field = None
+    if verdict[0] == "bielliptic-over-Q":
+        field = RATIONAL
+    elif verdict[0].startswith("bielliptic"):
+        field = SQRT_MINUS_3
+    return PairRecord(
+        N, sub, g, "adjudicated", hyper, field=field, rule_trace=trace, adjudication=verdict
+    )
 
 
 def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
@@ -601,9 +565,6 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 # published bielliptic pairs)
 
 
-_PUBLISHED_KEYS = None
-
-
 def published_bielliptic_pairs() -> dict:
     """(N, elements) -> genus for every pair the classification must confirm."""
     out = {}
@@ -620,11 +581,9 @@ def published_bielliptic_pairs() -> dict:
     return out
 
 
+@memoise
 def _published_bielliptic_keys():
-    global _PUBLISHED_KEYS
-    if _PUBLISHED_KEYS is None:
-        _PUBLISHED_KEYS = set(published_bielliptic_pairs())
-    return _PUBLISHED_KEYS
+    return set(published_bielliptic_pairs())
 
 
 def published_infinite_pairs() -> set:
@@ -741,24 +700,15 @@ def verify_genus_tables(levels=None) -> int:
         if missing:
             raise ValueError(f"no published genus row for level(s) {missing}")
     checked = 0
-    for N, row in sorted(_data.GENUS_TABLE_2P.items()):
+    rows = sorted(_data.GENUS_TABLE_2P.items()) + sorted(_data.GENUS_TABLE_3P.items())
+    for N, row in rows:
         if levels is not None and N not in levels:
             continue
+        if N in _data.GENUS_TABLE_2P:  # four cells, then the full quotient
+            row = (*row, star_gate(N).star_genus)
         subs = all_subgroups(N)
-        expected = (row[0], row[1], row[2], row[3], star_gate(N).star_genus)
-        for sub, want in zip(subs, expected):
-            got = invariant_genus(N, sub)
-            if got != want:
-                raise IntegrityError(
-                    f"genus mismatch at N={N}, {sub.label()}: computed {got}, table {want}"
-                )
-            checked += 1
-    for N, row in sorted(_data.GENUS_TABLE_3P.items()):
-        if levels is not None and N not in levels:
-            continue
-        subs = all_subgroups(N)
-        if len(subs) != 16:
-            raise IntegrityError(f"level {N} does not have 16 subgroups")
+        if len(subs) != len(row):
+            raise IntegrityError(f"level {N} does not have {len(row)} subgroups")
         for sub, want in zip(subs, row):
             got = invariant_genus(N, sub)
             if got != want:

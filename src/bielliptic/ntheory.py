@@ -7,10 +7,11 @@ every level this package ever sees is tiny (≤ a few thousand).
 and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
 here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al`, the
 involution lists and product tables, the closed groups and their Hurwitz
-genera in `involutions`.  Each table holds one entry per argument tuple it
-was called with, so after a full classification they hold 124
-factorizations, 97 lattices, 115 cusp counts, 115 genera, 470 fixed-point
-counts, 67 involution lists, 67 product tables, 725 groups and 722 genera.
+genera in `involutions`, and the three data tables in `atlas`.  Each table
+holds one entry per argument tuple it was called with, so after a full
+classification they hold 124 factorizations, 97 lattices, 115 cusp counts,
+115 genera, 470 fixed-point counts, 67 involution lists, 67 product tables,
+725 groups, 722 genera and one entry per atlas table.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """

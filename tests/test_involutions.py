@@ -344,7 +344,9 @@ def test_group_closure_matches_compose_doubling():
 def test_classify_composes_only_to_build_tables(monkeypatch):
     # a cold classify calls compose once per ordered pair of each level's
     # table and a warm one not at all; the closures raise the same
-    # OrderViolations on both passes, and clear_cache() drops the tables
+    # OrderViolations on both passes, and clear_cache() drops the tables.
+    # The cold pass builds 115 spaces and caches 491 traces and the warm one
+    # adds none: the state perfbench's classify guards assume.
     composed = []
     violations = Counter()
     real_compose, real_closure = involutions.compose, involutions.group_closure
@@ -365,17 +367,23 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         monkeypatch.setattr(site, "group_closure", counting_closure)
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
 
+    def cached():
+        spaces = modsym._CACHE.values()
+        return len(spaces), sum(len(space._trace_cache) for space in spaces)
+
     modsym.clear_cache()
     atlas.classify_all()
     assert len(composed) == sum(len(t.elements) ** 2 for t in tables.values())
     assert (len(tables), len(composed)) == (67, 9136)
     assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+    assert cached() == (115, 491)
 
     composed.clear()
     violations.clear()
     atlas.classify_all()
     assert composed == []
     assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+    assert cached() == (115, 491)
 
     modsym.clear_cache()
     for name in ("_involution_table", "_mask_group", "_group_genus", "_level_involutions"):

@@ -6,9 +6,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bielliptic import modsym
+from bielliptic import atlas, modsym
 from bielliptic.modsym import ModSymSpace, build_space, invariant_genus
-from bielliptic.involutions import fix_al
+from bielliptic.involutions import fix_al, group_closure, quotient_genus_hurwitz
 from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors, hall_product, psi
 from bielliptic.screening import gate_levels
 from bielliptic.x0invariants import cusp_count, cusp_count_plus, genus_x0
@@ -529,6 +529,10 @@ def test_clear_cache_is_the_one_reset(monkeypatch):
     monkeypatch.setattr(modsym, "_CACHE", cache)
     fix_al(11, 11)
     all_subgroups(12)
+    quotient_genus_hurwitz(12, group_closure(12, [4]))
+    atlas.hyperelliptic_pairs()
+    atlas.witness_annotations()
+    atlas._published_bielliptic_keys()
     assert all(_MEMO_TABLES.values())
     modsym.clear_cache()
     assert cache == {}

@@ -200,6 +200,7 @@ def test_memoised_functions_stay_traceable():
     # perfbench/tracer.py wraps a module attribute only when it is a plain
     # function defined in that module; a functools.cache object is neither,
     # and would silently drop out of the per-layer metrics.
+    importlib.import_module("bielliptic.atlas")  # registers the atlas tables
     public = {}
     for name in _MEMO_TABLES:
         module, attr = name.rsplit(".", 1)
@@ -210,6 +211,8 @@ def test_memoised_functions_stay_traceable():
         "bielliptic.x0invariants.cusp_count",
         "bielliptic.x0invariants.genus_x0",
         "bielliptic.involutions.fix_al",
+        "bielliptic.atlas.hyperelliptic_pairs",
+        "bielliptic.atlas.witness_annotations",
     }
     for name, (module, fn) in public.items():
         assert inspect.isfunction(fn), name

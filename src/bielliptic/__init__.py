@@ -1,9 +1,10 @@
 """Exact screening calculus for bielliptic Atkin-Lehner quotient curves.
 
-Computes genera of X0(N)/W for arbitrary Atkin-Lehner subgroups W with exact
-weight-2 modular symbols, evaluates fixed-point counts of the Atkin-Lehner
-and normalizer involutions, and classifies which quotients are bielliptic
-and which have infinitely many quadratic points.
+Evaluates fixed-point counts of the Atkin-Lehner involutions from exact
+weight-2 modular symbols and of the normalizer involutions from those,
+computes genera of X0(N)/W for arbitrary Atkin-Lehner subgroups W as Hurwitz
+counts over them, and classifies which quotients are bielliptic and which
+have infinitely many quadratic points.
 """
 
 from .involutions import (

@@ -40,7 +40,6 @@ from .involutions import (
     level_involutions,
     quotient_genus_hurwitz,
 )
-from .modsym import invariant_genus
 from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
 from .screening import (
     RuleResult,
@@ -170,7 +169,7 @@ def enumerate_pairs() -> list[tuple[int, ALSubgroup]]:
         for sub in all_subgroups(N):
             if sub.is_trivial or sub.is_full or sub.is_fricke:
                 continue
-            if invariant_genus(N, sub) < 2:
+            if quotient_genus_hurwitz(N, sub) < 2:
                 continue
             pairs.append((N, sub))
     return pairs
@@ -250,7 +249,7 @@ def _settle(N: int, sub: ALSubgroup):
     "bielliptic-confirmed", "excluded", "inconclusive".
     """
     trace: list[RuleResult] = []
-    g = invariant_genus(N, sub)
+    g = quotient_genus_hurwitz(N, sub)
 
     # a hyperelliptic quotient of genus >= 4 cannot be bielliptic
     if g >= 4 and _quotient_hyperelliptic(N, sub, g) is True:
@@ -271,7 +270,7 @@ def _settle(N: int, sub: ALSubgroup):
     red = iso_reduce_w4(N, sub)
     if red is not None:
         N2, sub2 = red
-        if invariant_genus(N2, sub2) != g:
+        if quotient_genus_hurwitz(N2, sub2) != g:
             raise IntegrityError(f"w4-reduction changed the genus at {N}, {sub.label()}")
         trace.append(
             RuleResult(
@@ -316,7 +315,7 @@ def _exclusions(N: int, sub: ALSubgroup, g: int, found):
     for big in all_subgroups(N):
         if not sub.elements < big.elements:
             continue
-        h = invariant_genus(N, big)
+        h = quotient_genus_hurwitz(N, big)
         if h < 2:
             continue
         y_hyp = _quotient_hyperelliptic(N, big, h)
@@ -363,15 +362,14 @@ def confirm_bielliptic(N: int, W) -> Witness | None:
 def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
     """Orders of elementary-abelian 2-groups acting faithfully on the pair.
 
-    The extended groups' involutions are search candidates, so their
-    quotient genera are read from the pair's `_search` list `found`."""
+    The w_d outside W and the extended groups' involutions are search
+    candidates, so the genera of their groups with W are read from the
+    pair's `_search` list `found`."""
     if g < 6:
         return
     full = ALSubgroup.full(N)
     index = full.order // sub.order
-    if index > 1 and all(
-        invariant_genus(N, sub.extend(d)) < g for d in full if d != 1 and d not in sub
-    ):
+    if index > 1 and all(h < g for v, _, h in found if v.kind == "al"):
         yield index, "image of the full Atkin-Lehner group"
     # extended: adjoin one normalizer involution that commutes with everything
     extras = []
@@ -467,7 +465,7 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     """Terminal status for one in-scope pair."""
     sub = ALSubgroup.of(N, W)
     adjudications = default_adjudications() if adjudications is None else adjudications
-    g = invariant_genus(N, sub)
+    g = quotient_genus_hurwitz(N, sub)
     hyper = _quotient_hyperelliptic(N, sub, g) is True
     trace: list[RuleResult] = []
     if g < 2:
@@ -573,7 +571,7 @@ def published_bielliptic_pairs() -> dict:
         for sub in all_subgroups(N):
             if sub.order * 2 != full_order or sub.is_fricke:
                 continue
-            g = invariant_genus(N, sub)
+            g = quotient_genus_hurwitz(N, sub)
             if g >= 2:
                 out[(N, sub.elements)] = g
     for (N, gens), g in _data.BIELLIPTIC_SPORADIC.items():
@@ -607,7 +605,7 @@ def published_infinite_pairs() -> set:
 def _genus_matrix_rows(levels):
     rows = []
     for N in sorted(levels):
-        genera = [invariant_genus(N, sub) for sub in all_subgroups(N)]
+        genera = [quotient_genus_hurwitz(N, sub) for sub in all_subgroups(N)]
         rows.append((N, genera))
     return rows
 
@@ -710,7 +708,7 @@ def verify_genus_tables(levels=None) -> int:
         if len(subs) != len(row):
             raise IntegrityError(f"level {N} does not have {len(row)} subgroups")
         for sub, want in zip(subs, row):
-            got = invariant_genus(N, sub)
+            got = quotient_genus_hurwitz(N, sub)
             if got != want:
                 raise IntegrityError(
                     f"genus mismatch at N={N}, {sub.label()}: computed {got}, table {want}"

@@ -13,8 +13,8 @@ import argparse
 import os
 import sys
 
-from . import atlas, involutions, modsym
-from .errors import DataError, IntegrityError, OrderViolation
+from . import atlas, involutions
+from .errors import DataError, IntegrityError
 from .ntheory import ALSubgroup, parse_decimal, parse_level
 
 EXIT_OK = 0
@@ -31,10 +31,6 @@ def _resolve(path: str) -> str:
 
 def _parse_subgroup(N: int, text: str | None) -> ALSubgroup:
     return ALSubgroup.parse(N, text) if text else ALSubgroup.trivial(N)
-
-
-class UsageError(Exception):
-    pass
 
 
 class DataFileError(Exception):
@@ -63,7 +59,7 @@ def _load_tables(args):
 
 def cmd_genus(args) -> int:
     N = parse_level(args.level)
-    print(modsym.invariant_genus(N, _parse_subgroup(N, args.w)))
+    print(involutions.quotient_genus_hurwitz(N, _parse_subgroup(N, args.w)))
     return EXIT_OK
 
 
@@ -73,7 +69,7 @@ def cmd_fix(args) -> int:
         print(involutions.fix_table_tsv(N))
         return EXIT_OK
     if not args.element:
-        raise UsageError("fix needs --all or --element")
+        raise ValueError("fix needs --all or --element")
     elem = involutions.parse_element(N, args.element)
     print(involutions.fix_count(elem))
     return EXIT_OK
@@ -82,10 +78,10 @@ def cmd_fix(args) -> int:
 def cmd_group_genus(args) -> int:
     N = parse_level(args.level)
     if not args.gens:
-        raise UsageError("group-genus needs --gens")
+        raise ValueError("group-genus needs --gens")
     gens = [g.strip() for g in args.gens.split(",")]
     if not all(gens):
-        raise UsageError(f"empty generator in --gens {args.gens!r}")
+        raise ValueError(f"empty generator in --gens {args.gens!r}")
     group = involutions.group_closure(N, gens)
     print(involutions.quotient_genus_hurwitz(N, group))
     return EXIT_OK
@@ -127,6 +123,8 @@ def cmd_quadpoints(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.levels is not None and not (args.genus_tables or args.all):
+        raise ValueError("--levels restricts only --genus-tables (or --all)")
     ran_any = False
     if args.genus_tables or args.all:
         levels = None
@@ -150,7 +148,7 @@ def cmd_selftest(args) -> int:
         )
         ran_any = True
     if not ran_any:
-        raise UsageError(
+        raise ValueError(
             "selftest needs at least one of --genus-tables, --fix-tables, "
             "--classification, --all"
         )
@@ -221,16 +219,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except (IntegrityError, DataError) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (ValueError, OrderViolation) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,13 +15,15 @@ Building it checks that the table is closed (a product that is an
 involution but not listed raises IntegrityError).  `group_closure` reads
 products from the table and holds the group as a bitmask over its indices,
 so it calls no `compose`, and it returns one shared InvolutionGroup per
-mask; `quotient_genus_hurwitz` is memoised per group.
-`modsym.clear_cache()` empties these tables with the others.
+mask.  `modsym.clear_cache()` empties these tables with the others.
 
-All Atkin-Lehner fixed-point counts are derived from quotient genera
-(2g + 2 - 4h); the counts of the extra involutions reduce to those through
-conjugation and the two-commuting-involutions identity
-#(uv, X) = 2#(u, X/v) - #(u, X).
+Every quotient genus the package computes is a Hurwitz count, h with
+|G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
+involutions, memoised per closed group and per Atkin-Lehner subgroup.  The
+only input from modular symbols is `fix_al`, the Lefschetz number
+2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols; the counts
+of the extra involutions reduce to those through conjugation and the
+two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IntegrityError, OrderViolation
-from .modsym import invariant_genus
-from .ntheory import _is_hall_divisor, _need_level, hall_divisors, hall_product, memoise, parse_w
+from .modsym import build_space
+from .ntheory import (
+    ALSubgroup, _is_hall_divisor, _need_level, hall_divisors, hall_product, memoise, parse_w,
+)
 from .x0invariants import genus_x0
 
 _ID2 = (0, 0)
@@ -419,13 +423,14 @@ def _mask_group(N: int, mask: int) -> InvolutionGroup:
 
 @memoise
 def fix_al(N: int, Q: int) -> int:
-    """#(w_Q, X0(N)) from the genus drop: 2g + 2 - 4 * g(X0(N)/w_Q).
-
-    Memoised per (N, Q); `modsym.clear_cache()` empties the table.
+    """#(w_Q, X0(N)) as the Lefschetz number 2 - tr(w_Q | S2), the trace on
+    the 2g-dimensional cuspidal symbols: the one place the package reads
+    modular symbols.  Memoised per (N, Q); `modsym.clear_cache()` empties
+    the table.
     """
     if Q == 1 or not _is_hall_divisor(Q, N):
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")
-    count = 2 * genus_x0(N) + 2 - 4 * invariant_genus(N, (Q,))
+    count = 2 - build_space(N).al_trace_cuspidal(Q)
     if count < 0:
         raise IntegrityError(f"negative fixed-point count for w_{Q} at level {N}")
     return count
@@ -475,34 +480,42 @@ def fix_count(elem: ExtInvolution) -> int:
 
 
 def quotient_genus_hurwitz(N: int, group) -> int:
-    """Genus of X0(N)/G for a closed group of commuting involutions.
+    """Genus of X0(N)/G for a closed group of commuting involutions, a
+    generator list, or an `ALSubgroup`.
 
     Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
     a non-integral solution means a wrong count somewhere and raises.
-    Memoised per group.
+    Memoised per group and per subgroup.
     """
-    if isinstance(group, InvolutionGroup):
-        G = group
-    else:
-        G = group_closure(N, group)
+    if isinstance(group, ALSubgroup):
+        return _subgroup_genus(ALSubgroup.of(N, group))
+    G = group if isinstance(group, InvolutionGroup) else group_closure(N, group)
     if G.level != N:
         raise ValueError("group level mismatch")
     return _group_genus(G)
 
 
+def _hurwitz(N: int, order: int, fixed: int, name) -> int:
+    """h with order (2h - 2) + fixed = 2 g(X0(N)) - 2; `name()` names the
+    group when the count is not integral or h is negative."""
+    rhs = 2 * genus_x0(N) - 2 - fixed
+    if rhs % (2 * order):
+        raise IntegrityError(f"Hurwitz count not integral for {name()} at level {N}")
+    h = rhs // (2 * order) + 1
+    if h < 0:
+        raise IntegrityError(f"negative quotient genus for {name()} at level {N}")
+    return h
+
+
 @memoise
 def _group_genus(G: InvolutionGroup) -> int:
-    N = G.level
-    total = sum(fix_count(e) for e in G.nontrivial())
-    rhs = 2 * genus_x0(N) - 2 - total
-    if rhs % (2 * G.order):
-        raise IntegrityError(
-            f"Hurwitz count not integral for {G.names()} at level {N}"
-        )
-    h = rhs // (2 * G.order) + 1
-    if h < 0:
-        raise IntegrityError(f"negative quotient genus for {G.names()} at level {N}")
-    return h
+    return _hurwitz(G.level, G.order, sum(fix_count(e) for e in G.nontrivial()), G.names)
+
+
+@memoise
+def _subgroup_genus(sub: ALSubgroup) -> int:
+    N = sub.level
+    return _hurwitz(N, sub.order, sum(fix_al(N, d) for d in sub.elements if d != 1), sub.label)
 
 
 # -- tables -------------------------------------------------------------

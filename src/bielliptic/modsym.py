@@ -58,10 +58,13 @@ cuspidal subspace S2+
 
     tr(w_Q | S2+) = tr(w_Q | M2+) - (#cusp orbits fixed by w_Q - 1),
 
-and a trace needs only the diagonal of w_Q on the free generators.  Quotient
-genera come from dim S2^W = (1/|W|) * sum of traces, which for an elementary
-abelian 2-group is the same subspace the +1-eigenspace intersection of the
-generators cuts out.
+and a trace needs only the diagonal of w_Q on the free generators.  The
+package reads only these traces, through `involutions.fix_al`, and takes
+every quotient genus from them by a Hurwitz count.  `invariant_genus` is the
+reference route the tests compare that count with (and the benchmark's
+genus-large target): dim S2^W = (1/|W|) * sum of traces, which for an
+elementary abelian 2-group is the same subspace the +1-eigenspace
+intersection of the generators cuts out.
 
 Only this route lives here.  The independent reference routes (all of M2
 with its sigma-only pairing, the cuspidal subspace as the kernel of the
@@ -441,11 +444,12 @@ def clear_cache() -> None:
 
 
 def invariant_genus(N: int, W=()) -> int:
-    """Genus of X0(N)/W for an Atkin-Lehner subgroup W.
+    """Genus of X0(N)/W for an Atkin-Lehner subgroup W: the reference route.
 
     Computed as half the dimension of the simultaneous +1-eigenspace of W on
     the cuspidal subspace; the dimension itself comes from the averaged trace
-    over the (abelian, exponent-2) subgroup, which is the same number.
+    over the (abelian, exponent-2) subgroup, which is the same number.  Not
+    memoised: the package's genera are `involutions.quotient_genus_hurwitz`.
     """
     sub = ALSubgroup.of(N, W)
     space = build_space(N)

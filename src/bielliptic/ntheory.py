@@ -7,11 +7,13 @@ every level this package ever sees is tiny (≤ a few thousand).
 and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
 here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al`, the
 involution lists and product tables, the closed groups and their Hurwitz
-genera in `involutions`, and the three data tables in `atlas`.  Each table
-holds one entry per argument tuple it was called with, so after a full
-classification they hold 124 factorizations, 97 lattices, 115 cusp counts,
-115 genera, 470 fixed-point counts, 67 involution lists, 67 product tables,
-725 groups, 722 genera and one entry per atlas table.
+genera and the Hurwitz genera of Atkin-Lehner subgroups in `involutions`,
+and the three data tables in `atlas`.  Each table holds one entry per
+argument tuple it was called with, so after a full classification they hold
+124 factorizations, 97 lattices, 115 cusp counts, 115 genera, 491
+fixed-point counts (one per trace), 67 involution lists, 67 product tables,
+725 groups, 722 group genera, 692 subgroup genera and one entry per atlas
+table.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """
@@ -318,9 +320,6 @@ class ALSubgroup:
 
     def __hash__(self):
         return hash((self.level, self.elements))
-
-    def __le__(self, other: "ALSubgroup") -> bool:
-        return self.level == other.level and self.elements <= other.elements
 
     @property
     def is_trivial(self) -> bool:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .involutions import fix_al
-from .modsym import invariant_genus
+from .involutions import fix_al, quotient_genus_hurwitz
 from .ntheory import ALSubgroup, factor, hall_divisors, psi
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def rule_fixed_point_closure(N: int, W) -> RuleResult:
                 detail=f"w{d} has fixed points but is outside W",
             )
     index = (1 << factor(N).omega) // sub.order
-    g = invariant_genus(N, sub)
+    g = quotient_genus_hurwitz(N, sub)
     gstar = gate.star_genus
     if g - 1 != index * (gstar - 1):
         return RuleResult(

@@ -75,6 +75,23 @@ def test_selftest_level_without_genus_row_usage_error(capsys, levels, named):
     assert f"no published genus row for level(s) {named}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--fix-tables", "--levels", "61"),
+    ("--classification", "--levels", "60"),
+])
+def test_selftest_levels_without_genus_tables_usage_error(capsys, monkeypatch, argv):
+    # --levels restricts only the genus-table check; without --genus-tables
+    # or --all it is refused before any check runs
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    for name in ("verify_fix_tables", "classify_all", "verify_genus_tables"):
+        monkeypatch.setattr(cli.atlas, name, no_check)
+    code, out, err = run(capsys, "selftest", *argv)
+    assert (code, out) == (2, "")
+    assert "--levels" in err
+
+
 @pytest.mark.parametrize("argv,token", [
     (("fix", "60", "--element", "w1_2"), "'w1_2'"),
     (("fix", "60", "--element", "S2*w+3"), "'w+3'"),

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bielliptic import atlas, involutions, modsym
+from bielliptic import atlas, cli, involutions, modsym, screening
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
@@ -366,6 +366,14 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     for site in (involutions, atlas):
         monkeypatch.setattr(site, "group_closure", counting_closure)
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
+    traces = []
+    real_trace = modsym.ModSymSpace.al_trace_cuspidal
+
+    def counting_trace(space, Q):
+        traces.append((space.N, Q))
+        return real_trace(space, Q)
+
+    monkeypatch.setattr(modsym.ModSymSpace, "al_trace_cuspidal", counting_trace)
 
     def cached():
         spaces = modsym._CACHE.values()
@@ -377,16 +385,30 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     assert (len(tables), len(composed)) == (67, 9136)
     assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
     assert cached() == (115, 491)
+    # fix_al reads each trace once, and nothing else in the package reads one
+    assert len(traces) == len(set(traces)) == 491
+    assert len(_MEMO_TABLES["bielliptic.involutions.fix_al"]) == 491
+    for site in (atlas, screening, cli):
+        assert not hasattr(site, "modsym"), site.__name__
+        assert not any(
+            getattr(value, "__module__", None) == modsym.__name__
+            for value in vars(site).values()
+        ), site.__name__
 
     composed.clear()
     violations.clear()
+    traces.clear()
     atlas.classify_all()
     assert composed == []
     assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
     assert cached() == (115, 491)
+    assert traces == []
 
     modsym.clear_cache()
-    for name in ("_involution_table", "_mask_group", "_group_genus", "_level_involutions"):
+    for name in (
+        "_involution_table", "_mask_group", "_group_genus", "_subgroup_genus", "fix_al",
+        "_level_involutions",
+    ):
         assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
 
 
@@ -442,9 +464,12 @@ def test_quotient_genus_examples():
 
 def test_hurwitz_matches_modsym_on_al_groups(classification):
     # Hurwitz route equals the invariant-dimension route on every Atkin-Lehner
-    # subgroup of every level in scope (the caches are warm at this point)
+    # subgroup of every level in scope, closed as an involution group (the
+    # caches are warm at this point); and, taken over an ALSubgroup, on every
+    # subgroup at every N <= 300 and at N = 840, squarefree and out-of-scope
+    # levels included
     from bielliptic.atlas import scope_levels
-    from bielliptic.ntheory import all_subgroups
+    from bielliptic.ntheory import ALSubgroup, all_subgroups
 
     checked = 0
     for N in scope_levels():
@@ -459,6 +484,17 @@ def test_hurwitz_matches_modsym_on_al_groups(classification):
             )
             checked += 1
     assert checked > 700
+
+    checked = 0
+    for N in [*range(1, 301), 840]:
+        for sub in all_subgroups(N):
+            assert quotient_genus_hurwitz(N, sub) == invariant_genus(N, sub), (
+                N, sub.label(),
+            )
+            checked += 1
+    assert checked == 2015
+    with pytest.raises(ValueError):
+        quotient_genus_hurwitz(60, ALSubgroup(120, [8]))
 
 
 def test_commuting_product_identity():

@@ -38,23 +38,25 @@ coefficients where the pivot is 1 and Fractions otherwise; a point's
 expression is its sign times its column's row, and is never stored.
 
 The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
-classes up to eta (`x0invariants.cusp_count_plus`), stores the endpoints of
-each free generator's path and keeps one representative per eta-orbit of
-cusp classes, taken from those endpoints.  A reduced cusp p/q with
-d = gcd(q, N) lies in the class keyed (d, u) with u = p*(q/d) mod
-gcd(d, N/d); this is Cremona's equivalence criterion (Prop. 2.2.3) as a key.
-eta sends u to -u, so the orbit is keyed (d, min(u, -u mod gcd(d, N/d))),
-and neither the build nor the fixed-cusp count of a trace compares cusps
-pairwise.
+classes up to eta (`x0invariants.cusp_count_plus`), stores each free
+generator's SL2(Z) lift g = [[a, b], [c, d]], whose path is
+g{0, oo} = {b/d, a/c}, and keeps one representative per eta-orbit of cusp
+classes, taken from those endpoints.  A reduced cusp p/q with d = gcd(q, N)
+lies in the class keyed (d, u) with u = p*(q/d) mod gcd(d, N/d); this is
+Cremona's equivalence criterion (Prop. 2.2.3) as a key.  eta sends u to -u,
+so the orbit is keyed (d, min(u, -u mod gcd(d, N/d))), and neither the build
+nor the fixed-cusp count of a trace compares cusps pairwise.
 
-Atkin-Lehner operators act through a determinant-Q witness matrix; a general
-path {a, b} = {oo, b} - {oo, a} is converted back to Manin symbols with the
-continued-fraction convergent chains of a and b.  A trace maps the stored
-endpoints of each free generator's path, drops the entries the two chains
-share at their start (the same symbols with opposite signs) and looks up only
-the rest.  The boundary map sends M2+ onto the degree-zero divisors on the
-eta-orbits of cusps and commutes with w_Q (Stein, ch. 8), so on the
-cuspidal subspace S2+
+Atkin-Lehner operators act through a determinant-Q witness matrix W.  The
+image of a free generator is M{0, oo} for the integer matrix M = W*g.  Its
+Hermite form M = gamma * [[a, b], [0, e]], with gamma in SL2(Z), a*e = Q and
+0 <= b < e, takes one extended gcd on M's first column, and then
+M{0, oo} = gamma{b/e, oo} is minus the sum of the Manin symbols of gamma
+times the convergent matrices of b/e (Cremona, 2.4): one chain with
+denominators at most Q, where mapping the path's two endpoints would expand
+two longer chains that share their start.  The boundary map sends M2+ onto
+the degree-zero divisors on the eta-orbits of cusps and commutes with w_Q
+(Stein, ch. 8), so on the cuspidal subspace S2+
 
     tr(w_Q | S2+) = tr(w_Q | M2+) - (#cusp orbits fixed by w_Q - 1),
 
@@ -121,23 +123,42 @@ def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
     return y, -x, c, d
 
 
-def _convergent_chain(p: int, q: int) -> list[tuple[int, int]]:
-    """The Manin symbols (q_k : (-1)^(k-1) q_(k-1)) whose paths sum to {oo, p/q}.
+def _hermite_split(A: int, B: int, C: int, D: int):
+    """Split M = [[A, B], [C, D]] with det M > 0 as gamma * [[a, b], [0, e]].
 
-    q_k runs over the denominators of the continued-fraction convergents of
-    p/q, with q_(-1) = 0; the chain of oo itself (q = 0) is empty.
+    gamma is in SL2(Z), a = gcd(A, C) > 0, a*e = det M and 0 <= b < e: one
+    extended gcd on M's first column (Cremona, Algorithms for Modular Elliptic
+    Curves, 2.4).  Returns (gamma, a, b, e), gamma as a 4-tuple by rows.
     """
-    if q < 0:
-        p, q = -p, -q
-    chain = []
-    qm2, qm1, sign = 1, 0, -1  # q_(k-2), q_(k-1), (-1)^(k-1) at k = 0
+    a, x, y = egcd(A, C)  # x*A + y*C = a
+    e = (A * D - B * C) // a
+    t, b = divmod(x * B + y * D, e)
+    p, q = A // a, C // a
+    return (p, t * p - y, q, t * q + x), a, b, e
+
+
+def _image_symbols(M) -> list[tuple[int, int]]:
+    """The Manin symbols (c : d) whose paths sum to -M{0, oo}, for an integer
+    matrix M = gamma * [[a, b], [0, e]] of positive determinant.
+
+    M{0, oo} = gamma{b/e, oo} = -sum_k gamma*g_k{0, oo}, where g_k =
+    [[p_k, s*p_(k-1)], [q_k, s*q_(k-1)]], s = (-1)^(k-1), runs over the
+    convergent matrices of b/e from p_(-1)/q_(-1) = 1/0.  The symbol of
+    gamma*g_k is its bottom row (u_k : s*u_(k-1)) with u_k = gamma21*p_k +
+    gamma22*q_k, which obeys the convergents' recursion from u_(-2) = gamma22
+    and u_(-1) = gamma21.  When e = 1 the one symbol is (gamma22 : -gamma21),
+    which is minus the symbol of gamma.
+    """
+    (_, _, um1, um2), _, p, q = _hermite_split(*M)
+    symbols = []
+    sign = -1  # (-1)^(k-1) at k = 0
     while q:
         a = p // q
         p, q = q, p - a * q
-        qk = a * qm1 + qm2
-        chain.append((qk, sign * qm1))
-        qm2, qm1, sign = qm1, qk, -sign
-    return chain
+        uk = a * um1 + um2
+        symbols.append((uk, sign * um1))
+        um2, um1, sign = um1, uk, -sign
+    return symbols
 
 
 def _reduce_int_row(row: dict) -> dict:
@@ -227,8 +248,8 @@ class ModSymSpace:
 
     `reps` holds the P^1 points, `points` one (sign, column) per point,
     `rows` one expression {free generator: coefficient} per column, `free`
-    the free generators, `paths` the endpoints (start, end) of each free
-    generator's path, aligned with `free`, and `cusps` one representative
+    the free generators, `lifts` each free generator's SL2(Z) lift
+    (a, b, c, d) by rows, aligned with `free`, and `cusps` one representative
     per eta-orbit of cusp classes.  Immutable once constructed, apart from
     the cache of traces."""
 
@@ -237,7 +258,6 @@ class ModSymSpace:
         self.genus = genus_x0(N)
         self._build()
         self._trace_cache: dict[int, int] = {}
-        self._trace_lock = threading.Lock()
 
     # -- construction -------------------------------------------------
 
@@ -304,14 +324,14 @@ class ModSymSpace:
             self.rows[c] = {
                 k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
             }
-        self.paths = tuple(self._manin_path(c) for c in free)
+        self.lifts = tuple(_sl2_lift(*reps[c]) for c in free)
 
-        # one representative per eta-orbit of cusp classes, from the free
-        # generators' endpoints; the boundary map is onto, so every orbit
-        # shows up (oo is seeded for N = 1)
+        # one representative per eta-orbit of cusp classes, from the endpoints
+        # b/d and a/c of the free generators' paths {b/d, a/c}; the boundary
+        # map is onto, so every orbit shows up (oo is seeded for N = 1)
         orbits = {_cusp_orbit(N, (1, 0)): (1, 0)}
-        for path in self.paths:
-            for cusp in path:
+        for a, b, c, d in self.lifts:
+            for cusp in (_cusp_normalize(b, d), _cusp_normalize(a, c)):
                 orbits.setdefault(_cusp_orbit(N, cusp), cusp)
         cusps = self.cusps = tuple(orbits.values())
         if len(cusps) != nu_plus:
@@ -335,11 +355,6 @@ class ModSymSpace:
             return 0
         M = N // g
         return self._p1_tables[g][pow(c // g, -1, M) * d % M]
-
-    def _manin_path(self, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Endpoints {b/d, a/c} of the modular symbol of generator i."""
-        a, b, c, d = _sl2_lift(*self.reps[i])
-        return _cusp_normalize(b, d), _cusp_normalize(a, c)
 
     # -- Atkin-Lehner action ------------------------------------------
 
@@ -371,40 +386,38 @@ class ModSymSpace:
 
         The diagonal of w_Q on the free generators gives the trace on M2+;
         the boundary part contributes #(cusp orbits fixed by w_Q) - 1.  The
-        image of generator c is {oo, end} - {oo, start} for the images start,
-        end of its endpoints.  Where the two convergent chains begin with the
-        same entries, the same Manin symbols enter with coefficients -1 and +1
-        and cancel, so only the entries after the common prefix are looked
-        up.  The trace tr+ on S2+ is an integer of the parity of the genus
-        and at most the genus in size, and tr(w_Q | S2) = 2 * tr+ (the
-        halves S2+ and S2- are isomorphic as w_Q-modules; see the module
-        docstring).
+        image of generator f with lift g is M{0, oo} for the determinant-Q
+        matrix M = W*g, and the Hermite form M = gamma * [[a, b], [0, e]]
+        turns it into one convergent chain of b/e with e <= Q (Cremona,
+        Algorithms for Modular Elliptic Curves, 2.4; see `_image_symbols`),
+        each symbol looked up in the P^1 tables.  The trace tr+ on S2+ is an
+        integer of the parity of the genus and at most the genus in size, and
+        tr(w_Q | S2) = 2 * tr+ (the halves S2+ and S2- are isomorphic as
+        w_Q-modules; see the module docstring).
         """
         if Q == 1:
             return 2 * self.genus
-        with self._trace_lock:
-            if Q in self._trace_cache:
-                return self._trace_cache[Q]
+        try:
+            return self._trace_cache[Q]
+        except KeyError:
+            pass
         mat = self.al_matrix(Q)
-        look, points, rows = self.p1_index, self.points, self.rows
+        wa, wb, wc, wd = mat
+        N, tables, points, rows = self.N, self._p1_tables, self.points, self.rows
         diag = 0
-        for c, (start, end) in zip(self.free, self.paths):
-            from_start = _convergent_chain(*self._moebius(mat, start))
-            from_end = _convergent_chain(*self._moebius(mat, end))
-            k = 0
-            for x, y in zip(from_start, from_end):
-                if x != y:
-                    break
-                k += 1
-            for cd in from_start[k:]:
-                s, col = points[look(*cd)]
+        for f, (a, b, c, d) in zip(self.free, self.lifts):
+            image = (wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d)
+            for u, v in _image_symbols(image):
+                # p1_index(u, v), inlined; (u, v) is a bottom row of SL2(Z)
+                h = gcd(u, N)
+                if h == N:
+                    s, col = points[0]
+                else:
+                    m = N // h
+                    s, col = points[tables[h][pow(u // h, -1, m) * v % m]]
                 if s:
-                    diag -= s * rows[col].get(c, 0)
-            for cd in from_end[k:]:
-                s, col = points[look(*cd)]
-                if s:
-                    diag += s * rows[col].get(c, 0)
-        N, g = self.N, self.genus
+                    diag -= s * rows[col].get(f, 0)
+        g = self.genus
         fixed = sum(
             _cusp_orbit(N, self._moebius(mat, cusp)) == _cusp_orbit(N, cusp)
             for cusp in self.cusps
@@ -415,10 +428,7 @@ class ModSymSpace:
                 f"trace {tr} of w_{Q} on S2+ at level {N} is not an integer of "
                 f"the parity of genus = {g} and of size at most it"
             )
-        tr = 2 * int(tr)
-        with self._trace_lock:
-            self._trace_cache.setdefault(Q, tr)
-        return tr
+        return self._trace_cache.setdefault(Q, 2 * int(tr))
 
 
 _CACHE: dict[int, ModSymSpace] = {}

@@ -3,7 +3,10 @@
 None of this is on a production path.  The library's modular-symbols space
 is the sign +1 quotient M2+; `FullSpace` is all of M2, with only the
 two-term relation paired and every three-term relation eliminated, and
-`full_trace` is its trace route.  The routes below work on either space:
+`full_trace` is its trace route.  It maps the two endpoints of each free
+generator's path and expands each image by its own convergent chain, where
+the library splits one matrix by its Hermite form, so the two reach a trace
+by different decompositions.  The routes below work on either space:
 they build the cuspidal subspace as the kernel of the boundary map, matching
 cusps by Cremona's pairwise criterion (up to the star involution on M2+),
 and act on it with full Atkin-Lehner matrices, so a genus can be read off
@@ -24,10 +27,11 @@ from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import ExtInvolution, InvolutionGroup, compose, parse_element
 from bielliptic.modsym import (
     ModSymSpace,
-    _convergent_chain,
+    _cusp_normalize,
     _int_rref,
     _p1_points,
     _reduce_int_row,
+    _sl2_lift,
 )
 from bielliptic.ntheory import (
     ALSubgroup,
@@ -80,11 +84,10 @@ class FullSpace:
     alone, with sign 0 where x = -x; every three-term relation is
     eliminated; `cusps` holds one representative per cusp class, found by
     the pairwise criterion.  The attributes mirror `ModSymSpace`, whose P^1
-    lookup, path endpoints and Atkin-Lehner witness it borrows.
+    lookup and Atkin-Lehner witness it borrows.
     """
 
     p1_index = ModSymSpace.p1_index
-    _manin_path = ModSymSpace._manin_path
     al_matrix = ModSymSpace.al_matrix
     _moebius = staticmethod(ModSymSpace._moebius)
 
@@ -128,7 +131,7 @@ class FullSpace:
                 k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
             }
         cusps = [(1, 0)]
-        for cusp in dict.fromkeys(e for c in self.free for e in self._manin_path(c)):
+        for cusp in dict.fromkeys(e for c in self.free for e in manin_path(self, c)):
             if not any(cusp_equiv(N, cusp, rep) for rep in cusps):
                 cusps.append(cusp)
         if len(cusps) != cusp_count(N):
@@ -158,7 +161,7 @@ def boundary(space, vec: dict) -> list:
     """Boundary of a free-coordinate vector: its coefficient on each cusp class."""
     out = [0] * len(space.cusps)
     for c, v in vec.items():
-        for sgn, cusp in zip((-1, 1), space._manin_path(c)):
+        for sgn, cusp in zip((-1, 1), manin_path(space, c)):
             for k, rep in enumerate(space.cusps):
                 if _same_cusp(space, cusp, rep):
                     out[k] += sgn * v
@@ -199,11 +202,36 @@ def point_expression(space, i: int) -> dict:
     return {c: s * v for c, v in space.rows[col].items()} if s else {}
 
 
+def manin_path(space, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Endpoints {b/d, a/c} of the modular symbol of the i-th P^1 point."""
+    a, b, c, d = _sl2_lift(*space.reps[i])
+    return _cusp_normalize(b, d), _cusp_normalize(a, c)
+
+
+def convergent_chain(p: int, q: int) -> list[tuple[int, int]]:
+    """The Manin symbols (q_k : (-1)^(k-1) q_(k-1)) whose paths sum to {oo, p/q}.
+
+    q_k runs over the denominators of the continued-fraction convergents of
+    p/q, with q_(-1) = 0; the chain of oo itself (q = 0) is empty.
+    """
+    if q < 0:
+        p, q = -p, -q
+    chain = []
+    qm2, qm1, sign = 1, 0, -1  # q_(k-2), q_(k-1), (-1)^(k-1) at k = 0
+    while q:
+        a = p // q
+        p, q = q, p - a * q
+        qk = a * qm1 + qm2
+        chain.append((qk, sign * qm1))
+        qm2, qm1, sign = qm1, qk, -sign
+    return chain
+
+
 def path_vector(space, start, end) -> dict[int, Fraction]:
     """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
     vec: dict[int, Fraction] = {}
     for sgn, cusp in ((-1, start), (1, end)):
-        for c, d in _convergent_chain(*cusp):
+        for c, d in convergent_chain(*cusp):
             s, col = space.points[space.p1_index(c, d)]  # point_expression, inlined
             for f, v in space.rows[col].items() if s else ():
                 vec[f] = vec.get(f, 0) + sgn * s * v
@@ -215,14 +243,15 @@ def al_columns(space, Q: int) -> dict[int, dict[int, Fraction]]:
     mat = space.al_matrix(Q)
     cols = {}
     for c in space.free:
-        start, end = space._manin_path(c)
+        start, end = manin_path(space, c)
         cols[c] = path_vector(space, space._moebius(mat, start), space._moebius(mat, end))
     return cols
 
 
 def full_trace(space, Q: int):
-    """Trace of w_Q on the cuspidal subspace of `space`, from the uncancelled
-    diagonal of w_Q on the free generators minus (#cusp classes fixed - 1)."""
+    """Trace of w_Q on the cuspidal subspace of `space`, from the diagonal of
+    w_Q on the free generators, each image read from its mapped endpoints by
+    `path_vector`, minus (#cusp classes fixed - 1)."""
     cols = al_columns(space, Q)
     mat = space.al_matrix(Q)
     fixed = sum(_same_cusp(space, space._moebius(mat, rep), rep) for rep in space.cusps)

@@ -189,21 +189,21 @@ def test_space_retains_one_expression_per_column():
     assert space.dim and retained < 5 * 2**20, retained
 
 
-def test_traces_read_the_stored_paths(monkeypatch):
-    # the free generators' endpoints are computed once, by the build
+def test_traces_read_the_stored_lifts(monkeypatch):
+    # the free generators' SL2(Z) lifts are computed once, by the build
     space = ModSymSpace(420)
     calls = []
-    manin_path = ModSymSpace._manin_path
+    sl2_lift = modsym._sl2_lift
 
-    def counting_manin_path(self, i):
-        calls.append(i)
-        return manin_path(self, i)
+    def counting_sl2_lift(c, d):
+        calls.append((c, d))
+        return sl2_lift(c, d)
 
-    monkeypatch.setattr(ModSymSpace, "_manin_path", counting_manin_path)
+    monkeypatch.setattr(modsym, "_sl2_lift", counting_sl2_lift)
     for Q in hall_divisors(420)[1:]:
         space.al_trace_cuspidal(Q)
     assert calls == []
-    assert space.paths == tuple(manin_path(space, c) for c in space.free)
+    assert space.lifts == tuple(sl2_lift(*space.reps[c]) for c in space.free)
 
 
 def test_build_fill_in_stays_small(monkeypatch):
@@ -300,7 +300,7 @@ def test_path_vector_roundtrip():
     assert vec == {k: Fraction(v) for k, v in want.items() if v}
     # every generator's own path converts back to its expression
     for i in (0, 3, 7, 11):
-        start, end = space._manin_path(i)
+        start, end = oracles.manin_path(space, i)
         assert oracles.path_vector(space, start, end) == {
             k: v for k, v in oracles.point_expression(space, i).items() if v
         }
@@ -367,8 +367,8 @@ def test_full_matrix_trace_matches_restricted_route():
 
 
 def test_cancelled_trace_matches_full_diagonal():
-    # the trace drops the Manin symbols both endpoint chains share and works
-    # on M2+; the references sum the uncancelled diagonal of w_Q through
+    # the trace splits each image by its Hermite form and works on M2+; the
+    # references sum the diagonal of w_Q from the mapped endpoints through
     # path_vector, on all of M2 and on M2+
     count = 0
     for N in [*range(2, 151), 840]:
@@ -379,6 +379,89 @@ def test_cancelled_trace_matches_full_diagonal():
             assert tr == oracles.full_trace(full, Q) == 2 * oracles.full_trace(space, Q), (N, Q)
             count += 1
     assert count == 427 + 15
+
+
+def test_trace_matches_full_diagonal_at_benchmark_levels():
+    # the genus-large pool's levels, where images have the longest chains
+    count = 0
+    for N in (720, 756, 792, 1000, 1088, 2310):
+        space = build_space(N)
+        for Q in hall_divisors(N)[1:]:
+            assert space.al_trace_cuspidal(Q) == 2 * oracles.full_trace(space, Q), (N, Q)
+            count += 1
+    assert count == 7 + 7 + 7 + 3 + 3 + 31
+
+
+def _assert_split(M):
+    A, B, C, D = M
+    (g11, g12, g21, g22), a, b, e = modsym._hermite_split(*M)
+    assert g11 * g22 - g12 * g21 == 1
+    assert a * e == A * D - B * C and a > 0 and 0 <= b < e
+    assert (g11 * a, g11 * b + g12 * e, g21 * a, g21 * b + g22 * e) == M
+
+
+def _times(W, g):
+    (p, q, r, s), (a, b, c, d) = W, g
+    return (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+
+
+def _split_column(space, M):
+    """The class of M{0, oo} in free coordinates, from M's image symbols."""
+    column = {}
+    for u, v in modsym._image_symbols(M):
+        for k, x in oracles.point_expression(space, space.p1_index(u, v)).items():
+            column[k] = column.get(k, 0) - x
+    return {k: x for k, x in column.items() if x}
+
+
+def test_hermite_split_of_every_generator_image():
+    # gamma * [[a, b], [0, e]] is W_Q * g exactly, and the image symbols sum
+    # to the whole column the mapped endpoints give, not only its diagonal.
+    # All of M2 tells (c : d) from (c : -d), which M2+ identifies, so it
+    # checks the signs of the symbols too.
+    spaces = [build_space(N) for N in [*range(2, 61), 840]]
+    for space in spaces + [FullSpace(N) for N in range(2, 61)]:
+        N = space.N
+        for Q in hall_divisors(N)[1:]:
+            W = space.al_matrix(Q)
+            for f in space.free:
+                M = _times(W, modsym._sl2_lift(*space.reps[f]))
+                _assert_split(M)
+                start, end = oracles.manin_path(space, f)
+                assert _split_column(space, M) == oracles.path_vector(
+                    space, space._moebius(W, start), space._moebius(W, end)
+                ), (N, Q, f)
+
+
+_SL2 = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
+    lambda cd: gcd(*cd) == 1
+).map(lambda cd: modsym._sl2_lift(*cd))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SL2, st.sampled_from([(840, Q) for Q in hall_divisors(840)[1:]]
+                             + [(2310, 2310), (1088, 17), (1000, 8)]))
+@example((1, 0, 0, 1), (840, 840))
+def test_hermite_split_of_random_sl2_images(g, level_q):
+    # W_Q * g for random g in SL2(Z): the split is exact, and its symbols
+    # give the image column the mapped endpoints give
+    N, Q = level_q
+    space = build_space(N)
+    W = space.al_matrix(Q)
+    M = _times(W, g)
+    _assert_split(M)
+    a, b, c, d = g
+    assert _split_column(space, M) == oracles.path_vector(
+        space, space._moebius(W, (b, d)), space._moebius(W, (a, c))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-10**4, 10**4)] * 4))
+def test_hermite_split_of_any_positive_determinant(M):
+    A, B, C, D = M
+    assume(A * D - B * C > 0)
+    _assert_split(M)
 
 
 def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):

@@ -12,13 +12,19 @@ exactly one terminal status:
   from the adjudication table, which cites the method that settles it.
 
 `_settle` decides a pair in this order: Castelnuovo's inequality for a
-hyperelliptic quotient; the witness search (`_search`, one list of every
+hyperelliptic quotient; the witness search (`_search`, one tuple of every
 candidate with its closed group and quotient genus; the first of genus 1 is
 the witness); the w4-reduction, settling the reduced pair; then the
 exclusion rules.  `_exclusions` yields those in order (Ogg's bound,
 unramified covers, many fixed points, 2-group actions, hyperelliptic
 factoring) and `_settle` records the first that excludes.  A new exclusion
 rule goes into `_exclusions`, the one place the battery is written.
+
+`_search` is memoised per (level, subgroup) and is the one place the atlas
+calls `group_closure`.  The 2-group and hyperelliptic-factoring rules read
+the groups the normalizer involutions form with B(N) from the full group's
+search, so each level closes them once and a warm classification closes
+none.
 
 The pipeline checks one piece of the expected classification: `classify_all`
 raises IntegrityError when a published bielliptic pair comes out not
@@ -199,7 +205,8 @@ class Witness:
         return head + via
 
 
-def _search(N: int, sub: ALSubgroup):
+@memoise
+def _search(N: int, sub: ALSubgroup) -> tuple:
     """Every candidate of the pair, in search order, as (candidate, group, genus).
 
     The candidates are the involutions of the level outside W.  Each one is
@@ -218,7 +225,7 @@ def _search(N: int, sub: ALSubgroup):
             found.append((v, None, None))
             continue
         found.append((v, G, _group_genus(G)))
-    return found
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +259,10 @@ def _settle(N: int, sub: ALSubgroup):
     g = quotient_genus_hurwitz(N, sub)
 
     # a hyperelliptic quotient of genus >= 4 cannot be bielliptic
-    if g >= 4 and _quotient_hyperelliptic(N, sub, g) is True:
+    if _quotient_hyperelliptic(N, sub, g) is True:
         result = rule_castelnuovo(g, 2, 0)
-        trace.append(result)
         if result.verdict == "must-factor":
-            return "excluded", None, trace
+            return "excluded", None, [result]
 
     # direct witness search first, so a confirmed pair carries an involution
     # at its own level whenever one exists
@@ -371,7 +377,8 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
     index = full.order // sub.order
     if index > 1 and all(h < g for v, _, h in found if v.kind == "al"):
         yield index, "image of the full Atkin-Lehner group"
-    # extended: adjoin one normalizer involution that commutes with everything
+    # extended: adjoin one normalizer involution that commutes with everything;
+    # its group with B(N) is a candidate of the full group's search
     extras = []
     if N % 8 == 0:
         extras.append(ExtInvolution.v2(N))
@@ -379,10 +386,8 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
         extras.append(ExtInvolution.v3(N))
     # every involution outside W is a candidate; None where its closure raised
     genus = {v: h for v, _, h in found}
-    for extra in extras:
-        try:
-            big = group_closure(N, list(full.generators()) + [extra])
-        except OrderViolation:
+    for extra, big, _ in _search(N, full):
+        if extra not in extras or big is None:
             continue
         if all(
             genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
@@ -405,19 +410,9 @@ def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
     index = full.order // sub.order
     if g - 1 <= index * (gate.star_genus - 1):
         return None  # could be unramified; no conclusion
-    # identify the hyperelliptic involution of the full quotient inside the
-    # normalizer families
-    hyper = None
-    for v in level_involutions(N):
-        if v.kind == "al":
-            continue
-        try:
-            G = group_closure(N, list(full.generators()) + [v])
-        except OrderViolation:
-            continue
-        if quotient_genus_hurwitz(N, G) == 0:
-            hyper = v
-            break
+    # the hyperelliptic involution of the full quotient among the normalizer
+    # families: the first candidate of genus 0
+    hyper = next((v for v, _, h in _search(N, full) if h == 0), None)
     if hyper is None:
         return None
     # every lift of that involution to this quotient was refuted by the search
@@ -537,7 +532,7 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
     bielliptic over Q with a positive-rank elliptic quotient."""
     if record.genus < 2:
         return "n/a"
-    if (record.N, record.subgroup.elements) in hyperelliptic_pairs():
+    if record.hyperelliptic:
         return "infinite(hyperelliptic)"
     if record.bielliptic:
         if record.field != RATIONAL:

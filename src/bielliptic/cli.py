@@ -30,7 +30,7 @@ def _resolve(path: str) -> str:
 
 
 def _parse_subgroup(N: int, text: str | None) -> ALSubgroup:
-    return ALSubgroup.parse(N, text) if text else ALSubgroup.trivial(N)
+    return ALSubgroup.trivial(N) if text is None else ALSubgroup.parse(N, text)
 
 
 class DataFileError(Exception):
@@ -128,7 +128,7 @@ def cmd_selftest(args) -> int:
     ran_any = False
     if args.genus_tables or args.all:
         levels = None
-        if args.levels:
+        if args.levels is not None:
             what = f"--levels {args.levels!r}: level"
             levels = {parse_decimal(tok.strip(), what) for tok in args.levels.split(",")}
         count = atlas.verify_genus_tables(levels)

@@ -76,7 +76,6 @@ the test suite's oracles, in tests/oracles.py.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd
 
@@ -432,25 +431,22 @@ class ModSymSpace:
 
 
 _CACHE: dict[int, ModSymSpace] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def build_space(N: int) -> ModSymSpace:
-    """Build (or fetch the cached) space for one level."""
+    """Build (or fetch the cached) space for one level.  Concurrent first
+    calls may each build, and all of them return the first space stored."""
     space = _CACHE.get(N)
     if space is None:
-        space = ModSymSpace(N)
-        with _CACHE_LOCK:
-            space = _CACHE.setdefault(N, space)
+        space = _CACHE.setdefault(N, ModSymSpace(N))
     return space
 
 
 def clear_cache() -> None:
     """Empty the space cache and every per-level memo table (`ntheory.memoise`)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        for table in _MEMO_TABLES.values():
-            table.clear()
+    _CACHE.clear()
+    for table in _MEMO_TABLES.values():
+        table.clear()
 
 
 def invariant_genus(N: int, W=()) -> int:

@@ -5,15 +5,15 @@ every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
 and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
-here, `cusp_count` and `genus_x0` in `x0invariants`, `fix_al`, the
-involution lists and product tables, the closed groups and their Hurwitz
-genera and the Hurwitz genera of Atkin-Lehner subgroups in `involutions`,
-and the three data tables in `atlas`.  Each table holds one entry per
-argument tuple it was called with, so after a full classification they hold
-124 factorizations, 97 lattices, 115 cusp counts, 115 genera, 491
+here, `genus_x0` in `x0invariants`, `fix_al`, the involution lists and
+product tables, the closed groups and their Hurwitz genera and the Hurwitz
+genera of Atkin-Lehner subgroups in `involutions`, and in `atlas` the three
+data tables and the candidate search of each (level, subgroup).  Each table
+holds one entry per argument tuple it was called with, so after a full
+classification they hold 124 factorizations, 97 lattices, 115 genera, 491
 fixed-point counts (one per trace), 67 involution lists, 67 product tables,
-725 groups, 722 group genera, 692 subgroup genera and one entry per atlas
-table.
+725 groups, 725 group genera, 692 subgroup genera, 337 candidate searches
+and one entry per atlas data table.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """

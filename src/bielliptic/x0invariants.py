@@ -1,10 +1,11 @@
 """Classical invariants of the modular curve X0(N): elliptic points, cusps, genus.
 
-`cusp_count` and `genus_x0` are memoised per level (`ntheory.memoise`): a
-classification asks for the genus of the same 115 levels thousands of times.
-After one each table holds 115 entries, and `modsym.clear_cache()`
-empties them.  `cusp_count_plus`, the cusp count up to the star involution,
-is asked once per modular-symbols build and is not memoised.
+`genus_x0` is memoised per level (`ntheory.memoise`): a classification asks
+for the genus of the same 115 levels thousands of times.  After one its
+table holds 115 entries, and `modsym.clear_cache()` empties it.
+Within the package `cusp_count` is asked only by `genus_x0`, once per level,
+and `cusp_count_plus`, the cusp count up to the star involution, once per
+modular-symbols build; neither is memoised.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def nu3(N: int) -> int:
     return r
 
 
-@memoise
 def cusp_count(N: int) -> int:
     """Number of cusps of X0(N): sum of phi(gcd(d, N/d)) over d | N."""
     total = 0

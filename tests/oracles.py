@@ -14,8 +14,12 @@ the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
 identity.  `closure_by_compose` closes an involution group by calling
 `compose` on every product, as `group_closure` did before it read the
-level's product table.  The number-theory routes count reduced forms
-literally and count Atkin-Lehner fixed points by complex multiplication.
+level's product table.  `two_group_options` and `hyperelliptic_factoring`
+are the atlas's 2-group and hyperelliptic-factoring rules as they were
+before they read the full group's candidate search: each closes B(N) with
+the normalizer involutions itself.  The number-theory routes count reduced
+forms literally and count Atkin-Lehner fixed points by complex
+multiplication.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from bielliptic.errors import IntegrityError, OrderViolation
-from bielliptic.involutions import ExtInvolution, InvolutionGroup, compose, parse_element
+from bielliptic.involutions import (
+    ExtInvolution,
+    InvolutionGroup,
+    compose,
+    level_involutions,
+    parse_element,
+    quotient_genus_hurwitz,
+)
 from bielliptic.modsym import (
     ModSymSpace,
     _cusp_normalize,
@@ -42,6 +53,7 @@ from bielliptic.ntheory import (
     kronecker,
     validate_discriminant,
 )
+from bielliptic.screening import RuleResult, star_gate
 from bielliptic.x0invariants import cusp_count, genus_x0
 
 # -- modular symbols -----------------------------------------------------
@@ -368,6 +380,73 @@ def closure_by_compose(N: int, generators) -> InvolutionGroup:
     if len(group) < len(elems):
         raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
     return InvolutionGroup(N, group)
+
+
+def _closures_with_full(N: int, extras):
+    """(v, group) for each v in `extras` whose group with B(N) closes."""
+    full = list(ALSubgroup.full(N).generators())
+    out = []
+    for v in extras:
+        try:
+            out.append((v, closure_by_compose(N, full + [v])))
+        except OrderViolation:
+            continue
+    return out
+
+
+def two_group_options(N: int, sub: ALSubgroup, g: int, found) -> list:
+    """The (order, tag) options of `atlas._two_group_options`, closing B(N)
+    with V2 (8 | N) and with V3 (9 || N) here; `found` is the pair's search."""
+    if g < 6:
+        return []
+    out = []
+    index = (1 << factor(N).omega) // sub.order
+    if index > 1 and all(h < g for v, _, h in found if v.kind == "al"):
+        out.append((index, "image of the full Atkin-Lehner group"))
+    extras = []
+    if N % 8 == 0:
+        extras.append(ExtInvolution.v2(N))
+    if N % 9 == 0 and (N // 9) % 3:
+        extras.append(ExtInvolution.v3(N))
+    genus = {v: h for v, _, h in found}
+    for extra, big in _closures_with_full(N, extras):
+        if all(
+            genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
+        ):
+            out.append((
+                big.order // sub.order,
+                f"image of the Atkin-Lehner group extended by {extra.name}",
+            ))
+    return out
+
+
+def hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
+    """The result of `atlas._hyperelliptic_factoring`, taking the first
+    normalizer involution whose group with B(N) has genus 0 from closures
+    made here."""
+    if g < 6 or factor(N).is_squarefree:
+        return None
+    try:
+        gate = star_gate(N)
+    except ValueError:
+        return None
+    if not gate.hyperelliptic or gate.star_genus < 2:
+        return None
+    index = (1 << factor(N).omega) // sub.order
+    if g - 1 <= index * (gate.star_genus - 1):
+        return None
+    cands = [v for v in level_involutions(N) if v.kind != "al"]
+    for v, G in _closures_with_full(N, cands):
+        if quotient_genus_hurwitz(N, G) == 0:
+            return RuleResult(
+                "hyperelliptic-factoring",
+                "a ramified cover of a hyperelliptic curve forces the (central) "
+                "bielliptic involution to induce its hyperelliptic involution",
+                "excludes",
+                (N, sub.label(), g, gate.star_genus),
+                detail=f"hyperelliptic involution of the full quotient: {v.name}",
+            )
+    return None
 
 
 # -- number theory -------------------------------------------------------

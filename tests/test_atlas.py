@@ -6,8 +6,11 @@ import pytest
 from bielliptic import atlas
 from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
 from bielliptic.errors import DataError, IntegrityError
+from bielliptic.involutions import quotient_genus_hurwitz
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import ALSubgroup
+from bielliptic.ntheory import ALSubgroup, all_subgroups
+
+import oracles
 
 
 def _by_key(records):
@@ -233,6 +236,27 @@ class TestClassification:
                     assert invariant_genus(rec.witness.level, divisors) == 1
 
 
+def test_rule_battery_matches_its_closure_loops():
+    # the 2-group and hyperelliptic-factoring rules read the groups B(N) forms
+    # with the normalizer involutions from the full group's search; the
+    # references close those groups themselves, by compose
+    pairs = extended = factored = 0
+    for N in atlas.scope_levels():
+        for sub in all_subgroups(N):
+            g = quotient_genus_hurwitz(N, sub)
+            if g < 6:
+                continue
+            found = atlas._search(N, sub)
+            options = list(atlas._two_group_options(N, sub, g, found))
+            assert options == oracles.two_group_options(N, sub, g, found), (N, sub.label())
+            result = atlas._hyperelliptic_factoring(N, sub, g)
+            assert result == oracles.hyperelliptic_factoring(N, sub, g), (N, sub.label())
+            pairs += 1
+            extended += sum("extended" in tag for _, tag in options)
+            factored += result is not None
+    assert (pairs, extended, factored) == (548, 150, 43)
+
+
 class TestQuadraticPoints:
     def test_examples(self, classification):
         recs = _by_key(classification)
@@ -247,11 +271,18 @@ class TestQuadraticPoints:
         # a bielliptic pair that is not hyperelliptic must consult the table
         rec = next(
             r for r in classification
-            if r.bielliptic and r.key() not in atlas.hyperelliptic_pairs()
-            and r.field == "Q"
+            if r.bielliptic and not r.hyperelliptic and r.field == "Q"
         )
         with pytest.raises(DataError):
             atlas.quadratic_points(rec, {})
+
+    def test_hyperelliptic_records_are_table_rows(self, classification):
+        # quadratic_points reads record.hyperelliptic; in scope that is the
+        # hyperelliptic table, genus-2 pairs included
+        table = atlas.hyperelliptic_pairs()
+        hyper = {r.key() for r in classification if r.hyperelliptic}
+        assert hyper == {r.key() for r in classification if r.key() in table}
+        assert sum(r.genus == 2 for r in classification) == 28
 
 
 class TestReports:

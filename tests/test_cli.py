@@ -105,6 +105,10 @@ def test_selftest_levels_without_genus_tables_usage_error(capsys, monkeypatch, a
     (("genus", "+60"), "'+60'"),
     (("fix", "2_52", "--element", "V3*w7"), "'2_52'"),
     (("screen", "9_2", "--w", "w4"), "'9_2'"),
+    # an empty value is a token too, not an absent option
+    (("genus", "60", "--w", ""), "''"),
+    (("screen", "60", "--w", ""), "''"),
+    (("selftest", "--genus-tables", "--levels", ""), "''"),
 ])
 def test_non_decimal_number_usage_error(capsys, argv, token):
     code, out, err = run(capsys, *argv)

@@ -343,11 +343,13 @@ def test_group_closure_matches_compose_doubling():
 
 def test_classify_composes_only_to_build_tables(monkeypatch):
     # a cold classify calls compose once per ordered pair of each level's
-    # table and a warm one not at all; the closures raise the same
-    # OrderViolations on both passes, and clear_cache() drops the tables.
-    # The cold pass builds 115 spaces and caches 491 traces and the warm one
-    # adds none: the state perfbench's classify guards assume.
+    # table and a warm one not at all; the atlas's candidate searches are
+    # memoised, so the warm pass closes no group and raises no
+    # OrderViolation, and clear_cache() drops the tables.  The cold pass
+    # builds 115 spaces and caches 491 traces and the warm one adds none:
+    # the state perfbench's classify guards assume.
     composed = []
+    closures = []
     violations = Counter()
     real_compose, real_closure = involutions.compose, involutions.group_closure
 
@@ -356,6 +358,7 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         return real_compose(a, b)
 
     def counting_closure(N, generators):
+        closures.append(N)
         try:
             return real_closure(N, generators)
         except OrderViolation as exc:
@@ -383,7 +386,9 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     atlas.classify_all()
     assert len(composed) == sum(len(t.elements) ** 2 for t in tables.values())
     assert (len(tables), len(composed)) == (67, 9136)
-    assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+    assert len(closures) == 3703
+    assert violations == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
+    assert len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert cached() == (115, 491)
     # fix_al reads each trace once, and nothing else in the package reads one
     assert len(traces) == len(set(traces)) == 491
@@ -396,11 +401,13 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         ), site.__name__
 
     composed.clear()
+    closures.clear()
     violations.clear()
     traces.clear()
     atlas.classify_all()
     assert composed == []
-    assert violations == {"two-part-rotation": 1068, "v3-tail-2-mod-3": 269}
+    assert closures == []
+    assert violations == {}
     assert cached() == (115, 491)
     assert traces == []
 
@@ -410,6 +417,7 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         "_level_involutions",
     ):
         assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
+    assert _MEMO_TABLES["bielliptic.atlas._search"] == {}
 
 
 def test_compose_is_commutative_and_associative():

@@ -616,6 +616,7 @@ def test_clear_cache_is_the_one_reset(monkeypatch):
     all_subgroups(12)
     quotient_genus_hurwitz(12, group_closure(12, [4]))
     quotient_genus_hurwitz(12, ALSubgroup(12, [4]))
+    atlas._search(12, ALSubgroup(12, [4]))
     atlas.hyperelliptic_pairs()
     atlas.witness_annotations()
     atlas._published_bielliptic_keys()

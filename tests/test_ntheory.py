@@ -24,7 +24,7 @@ from bielliptic.ntheory import (
     psi,
 )
 from bielliptic.screening import gate_levels
-from bielliptic.x0invariants import cusp_count, genus_x0
+from bielliptic.x0invariants import genus_x0
 
 from oracles import class_number_oracle
 
@@ -208,7 +208,6 @@ def test_memoised_functions_stay_traceable():
             public[name] = (module, getattr(importlib.import_module(module), attr))
     assert set(public) == {
         "bielliptic.ntheory.factor",
-        "bielliptic.x0invariants.cusp_count",
         "bielliptic.x0invariants.genus_x0",
         "bielliptic.involutions.fix_al",
         "bielliptic.atlas.hyperelliptic_pairs",
@@ -222,7 +221,6 @@ def test_memoised_functions_stay_traceable():
 def test_memoised_values_equal_the_undecorated_functions():
     for n in range(1, 3001):
         assert factor(n) == factor.__wrapped__(n)
-        assert cusp_count(n) == cusp_count.__wrapped__(n)
         assert genus_x0(n) == genus_x0.__wrapped__(n)
     for N in gate_levels():
         for Q in hall_divisors(N)[1:]:

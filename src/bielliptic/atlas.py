@@ -11,11 +11,14 @@ exactly one terminal status:
 * ``adjudicated``: the mechanical rules are silent and the verdict is taken
   from the adjudication table, which cites the method that settles it.
 
-`_settle` decides a pair in this order: Castelnuovo's inequality for a
-hyperelliptic quotient; the witness search (`_search`, one tuple of every
-candidate with its closed group and quotient genus; the first of genus 1 is
-the witness); the w4-reduction, settling the reduced pair; then the
-exclusion rules.  `_exclusions` yields those in order (Ogg's bound,
+`classify_pair`, the one path from a pair to its record, decides in this
+order: the level gate, whose result is the first trace entry (the star-gate
+exclusion, or the fixed-point closure at bielliptic-gate levels); `_settle`,
+unless the gate excludes; the adjudication table, for a pair `_settle` leaves
+inconclusive.  `_settle` runs Castelnuovo's inequality for a hyperelliptic
+quotient; the witness search (`_search`, one tuple of every candidate with
+its closed group and quotient genus; the first of genus 1 is the witness);
+the w4-reduction, settling the reduced pair; then the exclusion rules.  `_exclusions` yields those in order (Ogg's bound,
 unramified covers, many fixed points, 2-group actions, hyperelliptic
 factoring) and `_settle` records the first that excludes.  A new exclusion
 rule goes into `_exclusions`, the one place the battery is written.
@@ -63,6 +66,13 @@ from .x0invariants import genus_x0
 
 RATIONAL = "Q"
 SQRT_MINUS_3 = "Q(sqrt(-3))"
+
+# adjudicated verdict -> field of the bielliptic involution (None: not bielliptic)
+_VERDICT_FIELD = {
+    "not-bielliptic": None,
+    "bielliptic-over-Q": RATIONAL,
+    "bielliptic-over-Q(sqrt(-3))": SQRT_MINUS_3,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +138,7 @@ def ingest_adjudications(source) -> dict:
 
     def read_row(level, generators, verdict, citation):
         N = parse_level(level)
-        if verdict not in ("not-bielliptic", "bielliptic-over-Q", "bielliptic-over-Q(sqrt(-3))"):
+        if verdict not in _VERDICT_FIELD:
             raise ValueError(f"unknown verdict {verdict!r}")
         return (N, ALSubgroup.parse(N, generators).elements), (verdict, citation)
 
@@ -249,14 +259,14 @@ def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
     return (N, sub.elements) in hyperelliptic_pairs()
 
 
-def _settle(N: int, sub: ALSubgroup):
-    """Witness search plus exclusion rules for one pair (any level).
+def _settle(N: int, sub: ALSubgroup, g: int):
+    """Witness search plus exclusion rules for a pair of genus `g` that the
+    level gate let through, or for its w4-reduction.
 
     Returns (status, witness, trace) with status one of
     "bielliptic-confirmed", "excluded", "inconclusive".
     """
     trace: list[RuleResult] = []
-    g = quotient_genus_hurwitz(N, sub)
 
     # a hyperelliptic quotient of genus >= 4 cannot be bielliptic
     if _quotient_hyperelliptic(N, sub, g) is True:
@@ -288,7 +298,7 @@ def _settle(N: int, sub: ALSubgroup):
             )
         )
         # 2 || N/2, so the reduced pair does not reduce again
-        status2, witness2, trace2 = _settle(N2, sub2)
+        status2, witness2, trace2 = _settle(N2, sub2, g)
         trace.extend(trace2)
         if status2 == "bielliptic-confirmed":
             witness2 = replace(witness2, chain=((N2, sub2.label()),) + witness2.chain)
@@ -354,17 +364,6 @@ def _exclusions(N: int, sub: ALSubgroup, g: int, found):
         yield result
 
 
-def confirm_bielliptic(N: int, W) -> Witness | None:
-    """The witness `_settle` exhibits for the pair, or None.
-
-    Candidates run over the Atkin-Lehner involutions outside W and the
-    normalizer families available at the level; if nothing is found and the
-    w4-reduction applies, the search continues at the reduced level.
-    """
-    sub = ALSubgroup.of(N, W)
-    return _settle(N, sub)[1]
-
-
 def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
     """Orders of elementary-abelian 2-groups acting faithfully on the pair.
 
@@ -382,7 +381,7 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
     extras = []
     if N % 8 == 0:
         extras.append(ExtInvolution.v2(N))
-    if N % 9 == 0 and (N // 9) % 3:
+    if factor(N).valuation(3) == 2:
         extras.append(ExtInvolution.v3(N))
     # every involution outside W is a candidate; None where its closure raised
     genus = {v: h for v, _, h in found}
@@ -400,10 +399,9 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
 def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
     if g < 6 or factor(N).is_squarefree:
         return None
-    try:
-        gate = star_gate(N)
-    except ValueError:
-        return None
+    # `_settle` runs at a level the gate accepted or at its w4-reduction 2m
+    # (m odd, m > 1); not squarefree, that level is in the gate's domain too
+    gate = star_gate(N)
     if not gate.hyperelliptic or gate.star_genus < 2:
         return None
     full = ALSubgroup.full(N)
@@ -457,44 +455,35 @@ class PairRecord:
 
 
 def classify_pair(N: int, W, adjudications=None) -> PairRecord:
-    """Terminal status for one in-scope pair."""
+    """Terminal status for one in-scope pair: the level gate, then `_settle`,
+    then the adjudication table for a pair `_settle` leaves inconclusive."""
     sub = ALSubgroup.of(N, W)
-    adjudications = default_adjudications() if adjudications is None else adjudications
     g = quotient_genus_hurwitz(N, sub)
     hyper = _quotient_hyperelliptic(N, sub, g) is True
-    trace: list[RuleResult] = []
     if g < 2:
         return PairRecord(N, sub, g, "genus-too-small", hyper)
 
     gate = star_gate(N)
+    trace = []
     if gate.kind == "fails-gate":
-        trace.append(
-            RuleResult("star-gate", "the full quotient is neither subhyperelliptic "
-                       "nor bielliptic", "excludes", (N,))
-        )
-        return PairRecord(N, sub, g, "excluded", hyper, rule_trace=tuple(trace))
-    if gate.kind == "bielliptic":
-        closure = rule_fixed_point_closure(N, sub)
-        trace.append(closure)
-        if closure.verdict == "excludes":
-            return PairRecord(N, sub, g, "excluded", hyper, rule_trace=tuple(trace))
-
-    status, witness, sub_trace = _settle(N, sub)
-    trace = tuple(trace + sub_trace)
-    if status != "inconclusive":
-        field = witness.field if witness else None
-        return PairRecord(N, sub, g, status, hyper, witness, field, trace)
-    verdict = adjudications.get((N, sub.elements))
-    if verdict is None:
-        return PairRecord(N, sub, g, status, hyper, rule_trace=trace)
-    field = None
-    if verdict[0] == "bielliptic-over-Q":
-        field = RATIONAL
-    elif verdict[0].startswith("bielliptic"):
-        field = SQRT_MINUS_3
-    return PairRecord(
-        N, sub, g, "adjudicated", hyper, field=field, rule_trace=trace, adjudication=verdict
-    )
+        trace.append(RuleResult("star-gate", "the full quotient is neither subhyperelliptic "
+                                "nor bielliptic", "excludes", (N,)))
+    elif gate.kind == "bielliptic":
+        trace.append(rule_fixed_point_closure(N, sub))
+    if trace and trace[0].verdict == "excludes":
+        status, witness = "excluded", None
+    else:
+        status, witness, settled = _settle(N, sub, g)
+        trace += settled
+    verdict = field = None
+    if witness is not None:
+        field = witness.field
+    elif status == "inconclusive":
+        adjudications = default_adjudications() if adjudications is None else adjudications
+        verdict = adjudications.get((N, sub.elements))
+        if verdict is not None:
+            status, field = "adjudicated", _VERDICT_FIELD[verdict[0]]
+    return PairRecord(N, sub, g, status, hyper, witness, field, tuple(trace), verdict)
 
 
 def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:

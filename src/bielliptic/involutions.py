@@ -34,7 +34,8 @@ from functools import cached_property
 from .errors import IntegrityError, OrderViolation
 from .modsym import build_space
 from .ntheory import (
-    ALSubgroup, _is_hall_divisor, _need_level, hall_divisors, hall_product, memoise, parse_w,
+    ALSubgroup, _is_hall_divisor, _need_level, factor, hall_divisors, hall_product, memoise,
+    parse_w,
 )
 from .x0invariants import genus_x0
 
@@ -42,14 +43,6 @@ _ID2 = (0, 0)
 _S2W = (0, 1)
 _V2W = (1, 1)
 _KIND_ORDER = {"id": 0, "al": 1, "s2": 2, "s2c": 3, "v2": 4, "v3": 5}
-
-
-def _two_alpha(N: int) -> int:
-    a = 0
-    while N % 2 == 0:
-        N //= 2
-        a += 1
-    return a
 
 
 def _f_word(alpha: int):
@@ -94,7 +87,7 @@ class ExtInvolution:
         _need_level(N)
         if not _is_hall_divisor(d, N):
             raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
-        alpha = _two_alpha(N)
+        alpha = factor(N).valuation(2)
         if alpha >= 2 and d % 2 == 0:
             return cls(N, _f_word(alpha), 0, d >> alpha)
         return cls(N, _ID2, 0, d)
@@ -108,7 +101,7 @@ class ExtInvolution:
     def s2_conj(cls, N: int, r: int = 1) -> "ExtInvolution":
         """w_{2^a} S2 w_{2^a} (times w_r); equals V2 when 4 exactly divides N."""
         cls._need_s2(N, r)
-        alpha = _two_alpha(N)
+        alpha = factor(N).valuation(2)
         f = _f_word(alpha)
         word = _word_mul(_word_mul(f, _S2W, 4 if alpha >= 3 else 3), f,
                          4 if alpha >= 3 else 3)
@@ -118,7 +111,7 @@ class ExtInvolution:
     def v2(cls, N: int, d: int = 1) -> "ExtInvolution":
         """V2 * w_d; d may carry the full 2-part 2^alpha only when alpha >= 3."""
         _need_level(N)
-        alpha = _two_alpha(N)
+        alpha = factor(N).valuation(2)
         if alpha < 2:
             raise ValueError(f"V2 needs 4 | N, got N={N}")
         if not _is_hall_divisor(d, N):
@@ -135,11 +128,11 @@ class ExtInvolution:
     @classmethod
     def v3(cls, N: int, d: int = 1) -> "ExtInvolution":
         _need_level(N)
-        if N % 9 or (N // 9) % 3 == 0:
+        if factor(N).valuation(3) != 2:
             raise ValueError(f"V3 needs 9 || N, got N={N}")
         if not _is_hall_divisor(d, N):
             raise ValueError(f"w{d} is not an Atkin-Lehner involution at level {N}")
-        alpha = _two_alpha(N)
+        alpha = factor(N).valuation(2)
         word = _ID2
         if alpha >= 2 and d % 2 == 0:
             word = _f_word(alpha)
@@ -167,7 +160,7 @@ class ExtInvolution:
         return self.word2 == _ID2 and self.e3 == 0 and self.tail == 1
 
     def _alpha(self) -> int:
-        return _two_alpha(self.level)
+        return factor(self.level).valuation(2)
 
     def _al_part(self) -> int:
         """Full Atkin-Lehner divisor when the word is trivial or pure w_{2^a}."""
@@ -254,7 +247,7 @@ def compose(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
     if a.level != b.level:
         raise ValueError("cannot compose involutions of different levels")
     N = a.level
-    alpha = _two_alpha(N)
+    alpha = factor(N).valuation(2)
     modulus = 4 if alpha >= 3 else 3
     fword = _f_word(alpha) if alpha >= 2 else None
     eps2 = 1 if alpha >= 2 and (1 << alpha) % 3 == 2 else 0
@@ -460,7 +453,7 @@ def fix_count(elem: ExtInvolution) -> int:
         return fix_al(N, hall_product(9, _coprime3(elem._al_part())))
     r = elem.tail
     if kind == "v2" and elem.word2 == _V2W:
-        return fix_al(N, r << _two_alpha(N))
+        return fix_al(N, r << factor(N).valuation(2))
 
     def s2_count(M: int) -> int:
         if r == 1:
@@ -475,7 +468,7 @@ def fix_count(elem: ExtInvolution) -> int:
         return s2_count(N)
     count = 2 * s2_count(N // 2) - s2_count(N)
     if count < 0:
-        raise IntegrityError(f"negative count for V2*w{r << _two_alpha(N)} at level {N}")
+        raise IntegrityError(f"negative count for {elem.name} at level {N}")
     return count
 
 
@@ -534,14 +527,14 @@ def level_involutions(N: int) -> list[ExtInvolution]:
 @memoise
 def _level_involutions(N: int) -> tuple[ExtInvolution, ...]:
     elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
-    alpha = _two_alpha(N)
+    alpha = factor(N).valuation(2)
     if alpha >= 2:
         odd = [r for r in hall_divisors(N) if r % 2]
         for ctor in (ExtInvolution.s2, ExtInvolution.s2_conj, ExtInvolution.v2):
             elems += [ctor(N, r) for r in odd]
         if alpha >= 3:
             elems += [ExtInvolution.v2(N, r << alpha) for r in odd]
-    if N % 9 == 0 and (N // 9) % 3:
+    if factor(N).valuation(3) == 2:
         elems += [
             ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
         ]

@@ -36,17 +36,21 @@ def nu3(N: int) -> int:
     return r
 
 
-def cusp_count(N: int) -> int:
-    """Number of cusps of X0(N): sum of phi(gcd(d, N/d)) over d | N."""
-    total = 0
+def _cusp_phis(N: int):
+    """phi(gcd(d, N/d)) for each d | N, pairing d with N/d up to sqrt(N)."""
     d = 1
     while d * d <= N:
         if N % d == 0:
-            total += euler_phi(gcd(d, N // d))
+            phi = euler_phi(gcd(d, N // d))
+            yield phi
             if d != N // d:
-                total += euler_phi(gcd(N // d, d))
+                yield phi
         d += 1
-    return total
+
+
+def cusp_count(N: int) -> int:
+    """Number of cusps of X0(N): sum of phi(gcd(d, N/d)) over d | N."""
+    return sum(_cusp_phis(N))
 
 
 @memoise
@@ -62,8 +66,4 @@ def cusp_count_plus(N: int) -> int:
     """Number of cusp classes of X0(N) up to the star involution p/q -> -p/q:
     sum of ceil(phi(gcd(d, N/d)) / 2) over d | N.  The involution sends the
     class (d, u) to (d, -u), and u = -u only where gcd(d, N/d) <= 2."""
-    total = 0
-    for d in range(1, N + 1):
-        if N % d == 0:
-            total += (euler_phi(gcd(d, N // d)) + 1) // 2
-    return total
+    return sum((phi + 1) // 2 for phi in _cusp_phis(N))

@@ -140,7 +140,7 @@ CONFIRMATIONS = {
 def test_criterion_4_bielliptic_confirmations():
     checked = 0
     for (N, gens), families in sorted(CONFIRMATIONS.items()):
-        witness = atlas.confirm_bielliptic(N, gens)
+        witness = atlas.classify_pair(N, gens).witness
         assert witness is not None, (N, gens)
         assert witness.family in families, (N, gens, witness.family)
         assert quotient_genus_hurwitz(witness.level, witness.group) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -101,29 +102,29 @@ class TestAdjudications:
 
 class TestConfirm:
     def test_90_w9(self):
-        w = atlas.confirm_bielliptic(90, (9,))
+        w = atlas.classify_pair(90, (9,)).witness
         assert w.element.name == "V3*w10"
         assert w.field == "Q"
         names = w.group.names()
         assert "V3*w90" in names
 
     def test_126_w63_field(self):
-        w = atlas.confirm_bielliptic(126, (63,))
+        w = atlas.classify_pair(126, (63,)).witness
         assert w.element.kind == "v3"
         assert w.field == "Q(sqrt(-3))"
 
     def test_104_w8_family(self):
-        w = atlas.confirm_bielliptic(104, (8,))
+        w = atlas.classify_pair(104, (8,)).witness
         assert w.element.kind == "v2"
         assert "V2*w104" in w.group.names()
 
     def test_44_reduction(self):
-        w = atlas.confirm_bielliptic(44, (4,))
+        w = atlas.classify_pair(44, (4,)).witness
         assert w.chain and w.level == 22
         assert w.element.kind == "al"
 
     def test_none_found(self):
-        assert atlas.confirm_bielliptic(54, (2,)) is None
+        assert atlas.classify_pair(54, (2,)).witness is None
 
 
 class TestClassification:
@@ -165,6 +166,26 @@ class TestClassification:
         assert r.rule_trace[-1].rule_id == "castelnuovo"
         r = recs[(84, ALSubgroup(84, (3,)).elements)]
         assert r.status == "adjudicated"
+
+    def test_gate_path(self):
+        # the level gate's result is the first trace entry; 244 fails the
+        # gate, 300 and 260 are bielliptic-gate levels
+        r = atlas.classify_pair(244, (4,))
+        assert (r.status, r.genus) == ("excluded", 14)
+        assert [res.line() for res in r.rule_trace] == [
+            "star-gate(244) -> excludes "
+            "[the full quotient is neither subhyperelliptic nor bielliptic]"
+        ]
+        r = atlas.classify_pair(300, (4, 75))
+        assert r.status == "excluded" and len(r.rule_trace) == 3
+        assert r.rule_trace[0].line().startswith(
+            "fixed-point-closure(300,<w4,w75>) -> inconclusive"
+        )
+        r = atlas.classify_pair(260, (4, 65))
+        assert r.status == "adjudicated"
+        assert [res.rule_id for res in r.rule_trace] == [
+            "fixed-point-closure", "w4-reduction"
+        ]
 
     def test_every_adjudication_entry_consumed(self, classification):
         # the adjudication table contains exactly the pairs the rules leave open
@@ -304,6 +325,16 @@ class TestReports:
     def test_unknown_format(self, classification):
         with pytest.raises(ValueError):
             atlas.emit_report(classification[:1], "xml")
+
+    @pytest.mark.parametrize("fmt, sha256, size", [
+        ("json", "1371addcd21c7983d543133e6a463f5366703078089afe05e3c68930b5e9b0b0", 200580),
+        ("markdown", "4c4ed94f22976148408ab4116dbc1c8927b65b2eeccb960dee4f7121d10d16db", 46608),
+        ("csv", "f3b59f0f2774c80cdb381e290bed119dcb2383a46a607b74078abf64b09bcd95", 20888),
+    ], ids=["json", "markdown", "csv"])
+    def test_report_bytes(self, classification, fmt, sha256, size):
+        # the full report, byte for byte, in each format
+        blob = atlas.emit_report(classification, fmt).encode()
+        assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (sha256, size)
 
 
 class TestGoldenTables:

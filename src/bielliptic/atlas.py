@@ -43,10 +43,9 @@ from .errors import DataError, IntegrityError, OrderViolation
 from .involutions import (
     ExtInvolution,
     InvolutionGroup,
-    _group_genus,
+    _involution_table,
     fix_table,
     group_closure,
-    level_involutions,
     quotient_genus_hurwitz,
 )
 from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
@@ -226,7 +225,7 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
     """
     gens = list(sub.generators())
     found = []
-    for v in level_involutions(N):
+    for v in _involution_table(N).elements[1:]:
         if v.kind == "al" and v._al_part() in sub:
             continue
         try:
@@ -234,7 +233,7 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
         except OrderViolation:
             found.append((v, None, None))
             continue
-        found.append((v, G, _group_genus(G)))
+        found.append((v, G, G._genus))
     return tuple(found)
 
 
@@ -243,9 +242,8 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
 
 
 def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
-    """True/False when known, None when outside the covered data (squarefree)."""
-    if g <= 1:
-        return None
+    """True/False when known, None when outside the covered data (squarefree);
+    no table row or hyperelliptic gate level has genus below 2."""
     if g == 2:
         return True
     fac = factor(N)

@@ -50,11 +50,12 @@ def _load(path: str | None, ingest, default):
         raise DataFileError(f"{problem} data file: {exc}") from exc
 
 
+def _load_adjudications(args):
+    return _load(args.adjudications, atlas.ingest_adjudications, atlas.default_adjudications)
+
+
 def _load_tables(args):
-    return (
-        _load(args.ec, atlas.ingest_ec_table, atlas.default_ec_table),
-        _load(args.adjudications, atlas.ingest_adjudications, atlas.default_adjudications),
-    )
+    return _load(args.ec, atlas.ingest_ec_table, atlas.default_ec_table), _load_adjudications(args)
 
 
 def cmd_genus(args) -> int:
@@ -68,8 +69,6 @@ def cmd_fix(args) -> int:
     if args.all:
         print(involutions.fix_table_tsv(N))
         return EXIT_OK
-    if not args.element:
-        raise ValueError("fix needs --all or --element")
     elem = involutions.parse_element(N, args.element)
     print(involutions.fix_count(elem))
     return EXIT_OK
@@ -77,8 +76,6 @@ def cmd_fix(args) -> int:
 
 def cmd_group_genus(args) -> int:
     N = parse_level(args.level)
-    if not args.gens:
-        raise ValueError("group-genus needs --gens")
     gens = [g.strip() for g in args.gens.split(",")]
     if not all(gens):
         raise ValueError(f"empty generator in --gens {args.gens!r}")
@@ -90,8 +87,7 @@ def cmd_group_genus(args) -> int:
 def cmd_screen(args) -> int:
     N = parse_level(args.level)
     sub = _parse_subgroup(N, args.w)
-    _, adj = _load_tables(args)
-    record = atlas.classify_pair(N, sub, adj)
+    record = atlas.classify_pair(N, sub, _load_adjudications(args))
     print(f"{record.status}")
     if record.witness is not None:
         print(f"witness: {record.witness.describe()} field: {record.field}")
@@ -125,6 +121,8 @@ def cmd_quadpoints(args) -> int:
 def cmd_selftest(args) -> int:
     if args.levels is not None and not (args.genus_tables or args.all):
         raise ValueError("--levels restricts only --genus-tables (or --all)")
+    if (args.ec, args.adjudications) != (None, None) and not (args.classification or args.all):
+        raise ValueError("--ec and --adjudications are read only by --classification (or --all)")
     ran_any = False
     if args.genus_tables or args.all:
         levels = None
@@ -169,20 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fix", help="fixed-point counts at a level")
     p.add_argument("level")
-    p.add_argument("--all", action="store_true", help="dump the full table as TSV")
-    p.add_argument("--element", help='single element, e.g. "V2*w40"')
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true", help="dump the full table as TSV")
+    which.add_argument("--element", help='single element, e.g. "V2*w40"')
     p.set_defaults(func=cmd_fix)
 
     p = sub.add_parser("group-genus", help="quotient genus of an involution group")
     p.add_argument("level")
-    p.add_argument("--gens", help='generators, e.g. "w9,V3*w7"')
+    p.add_argument("--gens", required=True, help='generators, e.g. "w9,V3*w7"')
     p.set_defaults(func=cmd_group_genus)
 
     p = sub.add_parser("screen", help="screen a single pair")
     p.add_argument("level")
     p.add_argument("--w", help="subgroup generators")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--ec", help="elliptic-curve table file")
     p.add_argument("--adjudications", help="adjudicated-verdict file")
     p.set_defaults(func=cmd_screen)
 

@@ -8,21 +8,22 @@ symmetric of order 6 for a = 2), times an optional V3, times an Atkin-Lehner
 tail.  Composition uses only the published commutation rules; any product
 that leaves the commuting-involution framework raises OrderViolation.
 
-Each level has one involution table, memoised: the identity and
-`level_involutions(N)`, with the product of every ordered pair as an index,
-or as the rule and message of the OrderViolation `compose` raises for it.
-Building it checks that the table is closed (a product that is an
-involution but not listed raises IntegrityError).  `group_closure` reads
-products from the table and holds the group as a bitmask over its indices,
-so it calls no `compose`, and it returns one shared InvolutionGroup per
-mask.  `modsym.clear_cache()` empties these tables with the others.
+Each level has one memoised involution table, the one cache of its
+involution algebra: the identity and `level_involutions(N)`, the product of
+every ordered pair as an index (or the rule and message of the
+OrderViolation `compose` raises for it), and the closed groups.  Building
+it checks that the table is closed (a product that is an involution but not
+listed raises IntegrityError).  `group_closure` reads products from the
+table and holds the group as a bitmask over its indices, so it calls no
+`compose`, and it returns the table's one shared InvolutionGroup per mask.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
-involutions, memoised per closed group and per Atkin-Lehner subgroup.  The
-only input from modular symbols is `fix_al`, the Lefschetz number
-2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols; the counts
-of the extra involutions reduce to those through conjugation and the
+involutions, cached on each closed group and memoised per Atkin-Lehner
+subgroup; `modsym.clear_cache()` empties the memo tables.  The only input
+from modular symbols is `fix_al`, the Lefschetz number 2 - tr(w_Q | S2) of
+w_Q on the 2g-dimensional cuspidal symbols; the counts of the extra
+involutions reduce to those through conjugation and the
 two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
 """
 
@@ -313,6 +314,11 @@ class InvolutionGroup:
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self)
 
+    @cached_property
+    def _genus(self) -> int:
+        """The Hurwitz genus of X0(N)/G, computed once per shared group."""
+        return _hurwitz(self.level, self.order, sum(map(fix_count, self.nontrivial())), self.names)
+
 
 def group_closure(N: int, generators) -> InvolutionGroup:
     """The group a generator list spans; all elements must be involutions.
@@ -346,7 +352,11 @@ def group_closure(N: int, generators) -> InvolutionGroup:
     size = mask.bit_count()
     if size < len(elems):
         raise IntegrityError(f"closure of {size} elements is not a 2-group")
-    return _mask_group(N, mask)
+    group = table.groups.get(mask)
+    if group is None:
+        elements = frozenset(e for i, e in enumerate(table.elements) if mask >> i & 1)
+        group = table.groups.setdefault(mask, InvolutionGroup(N, elements))
+    return group
 
 
 class _InvolutionTable:
@@ -355,19 +365,21 @@ class _InvolutionTable:
     ``products[i][j]`` is the index of elements[i] * elements[j], or the
     (rule, message) of the OrderViolation that `compose` raises for the pair.
     A product that is an involution but not an element raises IntegrityError:
-    the table must be closed for bitmask closures to be exact.
+    the table must be closed for bitmask closures to be exact.  ``groups``
+    holds the one shared InvolutionGroup of each closed mask.
     """
 
-    __slots__ = ("elements", "index", "al_index", "products")
+    __slots__ = ("elements", "index", "al_index", "products", "groups")
 
     def __init__(self, N: int):
-        elements = (ExtInvolution.identity(N), *_level_involutions(N))
+        elements = (ExtInvolution.identity(N), *level_involutions(N))
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.al_index = {
             e._al_part(): i for i, e in enumerate(elements) if e.kind in ("id", "al")
         }
         self.products = tuple(tuple(self._product(a, b) for b in elements) for a in elements)
+        self.groups: dict[int, InvolutionGroup] = {}
 
     def _product(self, a: ExtInvolution, b: ExtInvolution):
         try:
@@ -400,15 +412,6 @@ class _InvolutionTable:
 @memoise
 def _involution_table(N: int) -> _InvolutionTable:
     return _InvolutionTable(N)
-
-
-@memoise
-def _mask_group(N: int, mask: int) -> InvolutionGroup:
-    """The one shared group whose elements are the table's set bits."""
-    elements = _involution_table(N).elements
-    return InvolutionGroup(
-        N, frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-    )
 
 
 # -- fixed-point counts ------------------------------------------------
@@ -478,14 +481,14 @@ def quotient_genus_hurwitz(N: int, group) -> int:
 
     Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
     a non-integral solution means a wrong count somewhere and raises.
-    Memoised per group and per subgroup.
+    Cached on the shared group and memoised per subgroup.
     """
     if isinstance(group, ALSubgroup):
         return _subgroup_genus(ALSubgroup.of(N, group))
     G = group if isinstance(group, InvolutionGroup) else group_closure(N, group)
     if G.level != N:
         raise ValueError("group level mismatch")
-    return _group_genus(G)
+    return G._genus
 
 
 def _hurwitz(N: int, order: int, fixed: int, name) -> int:
@@ -498,11 +501,6 @@ def _hurwitz(N: int, order: int, fixed: int, name) -> int:
     if h < 0:
         raise IntegrityError(f"negative quotient genus for {name()} at level {N}")
     return h
-
-
-@memoise
-def _group_genus(G: InvolutionGroup) -> int:
-    return _hurwitz(G.level, G.order, sum(fix_count(e) for e in G.nontrivial()), G.names)
 
 
 @memoise
@@ -520,12 +518,8 @@ def level_involutions(N: int) -> list[ExtInvolution]:
     The w_d first; when 4 | N, then S2*w_r, S2C*w_r, V2*w_r and V2*w_{2^a r}
     for odd Hall divisors r; then the V3*w_d of order 2 when 9 || N.  An
     element reached twice (S2C*w_r = V2*w_r when 4 || N) is listed once.
+    Built afresh on each call; the level's involution table keeps its copy.
     """
-    return list(_level_involutions(N))
-
-
-@memoise
-def _level_involutions(N: int) -> tuple[ExtInvolution, ...]:
     elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
     alpha = factor(N).valuation(2)
     if alpha >= 2:
@@ -538,7 +532,7 @@ def _level_involutions(N: int) -> tuple[ExtInvolution, ...]:
         elems += [
             ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
         ]
-    return tuple(dict.fromkeys(elems))
+    return list(dict.fromkeys(elems))
 
 
 def fix_table(N: int) -> list[tuple[str, int]]:

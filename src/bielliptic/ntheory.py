@@ -4,16 +4,17 @@ Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
-and over: `factor` and the sorted subgroup lattice behind `all_subgroups`
-here, `genus_x0` in `x0invariants`, `fix_al`, the involution lists and
-product tables, the closed groups and their Hurwitz genera and the Hurwitz
-genera of Atkin-Lehner subgroups in `involutions`, and in `atlas` the three
-data tables and the candidate search of each (level, subgroup).  Each table
-holds one entry per argument tuple it was called with, so after a full
-classification they hold 124 factorizations, 97 lattices, 115 genera, 491
-fixed-point counts (one per trace), 67 involution lists, 67 product tables,
-725 groups, 725 group genera, 692 subgroup genera, 337 candidate searches
-and one entry per atlas data table.
+and over, in ten tables: `factor` and the sorted subgroup lattice behind
+`all_subgroups` here, `genus_x0` in `x0invariants`, `fix_al`,
+`_involution_table` and `_subgroup_genus` in `involutions`, and in `atlas`
+the three data tables and `_search`, the candidate search of each (level,
+subgroup).  Each table holds one entry per argument tuple it was called
+with, so after a full classification they hold 124 factorizations, 97
+lattices, 115 genera, 491 fixed-point counts (one per trace), 67 involution
+tables, 692 subgroup genera, 337 candidate searches and one entry per atlas
+data table.  An involution table keeps its level's involution list, product
+table and closed groups (725 after a classification), and each group its
+Hurwitz genus.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """
@@ -24,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DataError
+from .errors import IntegrityError
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -54,7 +55,7 @@ class Factorization:
         for p, e in self.factors:
             prod *= p**e
         if prod != self.n:
-            raise DataError(f"factorization of {self.n} does not multiply out")
+            raise IntegrityError(f"factorization of {self.n} does not multiply out")
 
     @property
     def omega(self) -> int:

@@ -9,7 +9,8 @@ from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
 from bielliptic.errors import DataError, IntegrityError
 from bielliptic.involutions import quotient_genus_hurwitz
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import ALSubgroup, all_subgroups
+from bielliptic.ntheory import ALSubgroup, all_subgroups, factor
+from bielliptic.screening import GATE_GENUS1
 
 import oracles
 
@@ -155,6 +156,10 @@ class TestClassification:
         two = sum(1 for (N, _) in expected if N in BIELLIPTIC_DEG2_LEVELS_2P)
         assert two == 32
         assert len(expected) == 32 + 63 + 29
+        # the same 25 levels are the gate's genus-1 levels, split by omega
+        assert BIELLIPTIC_DEG2_LEVELS_2P | BIELLIPTIC_DEG2_LEVELS_3P == GATE_GENUS1
+        assert {factor(N).omega for N in BIELLIPTIC_DEG2_LEVELS_2P} == {2}
+        assert {factor(N).omega for N in BIELLIPTIC_DEG2_LEVELS_3P} == {3}
 
     def test_examples(self, classification):
         recs = _by_key(classification)

@@ -129,6 +129,44 @@ def test_level_below_one_usage_error(capsys, argv):
     assert f"level {argv[1]} is not positive" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("fix", "252", "--all", "--element", "w7"), "--element"),
+    (("group-genus", "126"), "--gens"),
+    (("screen", "84", "--w", "w3", "--ec", "/no/such/file"), "--ec"),
+    (("selftest", "--fix-tables", "--ec", "/no/such/file"), "--ec"),
+    (("selftest", "--genus-tables", "--adjudications", "/no/such/file"), "--adjudications"),
+])
+def test_option_read_or_refused(capsys, monkeypatch, argv, named):
+    # an option the verb would not read is a usage error before any work
+    def no_work(*args):
+        raise AssertionError("the command ran")
+
+    for name in ("verify_fix_tables", "classify_all", "verify_genus_tables", "classify_pair"):
+        monkeypatch.setattr(cli.atlas, name, no_work)
+    for name in ("fix_table_tsv", "group_closure"):
+        monkeypatch.setattr(cli.involutions, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
+def test_data_dir_resolves_relative_paths(capsys, monkeypatch, tmp_path):
+    # BIELLIPTIC_DATA_DIR is where a relative data path is looked up when it
+    # does not exist as given; an absolute path is taken as it is
+    data, work = tmp_path / "data", tmp_path / "work"
+    data.mkdir()
+    work.mkdir()
+    (data / "adjudications.txt").write_text("84;w3;not-bielliptic;from the data dir\n")
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("BIELLIPTIC_DATA_DIR", str(data))
+    code, out, _ = run(capsys, "screen", "84", "--w", "w3", "--adjudications", "adjudications.txt")
+    assert (code, out) == (0, "adjudicated\nadjudication: from the data dir\n")
+    missing = str(work / "adjudications.txt")
+    code, out, err = run(capsys, "screen", "84", "--w", "w3", "--adjudications", missing)
+    assert (code, out) == (3, "")
+    assert "missing data file" in err and missing in err
+
+
 def test_selftest_fix_tables(capsys):
     code, out, _ = run(capsys, "selftest", "--fix-tables")
     assert code == 0
@@ -141,13 +179,13 @@ def test_selftest_needs_selection(capsys):
 
 
 def test_missing_data_file(capsys):
-    code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", "/no/such/file")
+    code, _, err = run(capsys, "quadpoints", "--ec", "/no/such/file")
     assert code == 3
     assert "missing data file" in err
 
 
 def test_data_path_is_a_directory(capsys, tmp_path):
-    code, out, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(tmp_path))
+    code, out, err = run(capsys, "quadpoints", "--ec", str(tmp_path))
     assert (code, out) == (3, "")
     assert "unreadable data file" in err and str(tmp_path) in err
 
@@ -155,7 +193,7 @@ def test_data_path_is_a_directory(capsys, tmp_path):
 def test_data_file_not_utf8(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
     bad.write_bytes(b"15a 15 0 -\n99a 99 \xff 4\n")
-    code, out, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
+    code, out, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert (code, out) == (1, "")
     assert "line 2:" in err and "utf-8" in err
 
@@ -163,7 +201,7 @@ def test_data_file_not_utf8(capsys, tmp_path):
 def test_malformed_data_file(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
     bad.write_text("15a 15 0 -\nbroken row\n")
-    code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
+    code, _, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert code == 1
     assert "integrity failure" in err
 
@@ -171,7 +209,7 @@ def test_malformed_data_file(capsys, tmp_path):
 def test_non_decimal_curve_field(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
     bad.write_text("15a 15 0 -\n99a 9_9 1 4\n")
-    code, _, err = run(capsys, "screen", "84", "--w", "w3", "--ec", str(bad))
+    code, _, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert code == 1
     assert "line 2:" in err and "'9_9'" in err
 

@@ -341,6 +341,32 @@ def test_group_closure_matches_compose_doubling():
     assert outcomes == {"closed": 4354, "two-part-rotation": 1832, "v3-tail-2-mod-3": 384}
 
 
+def test_group_closure_shares_one_group_per_mask(monkeypatch):
+    # the level's table keeps one group per closed mask, and the group keeps
+    # its Hurwitz genus: fix_count runs once per nontrivial element
+    monkeypatch.setattr(modsym, "_CACHE", {})
+    modsym.clear_cache()
+    counted = []
+    real_fix_count = involutions.fix_count
+
+    def counting_fix_count(elem):
+        counted.append(elem)
+        return real_fix_count(elem)
+
+    monkeypatch.setattr(involutions, "fix_count", counting_fix_count)
+    G = group_closure(126, ["w9", "V3*w7"])
+    assert group_closure(126, ["w9", "V3*w7"]) is G
+    assert group_closure(126, ["V3*w7", "w9"]) is G
+    assert quotient_genus_hurwitz(126, G) == 1
+    assert counted == G.nontrivial() and len(counted) == 3
+    assert quotient_genus_hurwitz(126, ["w9", "V3*w7"]) == 1
+    assert quotient_genus_hurwitz(126, G) == 1
+    assert len(counted) == 3
+    modsym.clear_cache()
+    H = group_closure(126, ["w9", "V3*w7"])
+    assert H is not G and H == G
+
+
 def test_classify_composes_only_to_build_tables(monkeypatch):
     # a cold classify calls compose once per ordered pair of each level's
     # table and a warm one not at all; the atlas's candidate searches are
@@ -412,10 +438,7 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     assert traces == []
 
     modsym.clear_cache()
-    for name in (
-        "_involution_table", "_mask_group", "_group_genus", "_subgroup_genus", "fix_al",
-        "_level_involutions",
-    ):
+    for name in ("_involution_table", "_subgroup_genus", "fix_al"):
         assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
     assert _MEMO_TABLES["bielliptic.atlas._search"] == {}
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bielliptic import modsym
+from bielliptic.errors import IntegrityError
 from bielliptic.involutions import fix_al
 from bielliptic.ntheory import (
     _MEMO_TABLES,
     ALSubgroup,
+    Factorization,
     _subgroup_lattice,
     all_subgroups,
     class_number,
@@ -35,6 +37,12 @@ def test_factor_examples():
     assert factor(558).factors == ((2, 1), (3, 2), (31, 1))
     with pytest.raises(ValueError):
         factor(0)
+
+
+def test_factorization_that_does_not_multiply_out():
+    # an internal arithmetic check, not bad input: IntegrityError (exit 1)
+    with pytest.raises(IntegrityError, match="factorization of 12 does not multiply out"):
+        Factorization(12, ((2, 1),))
 
 
 def test_factor_roundtrip_small():

@@ -127,15 +127,9 @@ PRINTED_DEVIATIONS = {
 }
 
 # -- bielliptic classification ----------------------------------------------
-# Families where the full quotient is elliptic and every index-2 subgroup of
-# genus >= 2 gives a bielliptic quotient.
-
-BIELLIPTIC_DEG2_LEVELS_2P = frozenset({
-    40, 48, 52, 63, 68, 72, 75, 76, 80, 96, 98, 99, 100, 108, 124, 188,
-})
-BIELLIPTIC_DEG2_LEVELS_3P = frozenset({84, 90, 120, 126, 132, 140, 150, 156, 220})
-
-# The remaining bielliptic pairs, (N, sorted generators) -> genus.
+# At the levels where the full quotient is elliptic (screening.GATE_GENUS1)
+# every index-2 subgroup of genus >= 2 gives a bielliptic quotient.  The
+# remaining bielliptic pairs, (N, sorted generators) -> genus:
 
 BIELLIPTIC_SPORADIC = {
     (44, (4,)): 2,

@@ -50,6 +50,7 @@ from .involutions import (
 )
 from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
 from .screening import (
+    GATE_GENUS1,
     RuleResult,
     gate_levels,
     iso_reduce_w4,
@@ -251,7 +252,7 @@ def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
         return None
     if sub.is_full:
         try:
-            return star_gate(N).hyperelliptic
+            return star_gate(N).kind == "hyperelliptic"
         except ValueError:
             return None
     return (N, sub.elements) in hyperelliptic_pairs()
@@ -400,7 +401,7 @@ def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
     # `_settle` runs at a level the gate accepted or at its w4-reduction 2m
     # (m odd, m > 1); not squarefree, that level is in the gate's domain too
     gate = star_gate(N)
-    if not gate.hyperelliptic or gate.star_genus < 2:
+    if gate.kind != "hyperelliptic":
         return None
     full = ALSubgroup.full(N)
     index = full.order // sub.order
@@ -441,9 +442,9 @@ class PairRecord:
 
     @property
     def bielliptic(self) -> bool:
-        return self.status == "bielliptic-confirmed" or (
-            self.status == "adjudicated" and self.adjudication[0].startswith("bielliptic")
-        )
+        """A confirmed pair carries its witness's field and an adjudicated
+        one its verdict's, which is None only for not-bielliptic."""
+        return self.field is not None
 
     def key(self):
         return (self.N, self.subgroup.elements)
@@ -497,7 +498,6 @@ def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
         rec = classify_pair(N, sub, adjudications)
         rec.quadratic_points = quadratic_points(rec, ec)
         records.append(rec)
-    records.sort(key=PairRecord.sort_key)
     open_pairs = [r for r in records if r.status == "inconclusive"]
     if open_pairs:
         names = ", ".join(f"({r.N},{r.subgroup.label()})" for r in open_pairs)
@@ -517,8 +517,6 @@ def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
 def quadratic_points(record: PairRecord, ec_table) -> str:
     """Infinitely many quadratic points iff the pair is hyperelliptic or
     bielliptic over Q with a positive-rank elliptic quotient."""
-    if record.genus < 2:
-        return "n/a"
     if record.hyperelliptic:
         return "infinite(hyperelliptic)"
     if record.bielliptic:
@@ -548,7 +546,7 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 def published_bielliptic_pairs() -> dict:
     """(N, elements) -> genus for every pair the classification must confirm."""
     out = {}
-    for N in sorted(_data.BIELLIPTIC_DEG2_LEVELS_2P | _data.BIELLIPTIC_DEG2_LEVELS_3P):
+    for N in sorted(GATE_GENUS1):
         full_order = 1 << factor(N).omega
         for sub in all_subgroups(N):
             if sub.order * 2 != full_order or sub.is_fricke:

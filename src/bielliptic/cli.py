@@ -5,6 +5,9 @@ check failed, or a named data-file line is malformed or not UTF-8), 2 usage
 error, 3 a named data file is missing or unreadable.  Levels, positional or
 in --levels, and w tokens are decimal digits only (`ntheory.parse_decimal`).
 Values go to stdout; rule traces only with --trace.
+`genus N --w GENS` takes any involutions of level N (without --w, the genus
+of X0(N)), `fix N [ELEMENT]` prints one count or the whole table, and
+`selftest` runs every check unless some are selected.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from . import atlas, involutions
 from .errors import DataError, IntegrityError
 from .ntheory import ALSubgroup, parse_decimal, parse_level
+from .x0invariants import genus_x0
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -27,10 +31,6 @@ def _resolve(path: str) -> str:
     if os.path.isabs(path) or os.path.exists(path):
         return path
     return os.path.join(os.environ.get("BIELLIPTIC_DATA_DIR", "."), path)
-
-
-def _parse_subgroup(N: int, text: str | None) -> ALSubgroup:
-    return ALSubgroup.trivial(N) if text is None else ALSubgroup.parse(N, text)
 
 
 class DataFileError(Exception):
@@ -60,33 +60,28 @@ def _load_tables(args):
 
 def cmd_genus(args) -> int:
     N = parse_level(args.level)
-    print(involutions.quotient_genus_hurwitz(N, _parse_subgroup(N, args.w)))
+    if args.w is None:
+        print(genus_x0(N))
+        return EXIT_OK
+    gens = [g.strip() for g in args.w.split(",")]
+    if not all(gens):
+        raise ValueError(f"empty generator in --w {args.w!r}")
+    print(involutions.quotient_genus_hurwitz(N, gens))
     return EXIT_OK
 
 
 def cmd_fix(args) -> int:
     N = parse_level(args.level)
-    if args.all:
+    if args.element is None:
         print(involutions.fix_table_tsv(N))
-        return EXIT_OK
-    elem = involutions.parse_element(N, args.element)
-    print(involutions.fix_count(elem))
-    return EXIT_OK
-
-
-def cmd_group_genus(args) -> int:
-    N = parse_level(args.level)
-    gens = [g.strip() for g in args.gens.split(",")]
-    if not all(gens):
-        raise ValueError(f"empty generator in --gens {args.gens!r}")
-    group = involutions.group_closure(N, gens)
-    print(involutions.quotient_genus_hurwitz(N, group))
+    else:
+        print(involutions.fix_count(involutions.parse_element(N, args.element)))
     return EXIT_OK
 
 
 def cmd_screen(args) -> int:
     N = parse_level(args.level)
-    sub = _parse_subgroup(N, args.w)
+    sub = ALSubgroup.trivial(N) if args.w is None else ALSubgroup.parse(N, args.w)
     record = atlas.classify_pair(N, sub, _load_adjudications(args))
     print(f"{record.status}")
     if record.witness is not None:
@@ -119,36 +114,31 @@ def cmd_quadpoints(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.levels is not None and not (args.genus_tables or args.all):
-        raise ValueError("--levels restricts only --genus-tables (or --all)")
-    if (args.ec, args.adjudications) != (None, None) and not (args.classification or args.all):
-        raise ValueError("--ec and --adjudications are read only by --classification (or --all)")
-    ran_any = False
-    if args.genus_tables or args.all:
+    if not (args.genus_tables or args.fix_tables or args.classification):
+        args.genus_tables = args.fix_tables = args.classification = True
+    if args.levels is not None and not args.genus_tables:
+        raise ValueError("--levels restricts only the genus-table check "
+                         "(--genus-tables, or no check selected)")
+    if (args.ec, args.adjudications) != (None, None) and not args.classification:
+        raise ValueError("--ec and --adjudications are read only by the classification "
+                         "check (--classification, or no check selected)")
+    if args.genus_tables:
         levels = None
         if args.levels is not None:
             what = f"--levels {args.levels!r}: level"
             levels = {parse_decimal(tok.strip(), what) for tok in args.levels.split(",")}
         count = atlas.verify_genus_tables(levels)
         print(f"genus-tables: {count} genus cells verified")
-        ran_any = True
-    if args.fix_tables or args.all:
+    if args.fix_tables:
         count = atlas.verify_fix_tables()
         print(f"fix-tables: {count} fixed-point counts verified")
-        ran_any = True
-    if args.classification or args.all:
+    if args.classification:
         ec, adj = _load_tables(args)
         stats = atlas.verify_classification(atlas.classify_all(ec, adj))
         print(
             "classification: {pairs} pairs, {bielliptic} bielliptic, "
             "{excluded} excluded, {adjudicated} adjudicated, "
             "{infinite_quadratic} with infinitely many quadratic points".format(**stats)
-        )
-        ran_any = True
-    if not ran_any:
-        raise ValueError(
-            "selftest needs at least one of --genus-tables, --fix-tables, "
-            "--classification, --all"
         )
     return EXIT_OK
 
@@ -160,22 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("genus", help="genus of X0(N)/W")
+    p = sub.add_parser("genus", help="genus of X0(N)/G for a group of involutions")
     p.add_argument("level")
-    p.add_argument("--w", help="subgroup generators, e.g. w8,w3")
+    p.add_argument("--w", help='group generators, e.g. w8,w3 or "w9,V3*w7"')
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("fix", help="fixed-point counts at a level")
     p.add_argument("level")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--all", action="store_true", help="dump the full table as TSV")
-    which.add_argument("--element", help='single element, e.g. "V2*w40"')
+    p.add_argument("element", nargs="?", help='one element, e.g. "V2*w40"; '
+                   "without it, the full table as TSV")
     p.set_defaults(func=cmd_fix)
-
-    p = sub.add_parser("group-genus", help="quotient genus of an involution group")
-    p.add_argument("level")
-    p.add_argument("--gens", required=True, help='generators, e.g. "w9,V3*w7"')
-    p.set_defaults(func=cmd_group_genus)
 
     p = sub.add_parser("screen", help="screen a single pair")
     p.add_argument("level")
@@ -200,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus-tables", action="store_true")
     p.add_argument("--fix-tables", action="store_true")
     p.add_argument("--classification", action="store_true")
-    p.add_argument("--all", action="store_true")
     p.add_argument("--levels", help="restrict genus-table check to these levels")
     p.add_argument("--ec")
     p.add_argument("--adjudications")

@@ -50,28 +50,26 @@ class StarGate:
     N: int
     kind: str  # genus0 | genus1 | hyperelliptic | bielliptic | fails-gate
     star_genus: int | None
-    hyperelliptic: bool
-    bielliptic: bool
 
 
 def star_gate(N: int) -> StarGate:
-    """Gate verdict for a non-squarefree, non-prime-power level."""
+    """Gate verdict for a non-squarefree, non-prime-power level.  A level in
+    a hyperelliptic list and in GATE_BIELLIPTIC too is of kind hyperelliptic."""
     fac = factor(N)
     if fac.is_squarefree or fac.omega < 2:
         raise ValueError(f"level {N} is outside the standing hypothesis "
                          "(need non-squarefree, at least two primes)")
     if N in GATE_GENUS0:
-        return StarGate(N, "genus0", 0, False, False)
+        return StarGate(N, "genus0", 0)
     if N in GATE_GENUS1:
-        return StarGate(N, "genus1", 1, False, False)
-    biell = N in GATE_BIELLIPTIC
+        return StarGate(N, "genus1", 1)
     if N in GATE_GENUS2:
-        return StarGate(N, "hyperelliptic", 2, True, biell)
+        return StarGate(N, "hyperelliptic", 2)
     if N in GATE_HYPERELLIPTIC:
-        return StarGate(N, "hyperelliptic", GATE_HYPERELLIPTIC[N], True, biell)
-    if biell:
-        return StarGate(N, "bielliptic", GATE_BIELLIPTIC[N], False, True)
-    return StarGate(N, "fails-gate", None, False, False)
+        return StarGate(N, "hyperelliptic", GATE_HYPERELLIPTIC[N])
+    if N in GATE_BIELLIPTIC:
+        return StarGate(N, "bielliptic", GATE_BIELLIPTIC[N])
+    return StarGate(N, "fails-gate", None)
 
 
 # ---------------------------------------------------------------------------

@@ -430,7 +430,7 @@ def hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
         gate = star_gate(N)
     except ValueError:
         return None
-    if not gate.hyperelliptic or gate.star_genus < 2:
+    if gate.kind != "hyperelliptic":
         return None
     index = (1 << factor(N).omega) // sub.order
     if g - 1 <= index * (gate.star_genus - 1):

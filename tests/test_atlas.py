@@ -134,6 +134,8 @@ class TestClassification:
             r.status in ("bielliptic-confirmed", "excluded", "adjudicated")
             for r in classification
         )
+        # `enumerate_pairs` yields the records in report order already
+        assert classification == sorted(classification, key=atlas.PairRecord.sort_key)
 
     def test_regression(self, classification):
         stats = atlas.verify_classification(classification)
@@ -143,23 +145,16 @@ class TestClassification:
     def test_published_list_structure(self):
         # degree-2 families: 16 two-prime levels x 2 subgroups and
         # 9 three-prime levels x 7 subgroups, plus 29 sporadic pairs
-        from bielliptic._data import (
-            BIELLIPTIC_DEG2_LEVELS_2P,
-            BIELLIPTIC_DEG2_LEVELS_3P,
-            BIELLIPTIC_SPORADIC,
-        )
+        from bielliptic._data import BIELLIPTIC_SPORADIC
 
         expected = atlas.published_bielliptic_pairs()
-        assert len(BIELLIPTIC_DEG2_LEVELS_2P) == 16
-        assert len(BIELLIPTIC_DEG2_LEVELS_3P) == 9
+        two_prime = {N for N in GATE_GENUS1 if factor(N).omega == 2}
+        assert len(two_prime) == 16
+        assert len({N for N in GATE_GENUS1 if factor(N).omega == 3}) == 9
         assert len(BIELLIPTIC_SPORADIC) == 29
-        two = sum(1 for (N, _) in expected if N in BIELLIPTIC_DEG2_LEVELS_2P)
+        two = sum(1 for (N, _) in expected if N in two_prime)
         assert two == 32
         assert len(expected) == 32 + 63 + 29
-        # the same 25 levels are the gate's genus-1 levels, split by omega
-        assert BIELLIPTIC_DEG2_LEVELS_2P | BIELLIPTIC_DEG2_LEVELS_3P == GATE_GENUS1
-        assert {factor(N).omega for N in BIELLIPTIC_DEG2_LEVELS_2P} == {2}
-        assert {factor(N).omega for N in BIELLIPTIC_DEG2_LEVELS_3P} == {3}
 
     def test_examples(self, classification):
         recs = _by_key(classification)

@@ -1,6 +1,14 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from bielliptic import cli
+from bielliptic import atlas, cli
+from bielliptic.involutions import quotient_genus_hurwitz
+from bielliptic.ntheory import all_subgroups
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -26,33 +34,48 @@ def test_genus_usage_error(capsys):
 
 
 def test_group_genus(capsys):
-    code, out, _ = run(capsys, "group-genus", "126", "--gens", "w9,V3*w7")
-    assert (code, out.strip()) == (0, "1")
+    for N, gens in (("126", "w9,V3*w7"), ("120", "w15,S2")):
+        code, out, _ = run(capsys, "genus", N, "--w", gens)
+        assert (code, out.strip()) == (0, "1")
+
+
+def test_genus_of_non_group_usage_error(capsys):
+    # w8 and S2 do not commute at level 120 (the OrderViolation of `compose`)
+    code, out, err = run(capsys, "genus", "120", "--w", "w8,S2")
+    assert (code, out) == (2, "")
+    assert "<w8, S2> is not an involution group: w8 * S2 has order > 2 at level 120" in err
+
+
+def test_genus_of_every_subgroup_in_scope(capsys):
+    # `genus N --w <generators>` answers through the involution closure; it
+    # must agree with the Atkin-Lehner subgroup route on every subgroup
+    for N in atlas.scope_levels():
+        for sub in all_subgroups(N):
+            argv = ["genus", str(N)]
+            if not sub.is_trivial:
+                argv += ["--w", ",".join(f"w{d}" for d in sub.generators())]
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, f"{quotient_genus_hurwitz(N, sub)}\n"), argv
 
 
 @pytest.mark.parametrize("gens", [",", "w9,", ",w9", "w9,,V3*w7"])
 def test_group_genus_empty_generator_usage_error(capsys, gens):
-    code, out, err = run(capsys, "group-genus", "126", "--gens", gens)
+    code, out, err = run(capsys, "genus", "126", "--w", gens)
     assert (code, out) == (2, "")
     assert "empty generator" in err
 
 
 def test_fix_element(capsys):
-    code, out, _ = run(capsys, "fix", "252", "--element", "V3*w7")
+    code, out, _ = run(capsys, "fix", "252", "V3*w7")
     assert (code, out.strip()) == (0, "24")
 
 
 def test_fix_all(capsys):
-    code, out, _ = run(capsys, "fix", "252", "--all")
+    code, out, _ = run(capsys, "fix", "252")
     assert code == 0
     lines = dict(line.split("\t") for line in out.splitlines()[1:])
     assert lines["w63"] == "24"
     assert lines["V3*w252"] == "8"
-
-
-def test_fix_needs_argument(capsys):
-    code, _, err = run(capsys, "fix", "252")
-    assert code == 2
 
 
 def test_screen(capsys):
@@ -80,8 +103,8 @@ def test_selftest_level_without_genus_row_usage_error(capsys, levels, named):
     ("--classification", "--levels", "60"),
 ])
 def test_selftest_levels_without_genus_tables_usage_error(capsys, monkeypatch, argv):
-    # --levels restricts only the genus-table check; without --genus-tables
-    # or --all it is refused before any check runs
+    # --levels restricts only the genus-table check; when other checks are
+    # selected without --genus-tables it is refused before any check runs
     def no_check(*args):
         raise AssertionError("a check ran")
 
@@ -93,17 +116,17 @@ def test_selftest_levels_without_genus_tables_usage_error(capsys, monkeypatch, a
 
 
 @pytest.mark.parametrize("argv,token", [
-    (("fix", "60", "--element", "w1_2"), "'w1_2'"),
-    (("fix", "60", "--element", "S2*w+3"), "'w+3'"),
-    (("fix", "60", "--element", "w+4"), "'w+4'"),
-    (("fix", "60", "--element", "w"), "'w'"),
-    (("group-genus", "60", "--gens", "w1_2"), "'w1_2'"),
+    (("fix", "60", "w1_2"), "'w1_2'"),
+    (("fix", "60", "S2*w+3"), "'w+3'"),
+    (("fix", "60", "w+4"), "'w+4'"),
+    (("fix", "60", "w"), "'w'"),
+    (("genus", "60", "--w", "S2,w1_2"), "'w1_2'"),
     (("genus", "60", "--w", "w1_2"), "'w1_2'"),
     (("selftest", "--genus-tables", "--levels", "6_0"), "'6_0'"),
     (("selftest", "--genus-tables", "--levels", "60,+120"), "'60,+120'"),
     (("genus", "6_0"), "'6_0'"),
     (("genus", "+60"), "'+60'"),
-    (("fix", "2_52", "--element", "V3*w7"), "'2_52'"),
+    (("fix", "2_52", "V3*w7"), "'2_52'"),
     (("screen", "9_2", "--w", "w4"), "'9_2'"),
     # an empty value is a token too, not an absent option
     (("genus", "60", "--w", ""), "''"),
@@ -119,9 +142,9 @@ def test_non_decimal_number_usage_error(capsys, argv, token):
 @pytest.mark.parametrize("argv", [
     ("genus", "0", "--w", "w1"),
     ("screen", "0", "--w", "w1"),
-    ("fix", "0", "--element", "w1"),
-    ("fix", "-4", "--element", "S2"),
-    ("group-genus", "0", "--gens", "w1"),
+    ("fix", "0", "w1"),
+    ("fix", "-4", "S2"),
+    ("genus", "0", "--w", "w1,S2"),
 ])
 def test_level_below_one_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -130,8 +153,9 @@ def test_level_below_one_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (("fix", "252", "--all", "--element", "w7"), "--element"),
-    (("group-genus", "126"), "--gens"),
+    # `fix` takes its element as a positional and `genus` its generators as --w
+    (("fix", "252", "--element", "w7"), "--element"),
+    (("genus", "126", "--gens", "w9,V3*w7"), "--gens"),
     (("screen", "84", "--w", "w3", "--ec", "/no/such/file"), "--ec"),
     (("selftest", "--fix-tables", "--ec", "/no/such/file"), "--ec"),
     (("selftest", "--genus-tables", "--adjudications", "/no/such/file"), "--adjudications"),
@@ -173,9 +197,13 @@ def test_selftest_fix_tables(capsys):
     assert "37 fixed-point counts verified" in out
 
 
-def test_selftest_needs_selection(capsys):
-    code, _, err = run(capsys, "selftest")
-    assert code == 2
+def test_selftest_without_selection_runs_every_check(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "genus-tables", "fix-tables", "classification",
+    ]
+    assert "classification: 547 pairs, 124 bielliptic," in out
 
 
 def test_missing_data_file(capsys):
@@ -261,7 +289,26 @@ def test_quadpoints(capsys, classification):
 
 
 def test_output_reproducible(capsys):
-    code1, out1, _ = run(capsys, "fix", "120", "--all")
-    code2, out2, _ = run(capsys, "fix", "120", "--all")
+    code1, out1, _ = run(capsys, "fix", "120")
+    code2, out2, _ = run(capsys, "fix", "120")
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+def _readme_cli_lines():
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("bielliptic ")]
+
+
+@pytest.mark.parametrize(
+    "line", _readme_cli_lines(), ids=lambda line: line.partition("#")[0].strip()
+)
+def test_readme_cli_examples(capsys, line):
+    # every example in README's CLI block runs, and prints what its
+    # "# -> X" comment says
+    command, _, comment = line.partition("#")
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    expected = re.search(r"->\s*(\S+)\s*$", comment)
+    if expected:
+        assert out.strip() == expected.group(1)

@@ -98,7 +98,7 @@ TOKEN = st.text(_ALPHABET, max_size=6).filter(
 def _cli_accepts_level(token) -> bool:
     # "--" keeps a token like "-h" from being read as an option
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return cli.main(["group-genus", "--gens", "w1", "--", token]) == 0
+        return cli.main(["genus", "--w", "w1", "--", token]) == 0
 
 
 @settings(max_examples=200, deadline=None)

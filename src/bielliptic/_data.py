@@ -337,55 +337,48 @@ WITNESS_TABLE = {
 }
 
 # -- default elliptic-curve table -------------------------------------------
-# label conductor rank degree ("-" when not carried); mirrors the standard
-# curve database entries this classification consults.
+# label conductor rank; one row for each curve `WITNESS_TABLE` names, as in
+# the standard curve database.  `atlas.quadratic_points` reads the ranks.
 
 EC_TABLE_TEXT = """\
-# label conductor rank degree
-11a 11 0 -
-14a 14 0 -
-15a 15 0 -
-17a 17 0 -
-19a 19 0 -
-20a 20 0 -
-21a 21 0 -
-24a 24 0 -
-26a 26 0 -
-26b 26 0 -
-30a 30 0 -
-34a 34 0 -
-36a 36 0 -
-38b 38 0 -
-39a 39 0 -
-40a 40 0 -
-42a 42 0 -
-44a 44 0 -
-45a 45 0 -
-48a 48 0 -
-50a 50 0 -
-50b 50 0 -
-54b 54 0 -
-56a 56 0 -
-62a 62 0 -
-66b 66 0 -
-66c 66 0 -
-70a 70 0 -
-72a 72 0 -
-90b 90 0 -
-92a 92 0 -
-94a 94 0 -
-99a 99 1 -
-110b 110 0 -
-120a 120 0 -
-126a 126 0 -
-150a 150 0 -
-# the rows below exist to carry cited parametrization degrees; their rank
-# entries are unconsulted placeholders
-116a1 116 0 120
-116b1 116 0 8
-116c1 116 0 15
-380a1 380 0 24
-380b1 380 0 240
+# label conductor rank
+11a 11 0
+14a 14 0
+15a 15 0
+17a 17 0
+19a 19 0
+20a 20 0
+21a 21 0
+24a 24 0
+26a 26 0
+26b 26 0
+30a 30 0
+34a 34 0
+36a 36 0
+38b 38 0
+39a 39 0
+40a 40 0
+42a 42 0
+44a 44 0
+45a 45 0
+48a 48 0
+50a 50 0
+50b 50 0
+54b 54 0
+56a 56 0
+62a 62 0
+66b 66 0
+66c 66 0
+70a 70 0
+72a 72 0
+90b 90 0
+92a 92 0
+94a 94 0
+99a 99 1
+110b 110 0
+120a 120 0
+126a 126 0
+150a 150 0
 """
 
 # -- adjudicated verdicts ----------------------------------------------------

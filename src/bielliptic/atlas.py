@@ -84,7 +84,6 @@ class ECRecord:
     label: str
     conductor: int
     rank: int
-    modular_degree: int | None
 
 
 def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
@@ -114,19 +113,16 @@ def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
 
 
 def ingest_ec_table(source) -> dict[str, ECRecord]:
-    """Parse a curve table: "label conductor rank degree" per line, '-' for
-    an absent degree, '#' comments.  Rejects duplicate labels."""
+    """Parse a curve table: "label conductor rank" per line, '#' comments.
+    Rejects duplicate labels and any other field count."""
 
-    def read_row(label, conductor, rank, degree):
+    def read_row(label, conductor, rank):
         conductor = parse_decimal(conductor, "conductor")
         if conductor < 11:
             raise ValueError(f"conductor {conductor} below 11")
-        degree = None if degree == "-" else parse_decimal(degree, "degree")
-        if degree == 0:
-            raise ValueError("degree 0")
-        return label, ECRecord(label, conductor, parse_decimal(rank, "rank"), degree)
+        return label, ECRecord(label, conductor, parse_decimal(rank, "rank"))
 
-    return _read_table(source, None, 4, read_row)
+    return _read_table(source, None, 3, read_row)
 
 
 def default_ec_table() -> dict[str, ECRecord]:
@@ -503,7 +499,7 @@ def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
         names = ", ".join(f"({r.N},{r.subgroup.label()})" for r in open_pairs)
         raise IntegrityError(f"unresolved pairs: {names}")
     for rec in records:
-        if rec.bielliptic is False and rec.key() in _published_bielliptic_keys():
+        if rec.bielliptic is False and rec.key() in published_bielliptic_pairs():
             raise IntegrityError(
                 f"({rec.N},{rec.subgroup.label()}) wrongly excluded"
             )
@@ -543,8 +539,11 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 # published bielliptic pairs)
 
 
+@memoise
 def published_bielliptic_pairs() -> dict:
-    """(N, elements) -> genus for every pair the classification must confirm."""
+    """(N, elements) -> genus for every pair the classification must confirm.
+
+    Memoised: every caller gets the one shared dict, and none mutates it."""
     out = {}
     for N in sorted(GATE_GENUS1):
         full_order = 1 << factor(N).omega
@@ -557,11 +556,6 @@ def published_bielliptic_pairs() -> dict:
     for (N, gens), g in _data.BIELLIPTIC_SPORADIC.items():
         out[_pair_key(N, gens)] = g
     return out
-
-
-@memoise
-def _published_bielliptic_keys():
-    return set(published_bielliptic_pairs())
 
 
 def published_infinite_pairs() -> set:

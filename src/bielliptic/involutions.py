@@ -22,7 +22,8 @@ Every quotient genus the package computes is a Hurwitz count, h with
 involutions, cached on each closed group and memoised per Atkin-Lehner
 subgroup; `modsym.clear_cache()` empties the memo tables.  The only input
 from modular symbols is `fix_al`, the Lefschetz number 2 - tr(w_Q | S2) of
-w_Q on the 2g-dimensional cuspidal symbols; the counts of the extra
+w_Q on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
+trace cache is the one store of a trace.  The counts of the extra
 involutions reduce to those through conjugation and the
 two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
 """
@@ -417,12 +418,11 @@ def _involution_table(N: int) -> _InvolutionTable:
 # -- fixed-point counts ------------------------------------------------
 
 
-@memoise
 def fix_al(N: int, Q: int) -> int:
     """#(w_Q, X0(N)) as the Lefschetz number 2 - tr(w_Q | S2), the trace on
     the 2g-dimensional cuspidal symbols: the one place the package reads
-    modular symbols.  Memoised per (N, Q); `modsym.clear_cache()` empties
-    the table.
+    modular symbols.  Not memoised: the space's trace cache is the one store
+    of a trace.
     """
     if Q == 1 or not _is_hall_divisor(Q, N):
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")

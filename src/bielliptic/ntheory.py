@@ -4,17 +4,15 @@ Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
-and over, in ten tables: `factor` and the sorted subgroup lattice behind
-`all_subgroups` here, `genus_x0` in `x0invariants`, `fix_al`,
-`_involution_table` and `_subgroup_genus` in `involutions`, and in `atlas`
-the three data tables and `_search`, the candidate search of each (level,
-subgroup).  Each table holds one entry per argument tuple it was called
-with, so after a full classification they hold 124 factorizations, 97
-lattices, 115 genera, 491 fixed-point counts (one per trace), 67 involution
-tables, 692 subgroup genera, 337 candidate searches and one entry per atlas
-data table.  An involution table keeps its level's involution list, product
-table and closed groups (725 after a classification), and each group its
-Hurwitz genus.
+and over, in nine tables: `factor` and the sorted subgroup lattice behind
+`all_subgroups` here, `genus_x0` in `x0invariants`, `_involution_table` and
+`_subgroup_genus` in `involutions`, and in `atlas` the three data tables
+(`hyperelliptic_pairs`, `witness_annotations`, `published_bielliptic_pairs`)
+and `_search`, the candidate search of each (level, subgroup).  Each table
+holds one entry per argument tuple it was called with.  An involution table
+keeps its level's involution list, product table and closed groups, and
+each group its Hurwitz genus.  A trace is stored only in its
+modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """

@@ -220,7 +220,7 @@ def test_data_path_is_a_directory(capsys, tmp_path):
 
 def test_data_file_not_utf8(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
-    bad.write_bytes(b"15a 15 0 -\n99a 99 \xff 4\n")
+    bad.write_bytes(b"15a 15 0\n99a 99 \xff\n")
     code, out, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert (code, out) == (1, "")
     assert "line 2:" in err and "utf-8" in err
@@ -228,7 +228,7 @@ def test_data_file_not_utf8(capsys, tmp_path):
 
 def test_malformed_data_file(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
-    bad.write_text("15a 15 0 -\nbroken row\n")
+    bad.write_text("15a 15 0\nbroken row\n")
     code, _, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert code == 1
     assert "integrity failure" in err
@@ -236,7 +236,7 @@ def test_malformed_data_file(capsys, tmp_path):
 
 def test_non_decimal_curve_field(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
-    bad.write_text("15a 15 0 -\n99a 9_9 1 4\n")
+    bad.write_text("15a 15 0\n99a 9_9 1\n")
     code, _, err = run(capsys, "quadpoints", "--ec", str(bad))
     assert code == 1
     assert "line 2:" in err and "'9_9'" in err

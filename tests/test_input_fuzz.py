@@ -114,5 +114,5 @@ def _cli_accepts_level(token) -> bool:
 def test_every_number_field_takes_the_decimal_tokens(token):
     decimal = _accepts(parse_decimal, token, "number")
     assert _accepts(parse_w, "w" + token) == decimal
-    assert _accepts(atlas.ingest_ec_table, f"11a 11 {token} -") == decimal
+    assert _accepts(atlas.ingest_ec_table, f"11a 11 {token}") == decimal
     assert _cli_accepts_level(token) == (decimal and parse_decimal(token, "level") >= 1)

@@ -619,7 +619,7 @@ def test_clear_cache_is_the_one_reset(monkeypatch):
     atlas._search(12, ALSubgroup(12, [4]))
     atlas.hyperelliptic_pairs()
     atlas.witness_annotations()
-    atlas._published_bielliptic_keys()
+    atlas.published_bielliptic_pairs()
     assert all(_MEMO_TABLES.values())
     modsym.clear_cache()
     assert cache == {}

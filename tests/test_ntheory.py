@@ -217,9 +217,9 @@ def test_memoised_functions_stay_traceable():
     assert set(public) == {
         "bielliptic.ntheory.factor",
         "bielliptic.x0invariants.genus_x0",
-        "bielliptic.involutions.fix_al",
         "bielliptic.atlas.hyperelliptic_pairs",
         "bielliptic.atlas.witness_annotations",
+        "bielliptic.atlas.published_bielliptic_pairs",
     }
     for name, (module, fn) in public.items():
         assert inspect.isfunction(fn), name
@@ -231,8 +231,6 @@ def test_memoised_values_equal_the_undecorated_functions():
         assert factor(n) == factor.__wrapped__(n)
         assert genus_x0(n) == genus_x0.__wrapped__(n)
     for N in gate_levels():
-        for Q in hall_divisors(N)[1:]:
-            assert fix_al(N, Q) == fix_al.__wrapped__(N, Q), (N, Q)
         assert all_subgroups(N) == list(_subgroup_lattice.__wrapped__(N))
 
 
@@ -245,7 +243,7 @@ def test_all_subgroups_returns_a_fresh_list():
 
 
 def test_failed_calls_store_nothing():
-    for fn, args in ((factor, (0,)), (fix_al, (60, 6))):
+    for fn, args in ((factor, (0,)), (genus_x0, (0,))):
         with pytest.raises(ValueError):
             fn(*args)
         assert args not in _table(fn)
@@ -276,6 +274,6 @@ def test_concurrent_first_calls_agree(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results[factor] == [factor.__wrapped__(90)] * 8
     assert results[genus_x0] == [genus_x0.__wrapped__(90)] * 8
-    assert results[fix_al] == [fix_al.__wrapped__(90, 9)] * 8
+    assert results[fix_al] == [2 - modsym.ModSymSpace(90).al_trace_cuspidal(9)] * 8
     assert results[all_subgroups] == [list(_subgroup_lattice.__wrapped__(90))] * 8
     assert list(_table(genus_x0)) == [(90,)]

@@ -19,9 +19,15 @@ least.  With M = N/g, the point (c : d) is (g : r) for r = (c/g)^-1 * d
 mod M, and two points with first coordinate g are equal exactly when their r
 agree mod M (prime by prime, the units t = 1 (mod M), which fix g, carry v
 to every v' = v (mod M) prime to g).  A space keeps one residue table of
-length M per divisor g < N, read at r, so a lookup is a gcd, one inverse mod
-M and a table read, and the eta-image (g : -v) of a stored point is slot
--v mod M of the same table.
+length M per divisor g < N, read at r, and the eta-image (g : -v) of a
+stored point is slot -v mod M of the same table.  With h = gcd(g, M), a
+residue r mod M holds a point exactly when gcd(r, h) = 1: a prime of h that
+divides r divides every v = r + kM, and for r prime to h some k < g makes v
+prime to the primes of g outside M as well.  So g's table has
+(M/h) * phi(h) slots, and the walk over v stops at the last of them.  One
+lookup list, indexed by c mod N, holds (g, M, (c/g)^-1 mod M) for each c,
+so a lookup is a list read, a product mod M and a table read, with no gcd
+and no inverse.
 
 The relations x + x.sigma = 0 and x = x.eta are eliminated by orbits:
 sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
@@ -219,27 +225,58 @@ def _int_rref(rows) -> dict:
     return pivots
 
 
-def _p1_points(N: int) -> tuple[tuple, dict]:
-    """The points of P^1(Z/N) in order and one residue table per divisor g < N.
+def _p1_walk(N: int, g: int, slots: int, reps: list) -> list:
+    """Divisor g's residue table, filled by the points (g : v) in increasing v.
 
-    Per divisor g the points (g : v) come in increasing v: the first v of
-    each residue r = v mod N/g is its class's minimum, and `tables[g][r]`
-    holds its position.
+    The first v of each residue r = v mod N/g that is prime to g is its
+    class's minimum: it is appended to `reps` and `table[r]` holds its
+    position.  The walk stops once `slots` residues hold a point.
+    """
+    M = N // g
+    table = [None] * M
+    for v in range(N):
+        r = v % M
+        if table[r] is None and gcd(v, g) == 1:
+            table[r] = len(reps)
+            reps.append((g, v))
+            slots -= 1
+            if not slots:
+                break
+    return table
+
+
+def _p1_points(N: int) -> tuple[tuple, dict, list]:
+    """The points of P^1(Z/N) in order, one residue table per divisor g of N
+    and the lookup list.
+
+    Divisor g < N, with M = N/g and h = gcd(g, M), has (M/h) * phi(h) points
+    (g : v), one per residue mod M prime to h, and its walk stops at the last
+    of them; `tables[N] = [0]` holds the point (0 : 1).  Entry c of the
+    lookup list is (g, M, inv) with g = gcd(c, N), M = N/g and
+    inv = (c/g)^-1 mod M, so the point (c : d) is `tables[g][inv * d % M]`.
     """
     reps = [(0, 1)]
-    tables = {}
+    tables = {N: [0]}
     for g in range(1, N):
         if N % g:
             continue
         M = N // g
-        table = tables[g] = [None] * M
-        for v in range(N):
-            if table[v % M] is None and gcd(v, g) == 1:
-                table[v % M] = len(reps)
-                reps.append((g, v))
+        h = gcd(g, M)
+        slots = M // h * sum(gcd(r, h) == 1 for r in range(h))  # (M/h) * phi(h)
+        start = len(reps)
+        tables[g] = _p1_walk(N, g, slots, reps)
+        if len(reps) - start != slots:
+            raise IntegrityError(
+                f"P1(Z/{N}): divisor {g} filled {len(reps) - start} of its {slots} residues"
+            )
     if len(reps) != psi(N):
         raise IntegrityError(f"P1(Z/{N}) has {len(reps)} points, expected psi = {psi(N)}")
-    return tuple(reps), tables
+    lookup = [(N, 1, 0)] * N
+    for c in range(1, N):
+        g = gcd(c, N)
+        M = N // g
+        lookup[c] = (g, M, pow(c // g, -1, M))
+    return tuple(reps), tables, lookup
 
 
 class ModSymSpace:
@@ -262,7 +299,8 @@ class ModSymSpace:
 
     def _build(self):
         N = self.N
-        reps, tables = self.reps, self._p1_tables = _p1_points(N)
+        self.reps, self._p1_tables, self._p1_lookup = _p1_points(N)
+        reps, tables = self.reps, self._p1_tables
         n = len(reps)
         look = self.p1_index
 
@@ -343,17 +381,15 @@ class ModSymSpace:
     def p1_index(self, c: int, d: int) -> int:
         """Position in `reps` of the point (c : d).
 
-        With g = gcd(c, N) < N and M = N/g, the point is (g : r) for
-        r = (c/g)^-1 * d mod M, and `_p1_tables[g][r]` holds its position.
+        Entry c mod N of the lookup list is (g, M, inv) with g = gcd(c, N),
+        M = N/g and inv = (c/g)^-1 mod M; the point is (g : r) for
+        r = inv * d mod M, and `_p1_tables[g][r]` holds its position.  A pair
+        with gcd(g, d) != 1 is not a point and raises ValueError.
         """
-        N = self.N
-        g = gcd(c, N)
+        g, M, inv = self._p1_lookup[c % self.N]
         if gcd(g, d) != 1:
-            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
-        if g == N:
-            return 0
-        M = N // g
-        return self._p1_tables[g][pow(c // g, -1, M) * d % M]
+            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{self.N})")
+        return self._p1_tables[g][inv * d % M]
 
     # -- Atkin-Lehner action ------------------------------------------
 
@@ -389,10 +425,11 @@ class ModSymSpace:
         matrix M = W*g, and the Hermite form M = gamma * [[a, b], [0, e]]
         turns it into one convergent chain of b/e with e <= Q (Cremona,
         Algorithms for Modular Elliptic Curves, 2.4; see `_image_symbols`),
-        each symbol looked up in the P^1 tables.  The trace tr+ on S2+ is an
-        integer of the parity of the genus and at most the genus in size, and
-        tr(w_Q | S2) = 2 * tr+ (the halves S2+ and S2- are isomorphic as
-        w_Q-modules; see the module docstring).
+        each symbol read from the lookup list and a residue table, with no
+        gcd or inverse.  The trace tr+ on S2+ is an integer of the parity of
+        the genus and at most the genus in size, and tr(w_Q | S2) = 2 * tr+
+        (the halves S2+ and S2- are isomorphic as w_Q-modules; see the module
+        docstring).
         """
         if Q == 1:
             return 2 * self.genus
@@ -402,18 +439,15 @@ class ModSymSpace:
             pass
         mat = self.al_matrix(Q)
         wa, wb, wc, wd = mat
-        N, tables, points, rows = self.N, self._p1_tables, self.points, self.rows
+        N, tables, lookup = self.N, self._p1_tables, self._p1_lookup
+        points, rows = self.points, self.rows
         diag = 0
         for f, (a, b, c, d) in zip(self.free, self.lifts):
             image = (wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d)
             for u, v in _image_symbols(image):
                 # p1_index(u, v), inlined; (u, v) is a bottom row of SL2(Z)
-                h = gcd(u, N)
-                if h == N:
-                    s, col = points[0]
-                else:
-                    m = N // h
-                    s, col = points[tables[h][pow(u // h, -1, m) * v % m]]
+                h, m, inv = lookup[u % N]
+                s, col = points[tables[h][inv * v % m]]
                 if s:
                     diag -= s * rows[col].get(f, 0)
         g = self.genus

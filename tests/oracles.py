@@ -106,7 +106,7 @@ class FullSpace:
     def __init__(self, N: int):
         self.N = N
         self.genus = genus_x0(N)
-        self.reps, self._p1_tables = _p1_points(N)
+        self.reps, self._p1_tables, self._p1_lookup = _p1_points(N)
         look = self.p1_index
         n = len(self.reps)
         points: list = [None] * n

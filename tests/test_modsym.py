@@ -91,6 +91,52 @@ def test_reps_are_the_sorted_orbit_minima():
         assert list(build_space(N).reps) == _p1_oracle_reps(N), N
 
 
+# every level to 60, the genus-large pool and the level with the most divisors
+WALK_LEVELS = [*range(1, 61), 720, 756, 792, 840, 1000, 1088, 2310]
+
+
+def _unbounded_walk(N):
+    """The P^1 points in the walk's order, with every v in 0..N-1 walked for
+    every divisor g < N instead of stopping at g's last slot."""
+    reps = [(0, 1)]
+    for g in range(1, N):
+        if N % g:
+            continue
+        M = N // g
+        seen = [False] * M
+        for v in range(N):
+            if not seen[v % M] and gcd(v, g) == 1:
+                seen[v % M] = True
+                reps.append((g, v))
+    return reps
+
+
+def test_bounded_walk_keeps_the_unbounded_order():
+    for N in WALK_LEVELS:
+        assert list(modsym._p1_points(N)[0]) == _unbounded_walk(N), N
+
+
+def test_lookup_list_holds_gcd_cofactor_and_inverse():
+    for N in WALK_LEVELS:
+        lookup = modsym._p1_points(N)[2]
+        assert len(lookup) == N
+        for c in range(N):
+            g = gcd(c, N)
+            assert lookup[c] == (g, N // g, pow(c // g, -1, N // g)), (N, c)
+
+
+def test_walk_stopped_one_slot_early_names_level_and_divisor(monkeypatch):
+    # divisor 8 of 1088 has M = 136, h = 8 and (136/8) * phi(8) = 68 slots
+    walk = modsym._p1_walk
+
+    def short_walk(N, g, slots, reps):
+        return walk(N, g, slots - 1 if g == 8 else slots, reps)
+
+    monkeypatch.setattr(modsym, "_p1_walk", short_walk)
+    with pytest.raises(modsym.IntegrityError, match=r"P1\(Z/1088\): divisor 8 filled 67 of"):
+        ModSymSpace(1088)
+
+
 def _primitive(rref):
     """Rows scaled to coprime integers with a positive pivot."""
     out = {}
@@ -164,7 +210,7 @@ def test_int_rref_ignores_row_order(case):
 
 
 def test_build_memory_stays_small():
-    # about 0.5 MB (1.1 MB for all of M2); a build that keeps an index map
+    # about 0.57 MB (0.95 MB for all of M2); a build that keeps an index map
     # over all (c, d) pairs peaks at about 16 MB here
     build_space(420)  # imports and level invariants outside the measurement
     tracemalloc.start()
@@ -177,7 +223,7 @@ def test_build_memory_stays_small():
 
 
 def test_space_retains_one_expression_per_column():
-    # about 3.6 MB at 2310 on M2+; all of M2 keeps 6 MB, and one expression
+    # about 3.7 MB at 2310 on M2+; all of M2 keeps 5.9 MB, and one expression
     # per point, half of them stored negated, 9.6 MB
     build_space(11)  # imports and level invariants outside the measurement
     tracemalloc.start()

@@ -127,41 +127,8 @@ PRINTED_DEVIATIONS = {
 }
 
 # -- bielliptic classification ----------------------------------------------
-# At the levels where the full quotient is elliptic (screening.GATE_GENUS1)
-# every index-2 subgroup of genus >= 2 gives a bielliptic quotient.  The
-# remaining bielliptic pairs, (N, sorted generators) -> genus:
-
-BIELLIPTIC_SPORADIC = {
-    (44, (4,)): 2,
-    (60, (20,)): 2,
-    (60, (3, 4)): 2,
-    (56, (8,)): 3,
-    (60, (4,)): 3,
-    (60, (3,)): 4,
-    (60, (5,)): 4,
-    (112, (7,)): 4,
-    (168, (3, 56)): 4,
-    (84, (4,)): 5,
-    (88, (11,)): 5,
-    (90, (9,)): 5,
-    (117, (9,)): 5,
-    (120, (15,)): 5,
-    (126, (63,)): 5,
-    (168, (7, 8)): 5,
-    (168, (7, 24)): 5,
-    (180, (4, 9)): 5,
-    (184, (23,)): 5,
-    (252, (4, 63)): 5,
-    (104, (8,)): 6,
-    (168, (3, 8)): 6,
-    (120, (24,)): 7,
-    (136, (8,)): 7,
-    (252, (7, 9)): 7,
-    (126, (9,)): 9,
-    (171, (9,)): 9,
-    (252, (4, 9)): 9,
-    (176, (16,)): 10,
-}
+# The published bielliptic pairs are the keys of WITNESS_TABLE below; each
+# one's genus is its cell of the genus tables above.
 
 # Pairs bielliptic only over Q(sqrt(-3)): every other listed pair is
 # bielliptic over Q.
@@ -203,12 +170,15 @@ FIX_TABLE_176 = {
     "V2": 0, "V2*w16": 4, "V2*w11": 12, "V2*w176": 24,
 }
 
-# -- witness families and elliptic-quotient labels (annotation data) --------
+# -- the published bielliptic pairs -----------------------------------------
 # (N, gens) -> (families the published bielliptic involutions belong to,
-#               isogeny-class labels of the published elliptic quotients).
-# "red" means the witness lives at the lower level after the w4-reduction.
+#               isogeny-class labels of the published elliptic quotients),
+# one row for each of the 124 pairs.  "red" means the witness lives at the
+# lower level after the w4-reduction.
 
 WITNESS_TABLE = {
+    # at the levels where the full quotient is elliptic
+    # (screening.GATE_GENUS1), every index-2 subgroup of genus >= 2
     (40, (8,)): (("al",), ("20a", "40a")),
     (40, (5,)): (("al", "v2", "s2", "s2c"), ("20a",)),
     (48, (16,)): (("al",), ("24a", "48a")),
@@ -304,7 +274,7 @@ WITNESS_TABLE = {
     (220, (5, 44)): (("al",), ("110b",)),
     (220, (11, 20)): (("al",), ("110b",)),
     (220, (4, 5)): (("al",), ("110b",)),
-    # sporadic pairs
+    # the remaining (sporadic) pairs
     (44, (4,)): (("red",), ("11a",)),
     (60, (20,)): (("al",), ("15a", "30a")),
     (60, (3, 4)): (("red",), ("15a", "30a")),

@@ -30,8 +30,10 @@ search, so each level closes them once and a warm classification closes
 none.
 
 The pipeline checks one piece of the expected classification: `classify_all`
-raises IntegrityError when a published bielliptic pair comes out not
-bielliptic.  All other regression data lives in the selftest helpers.
+raises IntegrityError when a published bielliptic pair (a key of
+`witness_annotations`, the one list of them) comes out not bielliptic.  All
+other regression data lives in the selftest helpers, which read the published
+genus tables through `_golden_genera`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .involutions import (
 )
 from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
 from .screening import (
-    GATE_GENUS1,
     RuleResult,
     gate_levels,
     iso_reduce_w4,
@@ -499,7 +500,7 @@ def classify_all(ec_table=None, adjudications=None) -> list[PairRecord]:
         names = ", ".join(f"({r.N},{r.subgroup.label()})" for r in open_pairs)
         raise IntegrityError(f"unresolved pairs: {names}")
     for rec in records:
-        if rec.bielliptic is False and rec.key() in published_bielliptic_pairs():
+        if rec.bielliptic is False and rec.key() in witness_annotations():
             raise IntegrityError(
                 f"({rec.N},{rec.subgroup.label()}) wrongly excluded"
             )
@@ -536,26 +537,7 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 
 # ---------------------------------------------------------------------------
 # regression targets (selftest data; `classify_all` checks only the
-# published bielliptic pairs)
-
-
-@memoise
-def published_bielliptic_pairs() -> dict:
-    """(N, elements) -> genus for every pair the classification must confirm.
-
-    Memoised: every caller gets the one shared dict, and none mutates it."""
-    out = {}
-    for N in sorted(GATE_GENUS1):
-        full_order = 1 << factor(N).omega
-        for sub in all_subgroups(N):
-            if sub.order * 2 != full_order or sub.is_fricke:
-                continue
-            g = quotient_genus_hurwitz(N, sub)
-            if g >= 2:
-                out[(N, sub.elements)] = g
-    for (N, gens), g in _data.BIELLIPTIC_SPORADIC.items():
-        out[_pair_key(N, gens)] = g
-    return out
+# published bielliptic pairs, the keys of `witness_annotations`)
 
 
 def published_infinite_pairs() -> set:
@@ -660,6 +642,23 @@ def emit_report(records, fmt: str = "markdown") -> str:
 # selftest helpers
 
 
+def _golden_genera(levels=None):
+    """(N, subgroup, genus) for every cell of the published genus tables, or
+    of their rows at `levels`; a two-prime row's full quotient is the level
+    gate's star genus.  A row without one cell per subgroup is an
+    IntegrityError."""
+    rows = sorted(_data.GENUS_TABLE_2P.items()) + sorted(_data.GENUS_TABLE_3P.items())
+    for N, row in rows:
+        if levels is not None and N not in levels:
+            continue
+        if N in _data.GENUS_TABLE_2P:  # four cells, then the full quotient
+            row = (*row, star_gate(N).star_genus)
+        subs = all_subgroups(N)
+        if len(subs) != len(row):
+            raise IntegrityError(f"level {N} does not have {len(row)} subgroups")
+        yield from ((N, sub, want) for sub, want in zip(subs, row))
+
+
 def verify_genus_tables(levels=None) -> int:
     """Recompute every genus cell; raises on any mismatch, returns cell count.
 
@@ -672,22 +671,13 @@ def verify_genus_tables(levels=None) -> int:
         if missing:
             raise ValueError(f"no published genus row for level(s) {missing}")
     checked = 0
-    rows = sorted(_data.GENUS_TABLE_2P.items()) + sorted(_data.GENUS_TABLE_3P.items())
-    for N, row in rows:
-        if levels is not None and N not in levels:
-            continue
-        if N in _data.GENUS_TABLE_2P:  # four cells, then the full quotient
-            row = (*row, star_gate(N).star_genus)
-        subs = all_subgroups(N)
-        if len(subs) != len(row):
-            raise IntegrityError(f"level {N} does not have {len(row)} subgroups")
-        for sub, want in zip(subs, row):
-            got = quotient_genus_hurwitz(N, sub)
-            if got != want:
-                raise IntegrityError(
-                    f"genus mismatch at N={N}, {sub.label()}: computed {got}, table {want}"
-                )
-            checked += 1
+    for N, sub, want in _golden_genera(levels):
+        got = quotient_genus_hurwitz(N, sub)
+        if got != want:
+            raise IntegrityError(
+                f"genus mismatch at N={N}, {sub.label()}: computed {got}, table {want}"
+            )
+        checked += 1
     return checked
 
 
@@ -711,21 +701,45 @@ def verify_fix_tables() -> int:
     return checked
 
 
+def _pair_names(keys, limit: int = 4) -> str:
+    """The pairs (N, elements) as "(N,<label>)" in report order, the first
+    `limit` of them, with "…" when some were cut."""
+    subs = sorted((ALSubgroup(N, elements) for N, elements in keys),
+                  key=lambda sub: (sub.level, sub.sort_key()))
+    names = [f"({sub.level},{sub.label()})" for sub in subs[:limit]]
+    if len(subs) > limit:
+        names.append("…")
+    return ", ".join(names) or "none"
+
+
 def verify_classification(records=None):
-    """Compare a classification run against the published theorems."""
+    """Compare a classification run against the published theorems: the
+    bielliptic pairs are the keys of `witness_annotations`, and each one's
+    genus is its cell of the published genus tables."""
     if records is None:
         records = classify_all()
-    expected = published_bielliptic_pairs()
-    got = {r.key(): r.genus for r in records if r.bielliptic}
-    missing = sorted(set(expected) - set(got))
-    extra = sorted(set(got) - set(expected))
+    expected = witness_annotations().keys()
+    got = {r.key(): r for r in records if r.bielliptic}
+    missing = expected - got.keys()
+    extra = got.keys() - expected
     if missing or extra:
         raise IntegrityError(
-            f"classification mismatch: missing {missing[:4]}..., extra {extra[:4]}..."
+            f"classification mismatch: missing {_pair_names(missing)}, "
+            f"extra {_pair_names(extra)}"
         )
-    for key, genus in expected.items():
-        if got[key] != genus:
-            raise IntegrityError(f"genus mismatch for bielliptic pair {key}")
+    golden = {
+        (N, sub.elements): g for N, sub, g in _golden_genera({N for N, _ in expected})
+    }
+    for rec in sorted(got.values(), key=PairRecord.sort_key):
+        name = f"({rec.N},{rec.subgroup.label()})"
+        want = golden.get(rec.key())
+        if want is None:
+            raise IntegrityError(f"no published genus for bielliptic pair {name}")
+        if rec.genus != want:
+            raise IntegrityError(
+                f"genus mismatch for bielliptic pair {name}: "
+                f"computed {rec.genus}, table {want}"
+            )
     non_rational = {r.key() for r in records if r.bielliptic and r.field != RATIONAL}
     published = {_pair_key(N, gens) for N, gens in _data.NON_RATIONAL_BIELLIPTIC}
     if non_rational != published:
@@ -741,8 +755,8 @@ def verify_classification(records=None):
     if infinite_got != infinite_expected:
         raise IntegrityError(
             f"quadratic-points mismatch: "
-            f"missing {sorted(infinite_expected - infinite_got)}, "
-            f"extra {sorted(infinite_got - infinite_expected)}"
+            f"missing {_pair_names(infinite_expected - infinite_got)}, "
+            f"extra {_pair_names(infinite_got - infinite_expected)}"
         )
     return {
         "pairs": len(records),

@@ -69,10 +69,12 @@ the degree-zero divisors on the eta-orbits of cusps and commutes with w_Q
 and a trace needs only the diagonal of w_Q on the free generators.  The
 package reads only these traces, through `involutions.fix_al`, and takes
 every quotient genus from them by a Hurwitz count.  `invariant_genus` is the
-reference route the tests compare that count with (and the benchmark's
-genus-large target): dim S2^W = (1/|W|) * sum of traces, which for an
-elementary abelian 2-group is the same subspace the +1-eigenspace
-intersection of the generators cuts out.
+averaged trace: the genus of X0(N)/W is dim S2^W / 2, the sum of
+tr(w_Q | S2) over Q in W divided by 2|W|.  With fix(w_Q) = 2 - tr(w_Q | S2)
+that is the Hurwitz count rearranged, so it is no independent check of that
+count; the benchmark's genus-large workload measures this sum because it
+calls it.  The independent route is the +1-eigenspace intersection of the
+generators, `tests/oracles.invariant_genus_eigenspace`.
 
 Only this route lives here.  The independent reference routes (all of M2
 with its sigma-only pairing, the cuspidal subspace as the kernel of the
@@ -484,12 +486,14 @@ def clear_cache() -> None:
 
 
 def invariant_genus(N: int, W=()) -> int:
-    """Genus of X0(N)/W for an Atkin-Lehner subgroup W: the reference route.
+    """Genus of X0(N)/W for an Atkin-Lehner subgroup W by the averaged trace.
 
-    Computed as half the dimension of the simultaneous +1-eigenspace of W on
-    the cuspidal subspace; the dimension itself comes from the averaged trace
-    over the (abelian, exponent-2) subgroup, which is the same number.  Not
-    memoised: the package's genera are `involutions.quotient_genus_hurwitz`.
+    Half of dim S2^W = (1/|W|) * sum of tr(w_Q | S2) over Q in W.  With
+    fix(w_Q) = 2 - tr(w_Q | S2) this is the Hurwitz count of
+    `involutions.quotient_genus_hurwitz` rearranged, from the same traces,
+    so it does not check that count independently; the +1-eigenspace route
+    in tests/oracles.py does.  Not memoised; the benchmark's genus-large
+    workload calls it.
     """
     sub = ALSubgroup.of(N, W)
     space = build_space(N)

@@ -4,11 +4,11 @@ Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
-and over, in nine tables: `factor` and the sorted subgroup lattice behind
+and over, in eight tables: `factor` and the sorted subgroup lattice behind
 `all_subgroups` here, `genus_x0` in `x0invariants`, `_involution_table` and
-`_subgroup_genus` in `involutions`, and in `atlas` the three data tables
-(`hyperelliptic_pairs`, `witness_annotations`, `published_bielliptic_pairs`)
-and `_search`, the candidate search of each (level, subgroup).  Each table
+`_subgroup_genus` in `involutions`, and in `atlas` the two data tables
+(`hyperelliptic_pairs`, `witness_annotations`) and `_search`, the candidate
+search of each (level, subgroup).  Each table
 holds one entry per argument tuple it was called with.  An involution table
 keeps its level's involution list, product table and closed groups, and
 each group its Hurwitz genus.  A trace is stored only in its

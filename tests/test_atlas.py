@@ -8,7 +8,7 @@ from bielliptic import _data, atlas
 from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
 from bielliptic.errors import DataError, IntegrityError
 from bielliptic.involutions import quotient_genus_hurwitz
-from bielliptic.modsym import invariant_genus
+from bielliptic.modsym import build_space, invariant_genus
 from bielliptic.ntheory import ALSubgroup, all_subgroups, factor
 from bielliptic.screening import GATE_GENUS1
 
@@ -144,18 +144,25 @@ class TestClassification:
         assert stats["adjudicated"] > 0
 
     def test_published_list_structure(self):
-        # degree-2 families: 16 two-prime levels x 2 subgroups and
-        # 9 three-prime levels x 7 subgroups, plus 29 sporadic pairs
-        from bielliptic._data import BIELLIPTIC_SPORADIC
-
-        expected = atlas.published_bielliptic_pairs()
+        # degree-2 families: where the full quotient is elliptic, every
+        # index-2, non-Fricke subgroup of genus >= 2 is a published pair,
+        # 16 two-prime levels x 2 subgroups and 9 three-prime levels x 7
+        # subgroups; 29 sporadic pairs make the 124
+        published = atlas.witness_annotations().keys()
         two_prime = {N for N in GATE_GENUS1 if factor(N).omega == 2}
         assert len(two_prime) == 16
         assert len({N for N in GATE_GENUS1 if factor(N).omega == 3}) == 9
-        assert len(BIELLIPTIC_SPORADIC) == 29
-        two = sum(1 for (N, _) in expected if N in two_prime)
-        assert two == 32
-        assert len(expected) == 32 + 63 + 29
+        degree_two = {
+            (N, sub.elements)
+            for N in GATE_GENUS1
+            for sub in all_subgroups(N)
+            if sub.order * 2 == 1 << factor(N).omega and not sub.is_fricke
+            and quotient_genus_hurwitz(N, sub) >= 2
+        }
+        assert degree_two <= published
+        assert sum(1 for (N, _) in degree_two if N in two_prime) == 32
+        assert len(degree_two) == 32 + 63
+        assert len(published) == 32 + 63 + 29
 
     def test_examples(self, classification):
         recs = _by_key(classification)
@@ -233,6 +240,44 @@ class TestClassification:
         with pytest.raises(IntegrityError, match="field mismatch"):
             atlas.verify_classification(flipped)
 
+    @pytest.mark.parametrize("pairs, missing", [
+        ([(40, (8,))], "(40,<w8>)"),
+        ([(52, (13,)), (40, (5,)), (48, (3,)), (40, (8,)), (48, (16,))],
+         "(40,<w8>), (40,<w5>), (48,<w16>), (48,<w3>), …"),
+    ], ids=["one-pair", "five-pairs-cut"])
+    def test_verify_names_the_missing_pairs(self, classification, pairs, missing):
+        # report order, and "…" only when the list was cut
+        keys = {(N, ALSubgroup(N, gens).elements) for N, gens in pairs}
+        cleared = [
+            dataclasses.replace(r, field=None) if r.key() in keys else r
+            for r in classification
+        ]
+        with pytest.raises(IntegrityError) as excinfo:
+            atlas.verify_classification(cleared)
+        assert str(excinfo.value).endswith(f"missing {missing}, extra none")
+
+    @pytest.mark.parametrize("N,gens,label", [
+        (40, (8,), "<w8>"),
+        (176, (16,), "<w16>"),
+    ])
+    def test_verify_rejects_a_flipped_genus(self, classification, N, gens, label):
+        # the expected genus is the pair's cell of the published genus tables
+        key = (N, ALSubgroup(N, gens).elements)
+        flipped = [
+            dataclasses.replace(r, genus=r.genus + 1) if r.key() == key else r
+            for r in classification
+        ]
+        with pytest.raises(IntegrityError, match=rf"genus mismatch .*\({N},{label}\)"):
+            atlas.verify_classification(flipped)
+
+    def test_verify_needs_a_genus_cell_for_every_published_pair(
+        self, classification, monkeypatch
+    ):
+        rows = {N: row for N, row in _data.GENUS_TABLE_2P.items() if N != 40}
+        monkeypatch.setattr(_data, "GENUS_TABLE_2P", rows)
+        with pytest.raises(IntegrityError, match=r"no published genus .*\(40,<w8>\)"):
+            atlas.verify_classification(classification)
+
     def test_witness_families_match_annotations(self, classification):
         annotations = atlas.witness_annotations()
         for rec in classification:
@@ -251,11 +296,14 @@ class TestClassification:
             if rec.witness is not None:
                 assert quotient_genus_hurwitz(rec.witness.level, rec.witness.group) == 1
                 if all(e.kind in ("id", "al") for e in rec.witness.group):
-                    # AL-only witnesses re-verify through the invariant route
+                    # the averaged trace is the Hurwitz count rearranged; the
+                    # +1-eigenspace genus is the independent route
                     divisors = [
                         e._al_part() for e in rec.witness.group.nontrivial()
                     ]
                     assert invariant_genus(rec.witness.level, divisors) == 1
+                    space = build_space(rec.witness.level)
+                    assert oracles.invariant_genus_eigenspace(space, divisors) == 1
 
 
 def test_rule_battery_matches_its_closure_loops():

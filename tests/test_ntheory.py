@@ -219,7 +219,6 @@ def test_memoised_functions_stay_traceable():
         "bielliptic.x0invariants.genus_x0",
         "bielliptic.atlas.hyperelliptic_pairs",
         "bielliptic.atlas.witness_annotations",
-        "bielliptic.atlas.published_bielliptic_pairs",
     }
     for name, (module, fn) in public.items():
         assert inspect.isfunction(fn), name

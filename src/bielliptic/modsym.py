@@ -31,17 +31,21 @@ and no inverse.
 
 The relations x + x.sigma = 0 and x = x.eta are eliminated by orbits:
 sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
-{x, x.sigma, x.eta, x.sigma.eta}, stored as one column with signs +1, -1,
-+1, -1, or sign 0 where the orbit forces x = -x (x = x.sigma or
-x = x.sigma.eta).  The three-term relation x + x.tau + x.tau^2 = 0 is
-eliminated over those columns by sparse integer Gaussian elimination; the
-rows of x and of x.eta.sigma agree up to sign, so only one of each pair is
-built.  The elimination runs forward over the relations in the order of
-their first P^1 point, then one back-substitution from the highest pivot
-down, in which each row is cleared with rows that are already final.  Every
-column gets one exact expression row in the free basis, with int
-coefficients where the pivot is 1 and Fractions otherwise; a point's
-expression is its sign times its column's row, and is never stored.
+{x, x.sigma, x.eta, x.sigma.eta}, one column whose symbol the four points
+are +1, -1, +1, -1 times, or 0 times where the orbit forces x = -x
+(x = x.sigma or x = x.sigma.eta).  The three-term relation
+x + x.tau + x.tau^2 = 0 is eliminated over those columns by sparse integer
+Gaussian elimination; the rows of x and of x.eta.sigma agree up to sign, so
+only one of each pair is built.  The elimination runs forward over the
+relations in the order of their first P^1 point, then one back-substitution
+from the highest pivot down, in which each row is cleared with rows that are
+already final.  A reduced row p*col + rest = 0 says the column's symbol is
+-rest/p, so the space stores the rows the elimination returns, each with its
+pivot entry popped: `rows[col]` is rest, with int coefficients where p = 1
+and rest/p in Fractions otherwise, and a free column's row is {col: -1}.
+Each point's (sign, column) in `points` holds the orbit's sign negated, so
+a point's expression is still its sign times its column's row, and is never
+stored.
 
 The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
 classes up to eta (`x0invariants.cusp_count_plus`), stores each free
@@ -60,9 +64,10 @@ Hermite form M = gamma * [[a, b], [0, e]], with gamma in SL2(Z), a*e = Q and
 M{0, oo} = gamma{b/e, oo} is minus the sum of the Manin symbols of gamma
 times the convergent matrices of b/e (Cremona, 2.4): one chain with
 denominators at most Q, where mapping the path's two endpoints would expand
-two longer chains that share their start.  The boundary map sends M2+ onto
-the degree-zero divisors on the eta-orbits of cusps and commutes with w_Q
-(Stein, ch. 8), so on the cuspidal subspace S2+
+two longer chains that share their start.  The trace splits each free
+generator's image once and walks its chain inline, with no list of symbols.
+The boundary map sends M2+ onto the degree-zero divisors on the eta-orbits of
+cusps and commutes with w_Q (Stein, ch. 8), so on the cuspidal subspace S2+
 
     tr(w_Q | S2+) = tr(w_Q | M2+) - (#cusp orbits fixed by w_Q - 1),
 
@@ -88,7 +93,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IntegrityError
-from .ntheory import _MEMO_TABLES, ALSubgroup, _is_hall_divisor, _need_level, egcd, psi
+from .ntheory import (
+    _MEMO_TABLES, ALSubgroup, _is_hall_divisor, _need_level, egcd, euler_phi, psi,
+)
 from .x0invariants import cusp_count_plus, genus_x0
 
 
@@ -144,42 +151,14 @@ def _hermite_split(A: int, B: int, C: int, D: int):
     return (p, t * p - y, q, t * q + x), a, b, e
 
 
-def _image_symbols(M) -> list[tuple[int, int]]:
-    """The Manin symbols (c : d) whose paths sum to -M{0, oo}, for an integer
-    matrix M = gamma * [[a, b], [0, e]] of positive determinant.
-
-    M{0, oo} = gamma{b/e, oo} = -sum_k gamma*g_k{0, oo}, where g_k =
-    [[p_k, s*p_(k-1)], [q_k, s*q_(k-1)]], s = (-1)^(k-1), runs over the
-    convergent matrices of b/e from p_(-1)/q_(-1) = 1/0.  The symbol of
-    gamma*g_k is its bottom row (u_k : s*u_(k-1)) with u_k = gamma21*p_k +
-    gamma22*q_k, which obeys the convergents' recursion from u_(-2) = gamma22
-    and u_(-1) = gamma21.  When e = 1 the one symbol is (gamma22 : -gamma21),
-    which is minus the symbol of gamma.
-    """
-    (_, _, um1, um2), _, p, q = _hermite_split(*M)
-    symbols = []
-    sign = -1  # (-1)^(k-1) at k = 0
-    while q:
-        a = p // q
-        p, q = q, p - a * q
-        uk = a * um1 + um2
-        symbols.append((uk, sign * um1))
-        um2, um1, sign = um1, uk, -sign
-    return symbols
-
-
-def _reduce_int_row(row: dict) -> dict:
-    row = {k: v for k, v in row.items() if v}
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        row = {k: v // g for k, v in row.items()}
-    if row[min(row)] < 0:
-        row = {k: -v for k, v in row.items()}
-    return row
+def _reduce_int_row(row: dict, lead: int) -> dict:
+    """`row`, nonzero with no zero entries and lowest column `lead`, divided
+    by the gcd of its entries and given a positive entry at `lead`.  A row
+    that is already primitive with a positive lead is returned as it is."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def _eliminate(row: dict, piv: dict, col: int) -> None:
@@ -215,7 +194,7 @@ def _int_rref(rows) -> dict:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = _reduce_int_row(row)
+                pivots[lead] = _reduce_int_row(row, lead)
                 break
             _eliminate(row, piv, lead)
     for col in sorted(pivots, reverse=True):
@@ -223,7 +202,7 @@ def _int_rref(rows) -> dict:
         for j in [j for j in row if j != col and j in pivots]:
             _eliminate(row, pivots[j], j)
         if row[col] != 1:
-            pivots[col] = _reduce_int_row(row)
+            pivots[col] = _reduce_int_row(row, col)
     return pivots
 
 
@@ -264,7 +243,7 @@ def _p1_points(N: int) -> tuple[tuple, dict, list]:
             continue
         M = N // g
         h = gcd(g, M)
-        slots = M // h * sum(gcd(r, h) == 1 for r in range(h))  # (M/h) * phi(h)
+        slots = M // h * euler_phi(h)
         start = len(reps)
         tables[g] = _p1_walk(N, g, slots, reps)
         if len(reps) - start != slots:
@@ -285,7 +264,8 @@ class ModSymSpace:
     """Built sign +1 modular-symbols data for one level.
 
     `reps` holds the P^1 points, `points` one (sign, column) per point,
-    `rows` one expression {free generator: coefficient} per column, `free`
+    `rows` one {free generator: coefficient} row per column, so that sign
+    times the column's row is the point's expression, `free`
     the free generators, `lifts` each free generator's SL2(Z) lift
     (a, b, c, d) by rows, aligned with `free`, and `cusps` one representative
     per eta-orbit of cusp classes.  Immutable once constructed, apart from
@@ -311,15 +291,18 @@ class ModSymSpace:
             return tables[g][-v % (N // g)] if g else 0
 
         # sigma: (c,d) -> (d,-c) and eta commute; an orbit {x, x.sigma, x.eta,
-        # x.sigma.eta} is one column with signs +1, -1, +1, -1, or 0 where it
-        # forces x = -x.  `swap` is eta.sigma: (c : d) -> (d : c).
+        # x.sigma.eta} is one column, x being +1, -1, +1, -1 times its symbol,
+        # or 0 times where the orbit forces x = -x.  `points` keeps these
+        # signs negated, to match the stored rows (see the module docstring),
+        # so the relations below subtract them.  `swap` is eta.sigma:
+        # (c : d) -> (d : c).
         points: list = [None] * n
         swap = [0] * n
         for i, (c, d) in enumerate(reps):
             if points[i] is None:
                 j = look(d, -c)
                 k, m = eta(i), eta(j)
-                s = 0 if i in (j, m) else 1
+                s = 0 if i in (j, m) else -1
                 points[i] = points[k] = (s, i)
                 points[j] = points[m] = (-s, i)
                 swap[i], swap[m], swap[j], swap[k] = m, i, k, j
@@ -340,7 +323,7 @@ class ModSymSpace:
                 seen[m] = seen[swap[m]] = True
                 s, col = points[m]
                 if s:
-                    row[col] = row.get(col, 0) + s
+                    row[col] = row.get(col, 0) - s
             row = {c2: v for c2, v in row.items() if v}
             if row:
                 relations.append(row)
@@ -357,12 +340,13 @@ class ModSymSpace:
                 f"level {N}: sign +1 modular-symbols dimension {self.dim} != {expected}"
             )
 
-        self.rows = {c: {c: 1} for c in free}
-        for c, row in pivots.items():
-            p = row[c]
-            self.rows[c] = {
-                k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
-            }
+        rows = self.rows = pivots
+        for c, row in rows.items():
+            p = row.pop(c)
+            if p != 1:
+                rows[c] = {k: Fraction(v, p) for k, v in row.items()}
+        for c in free:
+            rows[c] = {c: -1}
         self.lifts = tuple(_sl2_lift(*reps[c]) for c in free)
 
         # one representative per eta-orbit of cusp classes, from the endpoints
@@ -425,12 +409,22 @@ class ModSymSpace:
         the boundary part contributes #(cusp orbits fixed by w_Q) - 1.  The
         image of generator f with lift g is M{0, oo} for the determinant-Q
         matrix M = W*g, and the Hermite form M = gamma * [[a, b], [0, e]]
-        turns it into one convergent chain of b/e with e <= Q (Cremona,
-        Algorithms for Modular Elliptic Curves, 2.4; see `_image_symbols`),
-        each symbol read from the lookup list and a residue table, with no
-        gcd or inverse.  The trace tr+ on S2+ is an integer of the parity of
-        the genus and at most the genus in size, and tr(w_Q | S2) = 2 * tr+
-        (the halves S2+ and S2- are isomorphic as w_Q-modules; see the module
+        (`_hermite_split`) turns it into one convergent chain of b/e with
+        e <= Q (Cremona, Algorithms for Modular Elliptic Curves, 2.4):
+
+            M{0, oo} = gamma{b/e, oo} = -sum_k gamma*g_k{0, oo},
+
+        where g_k = [[p_k, s*p_(k-1)], [q_k, s*q_(k-1)]], s = (-1)^(k-1),
+        runs over the convergent matrices of b/e from p_(-1)/q_(-1) = 1/0.
+        The symbol of gamma*g_k is its bottom row (u_k : s*u_(k-1)) with
+        u_k = gamma21*p_k + gamma22*q_k, which obeys the convergents'
+        recursion from u_(-2) = gamma22 and u_(-1) = gamma21; when e = 1 the
+        one symbol is (gamma22 : -gamma21), minus the symbol of gamma.  The
+        chain runs inline, with no list of symbols, and each symbol's point
+        is read from the lookup list and a residue table, with no gcd or
+        inverse.  The trace tr+ on S2+ is an integer of the parity of the
+        genus and at most the genus in size, and tr(w_Q | S2) = 2 * tr+ (the
+        halves S2+ and S2- are isomorphic as w_Q-modules; see the module
         docstring).
         """
         if Q == 1:
@@ -445,13 +439,20 @@ class ModSymSpace:
         points, rows = self.points, self.rows
         diag = 0
         for f, (a, b, c, d) in zip(self.free, self.lifts):
-            image = (wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d)
-            for u, v in _image_symbols(image):
-                # p1_index(u, v), inlined; (u, v) is a bottom row of SL2(Z)
-                h, m, inv = lookup[u % N]
-                s, col = points[tables[h][inv * v % m]]
+            (_, _, um1, um2), _, p, q = _hermite_split(
+                wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d
+            )
+            sign = -1  # the chain of p/q = b/e; sign = (-1)^(k-1) at k = 0
+            while q:
+                k = p // q
+                p, q = q, p - k * q
+                uk = k * um1 + um2
+                # p1_index(uk, sign * um1), inlined; it is a bottom row of SL2(Z)
+                dv, m, inv = lookup[uk % N]
+                s, col = points[tables[dv][inv * sign * um1 % m]]
                 if s:
                     diag -= s * rows[col].get(f, 0)
+                um2, um1, sign = um1, uk, -sign
         g = self.genus
         fixed = sum(
             _cusp_orbit(N, self._moebius(mat, cusp)) == _cusp_orbit(N, cusp)

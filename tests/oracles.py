@@ -6,8 +6,10 @@ two-term relation paired and every three-term relation eliminated, and
 `full_trace` is its trace route.  It maps the two endpoints of each free
 generator's path and expands each image by its own convergent chain, where
 the library splits one matrix by its Hermite form, so the two reach a trace
-by different decompositions.  The routes below work on either space:
-they build the cuspidal subspace as the kernel of the boundary map, matching
+by different decompositions.  `_image_symbols` collects the symbols that the
+trace walks inline after the library's split, so the tests can check each
+image against `path_vector`.  The routes below work on either space: they
+build the cuspidal subspace as the kernel of the boundary map, matching
 cusps by Cremona's pairwise criterion (up to the star involution on M2+),
 and act on it with full Atkin-Lehner matrices, so a genus can be read off
 the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
@@ -39,6 +41,7 @@ from bielliptic.involutions import (
 from bielliptic.modsym import (
     ModSymSpace,
     _cusp_normalize,
+    _hermite_split,
     _int_rref,
     _p1_points,
     _reduce_int_row,
@@ -200,7 +203,7 @@ def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
         vec = {f: scale}
         for c2, row in touching:
             vec[c2] = -row[f] * (scale // row[c2])
-        basis.append((f, _reduce_int_row(vec)))
+        basis.append((f, _reduce_int_row(vec, min(vec))))
     if len(basis) != cuspidal_dim(space):
         raise IntegrityError(
             f"level {space.N}: cuspidal dimension {len(basis)} != {cuspidal_dim(space)}"
@@ -237,6 +240,23 @@ def convergent_chain(p: int, q: int) -> list[tuple[int, int]]:
         chain.append((qk, sign * qm1))
         qm2, qm1, sign = qm1, qk, -sign
     return chain
+
+
+def _image_symbols(M) -> list[tuple[int, int]]:
+    """The Manin symbols (c : d) whose paths sum to -M{0, oo}, for an integer
+    matrix M of positive determinant: the convergent chain of b/e after the
+    library's split M = gamma * [[a, b], [0, e]], as a list (the trace walks
+    the same chain inline; see `ModSymSpace.al_trace_cuspidal`)."""
+    (_, _, um1, um2), _, p, q = _hermite_split(*M)
+    symbols = []
+    sign = -1  # (-1)^(k-1) at k = 0
+    while q:
+        a = p // q
+        p, q = q, p - a * q
+        uk = a * um1 + um2
+        symbols.append((uk, sign * um1))
+        um2, um1, sign = um1, uk, -sign
+    return symbols
 
 
 def path_vector(space, start, end) -> dict[int, Fraction]:

@@ -209,6 +209,105 @@ def test_int_rref_ignores_row_order(case):
     assert shuffled == copy
 
 
+_NONZERO_ROWS = st.dictionaries(
+    st.integers(0, 20), st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONZERO_ROWS)
+@example({3: -4, 5: 6})  # gcd 2 and a negative lead: one division folds both
+@example({0: -1, 2: 1})  # primitive, negative lead
+@example({1: 2})
+def test_reduce_int_row_with_its_lead(row):
+    lead = min(row)
+    copy = dict(row)
+    got = modsym._reduce_int_row(row, lead)
+    assert row == copy
+    assert gcd(*got.values()) == 1 and got[lead] > 0
+    assert got.keys() == row.keys()
+    assert all(got[k] * row[lead] == row[k] * got[lead] for k in row)
+
+
+def _relation_sum(*exprs):
+    total = {}
+    for expr in exprs:
+        for k, v in expr.items():
+            total[k] = total.get(k, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
+def test_stored_rows_satisfy_every_relation():
+    # read straight from `points` and `rows`, with no trace: every point's
+    # expression obeys the two-term, star and three-term relations, and a
+    # free generator's point is that generator
+    for N in [*range(1, 201), 720, 756, 792, 840, 1000, 1088, 2310]:
+        space = build_space(N)
+        look = space.p1_index
+        expr = [oracles.point_expression(space, i) for i in range(len(space.reps))]
+        for i, (c, d) in enumerate(space.reps):
+            x = expr[i]
+            assert not _relation_sum(x, expr[look(d, -c)]), (N, i, "sigma")
+            assert x == expr[look(-c, d)], (N, i, "eta")
+            assert not _relation_sum(x, expr[look(d, -c - d)], expr[look(-c - d, c)]), (
+                N, i, "tau",
+            )
+        for f in space.free:
+            assert expr[f] == {f: 1}, (N, f)
+
+
+def test_pivots_other_than_one_keep_every_expression(monkeypatch):
+    # no level to 300, in the genus-large pool or 2310 has a pivot other
+    # than 1; doubling every reduced row sends each pivot row through the
+    # Fraction branch of the build
+    rref = modsym._int_rref
+
+    def doubled_rref(rows):
+        return {col: {k: 2 * v for k, v in row.items()} for col, row in rref(rows).items()}
+
+    wants = {N: build_space(N) for N in (11, 60, 90, 126)}
+    monkeypatch.setattr(modsym, "_int_rref", doubled_rref)
+    for N, want in wants.items():
+        space = ModSymSpace(N)
+        assert any(isinstance(v, Fraction) for row in space.rows.values() for v in row.values())
+        for i in range(len(space.reps)):
+            assert oracles.point_expression(space, i) == oracles.point_expression(want, i), (N, i)
+        assert [space.al_trace_cuspidal(Q) for Q in hall_divisors(N)] == [
+            want.al_trace_cuspidal(Q) for Q in hall_divisors(N)
+        ]
+
+
+def test_build_divides_by_a_pivot_other_than_one_exactly(monkeypatch):
+    # tripling only the pivot entry of every reduced row divides each pivot
+    # column's stored row by 3: the build must give Fractions of the true
+    # quotient, which is not integral where an entry is prime to 3
+    rref = modsym._int_rref
+
+    def tripled_pivots(rows):
+        return {
+            col: {k: 3 * v if k == col else v for k, v in row.items()}
+            for col, row in rref(rows).items()
+        }
+
+    wants = {N: build_space(N) for N in (11, 60, 90, 126)}
+    monkeypatch.setattr(modsym, "_int_rref", tripled_pivots)
+    for N, want in wants.items():
+        space = ModSymSpace(N)
+        for col, row in want.rows.items():
+            if col in want.free:
+                assert space.rows[col] == row == {col: -1}, (N, col)
+                continue
+            got = space.rows[col]
+            assert all(type(v) is Fraction for v in got.values()), (N, col)
+            assert got == {k: Fraction(v, 3) for k, v in row.items()}, (N, col)
+        assert any(
+            v.denominator == 3
+            for col, row in space.rows.items()
+            if col not in want.free
+            for v in row.values()
+        ), N
+
+
 def test_build_memory_stays_small():
     # about 0.57 MB (0.95 MB for all of M2); a build that keeps an index map
     # over all (c, d) pairs peaks at about 16 MB here
@@ -223,7 +322,7 @@ def test_build_memory_stays_small():
 
 
 def test_space_retains_one_expression_per_column():
-    # about 3.7 MB at 2310 on M2+; all of M2 keeps 5.9 MB, and one expression
+    # about 3.9 MB at 2310 on M2+; all of M2 keeps 5.9 MB, and one expression
     # per point, half of them stored negated, 9.6 MB
     build_space(11)  # imports and level invariants outside the measurement
     tracemalloc.start()
@@ -454,7 +553,7 @@ def _times(W, g):
 def _split_column(space, M):
     """The class of M{0, oo} in free coordinates, from M's image symbols."""
     column = {}
-    for u, v in modsym._image_symbols(M):
+    for u, v in oracles._image_symbols(M):
         for k, x in oracles.point_expression(space, space.p1_index(u, v)).items():
             column[k] = column.get(k, 0) - x
     return {k: x for k, x in column.items() if x}

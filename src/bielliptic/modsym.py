@@ -25,9 +25,10 @@ residue r mod M holds a point exactly when gcd(r, h) = 1: a prime of h that
 divides r divides every v = r + kM, and for r prime to h some k < g makes v
 prime to the primes of g outside M as well.  So g's table has
 (M/h) * phi(h) slots, and the walk over v stops at the last of them.  One
-lookup list, indexed by c mod N, holds (g, M, (c/g)^-1 mod M) for each c,
-so a lookup is a list read, a product mod M and a table read, with no gcd
-and no inverse.
+lookup list, indexed by c mod N, holds (g's table, M, (c/g)^-1 mod M) for
+each c, so a lookup is a list read, a product mod M and a table read, with
+no gcd and no inverse.  The build reads the sigma and tau neighbours of each
+point that way, as the trace reads its symbols.
 
 The relations x + x.sigma = 0 and x = x.eta are eliminated by orbits:
 sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
@@ -60,26 +61,30 @@ nor the fixed-cusp count of a trace compares cusps pairwise.
 Atkin-Lehner operators act through a determinant-Q witness matrix W.  The
 image of a free generator is M{0, oo} for the integer matrix M = W*g.  Its
 Hermite form M = gamma * [[a, b], [0, e]], with gamma in SL2(Z), a*e = Q and
-0 <= b < e, takes one extended gcd on M's first column, and then
-M{0, oo} = gamma{b/e, oo} is minus the sum of the Manin symbols of gamma
-times the convergent matrices of b/e (Cremona, 2.4): one chain with
-denominators at most Q, where mapping the path's two endpoints would expand
-two longer chains that share their start.  The trace splits each free
-generator's image once and walks its chain inline, with no list of symbols.
+0 <= b < e, takes a gcd of M's first column and one modular inverse for its
+Bezout pair, and then M{0, oo} = gamma{b/e, oo} is minus the sum of the
+Manin symbols of gamma times the convergent matrices of b/e (Cremona,
+2.4): one chain with denominators at most Q, where mapping the path's two
+endpoints would expand two longer chains that share their start.  The
+trace splits each free generator's image once and walks its chain inline,
+with no list of symbols.
 The boundary map sends M2+ onto the degree-zero divisors on the eta-orbits of
 cusps and commutes with w_Q (Stein, ch. 8), so on the cuspidal subspace S2+
 
     tr(w_Q | S2+) = tr(w_Q | M2+) - (#cusp orbits fixed by w_Q - 1),
 
-and a trace needs only the diagonal of w_Q on the free generators.  The
-package reads only these traces, through `involutions.fix_al`, and takes
-every quotient genus from them by a Hurwitz count.  `invariant_genus` is the
-averaged trace: the genus of X0(N)/W is dim S2^W / 2, the sum of
-tr(w_Q | S2) over Q in W divided by 2|W|.  With fix(w_Q) = 2 - tr(w_Q | S2)
-that is the Hurwitz count rearranged, so it is no independent check of that
-count; the benchmark's genus-large workload measures this sum because it
-calls it.  The independent route is the +1-eigenspace intersection of the
-generators, `tests/oracles.invariant_genus_eigenspace`.
+and a trace needs only the diagonal of w_Q on the free generators.  w_Q
+sends a cusp of level d = gcd(q, N) to one of level d*Q/gcd(d, Q)^2, so
+only the orbits at levels with gcd(d, Q)^2 = Q are compared with their
+images, and for a Q that is not a square none are.  The package reads only
+these traces, through `involutions.fix_al`, and takes every quotient genus
+from them by a Hurwitz count.  `invariant_genus` is the averaged trace:
+the genus of X0(N)/W is dim S2^W / 2, the sum of tr(w_Q | S2) over Q in W
+divided by 2|W|.  With fix(w_Q) = 2 - tr(w_Q | S2) that is the Hurwitz
+count rearranged, so it is no independent check of that count; the
+benchmark's genus-large workload measures this sum because it calls it.
+The independent route is the +1-eigenspace intersection of the generators,
+`tests/oracles.invariant_genus_eigenspace`.
 
 Only this route lives here.  The independent reference routes (all of M2
 with its sigma-only pairing, the cuspidal subspace as the kernel of the
@@ -90,7 +95,7 @@ the test suite's oracles, in tests/oracles.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import IntegrityError
 from .ntheory import (
@@ -140,14 +145,23 @@ def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
 def _hermite_split(A: int, B: int, C: int, D: int):
     """Split M = [[A, B], [C, D]] with det M > 0 as gamma * [[a, b], [0, e]].
 
-    gamma is in SL2(Z), a = gcd(A, C) > 0, a*e = det M and 0 <= b < e: one
-    extended gcd on M's first column (Cremona, Algorithms for Modular Elliptic
-    Curves, 2.4).  Returns (gamma, a, b, e), gamma as a 4-tuple by rows.
+    gamma is in SL2(Z), a = gcd(A, C) > 0, a*e = det M and 0 <= b < e
+    (Cremona, Algorithms for Modular Elliptic Curves, 2.4).  The Bezout pair
+    x*A + y*C = a takes a gcd and one modular inverse: with p = A/a and
+    q = C/a, x = p^-1 mod |q| and y = (1 - x*p)/q, or x, y = p, 0 when C = 0
+    (and x = 0, y = q when |q| = 1).  That form is unique, so the split is
+    the same for any Bezout pair.  Returns (gamma, a, b, e), gamma as a
+    4-tuple by rows.
     """
-    a, x, y = egcd(A, C)  # x*A + y*C = a
+    a = gcd(A, C)
+    p, q = A // a, C // a
+    if q:
+        x = pow(p, -1, abs(q))
+        y = (1 - x * p) // q
+    else:
+        x, y = p, 0
     e = (A * D - B * C) // a
     t, b = divmod(x * B + y * D, e)
-    p, q = A // a, C // a
     return (p, t * p - y, q, t * q + x), a, b, e
 
 
@@ -233,8 +247,9 @@ def _p1_points(N: int) -> tuple[tuple, dict, list]:
     Divisor g < N, with M = N/g and h = gcd(g, M), has (M/h) * phi(h) points
     (g : v), one per residue mod M prime to h, and its walk stops at the last
     of them; `tables[N] = [0]` holds the point (0 : 1).  Entry c of the
-    lookup list is (g, M, inv) with g = gcd(c, N), M = N/g and
-    inv = (c/g)^-1 mod M, so the point (c : d) is `tables[g][inv * d % M]`.
+    lookup list is (tables[g], M, inv) with g = gcd(c, N), M = N/g and
+    inv = (c/g)^-1 mod M, so the point (c : d) is `table[inv * d % M]`: a
+    lookup reads g's table from its entry, with no subscript by g.
     """
     reps = [(0, 1)]
     tables = {N: [0]}
@@ -252,11 +267,11 @@ def _p1_points(N: int) -> tuple[tuple, dict, list]:
             )
     if len(reps) != psi(N):
         raise IntegrityError(f"P1(Z/{N}) has {len(reps)} points, expected psi = {psi(N)}")
-    lookup = [(N, 1, 0)] * N
+    lookup = [(tables[N], 1, 0)] * N
     for c in range(1, N):
         g = gcd(c, N)
         M = N // g
-        lookup[c] = (g, M, pow(c // g, -1, M))
+        lookup[c] = (tables[g], M, pow(c // g, -1, M))
     return tuple(reps), tables, lookup
 
 
@@ -282,9 +297,8 @@ class ModSymSpace:
     def _build(self):
         N = self.N
         self.reps, self._p1_tables, self._p1_lookup = _p1_points(N)
-        reps, tables = self.reps, self._p1_tables
+        reps, tables, lookup = self.reps, self._p1_tables, self._p1_lookup
         n = len(reps)
-        look = self.p1_index
 
         def eta(i):  # position of (-c : d) = (g : -v), read from g's table
             g, v = reps[i]
@@ -295,12 +309,15 @@ class ModSymSpace:
         # or 0 times where the orbit forces x = -x.  `points` keeps these
         # signs negated, to match the stored rows (see the module docstring),
         # so the relations below subtract them.  `swap` is eta.sigma:
-        # (c : d) -> (d : c).
+        # (c : d) -> (d : c).  Neighbours are read from the lookup list as in
+        # `p1_index`, without its point check: sigma and tau send points to
+        # points.
         points: list = [None] * n
         swap = [0] * n
         for i, (c, d) in enumerate(reps):
             if points[i] is None:
-                j = look(d, -c)
+                table, M, inv = lookup[d % N]
+                j = table[-inv * c % M]
                 k, m = eta(i), eta(j)
                 s = 0 if i in (j, m) else -1
                 points[i] = points[k] = (s, i)
@@ -316,17 +333,17 @@ class ModSymSpace:
             if seen[i]:
                 continue
             c, d = reps[i]
-            j = look(d, -c - d)
-            k = look(-c - d, c)
+            table, M, inv = lookup[d % N]
+            j = table[-inv * (c + d) % M]
+            table, M, inv = lookup[-(c + d) % N]
+            k = table[inv * c % M]
             row: dict[int, int] = {}
             for m in (i, j, k):
                 seen[m] = seen[swap[m]] = True
                 s, col = points[m]
                 if s:
                     row[col] = row.get(col, 0) - s
-            row = {c2: v for c2, v in row.items() if v}
-            if row:
-                relations.append(row)
+            relations.append(row)  # _int_rref drops zero entries and empty rows
         pivots = _int_rref(relations)
 
         kept = sorted({col for s, col in points if s})
@@ -367,15 +384,18 @@ class ModSymSpace:
     def p1_index(self, c: int, d: int) -> int:
         """Position in `reps` of the point (c : d).
 
-        Entry c mod N of the lookup list is (g, M, inv) with g = gcd(c, N),
-        M = N/g and inv = (c/g)^-1 mod M; the point is (g : r) for
-        r = inv * d mod M, and `_p1_tables[g][r]` holds its position.  A pair
-        with gcd(g, d) != 1 is not a point and raises ValueError.
+        Entry c mod N of the lookup list is (table, M, inv) with
+        g = gcd(c, N) = N/M, `table = _p1_tables[g]` and inv = (c/g)^-1 mod M;
+        the point is (g : r) for r = inv * d mod M, and `table[r]` holds its
+        position.  A pair with gcd(g, d) != 1 is not a point and raises
+        ValueError.  The build and the trace read the lookup list inline, so
+        this checked lookup serves the tests and callers outside the module.
         """
-        g, M, inv = self._p1_lookup[c % self.N]
-        if gcd(g, d) != 1:
-            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{self.N})")
-        return self._p1_tables[g][inv * d % M]
+        N = self.N
+        table, M, inv = self._p1_lookup[c % N]
+        if gcd(N // M, d) != 1:
+            raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
+        return table[inv * d % M]
 
     # -- Atkin-Lehner action ------------------------------------------
 
@@ -421,11 +441,16 @@ class ModSymSpace:
         recursion from u_(-2) = gamma22 and u_(-1) = gamma21; when e = 1 the
         one symbol is (gamma22 : -gamma21), minus the symbol of gamma.  The
         chain runs inline, with no list of symbols, and each symbol's point
-        is read from the lookup list and a residue table, with no gcd or
+        is read from the residue table its lookup entry holds, with no gcd or
         inverse.  The trace tr+ on S2+ is an integer of the parity of the
         genus and at most the genus in size, and tr(w_Q | S2) = 2 * tr+ (the
         halves S2+ and S2- are isomorphic as w_Q-modules; see the module
         docstring).
+
+        w_Q sends a cusp p/q of level d = gcd(q, N) to one of level
+        d*Q/gcd(d, Q)^2, so it can fix a cusp orbit only where
+        gcd(d, Q)^2 = Q.  The fixed orbits are sought among those cusps
+        alone, and a Q that is not a square fixes none.
         """
         if Q == 1:
             return 2 * self.genus
@@ -435,7 +460,7 @@ class ModSymSpace:
             pass
         mat = self.al_matrix(Q)
         wa, wb, wc, wd = mat
-        N, tables, lookup = self.N, self._p1_tables, self._p1_lookup
+        N, lookup = self.N, self._p1_lookup
         points, rows = self.points, self.rows
         diag = 0
         for f, (a, b, c, d) in zip(self.free, self.lifts):
@@ -448,16 +473,22 @@ class ModSymSpace:
                 p, q = q, p - k * q
                 uk = k * um1 + um2
                 # p1_index(uk, sign * um1), inlined; it is a bottom row of SL2(Z)
-                dv, m, inv = lookup[uk % N]
-                s, col = points[tables[dv][inv * sign * um1 % m]]
+                table, m, inv = lookup[uk % N]
+                s, col = points[table[inv * sign * um1 % m]]
                 if s:
                     diag -= s * rows[col].get(f, 0)
                 um2, um1, sign = um1, uk, -sign
         g = self.genus
-        fixed = sum(
-            _cusp_orbit(N, self._moebius(mat, cusp)) == _cusp_orbit(N, cusp)
-            for cusp in self.cusps
-        )
+        # only cusps p/q with gcd(q, N, Q)^2 = Q can be fixed, so none unless
+        # Q is a square (gcd(q, Q) = gcd(q, N, Q), as Q divides N)
+        r = isqrt(Q)
+        fixed = 0
+        if r * r == Q:
+            fixed = sum(
+                _cusp_orbit(N, self._moebius(mat, cusp)) == _cusp_orbit(N, cusp)
+                for cusp in self.cusps
+                if gcd(cusp[1], Q) == r
+            )
         tr = diag - (fixed - 1)
         if tr.denominator != 1 or (tr - g) % 2 or abs(tr) > g:
             raise IntegrityError(

@@ -1,7 +1,8 @@
+import copy
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -118,11 +119,14 @@ def test_bounded_walk_keeps_the_unbounded_order():
 
 def test_lookup_list_holds_gcd_cofactor_and_inverse():
     for N in WALK_LEVELS:
-        lookup = modsym._p1_points(N)[2]
+        space = build_space(N)
+        lookup = space._p1_lookup
         assert len(lookup) == N
         for c in range(N):
             g = gcd(c, N)
-            assert lookup[c] == (g, N // g, pow(c // g, -1, N // g)), (N, c)
+            table = space._p1_tables[g]
+            assert lookup[c] == (table, N // g, pow(c // g, -1, N // g)), (N, c)
+            assert lookup[c][0] is table, (N, c)
 
 
 def test_walk_stopped_one_slot_early_names_level_and_divisor(monkeypatch):
@@ -603,6 +607,10 @@ def test_hermite_split_of_random_sl2_images(g, level_q):
 
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(*[st.integers(-10**4, 10**4)] * 4))
+@example((-3, 5, 0, -7))  # C = 0 with A < 0
+@example((2, 1, 0, 3))  # C = 0 with A > 0
+@example((4, 1, 4, 3))  # C/a = 1
+@example((2, 0, -2, 1))  # C/a = -1
 def test_hermite_split_of_any_positive_determinant(M):
     A, B, C, D = M
     assume(A * D - B * C > 0)
@@ -650,6 +658,57 @@ def test_trace_checks_raise(dups, scale, tr):
     with pytest.raises(modsym.IntegrityError, match=f"trace {tr} of w_4"):
         space.al_trace_cuspidal(4)
     assert space._trace_cache == {}
+
+
+def test_trace_compares_only_cusps_w_q_can_fix():
+    # w_Q sends a cusp p/q of level d = gcd(q, N) to one of level
+    # d*Q/gcd(d, Q)^2, so only orbits with gcd(q, N, Q)^2 = Q can be fixed.
+    # The orbits fixed by the full scan must lie there, agree in number with
+    # the pairwise criterion, and be the only cusps a trace maps.
+    orbit = modsym._cusp_orbit
+    count = 0
+    for N in [*range(1, 301), 720, 756, 792, 840, 1000, 1088, 2310]:
+        space = build_space(N)
+        for Q in hall_divisors(N)[1:]:
+            mat = space.al_matrix(Q)
+            images = [space._moebius(mat, c) for c in space.cusps]
+            fixed = [c for c, im in zip(space.cusps, images) if orbit(N, im) == orbit(N, c)]
+            assert all(gcd(q, N, Q) ** 2 == Q for _, q in fixed), (N, Q)
+            if isqrt(Q) ** 2 != Q:
+                assert not fixed, (N, Q)
+            assert len(fixed) == sum(
+                _plus_equiv(N, im, c) for c, im in zip(space.cusps, images)
+            ), (N, Q)
+            count += len(fixed)
+            # a copy with an empty trace cache and a recording Moebius map
+            fresh = copy.copy(space)
+            fresh._trace_cache = {}
+            mapped = []
+            fresh._moebius = lambda m, c: mapped.append(c) or ModSymSpace._moebius(m, c)
+            assert fresh.al_trace_cuspidal(Q) == space.al_trace_cuspidal(Q), (N, Q)
+            assert mapped == [c for c in space.cusps if gcd(c[1], N, Q) ** 2 == Q], (N, Q)
+    assert count > 0
+
+
+def test_build_and_traces_read_the_lookup_list_inline(monkeypatch):
+    calls = []
+    look = ModSymSpace.p1_index
+
+    def counting_look(self, c, d):
+        calls.append((c, d))
+        return look(self, c, d)
+
+    for N in (420, 840):
+        monkeypatch.setattr(ModSymSpace, "p1_index", counting_look)
+        space = ModSymSpace(N)
+        for Q in hall_divisors(N)[1:]:
+            space.al_trace_cuspidal(Q)
+        assert calls == [], N
+        monkeypatch.undo()
+        for i, (c, d) in enumerate(space.reps):
+            assert space.p1_index(c, d) == i, (N, i)
+        with pytest.raises(ValueError):
+            space.p1_index(2, 4)
 
 
 def test_identity_operator():

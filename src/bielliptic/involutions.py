@@ -10,10 +10,13 @@ that leaves the commuting-involution framework raises OrderViolation.
 
 Each level has one memoised involution table, the one cache of its
 involution algebra: the identity and `level_involutions(N)`, the product of
-every ordered pair as an index (or the rule and message of the
-OrderViolation `compose` raises for it), and the closed groups.  Building
-it checks that the table is closed (a product that is an involution but not
-listed raises IntegrityError).  `group_closure` reads products from the
+each ordered pair as an index (or the rule and message of the
+OrderViolation `compose` raises for it), and the closed groups.  The table
+composes each unordered pair once: for involutions b*a = (a*b)^-1, which is
+a*b again when a*b is an involution, and only a pair that raises is composed
+in both orders, so each order keeps its own message.  Building it checks
+that the table is closed (a product that is an involution but not listed
+raises IntegrityError).  `group_closure` reads products from the
 table and holds the group as a bitmask over its indices, so it calls no
 `compose`, and it returns the table's one shared InvolutionGroup per mask.
 
@@ -365,7 +368,10 @@ class _InvolutionTable:
 
     ``products[i][j]`` is the index of elements[i] * elements[j], or the
     (rule, message) of the OrderViolation that `compose` raises for the pair.
-    A product that is an involution but not an element raises IntegrityError:
+    `compose` runs once for each i <= j.  When a*b is an involution, b*a =
+    (a*b)^-1 = a*b, so entry [j][i] takes the same index; when it raises,
+    b*a is composed too, so [j][i] names the pair in its own order.  A
+    product that is an involution but not an element raises IntegrityError:
     the table must be closed for bitmask closures to be exact.  ``groups``
     holds the one shared InvolutionGroup of each closed mask.
     """
@@ -379,7 +385,15 @@ class _InvolutionTable:
         self.al_index = {
             e._al_part(): i for i, e in enumerate(elements) if e.kind in ("id", "al")
         }
-        self.products = tuple(tuple(self._product(a, b) for b in elements) for a in elements)
+        n = len(elements)
+        products = [[None] * n for _ in elements]
+        for i, a in enumerate(elements):
+            for j in range(i, n):
+                b = elements[j]
+                products[i][j] = entry = self._product(a, b)
+                if j > i:
+                    products[j][i] = entry if type(entry) is int else self._product(b, a)
+        self.products = tuple(map(tuple, products))
         self.groups: dict[int, InvolutionGroup] = {}
 
     def _product(self, a: ExtInvolution, b: ExtInvolution):

@@ -4,15 +4,15 @@ Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
-and over, in eight tables: `factor` and the sorted subgroup lattice behind
-`all_subgroups` here, `genus_x0` in `x0invariants`, `_involution_table` and
-`_subgroup_genus` in `involutions`, and in `atlas` the two data tables
-(`hyperelliptic_pairs`, `witness_annotations`) and `_search`, the candidate
-search of each (level, subgroup).  Each table
-holds one entry per argument tuple it was called with.  An involution table
-keeps its level's involution list, product table and closed groups, and
-each group its Hurwitz genus.  A trace is stored only in its
-modular-symbols space.
+and over, in nine tables: here `factor`, the sorted subspaces of F2^omega
+(`_subspace_bases`, one entry per omega) and the subgroup lattice behind
+`all_subgroups` that each level maps from them; `genus_x0` in `x0invariants`;
+`_involution_table` and `_subgroup_genus` in `involutions`; and in `atlas`
+the two data tables (`hyperelliptic_pairs`, `witness_annotations`) and
+`_search`, the candidate search of each (level, subgroup).  Each table holds
+one entry per argument tuple it was called with.  An involution table keeps
+its level's involution list, product table and closed groups, and each group
+its Hurwitz genus.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import IntegrityError
 
@@ -366,9 +366,6 @@ class ALSubgroup:
             return "1"
         return "<" + ",".join(f"w{d}" for d in self.generators()) + ">"
 
-    def extend(self, d: int) -> "ALSubgroup":
-        return ALSubgroup(self.level, (*self.elements, d))
-
     def sort_key(self):
         masks = sorted(m for m, _ in self._masked_generators())
         return (self.order, tuple(sorted(bin(m).count("1") for m in masks)), tuple(masks))
@@ -383,13 +380,41 @@ def all_subgroups(level: int) -> list[ALSubgroup]:
 
 
 @memoise
-def _subgroup_lattice(level: int) -> tuple[ALSubgroup, ...]:
-    """Each subgroup of order 2^(k+1) extends one of order 2^k by an element
-    outside it, so the lattice grows one layer per round from the trivial group.
+def _subspace_bases(omega: int) -> tuple[tuple[int, ...], ...]:
+    """Every subspace of F2^omega by its canonical basis, in `sort_key` order.
+
+    The canonical basis of `ALSubgroup._masked_generators` takes, for each
+    top bit that occurs, the least mask with that top bit; that is the
+    reduced echelon basis with top bits as pivots.  Each vector is its pivot
+    plus any set of the non-pivot bits below it, so the bases are grown bit
+    by bit, each subspace exactly once, ascending within a basis.
     """
-    nonzero = hall_divisors(level)[1:]
-    found = grow = {ALSubgroup.trivial(level)}
-    while grow:
-        grow = {s.extend(d) for s in grow for d in nonzero if d not in s} - found
-        found |= grow
-    return tuple(sorted(found, key=ALSubgroup.sort_key))
+    bases = [()]
+    for top in range(omega):
+        grown = []
+        for basis in bases:
+            pivots = sum(1 << m.bit_length() - 1 for m in basis)
+            free = [1 << b for b in range(top) if not pivots >> b & 1]
+            for choice in range(1 << len(free)):
+                tail = sum(f for i, f in enumerate(free) if choice >> i & 1)
+                grown.append((*basis, 1 << top | tail))
+        bases += grown
+    bases.sort(key=lambda b: (len(b), sorted(m.bit_count() for m in b), b))
+    return tuple(bases)
+
+
+@memoise
+def _subgroup_lattice(level: int) -> tuple[ALSubgroup, ...]:
+    """The subspaces of F2^omega(N), each mapped onto B(N) through its
+    canonical basis, bit i standing for the i-th prime power of N.  The
+    subspaces and their order depend only on omega, so each level costs one
+    construction per subgroup, with its generators preset.
+    """
+    pp = factor(level).prime_powers()
+    lattice = []
+    for masks in _subspace_bases(len(pp)):
+        gens = [prod(q for i, q in enumerate(pp) if m >> i & 1) for m in masks]
+        sub = ALSubgroup(level, gens)
+        sub._gens = tuple(zip(masks, gens))
+        lattice.append(sub)
+    return tuple(lattice)

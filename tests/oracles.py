@@ -14,9 +14,11 @@ cusps by Cremona's pairwise criterion (up to the star involution on M2+),
 and act on it with full Atkin-Lehner matrices, so a genus can be read off
 the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
-identity.  `closure_by_compose` closes an involution group by calling
-`compose` on every product, as `group_closure` did before it read the
-level's product table.  `two_group_options` and `hyperelliptic_factoring`
+identity.  `subgroup_lattice_by_growth` grows the Atkin-Lehner subgroups
+layer by layer from the trivial group and sorts them, as `all_subgroups` did
+before it read one table of subspaces per omega.  `closure_by_compose`
+closes an involution group by calling `compose` on every product, as
+`group_closure` did before it read the level's product table.  `two_group_options` and `hyperelliptic_factoring`
 are the atlas's 2-group and hyperelliptic-factoring rules as they were
 before they read the full group's candidate search: each closes B(N) with
 the normalizer involutions itself.  The number-theory routes count reduced
@@ -52,6 +54,7 @@ from bielliptic.ntheory import (
     class_number,
     egcd,
     factor,
+    hall_divisors,
     hall_product,
     kronecker,
     validate_discriminant,
@@ -349,6 +352,28 @@ def invariant_genus_eigenspace(space, W=()) -> int:
     if dim % 2:
         raise IntegrityError("odd eigenspace dimension")
     return dim // 2
+
+
+# -- the subgroup lattice ------------------------------------------------
+
+
+def extend_subgroup(sub: ALSubgroup, d: int) -> ALSubgroup:
+    """The subgroup that sub and w_d span."""
+    return ALSubgroup(sub.level, (*sub.elements, d))
+
+
+def subgroup_lattice_by_growth(level: int) -> list[ALSubgroup]:
+    """Every subgroup of B(N) in `ALSubgroup.sort_key` order, as the library
+    grew it before it read the subspaces of F2^omega: each subgroup of order
+    2^(k+1) extends one of order 2^k by an element outside it, so the
+    lattice grows one layer per round from the trivial group.  The
+    generators are left for each subgroup to find from its elements."""
+    nonzero = hall_divisors(level)[1:]
+    found = grow = {ALSubgroup.trivial(level)}
+    while grow:
+        grow = {extend_subgroup(s, d) for s in grow for d in nonzero if d not in s} - found
+        found |= grow
+    return sorted(found, key=ALSubgroup.sort_key)
 
 
 # -- isomorphism reductions ----------------------------------------------

@@ -319,6 +319,31 @@ def test_involution_table_matches_compose():
     assert (products, accepted) == (14980, 2828)
 
 
+def test_involution_table_at_its_largest_levels():
+    # 8 | N and 9 || N, so S2, S2C, V2 and V3 words all occur: the table is
+    # filled once per unordered pair, and each ordered entry still holds
+    # compose's product or the rule and message of its own OrderViolation
+    outcomes = Counter()
+    for N in (360, 720, 1008, 2520):
+        table = _involution_table(N)
+        elems = table.elements
+        assert {e.kind for e in elems} == {"id", "al", "s2", "s2c", "v2", "v3"}, N
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                entry = table.products[i][j]
+                try:
+                    c = compose(a, b)
+                except OrderViolation as exc:
+                    assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
+                    outcomes[exc.rule] += 1
+                else:
+                    assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
+                    outcomes["product"] += 1
+    assert outcomes == {
+        "product": 3616, "two-part-rotation": 1024, "s2-v3-mix": 896, "v3-tail-2-mod-3": 192,
+    }
+
+
 def test_group_closure_matches_compose_doubling():
     # every candidate group of the witness search: the table and bitmask
     # closure spans the same elements, or raises the same OrderViolation
@@ -367,13 +392,24 @@ def test_group_closure_shares_one_group_per_mask(monkeypatch):
     assert H is not G and H == G
 
 
+def _compose_calls(table):
+    """n(n+1)/2 calls for the pairs i <= j, plus one reverse call for each
+    pair i < j whose product raised."""
+    n = len(table.elements)
+    raised = sum(
+        type(table.products[i][j]) is not int for i in range(n) for j in range(i + 1, n)
+    )
+    return n * (n + 1) // 2 + raised
+
+
 def test_classify_composes_only_to_build_tables(monkeypatch):
-    # a cold classify calls compose once per ordered pair of each level's
-    # table and a warm one not at all; the atlas's candidate searches are
-    # memoised, so the warm pass closes no group and raises no
-    # OrderViolation, and clear_cache() drops the tables.  The cold pass
-    # builds 115 spaces and caches 491 traces and the warm one adds none:
-    # the state perfbench's classify guards assume.
+    # a cold classify calls compose on each unordered pair of each level's
+    # table, diagonal included, and again in the reverse order only where
+    # the first call raises; a warm one calls it not at all.  The atlas's
+    # candidate searches are memoised, so the warm pass closes no group and
+    # raises no OrderViolation, and clear_cache() drops the tables.  The
+    # cold pass builds 115 spaces and caches 491 traces and the warm one adds
+    # none: the state perfbench's classify guards assume.
     composed = []
     closures = []
     violations = Counter()
@@ -410,8 +446,8 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
 
     modsym.clear_cache()
     atlas.classify_all()
-    assert len(composed) == sum(len(t.elements) ** 2 for t in tables.values())
-    assert (len(tables), len(composed)) == (67, 9136)
+    assert len(composed) == sum(map(_compose_calls, tables.values()))
+    assert (len(tables), len(composed)) == (67, 6196)
     assert len(closures) == 3703
     assert violations == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
     assert len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337

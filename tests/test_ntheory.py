@@ -16,6 +16,7 @@ from bielliptic.ntheory import (
     ALSubgroup,
     Factorization,
     _subgroup_lattice,
+    _subspace_bases,
     all_subgroups,
     class_number,
     egcd,
@@ -28,7 +29,7 @@ from bielliptic.ntheory import (
 from bielliptic.screening import gate_levels
 from bielliptic.x0invariants import genus_x0
 
-from oracles import class_number_oracle
+from oracles import class_number_oracle, extend_subgroup, subgroup_lattice_by_growth
 
 
 def test_factor_examples():
@@ -181,9 +182,10 @@ class TestALSubgroup:
             ALSubgroup.of(60, ALSubgroup(180, (4,)))
 
     def test_extend_doubles(self):
+        # the growth step of the oracle lattice
         sub = ALSubgroup(420, (4, 3))
-        assert sub.extend(35).order == 8
-        assert sub.extend(12) == sub
+        assert extend_subgroup(sub, 35).order == 8
+        assert extend_subgroup(sub, 12) == sub
 
 
 def test_all_subgroups_is_the_subgroup_lattice():
@@ -195,6 +197,24 @@ def test_all_subgroups_is_the_subgroup_lattice():
         assert len({s.elements for s in subs}) == len(subs), N
         for s in subs:
             assert {hall_product(a, b) for a in s.elements for b in s.elements} == s.elements
+
+
+def test_subspace_tables_count_every_subspace():
+    # the number of subspaces of F2^omega, one table per omega; the growth
+    # oracle below checks that they are distinct and in order
+    assert [len(_subspace_bases(w)) for w in range(6)] == [1, 2, 5, 16, 67, 374]
+
+
+def test_all_subgroups_equals_the_growth_oracle():
+    # subgroup by subgroup, in order, with the label and generators that a
+    # subgroup grown from its elements finds for itself
+    for N in [*range(1, 2001), 2310]:
+        want = subgroup_lattice_by_growth(N)
+        got = all_subgroups(N)
+        assert len(got) == len(want), N
+        for s, t in zip(got, want):
+            assert s == t, (N, t.label())
+            assert (s.label(), s.generators()) == (t.label(), t.generators()), N
 
 
 # -- memoised per-level functions ------------------------------------------

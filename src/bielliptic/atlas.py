@@ -24,10 +24,11 @@ factoring) and `_settle` records the first that excludes.  A new exclusion
 rule goes into `_exclusions`, the one place the battery is written.
 
 `_search` is memoised per (level, subgroup) and is the one place the atlas
-calls `group_closure`.  The 2-group and hyperelliptic-factoring rules read
-the groups the normalizer involutions form with B(N) from the full group's
-search, so each level closes them once and a warm classification closes
-none.
+closes involution groups.  It reads the level's involution table: it closes
+W once and extends that group by one coset per candidate.  The 2-group and
+hyperelliptic-factoring rules read the groups the normalizer involutions
+form with B(N) from the full group's search, so each level closes them once
+and a warm classification closes none.
 
 The pipeline checks one piece of the expected classification: `classify_all`
 raises IntegrityError when a published bielliptic pair (a key of
@@ -41,13 +42,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from . import _data
-from .errors import DataError, IntegrityError, OrderViolation
+from .errors import DataError, IntegrityError
 from .involutions import (
     ExtInvolution,
     InvolutionGroup,
     _involution_table,
     fix_table,
-    group_closure,
     quotient_genus_hurwitz,
 )
 from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
@@ -216,21 +216,24 @@ class Witness:
 def _search(N: int, sub: ALSubgroup) -> tuple:
     """Every candidate of the pair, in search order, as (candidate, group, genus).
 
-    The candidates are the involutions of the level outside W.  Each one is
-    closed with W's generators and the Hurwitz genus of the quotient taken,
-    also after the first genus-1 group (the witness); both are None when the
-    closure raises OrderViolation.
+    The candidates are the involutions of the level's involution table
+    outside W.  W's generators are closed once; each candidate then extends
+    that group by one coset (`_InvolutionTable.extend`), and the Hurwitz
+    genus of the quotient is taken, also after the first genus-1 group (the
+    witness); both are None when the coset holds a product that is not an
+    involution.
     """
-    gens = list(sub.generators())
+    table = _involution_table(N)
+    elems, mask = table.close([table.al_index[d] for d in sub.generators()])
     found = []
-    for v in _involution_table(N).elements[1:]:
-        if v.kind == "al" and v._al_part() in sub:
+    for g, v in enumerate(table.elements):
+        if mask >> g & 1:
             continue
-        try:
-            G = group_closure(N, gens + [v])
-        except OrderViolation:
+        grown = table.extend(elems, mask, g)
+        if type(grown[0]) is str:
             found.append((v, None, None))
             continue
+        G = table.group(grown[1])
         found.append((v, G, G._genus))
     return tuple(found)
 

@@ -8,17 +8,24 @@ symmetric of order 6 for a = 2), times an optional V3, times an Atkin-Lehner
 tail.  Composition uses only the published commutation rules; any product
 that leaves the commuting-involution framework raises OrderViolation.
 
-Each level has one memoised involution table, the one cache of its
-involution algebra: the identity and `level_involutions(N)`, the product of
-each ordered pair as an index (or the rule and message of the
-OrderViolation `compose` raises for it), and the closed groups.  The table
-composes each unordered pair once: for involutions b*a = (a*b)^-1, which is
-a*b again when a*b is an involution, and only a pair that raises is composed
-in both orders, so each order keeps its own message.  Building it checks
-that the table is closed (a product that is an involution but not listed
-raises IntegrityError).  `group_closure` reads products from the
-table and holds the group as a bitmask over its indices, so it calls no
-`compose`, and it returns the table's one shared InvolutionGroup per mask.
+The rules are written once, in `_compose_fields`, which returns the fields
+of a product (or raises) given the level's constants from `_rules`;
+`compose` wraps its fields in an ExtInvolution.  Each level has one
+memoised involution table, the one cache of its involution algebra: the
+identity and `level_involutions(N)`, the product of each ordered pair as an
+index (or the rule and message of the OrderViolation `compose` raises for
+it), and the closed groups.  The table reads the level's constants once and
+finds each product's index by its fields, so it builds no ExtInvolution.
+It runs the rules once per unordered pair: for involutions b*a = (a*b)^-1,
+which is a*b again when a*b is an involution, and only a pair that raises
+is run in both orders, so each order keeps its own message.  Building it
+checks that the table is closed (a product that is an involution but not
+listed raises IntegrityError).  A group is a list of table indices and a
+bitmask over them; `_InvolutionTable.extend` doubles it by one coset, or
+returns the rule and message of the first product that is not an
+involution.  `group_closure` and the atlas's witness search close groups
+that way, so neither calls `compose`, and `_InvolutionTable.group` gives
+the table's one shared InvolutionGroup per mask.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
@@ -143,7 +150,7 @@ class ExtInvolution:
             word = _f_word(alpha)
             d >>= alpha
         elem = cls(N, word, 1, d)
-        if elem._al_coprime3() % 3 != 1:
+        if _coprime3(elem._al_part()) % 3 != 1:
             raise OrderViolation(
                 f"V3*w{d if word == _ID2 else d << alpha} has order 4 at level {N}",
                 rule="v3-tail-2-mod-3",
@@ -175,9 +182,6 @@ class ExtInvolution:
         if alpha >= 2 and self.word2 == _f_word(alpha):
             return self.tail << alpha
         raise IntegrityError("element has a genuine S2-part")
-
-    def _al_coprime3(self) -> int:
-        return _coprime3(self._al_part())
 
     @cached_property
     def kind(self) -> str:
@@ -251,12 +255,27 @@ def compose(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
     """
     if a.level != b.level:
         raise ValueError("cannot compose involutions of different levels")
-    N = a.level
-    alpha = factor(N).valuation(2)
-    modulus = 4 if alpha >= 3 else 3
-    fword = _f_word(alpha) if alpha >= 2 else None
-    eps2 = 1 if alpha >= 2 and (1 << alpha) % 3 == 2 else 0
+    return ExtInvolution(a.level, *_compose_fields(_rules(a.level), a, b))
 
+
+def _rules(N: int):
+    """The level's constants for the composition rules: (N, alpha, the
+    modulus of the 2-part words, the word of w_{2^alpha}, eps2), where
+    2^alpha || N and eps2 = 1 when 2^alpha = 2 mod 3 and 4 | N."""
+    alpha = factor(N).valuation(2)
+    return (
+        N,
+        alpha,
+        4 if alpha >= 3 else 3,
+        _f_word(alpha) if alpha >= 2 else None,
+        1 if alpha >= 2 and (1 << alpha) % 3 == 2 else 0,
+    )
+
+
+def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
+    """The rules of `compose`: the fields (word2, e3, tail) of a*b at the
+    level whose `_rules` are given, or the OrderViolation `compose` raises."""
+    N, alpha, modulus, fword, eps2 = rules
     twist = 0
     if a.e3 and b.word2 != _ID2:
         if b.word2 != fword:
@@ -283,19 +302,19 @@ def compose(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
             f"{a.name} * {b.name} has order > 2 at level {N}",
             rule="two-part-rotation",
         )
-    result = ExtInvolution(N, word, v3, tail)
     if v3:
         if word not in (_ID2, fword):
             raise OrderViolation(
                 f"{a.name} * {b.name} mixes an S2-part with V3 (level {N})",
                 rule="s2-v3-mix",
             )
-        if result._al_coprime3() % 3 != 1:
+        # the prime-to-3 part of the Atkin-Lehner part, tail or 2^alpha tail
+        if (_coprime3(tail) << (alpha if word == fword else 0)) % 3 != 1:
             raise OrderViolation(
                 f"{a.name} * {b.name} has order 4 at level {N}",
                 rule="v3-tail-2-mod-3",
             )
-    return result
+    return word, v3, tail
 
 
 @dataclass(frozen=True)
@@ -327,40 +346,15 @@ class InvolutionGroup:
 def group_closure(N: int, generators) -> InvolutionGroup:
     """The group a generator list spans; all elements must be involutions.
 
-    Built by doubling: a generator g not yet in the group G adds the coset
-    G*g, which doubles G because its elements commute and square to the
-    identity.  A product outside the commuting-involution framework raises
-    OrderViolation; a coset that meets G means the published rules do not
-    form a group and raises IntegrityError.  Elements are indices into the
-    level's involution table and G is a bitmask over them, so a closure
-    reads products and calls no `compose`.
+    Closed on the level's involution table (`_InvolutionTable.close`), by
+    one doubling step per generator not yet in the group: elements are
+    table indices and the group a bitmask over them, so a closure reads
+    products and calls no `compose`.  A product outside the
+    commuting-involution framework raises OrderViolation.  Returns the
+    table's one shared group of the closed mask.
     """
     table = _involution_table(N)
-    gens = [table.position(N, g) for g in generators]
-    products = table.products
-    elems = [0]
-    mask = 1
-    for g in gens:
-        if mask >> g & 1:
-            continue
-        coset = [products[e][g] for e in elems]
-        for p in coset:
-            if type(p) is not int:
-                rule, message = p
-                names = ", ".join(table.elements[i].name for i in gens)
-                raise OrderViolation(
-                    f"<{names}> is not an involution group: {message}", rule=rule
-                )
-            mask |= 1 << p
-        elems += coset
-    size = mask.bit_count()
-    if size < len(elems):
-        raise IntegrityError(f"closure of {size} elements is not a 2-group")
-    group = table.groups.get(mask)
-    if group is None:
-        elements = frozenset(e for i, e in enumerate(table.elements) if mask >> i & 1)
-        group = table.groups.setdefault(mask, InvolutionGroup(N, elements))
-    return group
+    return table.group(table.close([table.position(N, g) for g in generators])[1])
 
 
 class _InvolutionTable:
@@ -368,45 +362,99 @@ class _InvolutionTable:
 
     ``products[i][j]`` is the index of elements[i] * elements[j], or the
     (rule, message) of the OrderViolation that `compose` raises for the pair.
-    `compose` runs once for each i <= j.  When a*b is an involution, b*a =
-    (a*b)^-1 = a*b, so entry [j][i] takes the same index; when it raises,
-    b*a is composed too, so [j][i] names the pair in its own order.  A
-    product that is an involution but not an element raises IntegrityError:
-    the table must be closed for bitmask closures to be exact.  ``groups``
-    holds the one shared InvolutionGroup of each closed mask.
+    The table runs `compose`'s rules (`_compose_fields`) on the level's
+    `_rules`, read once, and finds each product's index by its fields, so it
+    builds no ExtInvolution.  The rules run once for each i <= j.  When a*b
+    is an involution, b*a = (a*b)^-1 = a*b, so entry [j][i] takes the same
+    index; when it raises, b*a is run too, so [j][i] names the pair in its
+    own order.  A product that is an involution but not an element raises
+    IntegrityError: the table must be closed for bitmask closures to be
+    exact.  ``groups`` holds the one shared InvolutionGroup of each closed
+    mask (`group`).
     """
 
-    __slots__ = ("elements", "index", "al_index", "products", "groups")
+    __slots__ = ("level", "elements", "fields", "al_index", "products", "groups")
 
     def __init__(self, N: int):
         elements = (ExtInvolution.identity(N), *level_involutions(N))
+        self.level = N
         self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
+        self.fields = fields = {(e.word2, e.e3, e.tail): i for i, e in enumerate(elements)}
         self.al_index = {
             e._al_part(): i for i, e in enumerate(elements) if e.kind in ("id", "al")
         }
+        rules = _rules(N)
+
+        def product(a, b):
+            try:
+                c = _compose_fields(rules, a, b)
+            except OrderViolation as exc:
+                return exc.rule, str(exc)
+            i = fields.get(c)
+            if i is None:
+                raise IntegrityError(
+                    f"{a.name} * {b.name} is not in the involution table of level {N}"
+                )
+            return i
+
         n = len(elements)
         products = [[None] * n for _ in elements]
         for i, a in enumerate(elements):
             for j in range(i, n):
                 b = elements[j]
-                products[i][j] = entry = self._product(a, b)
+                products[i][j] = entry = product(a, b)
                 if j > i:
-                    products[j][i] = entry if type(entry) is int else self._product(b, a)
+                    products[j][i] = entry if type(entry) is int else product(b, a)
         self.products = tuple(map(tuple, products))
         self.groups: dict[int, InvolutionGroup] = {}
 
-    def _product(self, a: ExtInvolution, b: ExtInvolution):
-        try:
-            c = compose(a, b)
-        except OrderViolation as exc:
-            return exc.rule, str(exc)
-        i = self.index.get(c)
-        if i is None:
-            raise IntegrityError(
-                f"{a.name} * {b.name} is not in the involution table of level {a.level}"
-            )
-        return i
+    def extend(self, elems: list, mask: int, g: int):
+        """One doubling step: the group with index list `elems` and bitmask
+        `mask`, grown by the coset elems*g for an index g outside it.
+
+        Returns the grown (elems, mask), or the (rule, message) of the first
+        product of the coset that is not an involution.  Since the elements
+        commute and square to the identity, the coset doubles the group; one
+        that meets it means the rules do not form a group and raises
+        IntegrityError.
+        """
+        products = self.products
+        coset = [products[e][g] for e in elems]
+        for p in coset:
+            if type(p) is not int:
+                return p
+            mask |= 1 << p
+        size = mask.bit_count()
+        if size < 2 * len(elems):
+            raise IntegrityError(f"closure of {size} elements is not a 2-group")
+        return elems + coset, mask
+
+    def close(self, gens) -> tuple[list, int]:
+        """The (elems, mask) of the group the generator indices span: one
+        `extend` for each generator not yet in the group.  A coset product
+        that is not an involution raises OrderViolation, naming the
+        generators and that product's rule and message."""
+        elems, mask = [0], 1
+        for g in gens:
+            if mask >> g & 1:
+                continue
+            grown = self.extend(elems, mask, g)
+            if type(grown[0]) is str:
+                rule, message = grown
+                names = ", ".join(self.elements[i].name for i in gens)
+                raise OrderViolation(
+                    f"<{names}> is not an involution group: {message}", rule=rule
+                )
+            elems, mask = grown
+        return elems, mask
+
+    def group(self, mask: int) -> InvolutionGroup:
+        """The one shared InvolutionGroup of a closed mask."""
+        group = self.groups.get(mask)
+        if group is None:
+            elements = frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
+            group = self.groups.setdefault(mask, InvolutionGroup(self.level, elements))
+        return group
 
     def position(self, N: int, g) -> int:
         """Index of a generator: an int d (w_d), a name, or an ExtInvolution."""
@@ -418,7 +466,7 @@ class _InvolutionTable:
             g = ExtInvolution.al(N, g)
         if g.level != N:
             raise ValueError("generator level mismatch")
-        i = self.index.get(g)
+        i = self.fields.get((g.word2, g.e3, g.tail))
         if i is None:
             raise ValueError(f"{g!r} is not an involution of level {N}")
         return i

@@ -16,12 +16,15 @@ the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
 identity.  `subgroup_lattice_by_growth` grows the Atkin-Lehner subgroups
 layer by layer from the trivial group and sorts them, as `all_subgroups` did
-before it read one table of subspaces per omega.  `closure_by_compose`
-closes an involution group by calling `compose` on every product, as
-`group_closure` did before it read the level's product table.  `two_group_options` and `hyperelliptic_factoring`
-are the atlas's 2-group and hyperelliptic-factoring rules as they were
-before they read the full group's candidate search: each closes B(N) with
-the normalizer involutions itself.  The number-theory routes count reduced
+before it read one table of subspaces per omega.  `compose_reference`
+is `compose` as it was before the involution table ran its rules on hoisted
+level constants.  `closure_by_compose` closes an involution group by calling
+`compose_reference` on every product, as `group_closure` did before it read
+the level's product table, and as the witness search did before it closed W
+once and extended it by one coset per candidate.  `two_group_options` and
+`hyperelliptic_factoring` are the atlas's 2-group and hyperelliptic-factoring
+rules as they were before they read the full group's candidate search: each
+closes B(N) with the normalizer involutions itself.  The number-theory routes count reduced
 forms literally and count Atkin-Lehner fixed points by complex
 multiplication.
 """
@@ -33,9 +36,12 @@ from math import gcd, isqrt, lcm
 
 from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import (
+    _ID2,
     ExtInvolution,
     InvolutionGroup,
-    compose,
+    _coprime3,
+    _f_word,
+    _word_mul,
     level_involutions,
     parse_element,
     quotient_genus_hurwitz,
@@ -397,10 +403,64 @@ def iso_reduce_v3(N: int, W) -> ALSubgroup:
 # -- involution groups ---------------------------------------------------
 
 
+def compose_reference(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
+    """`compose` as it was before its rules moved into a core the
+    involution table runs on hoisted level constants: it reads the level's
+    constants on each call and builds the product before checking it."""
+    if a.level != b.level:
+        raise ValueError("cannot compose involutions of different levels")
+    N = a.level
+    alpha = factor(N).valuation(2)
+    modulus = 4 if alpha >= 3 else 3
+    fword = _f_word(alpha) if alpha >= 2 else None
+    eps2 = 1 if alpha >= 2 and (1 << alpha) % 3 == 2 else 0
+
+    twist = 0
+    if a.e3 and b.word2 != _ID2:
+        if b.word2 != fword:
+            raise OrderViolation(
+                f"no composition rule for {b.name} across V3 (level {N})",
+                rule="s2-v3-mix",
+            )
+        twist ^= eps2
+    if b.e3 and _coprime3(a.tail) % 3 == 2:
+        twist ^= 1
+    word = _word_mul(a.word2, b.word2, modulus) if alpha >= 2 else _ID2
+    if alpha < 2 and (a.word2 != _ID2 or b.word2 != _ID2):
+        raise IntegrityError("2-part word at a level with 4 not dividing N")
+    v3 = (a.e3 + b.e3) % 2
+    tail = hall_product(a.tail, b.tail)
+    if twist:
+        if N % 9:
+            raise IntegrityError("w9 twist outside a 9 || N level")
+        tail = hall_product(tail, 9)
+
+    # validity of the resulting word
+    if word != _ID2 and word[1] == 0 and not (word == (2, 0) and alpha >= 3):
+        raise OrderViolation(
+            f"{a.name} * {b.name} has order > 2 at level {N}",
+            rule="two-part-rotation",
+        )
+    result = ExtInvolution(N, word, v3, tail)
+    if v3:
+        if word not in (_ID2, fword):
+            raise OrderViolation(
+                f"{a.name} * {b.name} mixes an S2-part with V3 (level {N})",
+                rule="s2-v3-mix",
+            )
+        if _coprime3(result._al_part()) % 3 != 1:
+            raise OrderViolation(
+                f"{a.name} * {b.name} has order 4 at level {N}",
+                rule="v3-tail-2-mod-3",
+            )
+    return result
+
+
 def closure_by_compose(N: int, generators) -> InvolutionGroup:
-    """The group a generator list spans, by doubling with `compose`: a
-    generator g outside G adds the coset G*g.  Raises the OrderViolation
-    `group_closure` raises, with the same rule and message."""
+    """The group a generator list spans, by doubling with
+    `compose_reference`: a generator g outside G adds the coset G*g.  Raises
+    the OrderViolation `group_closure` raises, with the same rule and
+    message."""
     gens = []
     for g in generators:
         if isinstance(g, str):
@@ -415,7 +475,7 @@ def closure_by_compose(N: int, generators) -> InvolutionGroup:
         if g in elems:
             continue
         try:
-            elems += [compose(e, g) for e in elems]
+            elems += [compose_reference(e, g) for e in elems]
         except OrderViolation as exc:
             raise OrderViolation(
                 f"<{', '.join(e.name for e in gens)}> is not an involution group: {exc}",

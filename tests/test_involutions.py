@@ -21,7 +21,7 @@ from bielliptic.modsym import invariant_genus
 from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors
 from bielliptic.x0invariants import genus_x0
 
-from oracles import closure_by_compose, cm_fix_oracle
+from oracles import closure_by_compose, cm_fix_oracle, compose_reference
 
 
 def test_fix_al_examples():
@@ -295,53 +295,111 @@ def _accepted_elements(N):
     return accepted
 
 
+def _table_outcomes(table):
+    """Check every ordered entry of a level's table against the reference
+    compose, and `compose` with it: the entry holds the product's index, or
+    the rule and message of its OrderViolation.  Counts the outcomes."""
+    outcomes = Counter()
+    elems = table.elements
+    N = table.level
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            entry = table.products[i][j]
+            try:
+                c = compose_reference(a, b)
+            except OrderViolation as exc:
+                assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
+                with pytest.raises(OrderViolation) as got:
+                    compose(a, b)
+                assert (got.value.rule, str(got.value)) == entry, (N, a.name, b.name)
+                outcomes[exc.rule] += 1
+            else:
+                assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
+                assert compose(a, b) == c, (N, a.name, b.name)
+                outcomes["product"] += 1
+    return outcomes
+
+
 def test_involution_table_matches_compose():
     # every ordered pair of the identity and level_involutions(N): the table
-    # holds compose's product, or the rule and message of its OrderViolation
+    # holds the reference compose's product, or the rule and message of its
+    # OrderViolation, and compose agrees
     products = accepted = 0
     for N in TABLE_LEVELS:
         table = _involution_table(N)
         elems = table.elements
         assert list(elems) == [ExtInvolution.identity(N), *level_involutions(N)]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                entry = table.products[i][j]
-                try:
-                    c = compose(a, b)
-                except OrderViolation as exc:
-                    assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
-                else:
-                    assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
-        products += len(elems) ** 2
+        products += sum(_table_outcomes(table).values())
         for e in _accepted_elements(N):
-            assert e in table.index, (N, e.name)
+            assert elems[table.position(N, e)] == e, (N, e.name)
             accepted += 1
     assert (products, accepted) == (14980, 2828)
 
 
 def test_involution_table_at_its_largest_levels():
     # 8 | N and 9 || N, so S2, S2C, V2 and V3 words all occur: the table is
-    # filled once per unordered pair, and each ordered entry still holds
-    # compose's product or the rule and message of its own OrderViolation
+    # filled once per unordered pair, and each ordered entry still holds the
+    # reference compose's product or the rule and message of its own
+    # OrderViolation
     outcomes = Counter()
     for N in (360, 720, 1008, 2520):
         table = _involution_table(N)
-        elems = table.elements
-        assert {e.kind for e in elems} == {"id", "al", "s2", "s2c", "v2", "v3"}, N
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                entry = table.products[i][j]
-                try:
-                    c = compose(a, b)
-                except OrderViolation as exc:
-                    assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
-                    outcomes[exc.rule] += 1
-                else:
-                    assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
-                    outcomes["product"] += 1
+        assert {e.kind for e in table.elements} == {"id", "al", "s2", "s2c", "v2", "v3"}, N
+        outcomes += _table_outcomes(table)
     assert outcomes == {
         "product": 3616, "two-part-rotation": 1024, "s2-v3-mix": 896, "v3-tail-2-mod-3": 192,
     }
+
+
+def _cold_classify():
+    """A classification from empty caches; returns the memo tables of the
+    levels' involution tables and of the witness searches it filled."""
+    modsym.clear_cache()
+    atlas.classify_all()
+    return (
+        _MEMO_TABLES["bielliptic.involutions._involution_table"],
+        _MEMO_TABLES["bielliptic.atlas._search"],
+    )
+
+
+def test_classify_tables_match_compose_reference():
+    # each table a classification builds, squarefree w4-reduction levels
+    # included, agrees entry by entry with the reference compose
+    tables, _ = _cold_classify()
+    assert len(tables) == 67
+    outcomes = Counter()
+    for table in tables.values():
+        outcomes += _table_outcomes(table)
+    assert outcomes == {
+        "product": 6592, "two-part-rotation": 2176, "v3-tail-2-mod-3": 192, "s2-v3-mix": 176,
+    }
+
+
+def test_search_matches_compose_doubling():
+    # each witness search of a classification, which closes W once and adds
+    # one coset per candidate, lists the candidates outside W in order with
+    # the group and genus that doubling with the reference compose gives,
+    # and refuses exactly where that doubling raises
+    _, searches = _cold_classify()
+    assert len(searches) == 337
+    outcomes = Counter()
+    for (N, sub), found in searches.items():
+        gens = list(sub.generators())
+        want = []
+        for v in level_involutions(N):
+            if v.kind == "al" and v._al_part() in sub:
+                continue
+            try:
+                G = closure_by_compose(N, gens + [v])
+            except OrderViolation as exc:
+                want.append((v, None, None))
+                outcomes[exc.rule] += 1
+                continue
+            want.append((v, G.elements, quotient_genus_hurwitz(N, G)))
+            outcomes["closed"] += 1
+        got = [(v, None if G is None else G.elements, h) for v, G, h in found]
+        assert got == want, (N, sub.label())
+    assert outcomes == {"closed": 2427, "two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
 
 
 def test_group_closure_matches_compose_doubling():
@@ -392,9 +450,9 @@ def test_group_closure_shares_one_group_per_mask(monkeypatch):
     assert H is not G and H == G
 
 
-def _compose_calls(table):
-    """n(n+1)/2 calls for the pairs i <= j, plus one reverse call for each
-    pair i < j whose product raised."""
+def _core_calls(table):
+    """n(n+1)/2 runs of the rules for the pairs i <= j, plus one reverse run
+    for each pair i < j whose product raised."""
     n = len(table.elements)
     raised = sum(
         type(table.products[i][j]) is not int for i in range(n) for j in range(i + 1, n)
@@ -403,33 +461,53 @@ def _compose_calls(table):
 
 
 def test_classify_composes_only_to_build_tables(monkeypatch):
-    # a cold classify calls compose on each unordered pair of each level's
-    # table, diagonal included, and again in the reverse order only where
-    # the first call raises; a warm one calls it not at all.  The atlas's
-    # candidate searches are memoised, so the warm pass closes no group and
-    # raises no OrderViolation, and clear_cache() drops the tables.  The
-    # cold pass builds 115 spaces and caches 491 traces and the warm one adds
+    # a cold classify runs the composition rules on each unordered pair of
+    # each level's table, diagonal included, and again in the reverse order
+    # only where the first run raises; a warm one runs them not at all, and
+    # neither calls `compose` itself.  Each witness search closes W once and
+    # extends it by one coset per candidate; a refused candidate raises no
+    # OrderViolation.  The searches are memoised, so the warm pass closes
+    # and extends nothing, and clear_cache() drops the tables.  The cold
+    # pass builds 115 spaces and caches 491 traces and the warm one adds
     # none: the state perfbench's classify guards assume.
+    ruled = []
     composed = []
-    closures = []
-    violations = Counter()
-    real_compose, real_closure = involutions.compose, involutions.group_closure
+    closes = []
+    extensions = []
+    refusals = Counter()
+    closing = []
+    table_cls = involutions._InvolutionTable
+    real_core, real_compose = involutions._compose_fields, involutions.compose
+    real_close, real_extend = table_cls.close, table_cls.extend
+
+    def counting_core(rules, a, b):
+        ruled.append(rules[0])
+        return real_core(rules, a, b)
 
     def counting_compose(a, b):
         composed.append(a.level)
         return real_compose(a, b)
 
-    def counting_closure(N, generators):
-        closures.append(N)
+    def counting_close(table, gens):
+        closes.append(table.level)
+        closing.append(table.level)
         try:
-            return real_closure(N, generators)
-        except OrderViolation as exc:
-            violations[exc.rule] += 1
-            raise
+            return real_close(table, gens)
+        finally:
+            closing.pop()
 
+    def counting_extend(table, elems, mask, g):
+        grown = real_extend(table, elems, mask, g)
+        if not closing:
+            extensions.append(table.level)
+            if type(grown[0]) is str:
+                refusals[grown[0]] += 1
+        return grown
+
+    monkeypatch.setattr(involutions, "_compose_fields", counting_core)
     monkeypatch.setattr(involutions, "compose", counting_compose)
-    for site in (involutions, atlas):
-        monkeypatch.setattr(site, "group_closure", counting_closure)
+    monkeypatch.setattr(table_cls, "close", counting_close)
+    monkeypatch.setattr(table_cls, "extend", counting_extend)
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
     traces = []
     real_trace = modsym.ModSymSpace.al_trace_cuspidal
@@ -446,11 +524,12 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
 
     modsym.clear_cache()
     atlas.classify_all()
-    assert len(composed) == sum(map(_compose_calls, tables.values()))
-    assert (len(tables), len(composed)) == (67, 6196)
-    assert len(closures) == 3703
-    assert violations == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
-    assert len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
+    assert len(ruled) == sum(map(_core_calls, tables.values()))
+    assert (len(tables), len(ruled)) == (67, 6196)
+    assert composed == []
+    assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
+    assert len(extensions) == 3703
+    assert refusals == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
     assert cached() == (115, 491)
     # the space's trace cache is the one store of a trace
     assert len(set(traces)) == 491
@@ -461,14 +540,14 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
             for value in vars(site).values()
         ), site.__name__
 
-    composed.clear()
-    closures.clear()
-    violations.clear()
-    traces.clear()
+    for counts in (ruled, closes, extensions, refusals, traces):
+        counts.clear()
     atlas.classify_all()
+    assert ruled == []
     assert composed == []
-    assert closures == []
-    assert violations == {}
+    assert closes == []
+    assert extensions == []
+    assert refusals == {}
     # every trace the warm pass reads is a cache hit: no space, no trace added
     assert cached() == (115, 491)
 

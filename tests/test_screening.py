@@ -100,6 +100,16 @@ def test_rule_ogg_bound():
         rule_ogg_bound(284, 2, 2)  # 2 | 284
 
 
+def test_rule_boundaries():
+    # each rule at the edge of its inequality: equality is not exclusion
+    ogg = rule_ogg_bound(122, 1, 3)  # psi(122) (3 - 1) = 372 = 12 (2 * 16 - 1)
+    assert ogg.verdict == "inconclusive"
+    assert ogg.detail == "psi/|W|=186/1, bound=372/2"
+    assert rule_two_group(6, 4).verdict == "excludes"  # 4 does not divide 10
+    assert rule_two_group(6, 1).verdict == "inconclusive"  # the trivial group
+    assert rule_castelnuovo(0, 2, 0).verdict == "consistent"  # 0 <= 2 * 0 + 3
+
+
 def test_rule_fixed_point_closure():
     # at 420-free levels with a non-subhyperelliptic full quotient, any proper
     # subgroup missing a fixed-point-bearing involution is excluded

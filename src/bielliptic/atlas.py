@@ -47,10 +47,13 @@ from .involutions import (
     ExtInvolution,
     InvolutionGroup,
     _involution_table,
+    fix_al,
     fix_table,
     quotient_genus_hurwitz,
 )
-from .ntheory import ALSubgroup, all_subgroups, factor, memoise, parse_decimal, parse_level
+from .ntheory import (
+    ALSubgroup, all_subgroups, factor, hall_divisors, memoise, parse_decimal, parse_level,
+)
 from .screening import (
     RuleResult,
     gate_levels,
@@ -455,7 +458,9 @@ class PairRecord:
 
 def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     """Terminal status for one in-scope pair: the level gate, then `_settle`,
-    then the adjudication table for a pair `_settle` leaves inconclusive."""
+    then the adjudication table for a pair `_settle` leaves inconclusive.
+    At a bielliptic-gate level this gathers the inputs of the fixed-point
+    closure rule, which like every screening rule is a pure predicate."""
     sub = ALSubgroup.of(N, W)
     g = quotient_genus_hurwitz(N, sub)
     hyper = _quotient_hyperelliptic(N, sub, g) is True
@@ -468,7 +473,9 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
         trace.append(RuleResult("star-gate", "the full quotient is neither subhyperelliptic "
                                 "nor bielliptic", "excludes", (N,)))
     elif gate.kind == "bielliptic":
-        trace.append(rule_fixed_point_closure(N, sub))
+        fixed = next((d for d in hall_divisors(N)[1:] if d not in sub and fix_al(N, d) > 0), None)
+        index = (1 << factor(N).omega) // sub.order
+        trace.append(rule_fixed_point_closure(N, sub.label(), g, index, gate.star_genus, fixed))
     if trace and trace[0].verdict == "excludes":
         status, witness = "excluded", None
     else:

@@ -5,27 +5,26 @@ contributes S2 (and its conjugates w_{2^a} S2 w_{2^a} and V2 = S2 w_{2^a} S2)
 when 4 | N, and V3 = S3 w9 S3^2 when 9 exactly divides N.  An element here is
 a word in the 2-part group <S2, w_{2^a}> (dihedral of order 8 for a >= 3,
 symmetric of order 6 for a = 2), times an optional V3, times an Atkin-Lehner
-tail.  Composition uses only the published commutation rules; any product
-that leaves the commuting-involution framework raises OrderViolation.
+tail.  Composition uses only the published commutation rules; a product
+that leaves the commuting-involution framework is refused.
 
 The rules are written once, in `_compose_fields`, which returns the fields
-of a product (or raises) given the level's constants from `_rules`;
-`compose` wraps its fields in an ExtInvolution.  Each level has one
-memoised involution table, the one cache of its involution algebra: the
-identity and `level_involutions(N)`, the product of each ordered pair as an
-index (or the rule and message of the OrderViolation `compose` raises for
-it), and the closed groups.  The table reads the level's constants once and
-finds each product's index by its fields, so it builds no ExtInvolution.
-It runs the rules once per unordered pair: for involutions b*a = (a*b)^-1,
-which is a*b again when a*b is an involution, and only a pair that raises
-is run in both orders, so each order keeps its own message.  Building it
-checks that the table is closed (a product that is an involution but not
-listed raises IntegrityError).  A group is a list of table indices and a
-bitmask over them; `_InvolutionTable.extend` doubles it by one coset, or
-returns the rule and message of the first product that is not an
-involution.  `group_closure` and the atlas's witness search close groups
-that way, so neither calls `compose`, and `_InvolutionTable.group` gives
-the table's one shared InvolutionGroup per mask.
+of a product, or the (rule, message) that refuses it, given the level's
+constants from `_rules`.  Only the level's involution table runs them.
+Each level has one memoised table, the one cache of its involution algebra:
+the identity and `level_involutions(N)`, the product of each ordered pair
+as an index or a refusal, and the closed groups.  The table reads the
+level's constants once and finds each product's index by its fields, so it
+builds no ExtInvolution.  It runs the rules once per unordered pair: for
+involutions b*a = (a*b)^-1, which is a*b again when a*b is an involution,
+and only a refused pair is run in both orders, so each order keeps its own
+message.  Building it checks that the table is closed (a product that is an
+involution but not listed raises IntegrityError).  A group is a list of
+table indices and a bitmask over them; `_InvolutionTable.extend` doubles it
+by one coset, or returns the first refusal in the coset.  `group_closure`
+and the atlas's witness search close groups that way; `close` is the one
+place a refusal raises OrderViolation, and `group` gives the one shared
+InvolutionGroup per mask.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
@@ -247,17 +246,6 @@ def parse_element(N: int, text: str) -> ExtInvolution:
     raise ValueError(f"cannot parse involution {text!r}")
 
 
-def compose(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
-    """Product of two involutions in canonical form, if it is again one.
-
-    Raises OrderViolation when the pair does not commute under the published
-    rules (the product then has order > 2) or when no rule covers the pair.
-    """
-    if a.level != b.level:
-        raise ValueError("cannot compose involutions of different levels")
-    return ExtInvolution(a.level, *_compose_fields(_rules(a.level), a, b))
-
-
 def _rules(N: int):
     """The level's constants for the composition rules: (N, alpha, the
     modulus of the 2-part words, the word of w_{2^alpha}, eps2), where
@@ -273,16 +261,14 @@ def _rules(N: int):
 
 
 def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
-    """The rules of `compose`: the fields (word2, e3, tail) of a*b at the
-    level whose `_rules` are given, or the OrderViolation `compose` raises."""
+    """The composition rules: the fields (word2, e3, tail) of a*b at the
+    level whose `_rules` are given, or the (rule, message) that refuses a
+    product of order > 2 or a pair no rule covers."""
     N, alpha, modulus, fword, eps2 = rules
     twist = 0
     if a.e3 and b.word2 != _ID2:
         if b.word2 != fword:
-            raise OrderViolation(
-                f"no composition rule for {b.name} across V3 (level {N})",
-                rule="s2-v3-mix",
-            )
+            return "s2-v3-mix", f"no composition rule for {b.name} across V3 (level {N})"
         twist ^= eps2
     if b.e3 and _coprime3(a.tail) % 3 == 2:
         twist ^= 1
@@ -298,22 +284,13 @@ def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
 
     # validity of the resulting word
     if word != _ID2 and word[1] == 0 and not (word == (2, 0) and alpha >= 3):
-        raise OrderViolation(
-            f"{a.name} * {b.name} has order > 2 at level {N}",
-            rule="two-part-rotation",
-        )
+        return "two-part-rotation", f"{a.name} * {b.name} has order > 2 at level {N}"
     if v3:
         if word not in (_ID2, fword):
-            raise OrderViolation(
-                f"{a.name} * {b.name} mixes an S2-part with V3 (level {N})",
-                rule="s2-v3-mix",
-            )
+            return "s2-v3-mix", f"{a.name} * {b.name} mixes an S2-part with V3 (level {N})"
         # the prime-to-3 part of the Atkin-Lehner part, tail or 2^alpha tail
         if (_coprime3(tail) << (alpha if word == fword else 0)) % 3 != 1:
-            raise OrderViolation(
-                f"{a.name} * {b.name} has order 4 at level {N}",
-                rule="v3-tail-2-mod-3",
-            )
+            return "v3-tail-2-mod-3", f"{a.name} * {b.name} has order 4 at level {N}"
     return word, v3, tail
 
 
@@ -348,10 +325,10 @@ def group_closure(N: int, generators) -> InvolutionGroup:
 
     Closed on the level's involution table (`_InvolutionTable.close`), by
     one doubling step per generator not yet in the group: elements are
-    table indices and the group a bitmask over them, so a closure reads
-    products and calls no `compose`.  A product outside the
-    commuting-involution framework raises OrderViolation.  Returns the
-    table's one shared group of the closed mask.
+    table indices and the group a bitmask over them, so a closure only
+    reads products.  A product outside the commuting-involution framework
+    raises OrderViolation.  Returns the table's one shared group of the
+    closed mask.
     """
     table = _involution_table(N)
     return table.group(table.close([table.position(N, g) for g in generators])[1])
@@ -361,16 +338,16 @@ class _InvolutionTable:
     """The identity and `level_involutions(N)`, with every ordered product.
 
     ``products[i][j]`` is the index of elements[i] * elements[j], or the
-    (rule, message) of the OrderViolation that `compose` raises for the pair.
-    The table runs `compose`'s rules (`_compose_fields`) on the level's
+    (rule, message) with which the rules refuse the pair.  The table is the
+    one caller of the rules (`_compose_fields`): it runs them on the level's
     `_rules`, read once, and finds each product's index by its fields, so it
     builds no ExtInvolution.  The rules run once for each i <= j.  When a*b
     is an involution, b*a = (a*b)^-1 = a*b, so entry [j][i] takes the same
-    index; when it raises, b*a is run too, so [j][i] names the pair in its
-    own order.  A product that is an involution but not an element raises
-    IntegrityError: the table must be closed for bitmask closures to be
-    exact.  ``groups`` holds the one shared InvolutionGroup of each closed
-    mask (`group`).
+    index; when it is refused, b*a is run too, so [j][i] names the pair in
+    its own order.  A refusal is stored as it comes; `close` raises it.  A
+    product that is an involution but not an element raises IntegrityError:
+    the table must be closed for bitmask closures to be exact.  ``groups``
+    holds the one shared InvolutionGroup of each closed mask (`group`).
     """
 
     __slots__ = ("level", "elements", "fields", "al_index", "products", "groups")
@@ -386,10 +363,9 @@ class _InvolutionTable:
         rules = _rules(N)
 
         def product(a, b):
-            try:
-                c = _compose_fields(rules, a, b)
-            except OrderViolation as exc:
-                return exc.rule, str(exc)
+            c = _compose_fields(rules, a, b)
+            if type(c[0]) is str:
+                return c
             i = fields.get(c)
             if i is None:
                 raise IntegrityError(
@@ -413,7 +389,7 @@ class _InvolutionTable:
         `mask`, grown by the coset elems*g for an index g outside it.
 
         Returns the grown (elems, mask), or the (rule, message) of the first
-        product of the coset that is not an involution.  Since the elements
+        refused product of the coset; it raises none.  Since the elements
         commute and square to the identity, the coset doubles the group; one
         that meets it means the rules do not form a group and raises
         IntegrityError.
@@ -431,9 +407,9 @@ class _InvolutionTable:
 
     def close(self, gens) -> tuple[list, int]:
         """The (elems, mask) of the group the generator indices span: one
-        `extend` for each generator not yet in the group.  A coset product
-        that is not an involution raises OrderViolation, naming the
-        generators and that product's rule and message."""
+        `extend` for each generator not yet in the group.  A refused coset
+        product raises OrderViolation (the one place a refusal raises),
+        naming the generators and that product's rule and message."""
         elems, mask = [0], 1
         for g in gens:
             if mask >> g & 1:

@@ -1,9 +1,10 @@
 """Level gate and exclusion calculus for bielliptic quotient screening.
 
-Each rule is a pure predicate returning a RuleResult with a stable id and a
-literature citation; rules never consult the expected classification.  The
-level gate carries the published lists of non-squarefree, non-prime-power
-levels whose full Atkin-Lehner quotient is of genus <= 1, hyperelliptic, or
+Each rule is a pure predicate on numbers the atlas gathers, returning a
+RuleResult with a stable id and a literature citation; rules compute no genus
+or fixed-point count and never consult the expected classification.  The level
+gate carries the published lists of non-squarefree, non-prime-power levels
+whose full Atkin-Lehner quotient is of genus <= 1, hyperelliptic, or
 bielliptic; outside those lists no quotient can be bielliptic at all.
 """
 
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .involutions import fix_al, quotient_genus_hurwitz
-from .ntheory import ALSubgroup, factor, hall_divisors, psi
+from .ntheory import ALSubgroup, factor, psi
 
 # ---------------------------------------------------------------------------
 # level gate data: classification of the full quotients X0(N)/B(N)
@@ -162,29 +162,21 @@ def rule_ogg_bound(N: int, w_order: int, p: int) -> RuleResult:
     )
 
 
-def rule_fixed_point_closure(N: int, W) -> RuleResult:
-    """At levels whose full quotient is bielliptic but not subhyperelliptic,
-    the cover X0(N)/W -> X0(N)/B(N) must be totally unramified; so every w_d
-    with fixed points must lie in W and the genus must match exactly."""
-    gate = star_gate(N)
-    if gate.kind != "bielliptic":
-        raise ValueError(f"closure rule only applies at bielliptic-gate levels, not {N}")
-    sub = ALSubgroup.of(N, W)
-    for d in hall_divisors(N)[1:]:
-        if d not in sub and fix_al(N, d) > 0:
-            return RuleResult(
-                "fixed-point-closure", _CLOSURE, "excludes", (N, sub.label()),
-                detail=f"w{d} has fixed points but is outside W",
-            )
-    index = (1 << factor(N).omega) // sub.order
-    g = quotient_genus_hurwitz(N, sub)
-    gstar = gate.star_genus
-    if g - 1 != index * (gstar - 1):
-        return RuleResult(
-            "fixed-point-closure", _CLOSURE, "excludes", (N, sub.label()),
-            detail=f"covering not unramified: {g - 1} != {index}*({gstar}-1)",
-        )
-    return RuleResult("fixed-point-closure", _CLOSURE, "inconclusive", (N, sub.label()))
+def rule_fixed_point_closure(
+    N: int, label: str, g: int, index: int, star_genus: int, fixed_outside: int | None
+) -> RuleResult:
+    """Where the full quotient (of genus `star_genus`) is bielliptic but not
+    subhyperelliptic, X0(N)/W -> X0(N)/B(N) (degree `index`) is unramified:
+    every w_d with fixed points lies in W (`fixed_outside` is the first d
+    that does not, or None) and the genus g of X0(N)/W matches exactly."""
+    if fixed_outside is not None:
+        detail = f"w{fixed_outside} has fixed points but is outside W"
+    elif g - 1 != index * (star_genus - 1):
+        detail = f"covering not unramified: {g - 1} != {index}*({star_genus}-1)"
+    else:
+        detail = ""
+    verdict = "excludes" if detail else "inconclusive"
+    return RuleResult("fixed-point-closure", _CLOSURE, verdict, (N, label), detail=detail)
 
 
 # ---------------------------------------------------------------------------

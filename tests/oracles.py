@@ -17,11 +17,12 @@ reduction the classification does not apply; the tests check its genus
 identity.  `subgroup_lattice_by_growth` grows the Atkin-Lehner subgroups
 layer by layer from the trivial group and sorts them, as `all_subgroups` did
 before it read one table of subspaces per omega.  `compose_reference`
-is `compose` as it was before the involution table ran its rules on hoisted
-level constants.  `closure_by_compose` closes an involution group by calling
-`compose_reference` on every product, as `group_closure` did before it read
-the level's product table, and as the witness search did before it closed W
-once and extended it by one coset per candidate.  `two_group_options` and
+is the library's former `compose` as it was before the involution table ran
+its rules on hoisted level constants; the table is now the only library code
+that multiplies involutions.  `closure_by_compose` closes an involution
+group by calling `compose_reference` on every product, as `group_closure`
+did before it read the level's product table, and as the witness search did
+before it closed W once and extended it by one coset per candidate.  `two_group_options` and
 `hyperelliptic_factoring` are the atlas's 2-group and hyperelliptic-factoring
 rules as they were before they read the full group's candidate search: each
 closes B(N) with the normalizer involutions itself.  The number-theory routes count reduced
@@ -404,7 +405,7 @@ def iso_reduce_v3(N: int, W) -> ALSubgroup:
 
 
 def compose_reference(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
-    """`compose` as it was before its rules moved into a core the
+    """The former `compose` as it was before its rules moved into a core the
     involution table runs on hoisted level constants: it reads the level's
     constants on each call and builds the product before checking it."""
     if a.level != b.level:

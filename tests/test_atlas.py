@@ -7,7 +7,7 @@ import pytest
 from bielliptic import _data, atlas
 from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
 from bielliptic.errors import DataError, IntegrityError
-from bielliptic.involutions import quotient_genus_hurwitz
+from bielliptic.involutions import ExtInvolution, quotient_genus_hurwitz
 from bielliptic.modsym import build_space, invariant_genus
 from bielliptic.ntheory import ALSubgroup, all_subgroups, factor
 from bielliptic.screening import GATE_GENUS1
@@ -314,7 +314,7 @@ class TestClassification:
 def test_rule_battery_matches_its_closure_loops():
     # the 2-group and hyperelliptic-factoring rules read the groups B(N) forms
     # with the normalizer involutions from the full group's search; the
-    # references close those groups themselves, by compose
+    # references close those groups themselves, by the reference compose
     pairs = extended = factored = 0
     for N in atlas.scope_levels():
         for sub in all_subgroups(N):
@@ -330,6 +330,50 @@ def test_rule_battery_matches_its_closure_loops():
             extended += sum("extended" in tag for _, tag in options)
             factored += result is not None
     assert (pairs, extended, factored) == (548, 150, 43)
+
+
+class TestRuleBattery:
+    # the boundaries of the battery's own guards, on synthetic `found` lists
+    # where the pinned reports do not reach them
+    W = ALSubgroup(120, (8,))
+
+    def _rule_ids(self, g):
+        return [r.rule_id for r in atlas._exclusions(120, self.W, g, [])]
+
+    def test_ogg_bound_needs_genus_6(self):
+        assert "ogg-bound" not in self._rule_ids(5)
+        assert self._rule_ids(6).count("ogg-bound") == 1
+
+    def test_unramified_covers_over_proper_supergroups_of_genus_2_up(self):
+        # the supergroups of <w8> at 120 are <w8,w3>, <w8,w5>, <w8,w15> of
+        # genera 4, 5, 2 and B(120) of genus 1; W itself is not one
+        covers = [
+            r.inputs for r in atlas._exclusions(120, self.W, 9, [])
+            if r.rule_id == "unramified-cover"
+        ]
+        assert covers == [(9, 2, 4, False), (9, 2, 5, False), (9, 2, 2, True)]
+
+    def test_two_group_options_need_genera_below_g(self):
+        # B(120)'s image needs every w_d outside W below g, and B(120) with
+        # V2 (8 | 120) needs each of its elements in `found` below g
+        w3, v2 = ExtInvolution.al(120, 3), ExtInvolution.v2(120)
+        image = (4, "image of the full Atkin-Lehner group")
+        extended = (8, "image of the Atkin-Lehner group extended by V2")
+
+        def options(v, h):
+            return list(atlas._two_group_options(120, self.W, 6, [(v, None, h)]))
+
+        assert options(w3, 5) == [image, extended]
+        assert options(w3, 6) == []
+        assert options(v2, 5) == [image, extended]
+        assert options(v2, 6) == [image]
+
+    def test_pair_names(self):
+        keys = [(60, frozenset({1, 3})), (40, frozenset({1, 8})), (90, frozenset({1, 9})),
+                (44, frozenset({1, 4})), (60, frozenset({1, 4}))]
+        assert atlas._pair_names(keys) == "(40,<w8>), (44,<w4>), (60,<w4>), (60,<w3>), …"
+        assert atlas._pair_names(keys[:4]) == "(40,<w8>), (44,<w4>), (60,<w3>), (90,<w9>)"
+        assert atlas._pair_names([]) == "none"
 
 
 class TestQuadraticPoints:

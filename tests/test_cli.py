@@ -40,7 +40,7 @@ def test_group_genus(capsys):
 
 
 def test_genus_of_non_group_usage_error(capsys):
-    # w8 and S2 do not commute at level 120 (the OrderViolation of `compose`)
+    # w8 and S2 do not commute at level 120 (the OrderViolation `close` raises)
     code, out, err = run(capsys, "genus", "120", "--w", "w8,S2")
     assert (code, out) == (2, "")
     assert "<w8, S2> is not an involution group: w8 * S2 has order > 2 at level 120" in err

@@ -8,7 +8,6 @@ from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
     _involution_table,
-    compose,
     fix_al,
     fix_count,
     fix_table_tsv,
@@ -98,36 +97,44 @@ def test_conjugate_counts_match():
     assert fix_count(v3(252, 63)) == fix_count(v3(252, 7))
 
 
+def _table_product(N, a, b):
+    """The entry of a*b in the level's involution table, for two names: the
+    product, or the (rule, message) of its refusal."""
+    table = _involution_table(N)
+    entry = table.products[table.position(N, a)][table.position(N, b)]
+    return table.elements[entry] if type(entry) is int else entry
+
+
 def test_compose_al():
-    a = ExtInvolution.al(60, 4)
-    b = ExtInvolution.al(60, 12)
-    assert compose(a, b).name == "w3"
-    assert compose(a, a).is_identity
+    assert _table_product(60, "w4", "w12").name == "w3"
+    assert _table_product(60, "w4", "w4").is_identity
 
 
 def test_compose_v3_rules():
-    v3 = ExtInvolution.v3(126)
-    w9 = ExtInvolution.al(126, 9)
-    assert compose(v3, w9).name == "V3*w9"
-    w2 = ExtInvolution.al(126, 2)
-    with pytest.raises(OrderViolation):
-        compose(v3, w2)
-    with pytest.raises(OrderViolation):
-        compose(w2, v3)
+    assert _table_product(126, "V3", "w9").name == "V3*w9"
+    assert _table_product(126, "V3", "w2") == (
+        "v3-tail-2-mod-3", "V3 * w2 has order 4 at level 126",
+    )
+    assert _table_product(126, "w2", "V3") == (
+        "v3-tail-2-mod-3", "w2 * V3 has order 4 at level 126",
+    )
 
 
 def test_compose_s2_family():
-    s2 = ExtInvolution.s2(120)
-    w8 = ExtInvolution.al(120, 8)
-    with pytest.raises(OrderViolation):
-        compose(s2, w8)  # S2 w8 has order 4
-    v2 = ExtInvolution.v2(120)
-    assert compose(v2, w8).name == "V2*w8"
-    s2c = ExtInvolution.s2_conj(120)
-    assert compose(s2, s2c).name == "V2*w8"
+    # S2 w8 has order 4
+    assert _table_product(120, "S2", "w8") == (
+        "two-part-rotation", "S2 * w8 has order > 2 at level 120",
+    )
+    assert _table_product(120, "V2", "w8").name == "V2*w8"
+    assert _table_product(120, "S2", "S2C").name == "V2*w8"
     # at 2^2 || N the group <S2, w4> is not abelian
-    with pytest.raises(OrderViolation):
-        compose(ExtInvolution.v2(60), ExtInvolution.al(60, 4))
+    assert _table_product(60, "V2", "w4") == (
+        "two-part-rotation", "V2 * w4 has order > 2 at level 60",
+    )
+    # S2 and V3 together have no rule
+    assert _table_product(72, "V3", "S2") == (
+        "s2-v3-mix", "no composition rule for S2 across V3 (level 72)",
+    )
 
 
 def test_s2_conj_collapses_at_alpha_2():
@@ -184,15 +191,16 @@ def test_constructors_reject_a_float_tail(make):
 
 
 def _saturation_closure(N, generators):
-    """Closure by saturation: compose every pair of elements and repeat
-    until nothing new appears.  Reference for the doubling in group_closure."""
+    """Closure by saturation: multiply every pair of elements with
+    `compose_reference` and repeat until nothing new appears.  Reference for
+    the doubling in group_closure."""
     elems = {ExtInvolution.identity(N), *generators}
     changed = True
     while changed:
         changed = False
         for a in list(elems):
             for b in list(elems):
-                c = compose(a, b)
+                c = compose_reference(a, b)
                 if c not in elems:
                     elems.add(c)
                     changed = True
@@ -208,7 +216,7 @@ def _closure_outcome(closure, N, generators):
 
 def _product(a, b):
     try:
-        return compose(a, b)
+        return compose_reference(a, b)
     except OrderViolation:
         return None
 
@@ -297,8 +305,8 @@ def _accepted_elements(N):
 
 def _table_outcomes(table):
     """Check every ordered entry of a level's table against the reference
-    compose, and `compose` with it: the entry holds the product's index, or
-    the rule and message of its OrderViolation.  Counts the outcomes."""
+    compose: the entry holds the product's index, or the rule and message of
+    the reference's OrderViolation.  Counts the outcomes."""
     outcomes = Counter()
     elems = table.elements
     N = table.level
@@ -309,13 +317,9 @@ def _table_outcomes(table):
                 c = compose_reference(a, b)
             except OrderViolation as exc:
                 assert entry == (exc.rule, str(exc)), (N, a.name, b.name)
-                with pytest.raises(OrderViolation) as got:
-                    compose(a, b)
-                assert (got.value.rule, str(got.value)) == entry, (N, a.name, b.name)
                 outcomes[exc.rule] += 1
             else:
                 assert type(entry) is int and elems[entry] == c, (N, a.name, b.name)
-                assert compose(a, b) == c, (N, a.name, b.name)
                 outcomes["product"] += 1
     return outcomes
 
@@ -323,7 +327,7 @@ def _table_outcomes(table):
 def test_involution_table_matches_compose():
     # every ordered pair of the identity and level_involutions(N): the table
     # holds the reference compose's product, or the rule and message of its
-    # OrderViolation, and compose agrees
+    # OrderViolation
     products = accepted = 0
     for N in TABLE_LEVELS:
         table = _involution_table(N)
@@ -452,7 +456,7 @@ def test_group_closure_shares_one_group_per_mask(monkeypatch):
 
 def _core_calls(table):
     """n(n+1)/2 runs of the rules for the pairs i <= j, plus one reverse run
-    for each pair i < j whose product raised."""
+    for each pair i < j whose product was refused."""
     n = len(table.elements)
     raised = sum(
         type(table.products[i][j]) is not int for i in range(n) for j in range(i + 1, n)
@@ -463,30 +467,25 @@ def _core_calls(table):
 def test_classify_composes_only_to_build_tables(monkeypatch):
     # a cold classify runs the composition rules on each unordered pair of
     # each level's table, diagonal included, and again in the reverse order
-    # only where the first run raises; a warm one runs them not at all, and
-    # neither calls `compose` itself.  Each witness search closes W once and
+    # only where the first run refuses; a warm one runs them not at all.
+    # Each witness search closes W once and
     # extends it by one coset per candidate; a refused candidate raises no
     # OrderViolation.  The searches are memoised, so the warm pass closes
     # and extends nothing, and clear_cache() drops the tables.  The cold
     # pass builds 115 spaces and caches 491 traces and the warm one adds
     # none: the state perfbench's classify guards assume.
     ruled = []
-    composed = []
     closes = []
     extensions = []
     refusals = Counter()
     closing = []
     table_cls = involutions._InvolutionTable
-    real_core, real_compose = involutions._compose_fields, involutions.compose
+    real_core = involutions._compose_fields
     real_close, real_extend = table_cls.close, table_cls.extend
 
     def counting_core(rules, a, b):
         ruled.append(rules[0])
         return real_core(rules, a, b)
-
-    def counting_compose(a, b):
-        composed.append(a.level)
-        return real_compose(a, b)
 
     def counting_close(table, gens):
         closes.append(table.level)
@@ -505,7 +504,6 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         return grown
 
     monkeypatch.setattr(involutions, "_compose_fields", counting_core)
-    monkeypatch.setattr(involutions, "compose", counting_compose)
     monkeypatch.setattr(table_cls, "close", counting_close)
     monkeypatch.setattr(table_cls, "extend", counting_extend)
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
@@ -526,7 +524,6 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     atlas.classify_all()
     assert len(ruled) == sum(map(_core_calls, tables.values()))
     assert (len(tables), len(ruled)) == (67, 6196)
-    assert composed == []
     assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert len(extensions) == 3703
     assert refusals == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
@@ -544,7 +541,6 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         counts.clear()
     atlas.classify_all()
     assert ruled == []
-    assert composed == []
     assert closes == []
     assert extensions == []
     assert refusals == {}

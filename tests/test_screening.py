@@ -1,7 +1,11 @@
+import ast
 import hashlib
+import inspect
 
 import pytest
 
+from bielliptic import screening
+from bielliptic.atlas import classify_pair
 from bielliptic.modsym import invariant_genus
 from bielliptic.ntheory import ALSubgroup
 from bielliptic.screening import (
@@ -112,14 +116,49 @@ def test_rule_boundaries():
 
 def test_rule_fixed_point_closure():
     # at 420-free levels with a non-subhyperelliptic full quotient, any proper
-    # subgroup missing a fixed-point-bearing involution is excluded
-    res = rule_fixed_point_closure(225, ALSubgroup(225, (9,)))
-    assert res.verdict == "excludes"
+    # subgroup missing a fixed-point-bearing involution is excluded; the
+    # rule is the first trace entry of the pair at a bielliptic-gate level
+    res = classify_pair(225, ALSubgroup(225, (9,))).rule_trace[0]
+    assert (res.rule_id, res.verdict) == ("fixed-point-closure", "excludes")
+    assert res.detail == "w225 has fixed points but is outside W"
     # the two published survivors pass to the reduction stage
-    assert rule_fixed_point_closure(260, ALSubgroup(260, (4, 65))).verdict == "inconclusive"
-    assert rule_fixed_point_closure(300, ALSubgroup(300, (4, 75))).verdict == "inconclusive"
-    with pytest.raises(ValueError):
-        rule_fixed_point_closure(120, ALSubgroup(120, (8,)))
+    for N, W in ((260, (4, 65)), (300, (4, 75))):
+        res = classify_pair(N, ALSubgroup(N, W)).rule_trace[0]
+        assert (res.rule_id, res.verdict) == ("fixed-point-closure", "inconclusive"), N
+
+
+def test_rule_fixed_point_closure_arithmetic():
+    # unramified exactly when g - 1 = index * (star_genus - 1): 6 = 2 * 3
+    # at (260, <w4,w65>), which has g = 7, index 2 and star genus 4
+    res = rule_fixed_point_closure(260, "<w4,w65>", 7, 2, 4, None)
+    assert res.verdict == "inconclusive"
+    assert res.inputs == (260, "<w4,w65>") and res.detail == ""
+    for g in (6, 8):
+        res = rule_fixed_point_closure(260, "<w4,w65>", g, 2, 4, None)
+        assert res.verdict == "excludes", g
+        assert res.detail == f"covering not unramified: {g - 1} != 2*(4-1)"
+    # an involution with fixed points outside W excludes even where the
+    # genus matches, and is named in the detail
+    res = rule_fixed_point_closure(260, "<w4,w65>", 7, 2, 4, 13)
+    assert res.verdict == "excludes"
+    assert res.detail == "w13 has fixed points but is outside W"
+
+
+def test_screening_imports_only_ntheory():
+    # the rules are pure predicates: screening reads no genus, trace or
+    # fixed-point count, so it imports nothing from the package but ntheory
+    tree = ast.parse(inspect.getsource(screening))
+    imported = [
+        node.module if node.level == 0 else f"bielliptic.{node.module}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    imported += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert [name for name in imported if name.startswith("bielliptic")] == [
+        "bielliptic.ntheory"
+    ]
 
 
 def test_iso_reduce_w4_examples():

@@ -35,12 +35,18 @@ raises IntegrityError when a published bielliptic pair (a key of
 `witness_annotations`, the one list of them) comes out not bielliptic.  All
 other regression data lives in the selftest helpers, which read the published
 genus tables through `_golden_genera`.
+
+`emit_report` writes the JSON report through one template per record, byte
+for byte what `json.dumps(indent=2, sort_keys=True)` gives for the records as
+dicts; that route stays with the tests as the oracle
+`tests/oracles.report_json_reference`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_string
+
 from . import _data
 from .errors import DataError, IntegrityError
 from .involutions import (
@@ -576,26 +582,63 @@ def _genus_matrix_rows(levels):
     return rows
 
 
+# A record as `json.dumps(indent=2, sort_keys=True)` lays it out in a list:
+# the keys in sorted order, each value already encoded.
+_JSON_RECORD = """  {{
+    "adjudication": {},
+    "field": {},
+    "genus": {},
+    "hyperelliptic": {},
+    "level": {},
+    "quadratic_points": {},
+    "status": {},
+    "subgroup": {},
+    "trace": {},
+    "witness": {}
+  }}"""
+
+
+def _json_text(s: str | None) -> str:
+    return "null" if s is None else _json_string(s)
+
+
+def _json_list(items) -> str:
+    """A list of strings as the value of a record's key."""
+    if not items:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(_json_string, items)) + "\n    ]"
+
+
+def _json_record(r: PairRecord) -> str:
+    return _JSON_RECORD.format(
+        _json_list(r.adjudication) if r.adjudication else "null",
+        _json_text(r.field),
+        r.genus,
+        "true" if r.hyperelliptic else "false",
+        r.N,
+        _json_text(r.quadratic_points),
+        _json_string(r.status),
+        _json_string(r.subgroup.label()),
+        _json_list([res.line() for res in r.rule_trace]),
+        _json_string(r.witness.describe()) if r.witness else "null",
+    )
+
+
 def emit_report(records, fmt: str = "markdown") -> str:
-    """Deterministic report of classification results."""
+    """Deterministic report of classification results.
+
+    JSON is one template per record, each string escaped by the C encoder
+    `json.dumps` uses: byte-identical to `json.dumps(indent=2,
+    sort_keys=True)` of the records as dicts, without building them or
+    running the pure-Python encoder that `indent` selects.  The oracle is
+    `report_json_reference` in `tests/oracles.py`.
+    """
     records = sorted(records, key=PairRecord.sort_key)
     levels = sorted({r.N for r in records})
     if fmt == "json":
-        blob = []
-        for r in records:
-            blob.append({
-                "level": r.N,
-                "subgroup": r.subgroup.label(),
-                "genus": r.genus,
-                "status": r.status,
-                "hyperelliptic": r.hyperelliptic,
-                "field": r.field,
-                "witness": r.witness.describe() if r.witness else None,
-                "adjudication": list(r.adjudication) if r.adjudication else None,
-                "quadratic_points": r.quadratic_points,
-                "trace": [res.line() for res in r.rule_trace],
-            })
-        return json.dumps(blob, indent=2, sort_keys=True)
+        if not records:
+            return "[]"
+        return "[\n" + ",\n".join(map(_json_record, records)) + "\n]"
     if fmt == "csv":
         lines = ["# genus matrix: level, genera in canonical subgroup order"]
         for N, genera in _genus_matrix_rows(levels):

@@ -15,6 +15,11 @@ its level's involution list, product table and closed groups, and each group
 its Hurwitz genus.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
+
+A `Factorization` computes `omega` and `is_squarefree` once, and an
+`ALSubgroup` keeps its canonical generators, label, sort key and `is_full`
+in slots, each computed on first use; the lattice's subgroups live in its
+memo table, so the reset drops them too.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Factorization:
         if prod != self.n:
             raise IntegrityError(f"factorization of {self.n} does not multiply out")
 
-    @property
+    @functools.cached_property
     def omega(self) -> int:
         return len(self.factors)
 
@@ -65,7 +70,7 @@ class Factorization:
                 return e
         return 0
 
-    @property
+    @functools.cached_property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
@@ -259,9 +264,14 @@ class ALSubgroup:
     order 2^omega(N), with d*e/gcd(d,e)^2 as the product.  It is built by
     doubling: a generator g not yet in the group adds the coset g*H, so
     each generator costs one pass over the elements found so far.
+
+    The canonical generators (`_gens`), `label()`, `sort_key()` and
+    `is_full` depend only on the frozen elements and the level, so each is
+    computed on first use and kept in a slot; a warm classification reuses
+    the lattice's subgroups and reads them.
     """
 
-    __slots__ = ("level", "elements", "_gens")
+    __slots__ = ("level", "elements", "_gens", "_label", "_sort_key", "_is_full")
 
     def __init__(self, level: int, generators=()):
         self.level = level
@@ -326,7 +336,12 @@ class ALSubgroup:
 
     @property
     def is_full(self) -> bool:
-        return self.order == 1 << factor(self.level).omega
+        try:
+            return self._is_full
+        except AttributeError:
+            pass
+        self._is_full = self.order == 1 << factor(self.level).omega
+        return self._is_full
 
     @property
     def is_fricke(self) -> bool:
@@ -362,13 +377,24 @@ class ALSubgroup:
         return tuple(d for _, d in self._masked_generators())
 
     def label(self) -> str:
-        if self.is_trivial:
-            return "1"
-        return "<" + ",".join(f"w{d}" for d in self.generators()) + ">"
+        try:
+            return self._label
+        except AttributeError:
+            pass
+        gens = self.generators()
+        self._label = "<" + ",".join(f"w{d}" for d in gens) + ">" if gens else "1"
+        return self._label
 
     def sort_key(self):
+        try:
+            return self._sort_key
+        except AttributeError:
+            pass
         masks = sorted(m for m, _ in self._masked_generators())
-        return (self.order, tuple(sorted(bin(m).count("1") for m in masks)), tuple(masks))
+        self._sort_key = (
+            self.order, tuple(sorted(bin(m).count("1") for m in masks)), tuple(masks)
+        )
+        return self._sort_key
 
 
 def all_subgroups(level: int) -> list[ALSubgroup]:

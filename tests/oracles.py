@@ -27,14 +27,18 @@ before it closed W once and extended it by one coset per candidate.  `two_group_
 rules as they were before they read the full group's candidate search: each
 closes B(N) with the normalizer involutions itself.  The number-theory routes count reduced
 forms literally and count Atkin-Lehner fixed points by complex
-multiplication.
+multiplication.  `report_json_reference` is the JSON report as
+`atlas.emit_report` wrote it before it used one template per record: the
+records as dicts, through `json.dumps(indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from bielliptic.atlas import PairRecord
 from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import (
     _ID2,
@@ -608,3 +612,24 @@ def cm_fix_oracle(N: int, Q: int) -> int:
                 term *= 1 + kronecker(D, p)
         total += term
     return total
+
+
+# -- reports -------------------------------------------------------------
+
+
+def report_json_reference(records) -> str:
+    blob = []
+    for r in sorted(records, key=PairRecord.sort_key):
+        blob.append({
+            "level": r.N,
+            "subgroup": r.subgroup.label(),
+            "genus": r.genus,
+            "status": r.status,
+            "hyperelliptic": r.hyperelliptic,
+            "field": r.field,
+            "witness": r.witness.describe() if r.witness else None,
+            "adjudication": list(r.adjudication) if r.adjudication else None,
+            "quadratic_points": r.quadratic_points,
+            "trace": [res.line() for res in r.rule_trace],
+        })
+    return json.dumps(blob, indent=2, sort_keys=True)

@@ -432,6 +432,55 @@ class TestReports:
         assert atlas.emit_report(sample, "json") == atlas.emit_report(sample, "json")
         json.loads(atlas.emit_report(sample, "json"))
 
+    def test_json_equals_the_reference(self, classification):
+        # the template writer against json.dumps of the records as dicts:
+        # the whole classification, each level alone, and no records
+        assert atlas.emit_report(classification, "json") == (
+            oracles.report_json_reference(classification)
+        )
+        for N in sorted({r.N for r in classification}):
+            level = [r for r in classification if r.N == N]
+            assert atlas.emit_report(level, "json") == oracles.report_json_reference(level), N
+        assert atlas.emit_report([], "json") == oracles.report_json_reference([]) == "[]"
+
+    def test_json_synthetic_records_equal_the_reference(self, classification):
+        # every value a record's fields may hold: each optional field None,
+        # no quadratic points (classify_pair alone), a reduction-chain
+        # witness, a trace of several entries, both booleans, and strings
+        # that need escaping, outside the BMP too
+        by_key = _by_key(classification)
+        reduced = by_key[(44, ALSubgroup(44, (4,)).elements)]
+        assert reduced.witness.chain
+        adjudicated = next(r for r in classification if r.adjudication)
+        trace = tuple(res for r in classification for res in r.rule_trace)[:4]
+        records = [
+            atlas.PairRecord(60, ALSubgroup(60, (4,)), 3, "excluded", False),
+            atlas.PairRecord(60, ALSubgroup(60, (3, 5)), 2, "genus-too-small", True),
+            atlas.classify_pair(44, (4,)),
+            dataclasses.replace(reduced, quadratic_points=None, rule_trace=trace),
+            dataclasses.replace(adjudicated, quadratic_points=None),
+            dataclasses.replace(
+                adjudicated, N=61, adjudication=("not-bielliptic", 'é — "q" \\ \t 𝔽'),
+                field="Q(\u221a-3)", status="st\x7fatus",
+            ),
+        ]
+        assert records[2].quadratic_points is None and len(trace) == 4
+        for r in records:
+            assert atlas.emit_report([r], "json") == oracles.report_json_reference([r])
+        assert atlas.emit_report(records, "json") == oracles.report_json_reference(records)
+
+    def test_json_report_does_not_call_json_dumps(self, classification, monkeypatch):
+        # the report is a template per record: neither json.dumps nor the
+        # pure-Python encoder that indent selects is on its path
+        want = oracles.report_json_reference(classification)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the JSON report called the json module's encoder")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert atlas.emit_report(classification, "json") == want
+
     def test_markdown(self, classification):
         sample = [r for r in classification if r.N == 126]
         text = atlas.emit_report(sample, "markdown")

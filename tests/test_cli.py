@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from bielliptic import atlas, cli
+from bielliptic import _data, atlas, cli
 from bielliptic.involutions import quotient_genus_hurwitz
 from bielliptic.ntheory import all_subgroups
+
+import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -278,6 +280,24 @@ def test_classify_json(capsys, classification):
     record = next(r for r in blob if r["level"] == 90 and r["subgroup"] == "<w9>")
     assert record["status"] == "bielliptic-confirmed"
     assert record["witness"].startswith("V3*w10")
+
+
+def test_classify_json_escapes_a_users_citation(capsys, tmp_path):
+    # the embedded tables are ASCII; a user's own table may hold any text,
+    # and the report escapes it as json.dumps does
+    citation = 'Petri test: é — "quoted" \\ back\tslash'
+    text = _data.ADJUDICATIONS_TEXT.replace(
+        "84;w3;not-bielliptic;Petri quadric symmetry test on the canonical model",
+        f"84;w3;not-bielliptic;{citation}",
+    )
+    assert citation in text
+    table = tmp_path / "adjudications.txt"
+    table.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "classify", "--format", "json", "--adjudications", str(table))
+    assert code == 0
+    records = atlas.classify_all(adjudications=atlas.ingest_adjudications(text))
+    assert out == oracles.report_json_reference(records)
+    assert '"Petri test: \\u00e9 \\u2014 \\"quoted\\" \\\\ back\\tslash"' in out
 
 
 def test_quadpoints(capsys, classification):

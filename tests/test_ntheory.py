@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bielliptic import modsym
+from bielliptic.atlas import scope_levels
 from bielliptic.errors import IntegrityError
 from bielliptic.involutions import fix_al
 from bielliptic.ntheory import (
@@ -90,6 +91,7 @@ def test_kronecker_examples():
     assert kronecker(-4, 11) == -1
     assert kronecker(-3, 7) == 1
     assert kronecker(12, 3) == 0
+    assert (kronecker(0, -1), kronecker(-3, -1)) == (1, -1)
 
 
 def test_kronecker_multiplicative_in_bottom():
@@ -118,6 +120,8 @@ def test_class_number_examples():
         class_number(-5)
     with pytest.raises(ValueError):
         class_number(4)
+    with pytest.raises(ValueError):
+        class_number(0)
 
 
 def test_class_number_small_oracle():
@@ -157,6 +161,7 @@ class TestALSubgroup:
         assert ALSubgroup(60, (60,)).is_fricke
         assert not ALSubgroup(60, (4,)).is_fricke
         assert ALSubgroup.full(60).order == 8
+        assert not ALSubgroup(1).is_fricke
 
     def test_generators_canonical(self):
         # <w15, w40> at 120 equals <w24, w40>; canonical generators are by mask
@@ -186,6 +191,71 @@ class TestALSubgroup:
         sub = ALSubgroup(420, (4, 3))
         assert extend_subgroup(sub, 35).order == 8
         assert extend_subgroup(sub, 12) == sub
+
+
+# Every level a classification or the genus-large benchmark asks about.
+_SUBGROUP_LEVELS = [*scope_levels(), 720, 756, 792, 840, 1000, 1088]
+
+
+def _constants(sub):
+    return sub.label(), sub.sort_key(), sub.is_full
+
+
+def test_subgroup_constants_equal_a_recomputation():
+    for N in _SUBGROUP_LEVELS:
+        omega = len(factor(N).factors)
+        for sub in all_subgroups(N):
+            masked = sub._masked_generators()
+            names = ",".join(f"w{d}" for _, d in masked)
+            masks = sorted(m for m, _ in masked)
+            want = (
+                f"<{names}>" if sub.order > 1 else "1",
+                (sub.order, tuple(sorted(bin(m).count("1") for m in masks)), tuple(masks)),
+                sub.order == 2**omega,
+            )
+            assert _constants(sub) == want, (N, want[0])
+            # kept in the instance: a second call returns the same object
+            assert sub.label() is sub.label() and sub.sort_key() is sub.sort_key()
+
+
+@pytest.mark.parametrize("first", ["label", "sort_key", "is_full", "hash"])
+def test_subgroup_constants_agree_across_constructions(first):
+    # a lattice subgroup, the group of its generators in reverse, and the
+    # group its label parses to, each asked one value before the others
+    ask = {
+        "label": ALSubgroup.label,
+        "sort_key": ALSubgroup.sort_key,
+        "is_full": lambda s: s.is_full,
+        "hash": hash,
+    }[first]
+    for N in _SUBGROUP_LEVELS:
+        for shared, fresh in zip(all_subgroups(N), _subgroup_lattice.__wrapped__(N)):
+            label = shared.label()
+            parsed = ALSubgroup.parse(N, label[1:-1]) if shared.order > 1 else ALSubgroup(N)
+            subs = (fresh, ALSubgroup(N, reversed(shared.generators())), parsed)
+            assert len({ask(s) for s in subs}) == 1, (N, label)
+            for s in subs:
+                assert _constants(s) == _constants(shared), (N, label)
+                assert s == shared and hash(s) == hash(shared), (N, label)
+
+
+def test_factorization_constants_equal_a_recomputation():
+    # omega and squarefreeness by a sieve, against the values each
+    # factorization keeps once computed
+    top = 3000
+    omega = [0] * (top + 1)
+    squarefree = [True] * (top + 1)
+    for p in range(2, top + 1):
+        if omega[p]:
+            continue
+        for m in range(p, top + 1, p):
+            omega[m] += 1
+        for m in range(p * p, top + 1, p * p):
+            squarefree[m] = False
+    for n in range(1, top + 1):
+        f = factor(n)
+        assert (f.omega, f.is_squarefree) == (omega[n], squarefree[n]), n
+        assert (vars(f)["omega"], vars(f)["is_squarefree"]) == (omega[n], squarefree[n]), n
 
 
 def test_all_subgroups_is_the_subgroup_lattice():

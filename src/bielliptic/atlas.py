@@ -44,7 +44,6 @@ dicts; that route stays with the tests as the oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_string
 
 from . import _data
@@ -58,7 +57,8 @@ from .involutions import (
     quotient_genus_hurwitz,
 )
 from .ntheory import (
-    ALSubgroup, all_subgroups, factor, hall_divisors, memoise, parse_decimal, parse_level,
+    ALSubgroup, Frozen, all_subgroups, factor, hall_divisors, memoise, parse_decimal,
+    parse_level, parse_w, replace,
 )
 from .screening import (
     RuleResult,
@@ -89,26 +89,42 @@ _VERDICT_FIELD = {
 # external data
 
 
-@dataclass(frozen=True)
-class ECRecord:
-    label: str
-    conductor: int
-    rank: int
+class ECRecord(Frozen):
+    __match_args__ = ("label", "conductor", "rank")
+
+    def __init__(self, label: str, conductor: int, rank: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.conductor, self.rank) == (
+            other.label, other.conductor, other.rank
+        )
+
+    def __hash__(self):
+        return hash((self.label, self.conductor, self.rank))
+
+    def __repr__(self):
+        return f"ECRecord(label={self.label!r}, conductor={self.conductor!r}, rank={self.rank!r})"
 
 
 def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
     """{key: value} from `read_row(*fields) -> (key, value)` over the lines of
-    a string or an iterable of str or UTF-8 bytes lines, skipping '#' comments
-    and blank lines.  A line splits on `sep` (None: whitespace) into exactly
-    `nfields` fields, the last keeping any further `sep`.  A ValueError from a
-    line's decoding, field count, fields or repeated key is a DataError that
-    names the line."""
+    a string or an iterable of str or UTF-8 bytes lines, skipping blank lines
+    and comments: a line whose first non-blank character is '#'.  A '#'
+    anywhere else is data.  A line splits on `sep` (None: whitespace) into
+    exactly `nfields` fields, the last keeping any further `sep`.  A
+    ValueError from a line's decoding, field count, fields or repeated key is
+    a DataError that names the line."""
     out = {}
     lines = source.splitlines() if isinstance(source, str) else source
     for lineno, raw in enumerate(lines, start=1):
         try:
-            text = (raw.decode() if isinstance(raw, bytes) else raw).split("#", 1)[0].strip()
-            if not text:
+            text = (raw.decode() if isinstance(raw, bytes) else raw).strip()
+            if not text or text[0] == "#":
                 continue
             fields = text.split() if sep is None else text.split(sep, nfields - 1)
             if len(fields) != nfields:
@@ -155,6 +171,77 @@ def default_adjudications() -> dict:
     return ingest_adjudications(_data.ADJUDICATIONS_TEXT)
 
 
+# ---------------------------------------------------------------------------
+# embedded tables: each reader parses its text block of `_data` when called
+
+
+def _read_pair(level: str, generators: str) -> tuple[int, tuple[int, ...]]:
+    """A pair as the tables write it, "N" and "w<d>,w<e>", as (N, (d, e))."""
+    return parse_level(level), tuple(parse_w(w) for w in generators.split(","))
+
+
+def _numbers(fields, what: str) -> tuple[int, ...]:
+    return tuple(parse_decimal(field, what) for field in fields)
+
+
+def published_genus_table(omega: int) -> dict[int, tuple[int, ...]]:
+    """The published genus table of the levels with omega = 2 or 3 primes:
+    N -> its genera in canonical subgroup order.  A two-prime row stops
+    before the full quotient, whose genus is the level gate's star genus."""
+    text, cells = {
+        2: (_data.GENUS_TABLE_2P_TEXT, 4), 3: (_data.GENUS_TABLE_3P_TEXT, 16),
+    }[omega]
+    return _read_table(
+        text, None, 1 + cells, lambda N, *row: (parse_level(N), _numbers(row, "genus"))
+    )
+
+
+def printed_deviations() -> dict:
+    """(N, generators) -> (printed, corrected) for the misprinted genus cells."""
+    return _read_table(
+        _data.PRINTED_DEVIATIONS_TEXT, None, 4,
+        lambda N, gens, *cells: (_read_pair(N, gens), _numbers(cells, "genus")),
+    )
+
+
+def non_rational_pairs() -> frozenset:
+    """The (N, generators) of the pairs bielliptic only over Q(sqrt(-3))."""
+    rows = _read_table(
+        _data.NON_RATIONAL_BIELLIPTIC_TEXT, None, 2, lambda N, gens: (_read_pair(N, gens), None)
+    )
+    return frozenset(rows)
+
+
+def hyperelliptic_table() -> dict:
+    """(N, generators) -> genus of the published hyperelliptic quotients."""
+    return _read_table(
+        _data.HYPERELLIPTIC_TABLE_TEXT, None, 3,
+        lambda N, gens, g: (_read_pair(N, gens), parse_decimal(g, "genus")),
+    )
+
+
+def published_fix_tables() -> dict[int, dict[str, int]]:
+    """N -> {element name: fixed-point count} of the published tables."""
+    rows = _read_table(
+        _data.FIX_TABLES_TEXT, None, 3,
+        lambda N, name, count: ((parse_level(N), name), parse_decimal(count, "count")),
+    )
+    tables: dict[int, dict[str, int]] = {}
+    for (N, name), count in rows.items():
+        tables.setdefault(N, {})[name] = count
+    return tables
+
+
+def witness_table() -> dict:
+    """(N, generators) -> (witness families, elliptic-quotient labels) of the
+    124 published bielliptic pairs."""
+
+    def read_row(N, gens, families, curves):
+        return _read_pair(N, gens), (tuple(families.split(",")), tuple(curves.split(",")))
+
+    return _read_table(_data.WITNESS_TABLE_TEXT, None, 4, read_row)
+
+
 def _pair_key(N: int, gens) -> tuple[int, frozenset]:
     return N, ALSubgroup(N, gens).elements
 
@@ -165,12 +252,12 @@ def _normalized(table: dict) -> dict:
 
 @memoise
 def hyperelliptic_pairs() -> dict:
-    return _normalized(_data.HYPERELLIPTIC_TABLE)
+    return _normalized(hyperelliptic_table())
 
 
 @memoise
 def witness_annotations() -> dict:
-    return _normalized(_data.WITNESS_TABLE)
+    return _normalized(witness_table())
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +288,34 @@ def enumerate_pairs() -> list[tuple[int, ALSubgroup]]:
 # witness search
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """An exhibited bielliptic involution, possibly at a reduced level."""
 
-    level: int
-    element: ExtInvolution
-    group: InvolutionGroup
-    field: str
-    chain: tuple[tuple[int, str], ...] = ()
+    __match_args__ = ("level", "element", "group", "field", "chain")
+
+    def __init__(self, level: int, element: ExtInvolution, group: InvolutionGroup,
+                 field: str, chain: tuple[tuple[int, str], ...] = ()):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "chain", chain)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.element, self.group, self.field, self.chain) == (
+            other.level, other.element, other.group, other.field, other.chain
+        )
+
+    def __hash__(self):
+        return hash((self.level, self.element, self.group, self.field, self.chain))
+
+    def __repr__(self):
+        return (
+            f"Witness(level={self.level!r}, element={self.element!r}, "
+            f"group={self.group!r}, field={self.field!r}, chain={self.chain!r})"
+        )
 
     @property
     def family(self) -> str:
@@ -436,18 +542,53 @@ def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
 # records and the full classification
 
 
-@dataclass
 class PairRecord:
-    N: int
-    subgroup: ALSubgroup
-    genus: int
-    status: str
-    hyperelliptic: bool
-    witness: Witness | None = None
-    field: str | None = None
-    rule_trace: tuple[RuleResult, ...] = ()
-    adjudication: tuple[str, str] | None = None
-    quadratic_points: str | None = None
+    """One pair's classification; `classify_all` sets `quadratic_points`
+    after the fact.  Mutable, so it compares by its fields and is not
+    hashable."""
+
+    __match_args__ = (
+        "N", "subgroup", "genus", "status", "hyperelliptic", "witness", "field",
+        "rule_trace", "adjudication", "quadratic_points",
+    )
+
+    def __init__(self, N: int, subgroup: ALSubgroup, genus: int, status: str,
+                 hyperelliptic: bool, witness: Witness | None = None,
+                 field: str | None = None, rule_trace: tuple[RuleResult, ...] = (),
+                 adjudication: tuple[str, str] | None = None,
+                 quadratic_points: str | None = None):
+        self.N = N
+        self.subgroup = subgroup
+        self.genus = genus
+        self.status = status
+        self.hyperelliptic = hyperelliptic
+        self.witness = witness
+        self.field = field
+        self.rule_trace = rule_trace
+        self.adjudication = adjudication
+        self.quadratic_points = quadratic_points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.N, self.subgroup, self.genus, self.status, self.hyperelliptic,
+            self.witness, self.field, self.rule_trace, self.adjudication,
+            self.quadratic_points,
+        ) == (
+            other.N, other.subgroup, other.genus, other.status, other.hyperelliptic,
+            other.witness, other.field, other.rule_trace, other.adjudication,
+            other.quadratic_points,
+        )
+
+    def __repr__(self):
+        return (
+            f"PairRecord(N={self.N!r}, subgroup={self.subgroup!r}, genus={self.genus!r}, "
+            f"status={self.status!r}, hyperelliptic={self.hyperelliptic!r}, "
+            f"witness={self.witness!r}, field={self.field!r}, "
+            f"rule_trace={self.rule_trace!r}, adjudication={self.adjudication!r}, "
+            f"quadratic_points={self.quadratic_points!r})"
+        )
 
     @property
     def bielliptic(self) -> bool:
@@ -560,7 +701,7 @@ def published_infinite_pairs() -> set:
     """Keys of the pairs with infinitely many quadratic points."""
     out = set()
     scope = set(scope_levels())
-    for (N, gens) in _data.HYPERELLIPTIC_TABLE:
+    for (N, gens) in hyperelliptic_table():
         key = _pair_key(N, gens)
         sub = ALSubgroup(N, gens)
         if N in scope and not sub.is_fricke and not sub.is_full:
@@ -700,11 +841,11 @@ def _golden_genera(levels=None):
     of their rows at `levels`; a two-prime row's full quotient is the level
     gate's star genus.  A row without one cell per subgroup is an
     IntegrityError."""
-    rows = sorted(_data.GENUS_TABLE_2P.items()) + sorted(_data.GENUS_TABLE_3P.items())
-    for N, row in rows:
+    two_prime = published_genus_table(2)
+    for N, row in sorted(two_prime.items()) + sorted(published_genus_table(3).items()):
         if levels is not None and N not in levels:
             continue
-        if N in _data.GENUS_TABLE_2P:  # four cells, then the full quotient
+        if N in two_prime:  # four cells, then the full quotient
             row = (*row, star_gate(N).star_genus)
         subs = all_subgroups(N)
         if len(subs) != len(row):
@@ -719,7 +860,7 @@ def verify_genus_tables(levels=None) -> int:
     ValueError that names it.
     """
     if levels is not None:
-        published = _data.GENUS_TABLE_2P.keys() | _data.GENUS_TABLE_3P.keys()
+        published = published_genus_table(2).keys() | published_genus_table(3).keys()
         missing = sorted(set(levels) - published)
         if missing:
             raise ValueError(f"no published genus row for level(s) {missing}")
@@ -736,13 +877,8 @@ def verify_genus_tables(levels=None) -> int:
 
 def verify_fix_tables() -> int:
     """Recompute the three published fixed-point tables; returns entry count."""
-    golden = {
-        120: _data.FIX_TABLE_120,
-        252: _data.FIX_TABLE_252,
-        176: _data.FIX_TABLE_176,
-    }
     checked = 0
-    for N, table in golden.items():
+    for N, table in published_fix_tables().items():
         computed = dict(fix_table(N))
         for name, want in table.items():
             got = computed.get(name)
@@ -794,7 +930,7 @@ def verify_classification(records=None):
                 f"computed {rec.genus}, table {want}"
             )
     non_rational = {r.key() for r in records if r.bielliptic and r.field != RATIONAL}
-    published = {_pair_key(N, gens) for N, gens in _data.NON_RATIONAL_BIELLIPTIC}
+    published = {_pair_key(N, gens) for N, gens in non_rational_pairs()}
     if non_rational != published:
         wrong = [
             f"({r.N},{r.subgroup.label()}) over {r.field}"

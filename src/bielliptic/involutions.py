@@ -39,14 +39,13 @@ two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IntegrityError, OrderViolation
 from .modsym import build_space
 from .ntheory import (
-    ALSubgroup, _is_hall_divisor, _need_level, factor, hall_divisors, hall_product, memoise,
-    parse_w,
+    ALSubgroup, Frozen, _is_hall_divisor, _need_level, factor, hall_divisors, hall_product,
+    memoise, parse_w,
 )
 from .x0invariants import genus_x0
 
@@ -73,18 +72,36 @@ def _coprime3(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ExtInvolution:
+class ExtInvolution(Frozen):
     """Canonical form: (word in the 2-part group) * V3^v3 * w_tail.
 
     ``tail`` is a Hall divisor of N not involving the 2-part when 4 | N
     (the 2-part then lives in the word); otherwise a plain Hall divisor.
     """
 
-    level: int
-    word2: tuple[int, int]
-    e3: int
-    tail: int
+    __match_args__ = ("level", "word2", "e3", "tail")
+
+    def __init__(self, level: int, word2: tuple[int, int], e3: int, tail: int):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "word2", word2)
+        object.__setattr__(self, "e3", e3)
+        object.__setattr__(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.word2, self.e3, self.tail) == (
+            other.level, other.word2, other.e3, other.tail
+        )
+
+    def __hash__(self):
+        return hash((self.level, self.word2, self.e3, self.tail))
+
+    def __repr__(self):
+        return (
+            f"ExtInvolution(level={self.level!r}, word2={self.word2!r}, "
+            f"e3={self.e3!r}, tail={self.tail!r})"
+        )
 
     # -- constructors --------------------------------------------------
 
@@ -294,12 +311,25 @@ def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
     return word, v3, tail
 
 
-@dataclass(frozen=True)
-class InvolutionGroup:
+class InvolutionGroup(Frozen):
     """Closed set of commuting involutions plus the identity."""
 
-    level: int
-    elements: frozenset[ExtInvolution]
+    __match_args__ = ("level", "elements")
+
+    def __init__(self, level: int, elements: frozenset[ExtInvolution]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.elements) == (other.level, other.elements)
+
+    def __hash__(self):
+        return hash((self.level, self.elements))
+
+    def __repr__(self):
+        return f"InvolutionGroup(level={self.level!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:

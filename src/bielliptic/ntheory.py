@@ -16,6 +16,10 @@ its Hurwitz genus.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 
+`Frozen` and `replace` serve the package's immutable records (a
+`Factorization` here, and the involutions, groups, rule results, witnesses
+and curve records elsewhere) in place of `dataclasses`.
+
 A `Factorization` computes `omega` and `is_squarefree` once, and an
 `ALSubgroup` keeps its canonical generators, label, sort key and `is_full`
 in slots, each computed on first use; the lattice's subgroups live in its
@@ -25,7 +29,6 @@ memo table, so the reset drops them too.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import IntegrityError
@@ -46,19 +49,62 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer, primes strictly increasing."""
+class Frozen:
+    """Base of the package's immutable records.  Assigning or deleting an
+    attribute raises AttributeError; `__init__` sets the fields through
+    `object.__setattr__`, and `functools.cached_property` writes the instance
+    dict directly, so both still work.
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    Each record class writes out the methods `dataclasses` would generate:
+    `__init__`, `__eq__` (the fields as one tuple, against a record of the
+    same class), `__hash__` (that tuple's) and `__repr__` (``Name(field=value,
+    ...)``), and names its fields in constructor order in `__match_args__`,
+    which `replace` reads.  Importing `dataclasses` would also import
+    `inspect`, `ast`, `dis` and `tokenize` on every start.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record, **changes):
+    """A new record of the same class with `changes` applied, as
+    `dataclasses.replace`; a name that is not a field is a TypeError."""
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    fields.update(changes)
+    return type(record)(**fields)
+
+
+class Factorization(Frozen):
+    """Prime factorization of a positive integer, primes strictly increasing.
+    The product of the factors must be n, or IntegrityError."""
+
+    __match_args__ = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
         prod = 1
-        for p, e in self.factors:
+        for p, e in factors:
             prod *= p**e
-        if prod != self.n:
-            raise IntegrityError(f"factorization of {self.n} does not multiply out")
+        if prod != n:
+            raise IntegrityError(f"factorization of {n} does not multiply out")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.factors) == (other.n, other.factors)
+
+    def __hash__(self):
+        return hash((self.n, self.factors))
+
+    def __repr__(self):
+        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
 
     @functools.cached_property
     def omega(self) -> int:

@@ -10,9 +10,7 @@ bielliptic; outside those lists no quotient can be bielliptic at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ntheory import ALSubgroup, factor, psi
+from .ntheory import ALSubgroup, Frozen, factor, psi
 
 # ---------------------------------------------------------------------------
 # level gate data: classification of the full quotients X0(N)/B(N)
@@ -43,13 +41,27 @@ GATE_BIELLIPTIC = {
 }
 
 
-@dataclass(frozen=True)
-class StarGate:
-    """Classification of the full quotient at one level."""
+class StarGate(Frozen):
+    """Classification of the full quotient at one level; `kind` is one of
+    genus0, genus1, hyperelliptic, bielliptic and fails-gate."""
 
-    N: int
-    kind: str  # genus0 | genus1 | hyperelliptic | bielliptic | fails-gate
-    star_genus: int | None
+    __match_args__ = ("N", "kind", "star_genus")
+
+    def __init__(self, N: int, kind: str, star_genus: int | None):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "star_genus", star_genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.kind, self.star_genus) == (other.N, other.kind, other.star_genus)
+
+    def __hash__(self):
+        return hash((self.N, self.kind, self.star_genus))
+
+    def __repr__(self):
+        return f"StarGate(N={self.N!r}, kind={self.kind!r}, star_genus={self.star_genus!r})"
 
 
 def star_gate(N: int) -> StarGate:
@@ -76,13 +88,32 @@ def star_gate(N: int) -> StarGate:
 # rules
 
 
-@dataclass(frozen=True)
-class RuleResult:
-    rule_id: str
-    citation: str
-    verdict: str
-    inputs: tuple = ()
-    detail: str = ""
+class RuleResult(Frozen):
+    __match_args__ = ("rule_id", "citation", "verdict", "inputs", "detail")
+
+    def __init__(self, rule_id: str, citation: str, verdict: str, inputs: tuple = (),
+                 detail: str = ""):
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule_id, self.citation, self.verdict, self.inputs, self.detail) == (
+            other.rule_id, other.citation, other.verdict, other.inputs, other.detail
+        )
+
+    def __hash__(self):
+        return hash((self.rule_id, self.citation, self.verdict, self.inputs, self.detail))
+
+    def __repr__(self):
+        return (
+            f"RuleResult(rule_id={self.rule_id!r}, citation={self.citation!r}, "
+            f"verdict={self.verdict!r}, inputs={self.inputs!r}, detail={self.detail!r})"
+        )
 
     def line(self) -> str:
         args = ",".join(str(x) for x in self.inputs)

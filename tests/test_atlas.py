@@ -1,15 +1,13 @@
-import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from bielliptic import _data, atlas
-from bielliptic._data import GENUS_TABLE_3P, PRINTED_DEVIATIONS
 from bielliptic.errors import DataError, IntegrityError
 from bielliptic.involutions import ExtInvolution, quotient_genus_hurwitz
 from bielliptic.modsym import build_space, invariant_genus
-from bielliptic.ntheory import ALSubgroup, all_subgroups, factor
+from bielliptic.ntheory import ALSubgroup, all_subgroups, factor, replace
 from bielliptic.screening import GATE_GENUS1
 
 import oracles
@@ -64,13 +62,21 @@ class TestECTable:
             atlas.ingest_ec_table(f"15a 15 0\n{row}")
         assert err.value.line == 2
 
+    def test_hash_after_the_first_field_is_data(self):
+        # '#' opens a comment only as a line's first non-blank character, so
+        # a trailing note makes two more fields
+        assert list(atlas.ingest_ec_table("  # label conductor rank\n15a 15 0")) == ["15a"]
+        with pytest.raises(DataError, match="expected 3 fields, got 5") as err:
+            atlas.ingest_ec_table("15a 15 0\n99a 99 1 # note")
+        assert err.value.line == 2
+
     def test_default_table_parses(self, ec_table):
         assert ec_table["99a"].rank == 1
         assert all(rec.conductor >= 11 for rec in ec_table.values())
 
     def test_rows_are_the_witness_curves(self):
         # every row is a curve some verdict reads, and every curve read has a row
-        named = {label for _, labels in _data.WITNESS_TABLE.values() for label in labels}
+        named = {label for _, labels in atlas.witness_table().values() for label in labels}
         assert set(atlas.default_ec_table()) == named
         assert len(named) == 37
 
@@ -82,6 +88,12 @@ class TestAdjudications:
         verdict, citation = adj[key]
         assert verdict == "not-bielliptic"
         assert "Petri" in citation
+
+    def test_hash_in_a_citation_is_kept(self):
+        adj = atlas.ingest_adjudications(
+            "# N;generators;verdict;citation\n84;w3;not-bielliptic;see Prop. #4"
+        )
+        assert adj == {(84, ALSubgroup(84, (3,)).elements): ("not-bielliptic", "see Prop. #4")}
 
     def test_bad_verdict(self):
         with pytest.raises(DataError):
@@ -238,7 +250,7 @@ class TestClassification:
         # published list of bielliptic-over-an-extension pairs catches the flip
         key = (N, ALSubgroup(N, gens).elements)
         flipped = [
-            dataclasses.replace(r, field=field) if r.key() == key else r
+            replace(r, field=field) if r.key() == key else r
             for r in classification
         ]
         assert [r for r in flipped if r.key() == key][0].bielliptic
@@ -254,7 +266,7 @@ class TestClassification:
         # report order, and "…" only when the list was cut
         keys = {(N, ALSubgroup(N, gens).elements) for N, gens in pairs}
         cleared = [
-            dataclasses.replace(r, field=None) if r.key() in keys else r
+            replace(r, field=None) if r.key() in keys else r
             for r in classification
         ]
         with pytest.raises(IntegrityError) as excinfo:
@@ -269,7 +281,7 @@ class TestClassification:
         # the expected genus is the pair's cell of the published genus tables
         key = (N, ALSubgroup(N, gens).elements)
         flipped = [
-            dataclasses.replace(r, genus=r.genus + 1) if r.key() == key else r
+            replace(r, genus=r.genus + 1) if r.key() == key else r
             for r in classification
         ]
         with pytest.raises(IntegrityError, match=rf"genus mismatch .*\({N},{label}\)"):
@@ -278,8 +290,10 @@ class TestClassification:
     def test_verify_needs_a_genus_cell_for_every_published_pair(
         self, classification, monkeypatch
     ):
-        rows = {N: row for N, row in _data.GENUS_TABLE_2P.items() if N != 40}
-        monkeypatch.setattr(_data, "GENUS_TABLE_2P", rows)
+        rows = _data.GENUS_TABLE_2P_TEXT.splitlines()
+        monkeypatch.setattr(
+            _data, "GENUS_TABLE_2P_TEXT", "\n".join(r for r in rows if not r.startswith("40 "))
+        )
         with pytest.raises(IntegrityError, match=r"no published genus .*\(40,<w8>\)"):
             atlas.verify_classification(classification)
 
@@ -404,7 +418,7 @@ class TestQuadraticPoints:
         assert sum(r.genus == 2 for r in classification) == 28
 
     def test_hyperelliptic_table_genus_column(self):
-        for (N, gens), g in _data.HYPERELLIPTIC_TABLE.items():
+        for (N, gens), g in atlas.hyperelliptic_table().items():
             assert quotient_genus_hurwitz(N, ALSubgroup(N, gens)) == g, (N, gens)
 
     @pytest.mark.parametrize("N, genus, hyperelliptic_involutions", [
@@ -425,7 +439,7 @@ class TestReports:
     def test_csv_252_row(self, classification):
         text = atlas.emit_report([r for r in classification if r.N == 252], "csv")
         row = next(line for line in text.splitlines() if line.startswith("252,"))
-        assert row == "252," + ",".join(map(str, GENUS_TABLE_3P[252]))
+        assert row == "252," + ",".join(map(str, atlas.published_genus_table(3)[252]))
 
     def test_json_deterministic(self, classification):
         sample = [r for r in classification if r.N in (44, 120)]
@@ -457,9 +471,9 @@ class TestReports:
             atlas.PairRecord(60, ALSubgroup(60, (4,)), 3, "excluded", False),
             atlas.PairRecord(60, ALSubgroup(60, (3, 5)), 2, "genus-too-small", True),
             atlas.classify_pair(44, (4,)),
-            dataclasses.replace(reduced, quadratic_points=None, rule_trace=trace),
-            dataclasses.replace(adjudicated, quadratic_points=None),
-            dataclasses.replace(
+            replace(reduced, quadratic_points=None, rule_trace=trace),
+            replace(adjudicated, quadratic_points=None),
+            replace(
                 adjudicated, N=61, adjudication=("not-bielliptic", 'é — "q" \\ \t 𝔽'),
                 field="Q(\u221a-3)", status="st\x7fatus",
             ),
@@ -501,6 +515,57 @@ class TestReports:
         assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (sha256, size)
 
 
+class TestEmbeddedTables:
+    # row count and sha256 of repr(sorted(rows)) of each table, taken from
+    # the Python literals the tables were written in before they became text
+    PINS = {
+        "genus 2P": (54, "c2907664a51577d42d8654bbd2af555687c1456d4f2096396b09e23199316c33"),
+        "genus 3P": (35, "1393dcc277884cdc14c57cb1c6e97e5d81730d3a1a929588605a97a05ddae254"),
+        "printed deviations": (
+            4, "c2de8cfc5091a245bdf5f2ef914c2cdecf2d336dab903bdef7079e865fe8d6da"),
+        "non-rational": (2, "1fabd5569fd14ee3844f7c802188fcc409d0434d52c7a72c6c75a72384f1259a"),
+        "hyperelliptic": (
+            39, "9c633064a8f5048bb0237da03e37000232edfee94570327e06d0a1de75e26a48"),
+        "fix 120": (15, "639ef070b1c266e9a4cb38d3eee95c5341eaceb19ac6fa8e00bedc681c93fb6d"),
+        "fix 252": (15, "18a246b54748c5771a5e7e5f05cc9f0aa32ca46ab931682749fd0e0f87627f83"),
+        "fix 176": (7, "9073a9b374f4d7ae85d58962c0cada2d8d0af0d993e88e347d61eb89efe398f2"),
+        "witness": (124, "902f9a09ec7bd69ff093efc11dec5134c70448c714f7d81f20ec01834a2324a5"),
+    }
+
+    def test_tables_read_back_unchanged(self):
+        fix = atlas.published_fix_tables()
+        rows = {
+            "genus 2P": atlas.published_genus_table(2).items(),
+            "genus 3P": atlas.published_genus_table(3).items(),
+            "printed deviations": atlas.printed_deviations().items(),
+            "non-rational": atlas.non_rational_pairs(),
+            "hyperelliptic": atlas.hyperelliptic_table().items(),
+            "fix 120": fix[120].items(),
+            "fix 252": fix[252].items(),
+            "fix 176": fix[176].items(),
+            "witness": atlas.witness_table().items(),
+        }
+        got = {
+            name: (len(r), hashlib.sha256(repr(sorted(r)).encode()).hexdigest())
+            for name, r in rows.items()
+        }
+        assert got == self.PINS
+        assert list(fix) == [120, 252, 176]
+
+    @pytest.mark.parametrize("name, read, row", [
+        ("WITNESS_TABLE_TEXT", atlas.witness_table, "40 w8 al"),
+        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_table, "40 w8 two"),
+        ("GENUS_TABLE_3P_TEXT", lambda: atlas.published_genus_table(3), "60 7 3 4"),
+        ("FIX_TABLES_TEXT", atlas.published_fix_tables, "120 w8 0 # note"),
+        ("NON_RATIONAL_BIELLIPTIC_TEXT", atlas.non_rational_pairs, "126 63"),
+    ])
+    def test_malformed_row_names_its_line(self, monkeypatch, name, read, row):
+        monkeypatch.setattr(_data, name, getattr(_data, name) + row + "\n")
+        with pytest.raises(DataError) as err:
+            read()
+        assert err.value.line == len(getattr(_data, name).splitlines())
+
+
 class TestGoldenTables:
     def test_genus_table_spot_levels(self):
         assert atlas.verify_genus_tables({60, 120, 252}) == 48
@@ -511,6 +576,6 @@ class TestGoldenTables:
     def test_printed_deviation_cells_are_provably_misprints(self):
         # the published 294 row contradicts its own Hurwitz identity; see the
         # acceptance module for the full argument
-        assert set(PRINTED_DEVIATIONS) == {
+        assert set(atlas.printed_deviations()) == {
             (294, (3,)), (294, (6,)), (294, (147,)), (294, (294,)),
         }

@@ -1,3 +1,4 @@
+import json
 import re
 import shlex
 from pathlib import Path
@@ -244,6 +245,15 @@ def test_non_decimal_curve_field(capsys, tmp_path):
     assert "line 2:" in err and "'9_9'" in err
 
 
+def test_curve_line_with_a_trailing_note(capsys, tmp_path):
+    # '#' opens a comment only at the start of a line; here it is two fields more
+    bad = tmp_path / "curves.txt"
+    bad.write_text("# label conductor rank\n15a 15 0\n99a 99 1 # note\n")
+    code, out, err = run(capsys, "quadpoints", "--ec", str(bad))
+    assert (code, out) == (1, "")
+    assert "line 3:" in err and "expected 3 fields, got 5" in err
+
+
 @pytest.mark.parametrize("line", [
     "84;wx;not-bielliptic;cited",
     "x;w3;not-bielliptic;cited",
@@ -298,6 +308,20 @@ def test_classify_json_escapes_a_users_citation(capsys, tmp_path):
     records = atlas.classify_all(adjudications=atlas.ingest_adjudications(text))
     assert out == oracles.report_json_reference(records)
     assert '"Petri test: \\u00e9 \\u2014 \\"quoted\\" \\\\ back\\tslash"' in out
+
+
+def test_classify_json_keeps_a_hash_in_a_citation(capsys, tmp_path):
+    text = _data.ADJUDICATIONS_TEXT.replace(
+        "84;w3;not-bielliptic;Petri quadric symmetry test on the canonical model",
+        "84;w3;not-bielliptic;see Prop. #4",
+    )
+    table = tmp_path / "adjudications.txt"
+    table.write_text(text)
+    code, out, _ = run(capsys, "classify", "--format", "json", "--adjudications", str(table))
+    assert code == 0
+    blob = json.loads(out)
+    record = next(r for r in blob if r["level"] == 84 and r["subgroup"] == "<w3>")
+    assert record["adjudication"] == ["not-bielliptic", "see Prop. #4"]
 
 
 def test_quadpoints(capsys, classification):

@@ -44,7 +44,10 @@ dicts; that route stays with the tests as the oracle
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _json_string
+try:  # the C function alone: `json.encoder` would load all of `json`
+    from _json import encode_basestring_ascii as _json_string
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _json_string
 
 from . import _data
 from .errors import DataError, IntegrityError
@@ -247,7 +250,18 @@ def _pair_key(N: int, gens) -> tuple[int, frozenset]:
 
 
 def _normalized(table: dict) -> dict:
-    return {_pair_key(N, gens): val for (N, gens), val in table.items()}
+    """The table keyed by subgroup.  `_read_table` refuses a repeated
+    generator tuple only; a pair written again with its generators in
+    another order is refused here, naming it."""
+    out = {}
+    for (N, gens), val in table.items():
+        key = _pair_key(N, gens)
+        if key in out:
+            raise DataError(
+                f"pair {N} {','.join(f'w{d}' for d in gens)} repeats an earlier entry"
+            )
+        out[key] = val
+    return out
 
 
 @memoise

@@ -24,11 +24,15 @@ stored point is slot -v mod M of the same table.  With h = gcd(g, M), a
 residue r mod M holds a point exactly when gcd(r, h) = 1: a prime of h that
 divides r divides every v = r + kM, and for r prime to h some k < g makes v
 prime to the primes of g outside M as well.  So g's table has
-(M/h) * phi(h) slots, and the walk over v stops at the last of them.  One
-lookup list, indexed by c mod N, holds (g's table, M, (c/g)^-1 mod M) for
-each c, so a lookup is a list read, a product mod M and a table read, with
-no gcd and no inverse.  The build reads the sigma and tau neighbours of each
-point that way, as the trace reads its symbols.
+(M/h) * phi(h) slots, and the walk over v stops at the last of them.  The
+points themselves are two parallel int lists, `rep_g` and `rep_v`, with g = 0
+for (0 : 1).  Three lookup lists, indexed by c mod N, hold g's table, M and
+(c/g)^-1 mod M for each c, so a lookup is three list reads, a product mod M
+and a table read, with no gcd and no inverse; entry g of a divisor g < N is
+g's own table with M = N/g, and entry 0 is the table of (0 : 1), so the
+eta-image of (g : v) is read at entry g.  The build reads the sigma and tau
+neighbours of each point that way, as the trace reads its symbols, and no
+per-point tuple is kept.
 
 The relations x + x.sigma = 0 and x = x.eta are eliminated by orbits:
 sigma: (c, d) -> (d, -c) and eta commute, so each point's orbit is
@@ -42,11 +46,14 @@ relations in the order of their first P^1 point, then one back-substitution
 from the highest pivot down, in which each row is cleared with rows that are
 already final.  A reduced row p*col + rest = 0 says the column's symbol is
 -rest/p, so the space stores the rows the elimination returns, each with its
-pivot entry popped: `rows[col]` is rest, with int coefficients where p = 1
-and rest/p in Fractions otherwise, and a free column's row is {col: -1}.
-Each point's (sign, column) in `points` holds the orbit's sign negated, so
-a point's expression is still its sign times its column's row, and is never
-stored.
+pivot entry popped and all of them over one common denominator `den`, the
+lcm of the pivots: `rows[col]` is rest * (den/p), in ints, and a free
+column's row is {col: -den}.  `den` is 1 wherever every pivot is 1, which
+is every level the package has met.  Each point keeps, in three parallel
+lists, the orbit's sign negated (`sign`), its column (`col`) and a
+reference to its column's row (`row_of`, None where the sign is 0), so a
+point's expression is sign * row / den, is never stored, and is read with
+no lookup by column.
 
 The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
 classes up to eta (`x0invariants.cusp_count_plus`), stores each free
@@ -94,8 +101,7 @@ the test suite's oracles, in tests/oracles.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import IntegrityError
 from .ntheory import (
@@ -220,38 +226,40 @@ def _int_rref(rows) -> dict:
     return pivots
 
 
-def _p1_walk(N: int, g: int, slots: int, reps: list) -> list:
+def _p1_walk(N: int, g: int, slots: int, rep_g: list, rep_v: list) -> list:
     """Divisor g's residue table, filled by the points (g : v) in increasing v.
 
     The first v of each residue r = v mod N/g that is prime to g is its
-    class's minimum: it is appended to `reps` and `table[r]` holds its
-    position.  The walk stops once `slots` residues hold a point.
+    class's minimum: it is appended to `rep_g` and `rep_v`, and `table[r]`
+    holds its position.  The walk stops once `slots` residues hold a point.
     """
     M = N // g
     table = [None] * M
     for v in range(N):
         r = v % M
         if table[r] is None and gcd(v, g) == 1:
-            table[r] = len(reps)
-            reps.append((g, v))
+            table[r] = len(rep_g)
+            rep_g.append(g)
+            rep_v.append(v)
             slots -= 1
             if not slots:
                 break
     return table
 
 
-def _p1_points(N: int) -> tuple[tuple, dict, list]:
-    """The points of P^1(Z/N) in order, one residue table per divisor g of N
-    and the lookup list.
+def _p1_points(N: int) -> tuple[list, list, list, list, list]:
+    """The points of P^1(Z/N) in order, as a g list and a v list, and the
+    three lookup lists indexed by c mod N.
 
     Divisor g < N, with M = N/g and h = gcd(g, M), has (M/h) * phi(h) points
     (g : v), one per residue mod M prime to h, and its walk stops at the last
-    of them; `tables[N] = [0]` holds the point (0 : 1).  Entry c of the
-    lookup list is (tables[g], M, inv) with g = gcd(c, N), M = N/g and
-    inv = (c/g)^-1 mod M, so the point (c : d) is `table[inv * d % M]`: a
-    lookup reads g's table from its entry, with no subscript by g.
+    of them; the point (0 : 1) comes first, as g = 0 and v = 1, with the
+    table [0].  Entry c of the lookup lists is g's table, M and
+    inv = (c/g)^-1 mod M with g = gcd(c, N) and M = N/g, so the point (c : d)
+    is `table[inv * d % M]`: a lookup reads g's table from entry c, with no
+    subscript by g.
     """
-    reps = [(0, 1)]
+    rep_g, rep_v = [0], [1]
     tables = {N: [0]}
     for g in range(1, N):
         if N % g:
@@ -259,32 +267,37 @@ def _p1_points(N: int) -> tuple[tuple, dict, list]:
         M = N // g
         h = gcd(g, M)
         slots = M // h * euler_phi(h)
-        start = len(reps)
-        tables[g] = _p1_walk(N, g, slots, reps)
-        if len(reps) - start != slots:
+        start = len(rep_g)
+        tables[g] = _p1_walk(N, g, slots, rep_g, rep_v)
+        if len(rep_g) - start != slots:
             raise IntegrityError(
-                f"P1(Z/{N}): divisor {g} filled {len(reps) - start} of its {slots} residues"
+                f"P1(Z/{N}): divisor {g} filled {len(rep_g) - start} of its {slots} residues"
             )
-    if len(reps) != psi(N):
-        raise IntegrityError(f"P1(Z/{N}) has {len(reps)} points, expected psi = {psi(N)}")
-    lookup = [(tables[N], 1, 0)] * N
+    if len(rep_g) != psi(N):
+        raise IntegrityError(f"P1(Z/{N}) has {len(rep_g)} points, expected psi = {psi(N)}")
+    table_of = [tables[N]] * N
+    mod_of = [1] * N
+    inv_of = [0] * N
     for c in range(1, N):
         g = gcd(c, N)
         M = N // g
-        lookup[c] = (tables[g], M, pow(c // g, -1, M))
-    return tuple(reps), tables, lookup
+        table_of[c] = tables[g]
+        mod_of[c] = M
+        inv_of[c] = pow(c // g, -1, M)
+    return rep_g, rep_v, table_of, mod_of, inv_of
 
 
 class ModSymSpace:
     """Built sign +1 modular-symbols data for one level.
 
-    `reps` holds the P^1 points, `points` one (sign, column) per point,
-    `rows` one {free generator: coefficient} row per column, so that sign
-    times the column's row is the point's expression, `free`
-    the free generators, `lifts` each free generator's SL2(Z) lift
-    (a, b, c, d) by rows, aligned with `free`, and `cusps` one representative
-    per eta-orbit of cusp classes.  Immutable once constructed, apart from
-    the cache of traces."""
+    `rep_g` and `rep_v` hold the P^1 points (g : v); per point, `sign`,
+    `col` and `row_of` hold the orbit's sign negated, its column and its
+    column's row in `rows`, one {free generator: coefficient} row per column
+    over the common denominator `den`, so that sign * row / den is the
+    point's expression.  `free` holds the free generators, `lifts` each free
+    generator's SL2(Z) lift (a, b, c, d) by rows, aligned with `free`, and
+    `cusps` one representative per eta-orbit of cusp classes.  Immutable
+    once constructed, apart from the cache of traces."""
 
     def __init__(self, N: int):
         self.N = _need_level(N)
@@ -296,34 +309,36 @@ class ModSymSpace:
 
     def _build(self):
         N = self.N
-        self.reps, self._p1_tables, self._p1_lookup = _p1_points(N)
-        reps, tables, lookup = self.reps, self._p1_tables, self._p1_lookup
-        n = len(reps)
-
-        def eta(i):  # position of (-c : d) = (g : -v), read from g's table
-            g, v = reps[i]
-            return tables[g][-v % (N // g)] if g else 0
+        rep_g, rep_v, table_of, mod_of, inv_of = _p1_points(N)
+        self.rep_g, self.rep_v = rep_g, rep_v
+        self._p1_table, self._p1_mod, self._p1_inv = table_of, mod_of, inv_of
+        n = len(rep_g)
 
         # sigma: (c,d) -> (d,-c) and eta commute; an orbit {x, x.sigma, x.eta,
         # x.sigma.eta} is one column, x being +1, -1, +1, -1 times its symbol,
-        # or 0 times where the orbit forces x = -x.  `points` keeps these
-        # signs negated, to match the stored rows (see the module docstring),
-        # so the relations below subtract them.  `swap` is eta.sigma:
-        # (c : d) -> (d : c).  Neighbours are read from the lookup list as in
+        # or 0 times where the orbit forces x = -x.  `sign` keeps these signs
+        # negated, to match the stored rows (see the module docstring), so the
+        # relations below subtract them.  `swap` is eta.sigma:
+        # (c : d) -> (d : c).  Neighbours are read from the lookup lists as in
         # `p1_index`, without its point check: sigma and tau send points to
-        # points.
-        points: list = [None] * n
+        # points.  The eta-image (g : -v) of (g : v) is read at entry g.
+        sign: list = [None] * n
+        col = [0] * n
         swap = [0] * n
-        for i, (c, d) in enumerate(reps):
-            if points[i] is None:
-                table, M, inv = lookup[d % N]
-                j = table[-inv * c % M]
-                k, m = eta(i), eta(j)
+        for i in range(n):
+            if sign[i] is None:
+                c, d = rep_g[i], rep_v[i]
+                x = d % N
+                j = table_of[x][-inv_of[x] * c % mod_of[x]]
+                k = table_of[c][-d % mod_of[c]]
+                x = rep_g[j]
+                m = table_of[x][-rep_v[j] % mod_of[x]]
                 s = 0 if i in (j, m) else -1
-                points[i] = points[k] = (s, i)
-                points[j] = points[m] = (-s, i)
+                sign[i] = sign[k] = s
+                sign[j] = sign[m] = -s
+                col[i] = col[j] = col[k] = col[m] = i
                 swap[i], swap[m], swap[j], swap[k] = m, i, k, j
-        self.points = tuple(points)
+        self.sign, self.col = sign, col
         # three-term relation rows over the columns, tau: (c,d) -> (d, -c-d).
         # The row of x.swap is minus the row of x (x.swap.tau = x.tau^2.swap
         # and x.swap.tau^2 = x.tau.swap), so it is skipped.
@@ -332,21 +347,22 @@ class ModSymSpace:
         for i in range(n):
             if seen[i]:
                 continue
-            c, d = reps[i]
-            table, M, inv = lookup[d % N]
-            j = table[-inv * (c + d) % M]
-            table, M, inv = lookup[-(c + d) % N]
-            k = table[inv * c % M]
+            c, d = rep_g[i], rep_v[i]
+            x = d % N
+            j = table_of[x][-inv_of[x] * (c + d) % mod_of[x]]
+            x = -(c + d) % N
+            k = table_of[x][inv_of[x] * c % mod_of[x]]
             row: dict[int, int] = {}
             for m in (i, j, k):
                 seen[m] = seen[swap[m]] = True
-                s, col = points[m]
+                s = sign[m]
                 if s:
-                    row[col] = row.get(col, 0) - s
+                    x = col[m]
+                    row[x] = row.get(x, 0) - s
             relations.append(row)  # _int_rref drops zero entries and empty rows
         pivots = _int_rref(relations)
 
-        kept = sorted({col for s, col in points if s})
+        kept = sorted({x for s, x in zip(sign, col) if s})
         free = [c for c in kept if c not in pivots]
         self.free = tuple(free)
         self.dim = len(free)
@@ -357,14 +373,18 @@ class ModSymSpace:
                 f"level {N}: sign +1 modular-symbols dimension {self.dim} != {expected}"
             )
 
+        den = self.den = lcm(*(row[c] for c, row in pivots.items()))
         rows = self.rows = pivots
         for c, row in rows.items():
             p = row.pop(c)
-            if p != 1:
-                rows[c] = {k: Fraction(v, p) for k, v in row.items()}
+            if p != den:
+                q = den // p
+                rows[c] = {k: v * q for k, v in row.items()}
         for c in free:
-            rows[c] = {c: -1}
-        self.lifts = tuple(_sl2_lift(*reps[c]) for c in free)
+            rows[c] = {c: -den}
+        # the sign 0 columns hold no row: no relation reads them
+        self.row_of = [rows.get(x) for x in col]
+        self.lifts = tuple(_sl2_lift(rep_g[c], rep_v[c]) for c in free)
 
         # one representative per eta-orbit of cusp classes, from the endpoints
         # b/d and a/c of the free generators' paths {b/d, a/c}; the boundary
@@ -382,20 +402,22 @@ class ModSymSpace:
     # -- symbol plumbing ----------------------------------------------
 
     def p1_index(self, c: int, d: int) -> int:
-        """Position in `reps` of the point (c : d).
+        """Position in `rep_g` and `rep_v` of the point (c : d).
 
-        Entry c mod N of the lookup list is (table, M, inv) with
-        g = gcd(c, N) = N/M, `table = _p1_tables[g]` and inv = (c/g)^-1 mod M;
-        the point is (g : r) for r = inv * d mod M, and `table[r]` holds its
-        position.  A pair with gcd(g, d) != 1 is not a point and raises
-        ValueError.  The build and the trace read the lookup list inline, so
-        this checked lookup serves the tests and callers outside the module.
+        Entry x = c mod N of the lookup lists holds `table = _p1_table[x]`,
+        M = `_p1_mod[x]` and inv = `_p1_inv[x]`, with g = gcd(c, N) = N/M and
+        inv = (c/g)^-1 mod M; the point is (g : r) for r = inv * d mod M, and
+        `table[r]` holds its position.  A pair with gcd(g, d) != 1 is not a
+        point and raises ValueError.  The build and the trace read the lookup
+        lists inline, so this checked lookup serves the tests and callers
+        outside the module.
         """
         N = self.N
-        table, M, inv = self._p1_lookup[c % N]
+        x = c % N
+        M = self._p1_mod[x]
         if gcd(N // M, d) != 1:
             raise ValueError(f"({c}:{d}) is not a point of P1(Z/{N})")
-        return table[inv * d % M]
+        return self._p1_table[x][self._p1_inv[x] * d % M]
 
     # -- Atkin-Lehner action ------------------------------------------
 
@@ -442,10 +464,11 @@ class ModSymSpace:
         one symbol is (gamma22 : -gamma21), minus the symbol of gamma.  The
         chain runs inline, with no list of symbols, and each symbol's point
         is read from the residue table its lookup entry holds, with no gcd or
-        inverse.  The trace tr+ on S2+ is an integer of the parity of the
-        genus and at most the genus in size, and tr(w_Q | S2) = 2 * tr+ (the
-        halves S2+ and S2- are isomorphic as w_Q-modules; see the module
-        docstring).
+        inverse; the point's sign and row are read from `sign` and `row_of`.
+        The diagonal is summed in ints over `den`.  The trace tr+ on S2+ is
+        an integer of the parity of the genus and at most the genus in size,
+        and tr(w_Q | S2) = 2 * tr+ (the halves S2+ and S2- are isomorphic as
+        w_Q-modules; see the module docstring).
 
         w_Q sends a cusp p/q of level d = gcd(q, N) to one of level
         d*Q/gcd(d, Q)^2, so it can fix a cusp orbit only where
@@ -460,25 +483,27 @@ class ModSymSpace:
             pass
         mat = self.al_matrix(Q)
         wa, wb, wc, wd = mat
-        N, lookup = self.N, self._p1_lookup
-        points, rows = self.points, self.rows
+        N = self.N
+        table_of, mod_of, inv_of = self._p1_table, self._p1_mod, self._p1_inv
+        sign, row_of = self.sign, self.row_of
         diag = 0
         for f, (a, b, c, d) in zip(self.free, self.lifts):
             (_, _, um1, um2), _, p, q = _hermite_split(
                 wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d
             )
-            sign = -1  # the chain of p/q = b/e; sign = (-1)^(k-1) at k = 0
+            alt = -1  # the chain of p/q = b/e; alt = (-1)^(k-1) at k = 0
             while q:
                 k = p // q
                 p, q = q, p - k * q
                 uk = k * um1 + um2
-                # p1_index(uk, sign * um1), inlined; it is a bottom row of SL2(Z)
-                table, m, inv = lookup[uk % N]
-                s, col = points[table[inv * sign * um1 % m]]
+                # p1_index(uk, alt * um1), inlined; it is a bottom row of SL2(Z)
+                x = uk % N
+                j = table_of[x][inv_of[x] * alt * um1 % mod_of[x]]
+                s = sign[j]
                 if s:
-                    diag -= s * rows[col].get(f, 0)
-                um2, um1, sign = um1, uk, -sign
-        g = self.genus
+                    diag -= s * row_of[j].get(f, 0)
+                um2, um1, alt = um1, uk, -alt
+        g, den = self.genus, self.den
         # only cusps p/q with gcd(q, N, Q)^2 = Q can be fixed, so none unless
         # Q is a square (gcd(q, Q) = gcd(q, N, Q), as Q divides N)
         r = isqrt(Q)
@@ -489,13 +514,16 @@ class ModSymSpace:
                 for cusp in self.cusps
                 if gcd(cusp[1], Q) == r
             )
-        tr = diag - (fixed - 1)
-        if tr.denominator != 1 or (tr - g) % 2 or abs(tr) > g:
+        num = diag - (fixed - 1) * den
+        tr, rem = divmod(num, den)
+        if rem or (tr - g) % 2 or abs(tr) > g:
+            k = gcd(num, den)
+            shown = f"{num // k}/{den // k}" if rem else tr
             raise IntegrityError(
-                f"trace {tr} of w_{Q} on S2+ at level {N} is not an integer of "
+                f"trace {shown} of w_{Q} on S2+ at level {N} is not an integer of "
                 f"the parity of genus = {g} and of size at most it"
             )
-        return self._trace_cache.setdefault(Q, 2 * int(tr))
+        return self._trace_cache.setdefault(Q, 2 * tr)
 
 
 _CACHE: dict[int, ModSymSpace] = {}

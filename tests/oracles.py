@@ -109,11 +109,13 @@ def cusp_equiv(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 class FullSpace:
     """All of M2 for one level, the space the library's sign +1 quotient halves.
 
-    Each point is (sign, column) under the two-term relation x + x.sigma = 0
-    alone, with sign 0 where x = -x; every three-term relation is
-    eliminated; `cusps` holds one representative per cusp class, found by
-    the pairwise criterion.  The attributes mirror `ModSymSpace`, whose P^1
-    lookup and Atkin-Lehner witness it borrows.
+    Each point has a sign and a column under the two-term relation
+    x + x.sigma = 0 alone, with sign 0 where x = -x; every three-term
+    relation is eliminated, and a column's row holds its symbol over `den`
+    with the sign not negated (a free column's row is {col: den}); `cusps`
+    holds one representative per cusp class, found by the pairwise
+    criterion.  The attributes mirror `ModSymSpace`, whose P^1 lookup and
+    Atkin-Lehner witness it borrows.
     """
 
     p1_index = ModSymSpace.p1_index
@@ -123,42 +125,42 @@ class FullSpace:
     def __init__(self, N: int):
         self.N = N
         self.genus = genus_x0(N)
-        self.reps, self._p1_tables, self._p1_lookup = _p1_points(N)
+        self.rep_g, self.rep_v, self._p1_table, self._p1_mod, self._p1_inv = _p1_points(N)
         look = self.p1_index
-        n = len(self.reps)
-        points: list = [None] * n
-        for i, (c, d) in enumerate(self.reps):
-            if points[i] is None:
+        n = len(self.rep_g)
+        sign: list = [None] * n
+        col = [0] * n
+        for i, (c, d) in enumerate(zip(self.rep_g, self.rep_v)):
+            if sign[i] is None:
                 j = look(d, -c)
-                points[i] = (0 if j == i else 1, i)
+                sign[i], col[i] = (0 if j == i else 1), i
                 if j != i:
-                    points[j] = (-1, i)
-        self.points = tuple(points)
+                    sign[j], col[j] = -1, i
+        self.sign, self.col = sign, col
         relations = []
         seen = [False] * n
-        for i, (c, d) in enumerate(self.reps):
+        for i, (c, d) in enumerate(zip(self.rep_g, self.rep_v)):
             if seen[i]:
                 continue
             row: dict[int, int] = {}
             for m in (i, look(d, -c - d), look(-c - d, c)):
                 seen[m] = True
-                s, col = points[m]
-                if s:
-                    row[col] = row.get(col, 0) + s
+                if sign[m]:
+                    row[col[m]] = row.get(col[m], 0) + sign[m]
             relations.append(row)
         pivots = rref_highest_lead_first(relations)
-        kept = sorted({col for s, col in points if s})
+        kept = sorted({x for s, x in zip(sign, col) if s})
         self.free = tuple(c for c in kept if c not in pivots)
         self.dim = len(self.free)
         expected = 2 * self.genus + cusp_count(N) - 1
         if self.dim != expected:
             raise IntegrityError(f"level {N}: dim M2 = {self.dim} != {expected}")
-        self.rows = {c: {c: 1} for c in self.free}
+        den = self.den = lcm(*(row[c] for c, row in pivots.items()))
+        self.rows = {c: {c: den} for c in self.free}
         for c, row in pivots.items():
-            p = row[c]
-            self.rows[c] = {
-                k: -v if p == 1 else Fraction(-v, p) for k, v in row.items() if k != c
-            }
+            q = den // row[c]
+            self.rows[c] = {k: -v * q for k, v in row.items() if k != c}
+        self.row_of = [self.rows.get(x) for x in col]
         cusps = [(1, 0)]
         for cusp in dict.fromkeys(e for c in self.free for e in manin_path(self, c)):
             if not any(cusp_equiv(N, cusp, rep) for rep in cusps):
@@ -225,15 +227,25 @@ def cuspidal_basis(space) -> tuple[tuple[int, dict[int, int]], ...]:
     return tuple(basis)
 
 
+def reps(space) -> list[tuple[int, int]]:
+    """The P^1 points of `space` in order, as (g, v) pairs."""
+    return list(zip(space.rep_g, space.rep_v))
+
+
+def _over(v: int, den: int):
+    """v / den, as an int where den is 1."""
+    return v if den == 1 else Fraction(v, den)
+
+
 def point_expression(space, i: int) -> dict:
     """The expression of the i-th P^1 point in the free generators."""
-    s, col = space.points[i]
-    return {c: s * v for c, v in space.rows[col].items()} if s else {}
+    s, den = space.sign[i], space.den
+    return {c: _over(s * v, den) for c, v in space.row_of[i].items()} if s else {}
 
 
 def manin_path(space, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Endpoints {b/d, a/c} of the modular symbol of the i-th P^1 point."""
-    a, b, c, d = _sl2_lift(*space.reps[i])
+    a, b, c, d = _sl2_lift(space.rep_g[i], space.rep_v[i])
     return _cusp_normalize(b, d), _cusp_normalize(a, c)
 
 
@@ -275,13 +287,14 @@ def _image_symbols(M) -> list[tuple[int, int]]:
 
 def path_vector(space, start, end) -> dict[int, Fraction]:
     """The class of {start, end} in free coordinates; cusps are (p, q) pairs."""
-    vec: dict[int, Fraction] = {}
+    vec: dict[int, int] = {}
     for sgn, cusp in ((-1, start), (1, end)):
         for c, d in convergent_chain(*cusp):
-            s, col = space.points[space.p1_index(c, d)]  # point_expression, inlined
-            for f, v in space.rows[col].items() if s else ():
+            j = space.p1_index(c, d)  # point_expression, inlined, over den
+            s = space.sign[j]
+            for f, v in space.row_of[j].items() if s else ():
                 vec[f] = vec.get(f, 0) + sgn * s * v
-    return {f: v for f, v in vec.items() if v}
+    return {f: _over(v, space.den) for f, v in vec.items() if v}
 
 
 def al_columns(space, Q: int) -> dict[int, dict[int, Fraction]]:

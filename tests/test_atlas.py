@@ -7,7 +7,7 @@ from bielliptic import _data, atlas
 from bielliptic.errors import DataError, IntegrityError
 from bielliptic.involutions import ExtInvolution, quotient_genus_hurwitz
 from bielliptic.modsym import build_space, invariant_genus
-from bielliptic.ntheory import ALSubgroup, all_subgroups, factor, replace
+from bielliptic.ntheory import _MEMO_TABLES, ALSubgroup, all_subgroups, factor, replace
 from bielliptic.screening import GATE_GENUS1
 
 import oracles
@@ -564,6 +564,29 @@ class TestEmbeddedTables:
         with pytest.raises(DataError) as err:
             read()
         assert err.value.line == len(getattr(_data, name).splitlines())
+
+    @pytest.mark.parametrize("name, table, pairs, row", [
+        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_table, atlas.hyperelliptic_pairs,
+         "60 w4,w3 5"),
+        ("WITNESS_TABLE_TEXT", atlas.witness_table, atlas.witness_annotations,
+         "60 w4,w3 red 15a"),
+    ])
+    def test_pair_repeated_in_another_generator_order(self, monkeypatch, name, table, pairs,
+                                                      row):
+        # the text reader checks repeats by generator tuple, so it takes the
+        # row; keyed by subgroup it would replace the row of 60 w3,w4
+        before = len(table())
+        monkeypatch.setattr(_data, name, getattr(_data, name) + row + "\n")
+        assert len(table()) == before + 1
+        memo = _MEMO_TABLES[f"bielliptic.atlas.{pairs.__name__}"]
+        saved = dict(memo)
+        memo.clear()
+        try:
+            with pytest.raises(DataError, match="pair 60 w4,w3 repeats an earlier entry"):
+                pairs()
+            assert memo == {}
+        finally:
+            memo.update(saved)
 
 
 class TestGoldenTables:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,17 +22,18 @@ from oracles import FullSpace
 
 
 def test_p1_sizes():
-    assert len(build_space(1).reps) == 1
-    assert len(build_space(6).reps) == 12
-    assert len(build_space(558).reps) == 1152
+    assert len(build_space(1).rep_g) == 1
+    assert len(build_space(6).rep_g) == 12
+    assert len(build_space(558).rep_g) == 1152
     for N in (2, 11, 24, 49, 90):
-        assert len(build_space(N).reps) == psi(N)
+        assert len(build_space(N).rep_g) == len(build_space(N).rep_v) == psi(N)
 
 
 def test_p1_normalize_idempotent_and_total():
     space = build_space(24)
-    for c, d in space.reps:
-        assert space.reps[space.p1_index(c, d)] == (c, d)
+    reps = oracles.reps(space)
+    for c, d in reps:
+        assert reps[space.p1_index(c, d)] == (c, d)
         assert space.p1_index(c, d) == space.p1_index(5 * c % 24, 5 * d % 24)
 
 
@@ -77,7 +79,8 @@ def test_p1_normalize_matches_unit_scan(N, c, d):
     # the most residue tables, one per divisor
     assume(gcd(gcd(c, d), N) == 1)
     space = build_space(N)
-    assert space.reps[space.p1_index(c, d)] == _p1_oracle(N, c, d)
+    i = space.p1_index(c, d)
+    assert (space.rep_g[i], space.rep_v[i]) == _p1_oracle(N, c, d)
 
 
 def test_p1_normalize_rejects_non_points():
@@ -89,7 +92,7 @@ def test_p1_normalize_rejects_non_points():
 
 def test_reps_are_the_sorted_orbit_minima():
     for N in range(2, 201):
-        assert list(build_space(N).reps) == _p1_oracle_reps(N), N
+        assert oracles.reps(build_space(N)) == _p1_oracle_reps(N), N
 
 
 # every level to 60, the genus-large pool and the level with the most divisors
@@ -114,27 +117,29 @@ def _unbounded_walk(N):
 
 def test_bounded_walk_keeps_the_unbounded_order():
     for N in WALK_LEVELS:
-        assert list(modsym._p1_points(N)[0]) == _unbounded_walk(N), N
+        rep_g, rep_v, *_ = modsym._p1_points(N)
+        assert list(zip(rep_g, rep_v)) == _unbounded_walk(N), N
 
 
 def test_lookup_list_holds_gcd_cofactor_and_inverse():
+    # entry g of a divisor g < N, and entry 0 for g = N, is g's own table
     for N in WALK_LEVELS:
         space = build_space(N)
-        lookup = space._p1_lookup
-        assert len(lookup) == N
+        tables, mods, invs = space._p1_table, space._p1_mod, space._p1_inv
+        assert len(tables) == len(mods) == len(invs) == N
         for c in range(N):
             g = gcd(c, N)
-            table = space._p1_tables[g]
-            assert lookup[c] == (table, N // g, pow(c // g, -1, N // g)), (N, c)
-            assert lookup[c][0] is table, (N, c)
+            assert (mods[c], invs[c]) == (N // g, pow(c // g, -1, N // g)), (N, c)
+            assert tables[c] is tables[g % N], (N, c)
+            assert len(tables[c]) == N // g, (N, c)
 
 
 def test_walk_stopped_one_slot_early_names_level_and_divisor(monkeypatch):
     # divisor 8 of 1088 has M = 136, h = 8 and (136/8) * phi(8) = 68 slots
     walk = modsym._p1_walk
 
-    def short_walk(N, g, slots, reps):
-        return walk(N, g, slots - 1 if g == 8 else slots, reps)
+    def short_walk(N, g, slots, rep_g, rep_v):
+        return walk(N, g, slots - 1 if g == 8 else slots, rep_g, rep_v)
 
     monkeypatch.setattr(modsym, "_p1_walk", short_walk)
     with pytest.raises(modsym.IntegrityError, match=r"P1\(Z/1088\): divisor 8 filled 67 of"):
@@ -248,8 +253,8 @@ def test_stored_rows_satisfy_every_relation():
     for N in [*range(1, 201), 720, 756, 792, 840, 1000, 1088, 2310]:
         space = build_space(N)
         look = space.p1_index
-        expr = [oracles.point_expression(space, i) for i in range(len(space.reps))]
-        for i, (c, d) in enumerate(space.reps):
+        expr = [oracles.point_expression(space, i) for i in range(len(space.rep_g))]
+        for i, (c, d) in enumerate(oracles.reps(space)):
             x = expr[i]
             assert not _relation_sum(x, expr[look(d, -c)]), (N, i, "sigma")
             assert x == expr[look(-c, d)], (N, i, "eta")
@@ -263,7 +268,7 @@ def test_stored_rows_satisfy_every_relation():
 def test_pivots_other_than_one_keep_every_expression(monkeypatch):
     # no level to 300, in the genus-large pool or 2310 has a pivot other
     # than 1; doubling every reduced row sends each pivot row through the
-    # Fraction branch of the build
+    # build's scaling to the common denominator, here 2
     rref = modsym._int_rref
 
     def doubled_rref(rows):
@@ -273,8 +278,8 @@ def test_pivots_other_than_one_keep_every_expression(monkeypatch):
     monkeypatch.setattr(modsym, "_int_rref", doubled_rref)
     for N, want in wants.items():
         space = ModSymSpace(N)
-        assert any(isinstance(v, Fraction) for row in space.rows.values() for v in row.values())
-        for i in range(len(space.reps)):
+        assert (space.den, want.den) == (2, 1), N
+        for i in range(len(space.rep_g)):
             assert oracles.point_expression(space, i) == oracles.point_expression(want, i), (N, i)
         assert [space.al_trace_cuspidal(Q) for Q in hall_divisors(N)] == [
             want.al_trace_cuspidal(Q) for Q in hall_divisors(N)
@@ -282,34 +287,48 @@ def test_pivots_other_than_one_keep_every_expression(monkeypatch):
 
 
 def test_build_divides_by_a_pivot_other_than_one_exactly(monkeypatch):
-    # tripling only the pivot entry of every reduced row divides each pivot
-    # column's stored row by 3: the build must give Fractions of the true
-    # quotient, which is not integral where an entry is prime to 3
+    # tripling only the pivot entry of a reduced row divides its pivot
+    # column's stored row by 3: the build must keep the true quotient over
+    # den = 3, which is not integral where an entry is prime to 3.  Tripling
+    # every pivot gives one pivot 3; tripling every other one mixes pivots 1
+    # and 3, so the rows of pivot 1 are scaled to den.
     rref = modsym._int_rref
-
-    def tripled_pivots(rows):
-        return {
-            col: {k: 3 * v if k == col else v for k, v in row.items()}
-            for col, row in rref(rows).items()
-        }
-
     wants = {N: build_space(N) for N in (11, 60, 90, 126)}
-    monkeypatch.setattr(modsym, "_int_rref", tripled_pivots)
-    for N, want in wants.items():
-        space = ModSymSpace(N)
-        for col, row in want.rows.items():
-            if col in want.free:
-                assert space.rows[col] == row == {col: -1}, (N, col)
-                continue
-            got = space.rows[col]
-            assert all(type(v) is Fraction for v in got.values()), (N, col)
-            assert got == {k: Fraction(v, 3) for k, v in row.items()}, (N, col)
-        assert any(
-            v.denominator == 3
-            for col, row in space.rows.items()
-            if col not in want.free
-            for v in row.values()
-        ), N
+    for step in (1, 2):
+        tripled = set()
+
+        def tripled_pivots(rows):
+            reduced = rref(rows)
+            tripled.update(sorted(reduced)[::step])
+            return {
+                col: {k: 3 * v if k == col and col in tripled else v for k, v in row.items()}
+                for col, row in reduced.items()
+            }
+
+        monkeypatch.setattr(modsym, "_int_rref", tripled_pivots)
+        mixed = 0
+        for N, want in wants.items():
+            tripled.clear()
+            space = ModSymSpace(N)
+            assert (space.den, want.den) == (3, 1), (N, step)
+            for col, row in want.rows.items():
+                got = space.rows[col]
+                assert all(type(v) is int for v in got.values()), (N, col)
+                if col in want.free:
+                    assert row == {col: -1} and got == {col: -3}, (N, col)
+                    continue
+                p = 3 if col in tripled else 1
+                assert {k: Fraction(v, space.den) for k, v in got.items()} == {
+                    k: Fraction(v, p) for k, v in row.items()
+                }, (N, col, step)
+            assert any(
+                v % 3
+                for col, row in space.rows.items()
+                if col in tripled
+                for v in row.values()
+            ), (N, step)
+            mixed += len(tripled) < len(space.rows) - space.dim
+        assert mixed == (0 if step == 1 else 3), step  # all but N = 11 mix
 
 
 def test_build_memory_stays_small():
@@ -326,8 +345,10 @@ def test_build_memory_stays_small():
 
 
 def test_space_retains_one_expression_per_column():
-    # about 3.9 MB at 2310 on M2+; all of M2 keeps 5.9 MB, and one expression
-    # per point, half of them stored negated, 9.6 MB
+    # about 3.4 MB at 2310 on M2+, with the points and the lookup as flat int
+    # lists; a (g, v) tuple per point, a (sign, column) pair per point and a
+    # (table, M, inv) tuple per residue kept 3.9 MB, all of M2 kept 5.9 MB,
+    # and one expression per point, half of them stored negated, 9.6 MB
     build_space(11)  # imports and level invariants outside the measurement
     tracemalloc.start()
     try:
@@ -335,7 +356,26 @@ def test_space_retains_one_expression_per_column():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert space.dim and retained < 5 * 2**20, retained
+    assert space.dim and retained < 3.7 * 2**20, retained
+
+
+def test_build_allocates_few_gc_tracked_objects():
+    # 820 to 990 net allocations of GC-tracked objects at 840: the lists,
+    # row dicts, lifts and cusps.  A tuple per P^1 point, per (sign, column)
+    # pair and per lookup entry made 5 200 to 5 300, and each 700 of them set
+    # off a collection.  The collector is paused so that the count is not
+    # reset.
+    build_space(840)  # imports and level invariants outside the measurement
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        space = ModSymSpace(840)  # kept: a freed object takes back its count
+        made = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert space.dim and made < 1500, made
 
 
 def test_traces_read_the_stored_lifts(monkeypatch):
@@ -352,7 +392,7 @@ def test_traces_read_the_stored_lifts(monkeypatch):
     for Q in hall_divisors(420)[1:]:
         space.al_trace_cuspidal(Q)
     assert calls == []
-    assert space.lifts == tuple(sl2_lift(*space.reps[c]) for c in space.free)
+    assert space.lifts == tuple(sl2_lift(space.rep_g[c], space.rep_v[c]) for c in space.free)
 
 
 def test_build_fill_in_stays_small(monkeypatch):
@@ -574,7 +614,7 @@ def test_hermite_split_of_every_generator_image():
         for Q in hall_divisors(N)[1:]:
             W = space.al_matrix(Q)
             for f in space.free:
-                M = _times(W, modsym._sl2_lift(*space.reps[f]))
+                M = _times(W, modsym._sl2_lift(space.rep_g[f], space.rep_v[f]))
                 _assert_split(M)
                 start, end = oracles.manin_path(space, f)
                 assert _split_column(space, M) == oracles.path_vector(
@@ -640,12 +680,13 @@ def test_trace_route_needs_one_elimination_and_no_basis(monkeypatch):
         assert all(after[k] is built[k] for k in built)
 
 
-@pytest.mark.parametrize("dups,scale,tr", [(0, Fraction(1, 3), "-7/3"), (1, 1, "-2"), (8, 1, "-9")])
-def test_trace_checks_raise(dups, scale, tr):
+@pytest.mark.parametrize("dups,den,tr", [(0, 3, "-7/3"), (1, 1, "-2"), (8, 1, "-9")])
+def test_trace_checks_raise(dups, den, tr):
     # at N = 60, w_4 has diagonal 2 on M2+ and fixes 4 of the 12 cusp orbits,
-    # so tr+ = -1 with genus 7.  Each case breaks one check: a diagonal of
-    # 2/3 is no integer, one more fixed orbit gives -2 (the wrong parity),
-    # eight more give -9 (parity right, size above the genus).
+    # so tr+ = -1 with genus 7.  Each case breaks one check: the rows read
+    # over den = 3 give a diagonal of 2/3 and no integer, one more fixed
+    # orbit gives -2 (the wrong parity), eight more give -9 (parity right,
+    # size above the genus).
     space = ModSymSpace(60)
     mat = space.al_matrix(4)
     fixed = [
@@ -654,7 +695,7 @@ def test_trace_checks_raise(dups, scale, tr):
     ]
     assert len(fixed) == 4 and space.genus == 7
     space.cusps += (fixed[0],) * dups
-    space.rows = {col: {f: v * scale for f, v in row.items()} for col, row in space.rows.items()}
+    space.den = den
     with pytest.raises(modsym.IntegrityError, match=f"trace {tr} of w_4"):
         space.al_trace_cuspidal(4)
     assert space._trace_cache == {}
@@ -705,7 +746,7 @@ def test_build_and_traces_read_the_lookup_list_inline(monkeypatch):
             space.al_trace_cuspidal(Q)
         assert calls == [], N
         monkeypatch.undo()
-        for i, (c, d) in enumerate(space.reps):
+        for i, (c, d) in enumerate(oracles.reps(space)):
             assert space.p1_index(c, d) == i, (N, i)
         with pytest.raises(ValueError):
             space.p1_index(2, 4)
@@ -765,12 +806,12 @@ def test_invariant_dims_even():
 
 def test_space_report():
     full = FullSpace(60)
-    assert len(full.reps) == 144
+    assert len(full.rep_g) == 144
     assert full.dim == 2 * 7 + 12 - 1
     assert len(full.cusps) == 12
     assert len(oracles.cuspidal_basis(full)) == 14
     space = build_space(60)
-    assert space.reps == full.reps
+    assert oracles.reps(space) == oracles.reps(full)
     assert cusp_count_plus(60) == 12
     assert space.dim == 7 + cusp_count_plus(60) - 1
     assert len(space.cusps) == cusp_count_plus(60)
@@ -838,8 +879,8 @@ def test_rebuild_is_identical():
         a = build(90)
         b = build(90)
         assert a.free == b.free
-        assert [oracles.point_expression(a, i) for i in range(len(a.reps))] == [
-            oracles.point_expression(b, i) for i in range(len(b.reps))
+        assert [oracles.point_expression(a, i) for i in range(len(a.rep_g))] == [
+            oracles.point_expression(b, i) for i in range(len(b.rep_g))
         ]
         assert oracles.cuspidal_basis(a) == oracles.cuspidal_basis(b)
         for Q in hall_divisors(90)[1:]:

@@ -103,11 +103,13 @@ def test_cached_properties_on_frozen_records():
 def test_import_leaves_dataclasses_out():
     # `dataclasses` brings `inspect`, `ast`, `dis` and `tokenize` with it, and
     # building its classes costs more than the written-out methods; a fresh
-    # process would pay for both on every start
+    # process would pay for both on every start.  `fractions` brings
+    # `decimal` and `numbers`, and `json.encoder` all of `json`.
     code = (
         "import sys\n"
         "from bielliptic import atlas, cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers', 'json'}"
+        " & set(sys.modules)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

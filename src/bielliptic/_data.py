@@ -109,7 +109,7 @@ GENUS_TABLE_3P_TEXT = """\
 # the printed row itself (4*(2*10-2) + 0+0+0 = 72 != 80 = 2g-2), likewise
 # for <w2,w147> (88 != 80), so they are misprints.  The corrected cells
 # below satisfy every identity and match an independent class-number
-# count of #(w3) = 4; see PRINTED_DEVIATIONS_TEXT and the acceptance suite.
+# count of #(w3) = 4; tests/oracles.py records the printed cells.
 294 41 21 20 21 20 17 18 18 10  9  9  8  7  9  7  3
 312 49 25 25 25 25 19 17 23 13 10  9  8  9 12  6  3
 315 41 21 19 21 19 21 17 17  9 11  8  7  8  8  8  3
@@ -126,17 +126,6 @@ GENUS_TABLE_3P_TEXT = """\
 444 71 35 35 36 35 36 24 32 17 18 12 10 16 16 12  5
 495 65 33 33 29 33 29 33 25 17 13 15 13 11 11 15  5
 558 89 45 45 45 45 41 33 41 23 21 17 15 19 21 15  7
-"""
-
-# Cells where the published table is internally inconsistent and the value
-# above is the corrected one.
-
-PRINTED_DEVIATIONS_TEXT = """\
-# N generators printed corrected
-294 w3 21 20
-294 w6 21 20
-294 w147 17 18
-294 w294 17 18
 """
 
 # -- bielliptic classification ----------------------------------------------

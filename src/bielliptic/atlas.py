@@ -199,14 +199,6 @@ def published_genus_table(omega: int) -> dict[int, tuple[int, ...]]:
     )
 
 
-def printed_deviations() -> dict:
-    """(N, generators) -> (printed, corrected) for the misprinted genus cells."""
-    return _read_table(
-        _data.PRINTED_DEVIATIONS_TEXT, None, 4,
-        lambda N, gens, *cells: (_read_pair(N, gens), _numbers(cells, "genus")),
-    )
-
-
 def non_rational_pairs() -> frozenset:
     """The (N, generators) of the pairs bielliptic only over Q(sqrt(-3))."""
     rows = _read_table(
@@ -330,10 +322,6 @@ class Witness(Frozen):
             f"Witness(level={self.level!r}, element={self.element!r}, "
             f"group={self.group!r}, field={self.field!r}, chain={self.chain!r})"
         )
-
-    @property
-    def family(self) -> str:
-        return "red" if self.chain else self.element.kind
 
     def describe(self) -> str:
         head = f"{self.element.name}@{self.level}" if self.chain else self.element.name

@@ -49,32 +49,33 @@ already final.  A reduced row p*col + rest = 0 says the column's symbol is
 pivot entry popped and all of them over one common denominator `den`, the
 lcm of the pivots: `rows[col]` is rest * (den/p), in ints, and a free
 column's row is {col: -den}.  `den` is 1 wherever every pivot is 1, which
-is every level the package has met.  Each point keeps, in three parallel
-lists, the orbit's sign negated (`sign`), its column (`col`) and a
-reference to its column's row (`row_of`, None where the sign is 0), so a
-point's expression is sign * row / den, is never stored, and is read with
-no lookup by column.
+is every level the package has met.  Each point keeps, in two parallel
+lists, the orbit's sign negated (`sign`) and a reference to its column's
+row (`row_of`, None where the sign is 0), so a point's expression is
+sign * row / den, is never stored, and is read with no lookup by column.
 
 The builder asserts dim M2+ = genus + nu+ - 1, where nu+ counts the cusp
 classes up to eta (`x0invariants.cusp_count_plus`), stores each free
 generator's SL2(Z) lift g = [[a, b], [c, d]], whose path is
 g{0, oo} = {b/d, a/c}, and keeps one representative per eta-orbit of cusp
 classes, taken from those endpoints.  A reduced cusp p/q with d = gcd(q, N)
-lies in the class keyed (d, u) with u = p*(q/d) mod gcd(d, N/d); this is
-Cremona's equivalence criterion (Prop. 2.2.3) as a key.  eta sends u to -u,
-so the orbit is keyed (d, min(u, -u mod gcd(d, N/d))), and neither the build
-nor the fixed-cusp count of a trace compares cusps pairwise.
+lies in the class keyed (d, u) with u = p*(q/d) mod m, m = gcd(d, N/d);
+this is Cremona's equivalence criterion (Prop. 2.2.3) as a key.  eta sends
+u to -u, so the orbit is keyed (d, min(u, -u mod m)), and neither the build
+nor the fixed-cusp count of a trace compares cusps pairwise.  A lift's
+endpoints are reduced with q >= 0 and keyed as they are: only oo comes
+unnormalized, as +-1/0, and its key is seeded with 1/0.
 
 Atkin-Lehner operators act through a determinant-Q witness matrix W.  The
 image of a free generator is M{0, oo} for the integer matrix M = W*g.  Its
 Hermite form M = gamma * [[a, b], [0, e]], with gamma in SL2(Z), a*e = Q and
-0 <= b < e, takes a gcd of M's first column and one modular inverse for its
-Bezout pair, and then M{0, oo} = gamma{b/e, oo} is minus the sum of the
-Manin symbols of gamma times the convergent matrices of b/e (Cremona,
-2.4): one chain with denominators at most Q, where mapping the path's two
-endpoints would expand two longer chains that share their start.  The
-trace splits each free generator's image once and walks its chain inline,
-with no list of symbols.
+0 <= b < e, gives M{0, oo} = gamma{b/e, oo}, minus the sum of the Manin
+symbols of gamma times the convergent matrices of b/e (Cremona, 2.4): one
+chain with denominators at most Q, where mapping the path's two endpoints
+would expand two longer chains that share their start.  The trace splits
+each image inline, by one gcd of M's first column and one modular inverse,
+and walks the chain with no list of symbols and no alternating sign: on M2+
+the points (c : d) and (c : -d) are eta-images, with one sign and one row.
 The boundary map sends M2+ onto the degree-zero divisors on the eta-orbits of
 cusps and commutes with w_Q (Stein, ch. 8), so on the cuspidal subspace S2+
 
@@ -121,23 +122,25 @@ def _cusp_normalize(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-def _cusp_class(N: int, cusp: tuple[int, int]) -> tuple[int, int]:
-    """Key of the Gamma0(N)-class of a reduced cusp p/q with q >= 0.
+def _cusp_class(N: int, cusp: tuple[int, int]) -> tuple[int, int, int]:
+    """Key (d, u) of the Gamma0(N)-class of a reduced cusp p/q, and u's modulus m.
 
-    The class is (d, p*(q/d) mod gcd(d, N/d)) with d = gcd(q, N): Cremona's
-    pairwise criterion (Algorithms for Modular Elliptic Curves, Prop. 2.2.3)
-    rewritten as a key, so equal keys are exactly equivalent cusps.
+    d = gcd(q, N), m = gcd(d, N/d) and u = p*(q/d) mod m: Cremona's pairwise
+    criterion (Algorithms for Modular Elliptic Curves, Prop. 2.2.3) as a
+    key, so equal keys are exactly equivalent cusps; m depends on d alone.
+    The key of -p/-q is the same.
     """
     p, q = cusp
     d = gcd(q, N)
-    return d, p * (q // d) % gcd(d, N // d)
+    m = gcd(d, N // d)
+    return d, p * (q // d) % m, m
 
 
 def _cusp_orbit(N: int, cusp: tuple[int, int]) -> tuple[int, int]:
     """Key of the eta-orbit of a cusp class: eta sends p/q to -p/q, so the
     class key (d, u) to (d, -u), and the orbit is keyed by the smaller u."""
-    d, u = _cusp_class(N, cusp)
-    return d, min(u, -u % gcd(d, N // d))
+    d, u, m = _cusp_class(N, cusp)
+    return d, min(u, -u % m)
 
 
 def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
@@ -146,29 +149,6 @@ def _sl2_lift(c: int, d: int) -> tuple[int, int, int, int]:
     if g != 1:
         raise IntegrityError(f"bottom row ({c},{d}) not coprime")
     return y, -x, c, d
-
-
-def _hermite_split(A: int, B: int, C: int, D: int):
-    """Split M = [[A, B], [C, D]] with det M > 0 as gamma * [[a, b], [0, e]].
-
-    gamma is in SL2(Z), a = gcd(A, C) > 0, a*e = det M and 0 <= b < e
-    (Cremona, Algorithms for Modular Elliptic Curves, 2.4).  The Bezout pair
-    x*A + y*C = a takes a gcd and one modular inverse: with p = A/a and
-    q = C/a, x = p^-1 mod |q| and y = (1 - x*p)/q, or x, y = p, 0 when C = 0
-    (and x = 0, y = q when |q| = 1).  That form is unique, so the split is
-    the same for any Bezout pair.  Returns (gamma, a, b, e), gamma as a
-    4-tuple by rows.
-    """
-    a = gcd(A, C)
-    p, q = A // a, C // a
-    if q:
-        x = pow(p, -1, abs(q))
-        y = (1 - x * p) // q
-    else:
-        x, y = p, 0
-    e = (A * D - B * C) // a
-    t, b = divmod(x * B + y * D, e)
-    return (p, t * p - y, q, t * q + x), a, b, e
 
 
 def _reduce_int_row(row: dict, lead: int) -> dict:
@@ -205,11 +185,12 @@ def _int_rref(rows) -> dict:
     order changes only the fill-in.  The back-substitution runs once, from the
     highest pivot down: the other pivot columns a row holds are higher, so
     their rows are already final and clearing them brings in non-pivot
-    columns only.
+    columns only.  Zero entries and empty rows are dropped, and the input is
+    not changed: a row is copied, and filtered only if it holds a zero.
     """
-    rows = [row for row in ({k: v for k, v in r.items() if v} for r in rows) if row]
     pivots: dict[int, dict] = {}
     for row in rows:
+        row = {k: v for k, v in row.items() if v} if 0 in row.values() else dict(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -290,14 +271,14 @@ def _p1_points(N: int) -> tuple[list, list, list, list, list]:
 class ModSymSpace:
     """Built sign +1 modular-symbols data for one level.
 
-    `rep_g` and `rep_v` hold the P^1 points (g : v); per point, `sign`,
-    `col` and `row_of` hold the orbit's sign negated, its column and its
-    column's row in `rows`, one {free generator: coefficient} row per column
-    over the common denominator `den`, so that sign * row / den is the
-    point's expression.  `free` holds the free generators, `lifts` each free
-    generator's SL2(Z) lift (a, b, c, d) by rows, aligned with `free`, and
-    `cusps` one representative per eta-orbit of cusp classes.  Immutable
-    once constructed, apart from the cache of traces."""
+    `rep_g` and `rep_v` hold the P^1 points (g : v); per point, `sign` and
+    `row_of` hold the orbit's sign negated and its column's row in `rows`,
+    one {free generator: coefficient} row per column over the common
+    denominator `den`, so that sign * row / den is the point's expression.
+    `free` holds the free generators, `lifts` each free generator's SL2(Z)
+    lift (a, b, c, d) by rows, aligned with `free`, and `cusps` one
+    representative per eta-orbit of cusp classes.  Immutable once
+    constructed, apart from the cache of traces."""
 
     def __init__(self, N: int):
         self.N = _need_level(N)
@@ -338,10 +319,11 @@ class ModSymSpace:
                 sign[j] = sign[m] = -s
                 col[i] = col[j] = col[k] = col[m] = i
                 swap[i], swap[m], swap[j], swap[k] = m, i, k, j
-        self.sign, self.col = sign, col
+        self.sign = sign
         # three-term relation rows over the columns, tau: (c,d) -> (d, -c-d).
         # The row of x.swap is minus the row of x (x.swap.tau = x.tau^2.swap
-        # and x.swap.tau^2 = x.tau.swap), so it is skipped.
+        # and x.swap.tau^2 = x.tau.swap), so it is skipped.  Zero entries
+        # and empty rows are not kept.
         relations = []
         seen = [False] * n
         for i in range(n):
@@ -359,7 +341,10 @@ class ModSymSpace:
                 if s:
                     x = col[m]
                     row[x] = row.get(x, 0) - s
-            relations.append(row)  # _int_rref drops zero entries and empty rows
+            if 0 in row.values():
+                row = {x: v for x, v in row.items() if v}
+            if row:
+                relations.append(row)
         pivots = _int_rref(relations)
 
         kept = sorted({x for s, x in zip(sign, col) if s})
@@ -388,10 +373,11 @@ class ModSymSpace:
 
         # one representative per eta-orbit of cusp classes, from the endpoints
         # b/d and a/c of the free generators' paths {b/d, a/c}; the boundary
-        # map is onto, so every orbit shows up (oo is seeded for N = 1)
+        # map is onto, so every orbit shows up (oo is seeded for N = 1, and
+        # the endpoints are keyed as they are; see the module docstring)
         orbits = {_cusp_orbit(N, (1, 0)): (1, 0)}
         for a, b, c, d in self.lifts:
-            for cusp in (_cusp_normalize(b, d), _cusp_normalize(a, c)):
+            for cusp in ((b, d), (a, c)):
                 orbits.setdefault(_cusp_orbit(N, cusp), cusp)
         cusps = self.cusps = tuple(orbits.values())
         if len(cusps) != nu_plus:
@@ -449,10 +435,10 @@ class ModSymSpace:
 
         The diagonal of w_Q on the free generators gives the trace on M2+;
         the boundary part contributes #(cusp orbits fixed by w_Q) - 1.  The
-        image of generator f with lift g is M{0, oo} for the determinant-Q
-        matrix M = W*g, and the Hermite form M = gamma * [[a, b], [0, e]]
-        (`_hermite_split`) turns it into one convergent chain of b/e with
-        e <= Q (Cremona, Algorithms for Modular Elliptic Curves, 2.4):
+        image of generator f with lift g is M{0, oo} for M = W*g =
+        [[A, B], [C, D]] of determinant Q, and its Hermite form
+        M = gamma * [[a, b], [0, e]] turns it into one convergent chain of
+        b/e (Cremona, Algorithms for Modular Elliptic Curves, 2.4):
 
             M{0, oo} = gamma{b/e, oo} = -sum_k gamma*g_k{0, oo},
 
@@ -460,15 +446,18 @@ class ModSymSpace:
         runs over the convergent matrices of b/e from p_(-1)/q_(-1) = 1/0.
         The symbol of gamma*g_k is its bottom row (u_k : s*u_(k-1)) with
         u_k = gamma21*p_k + gamma22*q_k, which obeys the convergents'
-        recursion from u_(-2) = gamma22 and u_(-1) = gamma21; when e = 1 the
-        one symbol is (gamma22 : -gamma21), minus the symbol of gamma.  The
-        chain runs inline, with no list of symbols, and each symbol's point
-        is read from the residue table its lookup entry holds, with no gcd or
-        inverse; the point's sign and row are read from `sign` and `row_of`.
-        The diagonal is summed in ints over `den`.  The trace tr+ on S2+ is
-        an integer of the parity of the genus and at most the genus in size,
-        and tr(w_Q | S2) = 2 * tr+ (the halves S2+ and S2- are isomorphic as
-        w_Q-modules; see the module docstring).
+        recursion from u_(-2) = gamma22 and u_(-1) = gamma21; s is dropped,
+        as (c : -d) is the eta-image of (c : d).  The split is inline, with
+        a = gcd(A, C), e = Q/a and gamma21 = C/a: if gamma21 != 0,
+        gamma22 = x + t*gamma21 for x = (A/a)^-1 mod |gamma21|, and since
+        D = b*gamma21 + e*gamma22, (D - e*x)/gamma21 = t*e + b; else
+        gamma22 = A/a and b = gamma22*B mod e.
+        Each symbol's point is read from its lookup entry's residue table,
+        its sign and row from `sign` and `row_of`, and the diagonal is summed
+        in ints over `den`.  The trace tr+ on S2+ is an integer of the
+        parity of the genus and at most the genus in size, and
+        tr(w_Q | S2) = 2 * tr+ (S2+ and S2- are isomorphic as w_Q-modules;
+        see the module docstring).
 
         w_Q sends a cusp p/q of level d = gcd(q, N) to one of level
         d*Q/gcd(d, Q)^2, so it can fix a cusp orbit only where
@@ -488,21 +477,30 @@ class ModSymSpace:
         sign, row_of = self.sign, self.row_of
         diag = 0
         for f, (a, b, c, d) in zip(self.free, self.lifts):
-            (_, _, um1, um2), _, p, q = _hermite_split(
-                wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d
-            )
-            alt = -1  # the chain of p/q = b/e; alt = (-1)^(k-1) at k = 0
+            # the split of W*g: gamma's bottom row (um1, um2) and p/q = b/e
+            A = wa * a + wb * c
+            um1 = wc * a + wd * c
+            h = gcd(A, um1)
+            um1 //= h
+            q = Q // h
+            if um1:
+                x = pow(A // h, -1, abs(um1))
+                t, p = divmod((wc * b + wd * d - q * x) // um1, q)
+                um2 = x + t * um1
+            else:
+                um2 = A // h
+                p = um2 * (wa * b + wb * d) % q
             while q:
                 k = p // q
                 p, q = q, p - k * q
                 uk = k * um1 + um2
-                # p1_index(uk, alt * um1), inlined; it is a bottom row of SL2(Z)
+                # p1_index(uk, um1), inlined; it is a bottom row of SL2(Z)
                 x = uk % N
-                j = table_of[x][inv_of[x] * alt * um1 % mod_of[x]]
+                j = table_of[x][inv_of[x] * um1 % mod_of[x]]
                 s = sign[j]
                 if s:
                     diag -= s * row_of[j].get(f, 0)
-                um2, um1, alt = um1, uk, -alt
+                um2, um1 = um1, uk
         g, den = self.genus, self.den
         # only cusps p/q with gcd(q, N, Q)^2 = Q can be fixed, so none unless
         # Q is a square (gcd(q, Q) = gcd(q, N, Q), as Q divides N)

@@ -6,11 +6,13 @@ two-term relation paired and every three-term relation eliminated, and
 `full_trace` is its trace route.  It maps the two endpoints of each free
 generator's path and expands each image by its own convergent chain, where
 the library splits one matrix by its Hermite form, so the two reach a trace
-by different decompositions.  `_image_symbols` collects the symbols that the
-trace walks inline after the library's split, so the tests can check each
-image against `path_vector`.  The routes below work on either space: they
-build the cuspidal subspace as the kernel of the boundary map, matching
-cusps by Cremona's pairwise criterion (up to the star involution on M2+),
+by different decompositions.  `hermite_split` is the split of one image by
+its Hermite form, which the trace makes inline, and `_image_symbols`
+collects the symbols of the chain that the trace walks after it, with the
+signs the trace drops, so the tests can check each image against
+`path_vector` on M2+ and on all of M2.  The routes below work on either
+space: they build the cuspidal subspace as the kernel of the boundary map,
+matching cusps by Cremona's pairwise criterion (up to the star involution on M2+),
 and act on it with full Atkin-Lehner matrices, so a genus can be read off
 the +1-eigenspaces instead of the traces.  The V3 twist is an isomorphism
 reduction the classification does not apply; the tests check its genus
@@ -29,7 +31,11 @@ closes B(N) with the normalizer involutions itself.  The number-theory routes co
 forms literally and count Atkin-Lehner fixed points by complex
 multiplication.  `report_json_reference` is the JSON report as
 `atlas.emit_report` wrote it before it used one template per record: the
-records as dicts, through `json.dumps(indent=2, sort_keys=True)`.
+records as dicts, through `json.dumps(indent=2, sort_keys=True)`.  Two
+readings of the paper's tables serve only the tests: `printed_deviations`,
+the misprinted genus cells of the published N = 294 row, and
+`witness_family`, a witness's family as the witness table's families
+column names it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from bielliptic.atlas import PairRecord
+from bielliptic.atlas import PairRecord, _numbers, _read_pair, _read_table
 from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import (
     _ID2,
@@ -54,7 +60,6 @@ from bielliptic.involutions import (
 from bielliptic.modsym import (
     ModSymSpace,
     _cusp_normalize,
-    _hermite_split,
     _int_rref,
     _p1_points,
     _reduce_int_row,
@@ -268,12 +273,37 @@ def convergent_chain(p: int, q: int) -> list[tuple[int, int]]:
     return chain
 
 
+def hermite_split(A: int, B: int, C: int, D: int):
+    """Split M = [[A, B], [C, D]] with det M > 0 as gamma * [[a, b], [0, e]].
+
+    gamma is in SL2(Z), a = gcd(A, C) > 0, a*e = det M and 0 <= b < e
+    (Cremona, Algorithms for Modular Elliptic Curves, 2.4).  The Bezout pair
+    x*A + y*C = a takes a gcd and one modular inverse: with p = A/a and
+    q = C/a, x = p^-1 mod |q| and y = (1 - x*p)/q, or x, y = p, 0 when C = 0
+    (and x = 0, y = q when |q| = 1).  That form is unique, so the split is
+    the same for any Bezout pair.  Returns (gamma, a, b, e), gamma as a
+    4-tuple by rows.  `ModSymSpace.al_trace_cuspidal` makes the same split
+    inline, reading only gamma's bottom row and b/e.
+    """
+    a = gcd(A, C)
+    p, q = A // a, C // a
+    if q:
+        x = pow(p, -1, abs(q))
+        y = (1 - x * p) // q
+    else:
+        x, y = p, 0
+    e = (A * D - B * C) // a
+    t, b = divmod(x * B + y * D, e)
+    return (p, t * p - y, q, t * q + x), a, b, e
+
+
 def _image_symbols(M) -> list[tuple[int, int]]:
     """The Manin symbols (c : d) whose paths sum to -M{0, oo}, for an integer
     matrix M of positive determinant: the convergent chain of b/e after the
-    library's split M = gamma * [[a, b], [0, e]], as a list (the trace walks
-    the same chain inline; see `ModSymSpace.al_trace_cuspidal`)."""
-    (_, _, um1, um2), _, p, q = _hermite_split(*M)
+    split M = gamma * [[a, b], [0, e]], as a list.  The trace walks the same
+    chain inline, without the sign of d, which M2+ does not see; see
+    `ModSymSpace.al_trace_cuspidal`."""
+    (_, _, um1, um2), _, p, q = hermite_split(*M)
     symbols = []
     sign = -1  # (-1)^(k-1) at k = 0
     while q:
@@ -625,6 +655,34 @@ def cm_fix_oracle(N: int, Q: int) -> int:
                 term *= 1 + kronecker(D, p)
         total += term
     return total
+
+
+# -- the paper's tables -------------------------------------------------
+
+# Cells where the published genus table is internally inconsistent; the
+# package's table holds the corrected value (tests/test_acceptance.py has
+# the proof).
+PRINTED_DEVIATIONS_TEXT = """\
+# N generators printed corrected
+294 w3 21 20
+294 w6 21 20
+294 w147 17 18
+294 w294 17 18
+"""
+
+
+def printed_deviations() -> dict:
+    """(N, generators) -> (printed, corrected) for the misprinted genus cells."""
+    return _read_table(
+        PRINTED_DEVIATIONS_TEXT, None, 4,
+        lambda N, gens, *cells: (_read_pair(N, gens), _numbers(cells, "genus")),
+    )
+
+
+def witness_family(witness) -> str:
+    """The family of a witness as the witness table names it: `red` for a
+    witness found at a reduced level, else its element's kind."""
+    return "red" if witness.chain else witness.element.kind
 
 
 # -- reports -------------------------------------------------------------

@@ -700,3 +700,41 @@ def test_hurwitz_always_integral(N, data):
         return
     h = quotient_genus_hurwitz(N, G)  # raises IntegrityError on non-integrality
     assert h >= 0
+
+
+def _closed_masks(table):
+    """The bitmask of every group of commuting involutions in a level's table:
+    from the trivial group, each group grows by one coset for every element
+    outside it, and a coset with a refused product spans no group."""
+    masks = {1}
+    todo = [([0], 1)]
+    while todo:
+        elems, mask = todo.pop()
+        for g in range(len(table.elements)):
+            if mask >> g & 1:
+                continue
+            grown = table.extend(elems, mask, g)
+            if type(grown[0]) is not str and grown[1] not in masks:
+                masks.add(grown[1])
+                todo.append(grown)
+    return masks
+
+
+def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
+    # every elementary abelian group of each scope level's involution table
+    # that holds an element outside the Atkin-Lehner ones (S2*w_r, V2*w_r or
+    # V3*w_d): its Hurwitz count, from `fix_count`, must be an integer
+    # h >= 0 (`_hurwitz` raises otherwise).  A cold classify reaches about
+    # a quarter of these groups, so a wrong count has more equations to break.
+    levels = groups = genus2 = 0
+    for N in atlas.scope_levels():
+        table = _involution_table(N)
+        al = sum(1 << i for i, e in enumerate(table.elements) if e.kind in ("id", "al"))
+        other = [mask for mask in _closed_masks(table) if mask & ~al]
+        levels += bool(other)
+        groups += len(other)
+        for mask in other:
+            h = quotient_genus_hurwitz(N, table.group(mask))
+            assert h >= 0, (N, table.group(mask).names)
+            genus2 += h >= 2
+    assert (levels, groups, genus2) == (82, 1802, 1500)

@@ -213,9 +213,9 @@ def _reordered(matrix):
 @example(([{0: 1, 1: 1}, {1: 2, 2: 1}], [{0: 0, 1: 2, 2: 1}, {}, {0: 1, 1: 1, 2: 0}]))
 def test_int_rref_ignores_row_order(case):
     rows, shuffled = case
-    copy = [dict(row) for row in shuffled]
+    copies = [dict(row) for row in rows], [dict(row) for row in shuffled]
     assert modsym._int_rref(shuffled) == modsym._int_rref(rows)
-    assert shuffled == copy
+    assert (rows, shuffled) == copies
 
 
 _NONZERO_ROWS = st.dictionaries(
@@ -263,6 +263,26 @@ def test_stored_rows_satisfy_every_relation():
             )
         for f in space.free:
             assert expr[f] == {f: 1}, (N, f)
+
+
+def test_build_hands_the_elimination_zero_free_rows(monkeypatch):
+    # the build drops a three-term row's entries that cancel, and a row
+    # that cancels to nothing: 2, 2, 8, 4 and 32 of them at these levels,
+    # and at N = 90 one row loses a zero entry and is kept
+    rref = modsym._int_rref
+    passed = []
+
+    def spy(rows):
+        passed[:] = rows
+        return rref(rows)
+
+    monkeypatch.setattr(modsym, "_int_rref", spy)
+    counts = {}
+    for N in (3, 11, 60, 90, 840):
+        ModSymSpace(N)
+        assert all(row and 0 not in row.values() for row in passed), N
+        counts[N] = len(passed)
+    assert counts == {3: 0, 11: 1, 60: 20, 90: 34, 840: 368}
 
 
 def test_pivots_other_than_one_keep_every_expression(monkeypatch):
@@ -439,6 +459,16 @@ def test_cusp_classes():
     )
 
 
+def test_stored_cusps_are_normalized():
+    # the build keys a lift's endpoints as they are, and stores the first
+    # one of each orbit: every stored cusp must be reduced with q >= 0, and
+    # oo only as the seeded 1/0
+    for N in [*range(1, 301), 720, 756, 792, 840, 1000, 1088, 2310]:
+        cusps = build_space(N).cusps
+        assert cusps[0] == (1, 0), N
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in cusps[1:]), N
+
+
 def test_cusp_orbit_key_matches_pairwise_criterion():
     # equal orbit keys exactly for cusps equivalent up to p/q -> -p/q
     rng = random.Random(2026)
@@ -581,9 +611,21 @@ def test_trace_matches_full_diagonal_at_benchmark_levels():
     assert count == 7 + 7 + 7 + 3 + 3 + 31
 
 
+def test_eta_image_has_the_same_sign_and_row():
+    # the trace drops the chain's alternating sign, so it reads a symbol
+    # (c : -d) at (c : d): on M2+ the two are eta-images of each other, so
+    # they must share the orbit's sign and the row object
+    for N in [*range(1, 201), 840]:
+        space = build_space(N)
+        sign, row_of = space.sign, space.row_of
+        for i, (c, d) in enumerate(oracles.reps(space)):
+            j = space.p1_index(c, -d)
+            assert sign[j] == sign[i] and row_of[j] is row_of[i], (N, c, d)
+
+
 def _assert_split(M):
     A, B, C, D = M
-    (g11, g12, g21, g22), a, b, e = modsym._hermite_split(*M)
+    (g11, g12, g21, g22), a, b, e = oracles.hermite_split(*M)
     assert g11 * g22 - g12 * g21 == 1
     assert a * e == A * D - B * C and a > 0 and 0 <= b < e
     assert (g11 * a, g11 * b + g12 * e, g21 * a, g21 * b + g22 * e) == M

@@ -1,11 +1,11 @@
 """Mutation check for one source module, standard library only.
 
 Each mutant flips one comparison operator of the module (< and <=, > and >=,
-== and !=) in a temporary copy of the repository.  The module's own test
-files, tests/test_<module>.py, run first with -x; a mutant that passes them
-runs the full suite.  A mutant is killed when a run fails or takes longer
-than TIMEOUT seconds, and survives otherwise.  Run from the root of a source
-checkout:
+== and !=, and a membership test's in and not in) in a temporary copy of the
+repository.  The module's own test files, tests/test_<module>.py, run first
+with -x; a mutant that passes them runs the full suite.  A mutant is killed
+when a run fails or takes longer than TIMEOUT seconds, and survives
+otherwise.  Run from the root of a source checkout:
 
     python3 mutation/run.py src/bielliptic/screening.py
 
@@ -32,12 +32,45 @@ SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothes
 TIMEOUT = 300.0
 
 
+def membership_gaps(source: str) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (start, end) positions, as (line, character column), between the
+    two operands of each `in` or `not in` of a comparison: the `in` of a for
+    loop or a comprehension's for clause is not one of these."""
+    lines = source.splitlines()
+
+    def at(line, byte_col):  # ast counts columns in UTF-8 bytes
+        return line, len(lines[line - 1].encode()[:byte_col].decode())
+
+    gaps = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for k, op in enumerate(node.ops):
+                if isinstance(op, (ast.In, ast.NotIn)):
+                    left, right = operands[k], operands[k + 1]
+                    gaps.append((at(left.end_lineno, left.end_col_offset),
+                                 at(right.lineno, right.col_offset)))
+    return gaps
+
+
 def mutants(source: str):
-    """(line, column, operator, flipped operator) for each comparison token;
-    tokens inside strings are not comparisons and are not seen."""
+    """(line, column, operator as written, flipped operator) for each
+    comparison operator; tokens inside strings are not seen.  A `not in`
+    written on one line is one operator and flips to `in`."""
+    gaps = membership_gaps(source)
+    previous = None
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.OP and tok.string in FLIPS:
             yield tok.start[0], tok.start[1], tok.string, FLIPS[tok.string]
+        elif tok.type == tokenize.NAME and tok.string == "in" and any(
+            start <= tok.start and tok.end <= end for start, end in gaps
+        ):
+            if previous.string == "not" and previous.start[0] == tok.start[0]:
+                line, col = previous.start
+                yield line, col, tok.line[col:tok.end[1]], "in"
+            else:
+                yield tok.start[0], tok.start[1], "in", "not in"
+        previous = tok
 
 
 def apply(source: str, line: int, col: int, op: str, flipped: str) -> str:

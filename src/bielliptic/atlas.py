@@ -17,11 +17,12 @@ exclusion, or the fixed-point closure at bielliptic-gate levels); `_settle`,
 unless the gate excludes; the adjudication table, for a pair `_settle` leaves
 inconclusive.  `_settle` runs Castelnuovo's inequality for a hyperelliptic
 quotient; the witness search (`_search`, one tuple of every candidate with
-its closed group and quotient genus; the first of genus 1 is the witness);
-the w4-reduction, settling the reduced pair; then the exclusion rules.  `_exclusions` yields those in order (Ogg's bound,
-unramified covers, many fixed points, 2-group actions, hyperelliptic
-factoring) and `_settle` records the first that excludes.  A new exclusion
-rule goes into `_exclusions`, the one place the battery is written.
+its closed group's mask and quotient genus; the first of genus 1 is the
+witness); the w4-reduction, settling the reduced pair; then the exclusion
+rules.  `_exclusions` yields those in order (Ogg's bound, unramified covers,
+many fixed points, 2-group actions, hyperelliptic factoring) and `_settle`
+records the first that excludes.  A new exclusion rule goes into
+`_exclusions`, the one place the battery is written.
 
 `_search` is memoised per (level, subgroup) and is the one place the atlas
 closes involution groups.  It reads the level's involution table: it closes
@@ -331,14 +332,15 @@ class Witness(Frozen):
 
 @memoise
 def _search(N: int, sub: ALSubgroup) -> tuple:
-    """Every candidate of the pair, in search order, as (candidate, group, genus).
+    """Every candidate of the pair, in search order, as (candidate, mask, genus).
 
     The candidates are the involutions of the level's involution table
     outside W.  W's generators are closed once; each candidate then extends
-    that group by one coset (`_InvolutionTable.extend`), and the Hurwitz
-    genus of the quotient is taken, also after the first genus-1 group (the
-    witness); both are None when the coset holds a product that is not an
-    involution.
+    that group by one coset (`_InvolutionTable.extend`), and the table gives
+    the Hurwitz genus of the grown mask (`_InvolutionTable.genus`), also
+    after the first genus-1 group (the witness); mask and genus are None
+    when the coset holds a product that is not an involution.  A group is
+    built (`table.group`) only for a witness or a 2-group rule that reads it.
     """
     table = _involution_table(N)
     elems, mask = table.close([table.al_index[d] for d in sub.generators()])
@@ -349,9 +351,8 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
         grown = table.extend(elems, mask, g)
         if type(grown[0]) is str:
             found.append((v, None, None))
-            continue
-        G = table.group(grown[1])
-        found.append((v, G, G._genus))
+        else:
+            found.append((v, grown[1], table.genus(grown[1])))
     return tuple(found)
 
 
@@ -393,10 +394,11 @@ def _settle(N: int, sub: ALSubgroup, g: int):
     # direct witness search first, so a confirmed pair carries an involution
     # at its own level whenever one exists
     found = _search(N, sub)
-    for v, G, h in found:
+    for v, mask, h in found:
         if h == 1:
             field = SQRT_MINUS_3 if v.kind == "v3" and 9 not in sub else RATIONAL
-            return "bielliptic-confirmed", Witness(N, v, G, field), trace
+            witness = Witness(N, v, _involution_table(N).group(mask), field)
+            return "bielliptic-confirmed", witness, trace
 
     # isomorphism reduction: the reduced pair is the same curve
     red = iso_reduce_w4(N, sub)
@@ -455,12 +457,12 @@ def _exclusions(N: int, sub: ALSubgroup, g: int, found):
             yield rule_unramified_cover(g, big.order // sub.order, h, y_hyp)
 
     # an involution of the quotient with many fixed points; candidates with
-    # the same group repeat a result, so each group is tried once
+    # the same group repeat a result, so each group's mask is tried once
     seen = set()
-    for v, G, h in found:
-        if G is None or G in seen:
+    for v, mask, h in found:
+        if mask is None or mask in seen:
             continue
-        seen.add(G)
+        seen.add(mask)
         result = rule_many_fixed_points(2 * g + 2 - 4 * h, h == 1)
         if result.verdict == "excludes":
             result = replace(result, detail=f"{v.name} on the quotient")
@@ -501,9 +503,10 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
         extras.append(ExtInvolution.v3(N))
     # every involution outside W is a candidate; None where its closure raised
     genus = {v: h for v, _, h in found}
-    for extra, big, _ in _search(N, full):
-        if extra not in extras or big is None:
+    for extra, mask, _ in _search(N, full):
+        if extra not in extras or mask is None:
             continue
+        big = _involution_table(N).group(mask)
         if all(
             genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
         ):

@@ -10,31 +10,28 @@ that leaves the commuting-involution framework is refused.
 
 The rules are written once, in `_compose_fields`, which returns the fields
 of a product, or the (rule, message) that refuses it, given the level's
-constants from `_rules`.  Only the level's involution table runs them.
-Each level has one memoised table, the one cache of its involution algebra:
-the identity and `level_involutions(N)`, the product of each ordered pair
-as an index or a refusal, and the closed groups.  The table reads the
-level's constants once and finds each product's index by its fields, so it
-builds no ExtInvolution.  It runs the rules once per unordered pair: for
-involutions b*a = (a*b)^-1, which is a*b again when a*b is an involution,
-and only a refused pair is run in both orders, so each order keeps its own
-message.  Building it checks that the table is closed (a product that is an
-involution but not listed raises IntegrityError).  A group is a list of
-table indices and a bitmask over them; `_InvolutionTable.extend` doubles it
-by one coset, or returns the first refusal in the coset.  `group_closure`
-and the atlas's witness search close groups that way; `close` is the one
-place a refusal raises OrderViolation, and `group` gives the one shared
-InvolutionGroup per mask.
+constants from `_rules`.  Only the level's involution table runs them, once
+per unordered pair (`_InvolutionTable`).  Each level has one memoised table,
+the one cache of its involution algebra: the identity and
+`level_involutions(N)`, the product of each ordered pair as an index or a
+refusal, each element's fixed-point count and each closed group's genus.
+A group is a list of table indices and a bitmask over them;
+`_InvolutionTable.extend` doubles it by one coset, or returns the first
+refusal in the coset.  `group_closure` and the atlas's witness search close
+groups that way; `close` is the one place a refusal raises OrderViolation,
+and `group` gives the one shared InvolutionGroup per mask.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
-involutions, cached on each closed group and memoised per Atkin-Lehner
-subgroup; `modsym.clear_cache()` empties the memo tables.  The only input
-from modular symbols is `fix_al`, the Lefschetz number 2 - tr(w_Q | S2) of
-w_Q on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
-trace cache is the one store of a trace.  The counts of the extra
-involutions reduce to those through conjugation and the
-two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
+involutions, counted once per closed mask by the level's table
+(`_InvolutionTable.genus`) and memoised per Atkin-Lehner subgroup;
+`modsym.clear_cache()` empties the memo tables.  The only input from
+modular symbols is `fix_al`, the Lefschetz number 2 - tr(w_Q | S2) of w_Q
+on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
+trace cache is the one store of a trace, and the table keeps each
+element's count.  The counts of the extra involutions reduce to those
+through conjugation and the two-commuting-involutions identity
+#(uv, X) = 2#(u, X/v) - #(u, X).
 """
 
 from __future__ import annotations
@@ -344,11 +341,6 @@ class InvolutionGroup(Frozen):
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self)
 
-    @cached_property
-    def _genus(self) -> int:
-        """The Hurwitz genus of X0(N)/G, computed once per shared group."""
-        return _hurwitz(self.level, self.order, sum(map(fix_count, self.nontrivial())), self.names)
-
 
 def group_closure(N: int, generators) -> InvolutionGroup:
     """The group a generator list spans; all elements must be involutions.
@@ -376,11 +368,13 @@ class _InvolutionTable:
     index; when it is refused, b*a is run too, so [j][i] names the pair in
     its own order.  A refusal is stored as it comes; `close` raises it.  A
     product that is an involution but not an element raises IntegrityError:
-    the table must be closed for bitmask closures to be exact.  ``groups``
-    holds the one shared InvolutionGroup of each closed mask (`group`).
+    the table must be closed for bitmask closures to be exact.  ``fixed``
+    keeps each element's `fix_count` once taken, ``genera`` each closed
+    mask's Hurwitz genus (`genus`), and ``groups`` the InvolutionGroup of
+    each mask a caller reads as a group (`group`).
     """
 
-    __slots__ = ("level", "elements", "fields", "al_index", "products", "groups")
+    __slots__ = ("level", "elements", "fields", "al_index", "products", "groups", "fixed", "genera")
 
     def __init__(self, N: int):
         elements = (ExtInvolution.identity(N), *level_involutions(N))
@@ -413,6 +407,8 @@ class _InvolutionTable:
                     products[j][i] = entry if type(entry) is int else product(b, a)
         self.products = tuple(map(tuple, products))
         self.groups: dict[int, InvolutionGroup] = {}
+        self.fixed: list = [None] * n
+        self.genera: dict[int, int] = {}
 
     def extend(self, elems: list, mask: int, g: int):
         """One doubling step: the group with index list `elems` and bitmask
@@ -462,6 +458,21 @@ class _InvolutionTable:
             group = self.groups.setdefault(mask, InvolutionGroup(self.level, elements))
         return group
 
+    def genus(self, mask: int) -> int:
+        """The Hurwitz genus of X0(N)/G for the group G of a closed mask, counted
+        once per mask; each element's `fix_count` is taken once."""
+        h = self.genera.get(mask)
+        if h is None:
+            fixed, total = self.fixed, 0
+            for i in range(1, mask.bit_length()):
+                if mask >> i & 1:
+                    if fixed[i] is None:
+                        fixed[i] = fix_count(self.elements[i])
+                    total += fixed[i]
+            h = _hurwitz(self.level, mask.bit_count(), total, lambda: self.group(mask).names())
+            self.genera[mask] = h
+        return h
+
     def position(self, N: int, g) -> int:
         """Index of a generator: an int d (w_d), a name, or an ExtInvolution."""
         if type(g) is int and g in self.al_index:
@@ -490,7 +501,8 @@ def fix_al(N: int, Q: int) -> int:
     """#(w_Q, X0(N)) as the Lefschetz number 2 - tr(w_Q | S2), the trace on
     the 2g-dimensional cuspidal symbols: the one place the package reads
     modular symbols.  Not memoised: the space's trace cache is the one store
-    of a trace.
+    of a trace, and the level's involution table keeps each element's
+    `fix_count` (`_InvolutionTable.fixed`).
     """
     if Q == 1 or not _is_hall_divisor(Q, N):
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")
@@ -548,15 +560,22 @@ def quotient_genus_hurwitz(N: int, group) -> int:
     generator list, or an `ALSubgroup`.
 
     Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
-    a non-integral solution means a wrong count somewhere and raises.
-    Cached on the shared group and memoised per subgroup.
+    a non-integral solution means a wrong count somewhere and raises.  An
+    InvolutionGroup that is not closed on the level's table, identity
+    included, raises ValueError.  Counted once per mask by the level's
+    table (`_InvolutionTable.genus`) and memoised per subgroup.
     """
     if isinstance(group, ALSubgroup):
         return _subgroup_genus(ALSubgroup.of(N, group))
-    G = group if isinstance(group, InvolutionGroup) else group_closure(N, group)
-    if G.level != N:
+    closed = isinstance(group, InvolutionGroup)
+    if closed and group.level != N:
         raise ValueError("group level mismatch")
-    return G._genus
+    table = _involution_table(N)
+    given = [table.position(N, g) for g in group]
+    mask = table.close(given)[1]
+    if closed and mask != sum(1 << i for i in given):
+        raise ValueError(f"{group.names()} is not a closed involution group at level {N}")
+    return table.genus(mask)
 
 
 def _hurwitz(N: int, order: int, fixed: int, name) -> int:

@@ -11,8 +11,9 @@ and over, in nine tables: here `factor`, the sorted subspaces of F2^omega
 the two data tables (`hyperelliptic_pairs`, `witness_annotations`) and
 `_search`, the candidate search of each (level, subgroup).  Each table holds
 one entry per argument tuple it was called with.  An involution table keeps
-its level's involution list, product table and closed groups, and each group
-its Hurwitz genus.  A trace is stored only in its modular-symbols space.
+its level's involution list, product table, each element's fixed-point
+count, each closed group's Hurwitz genus by bitmask, and the groups a
+witness or rule reads.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 

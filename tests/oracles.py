@@ -24,7 +24,10 @@ its rules on hoisted level constants; the table is now the only library code
 that multiplies involutions.  `closure_by_compose` closes an involution
 group by calling `compose_reference` on every product, as `group_closure`
 did before it read the level's product table, and as the witness search did
-before it closed W once and extended it by one coset per candidate.  `two_group_options` and
+before it closed W once and extended it by one coset per candidate.
+`hurwitz_genus_reference` solves the Hurwitz equation for a group's
+elements from `fix_count` and `genus_x0`, with none of the per-mask genus
+store of the level's involution table.  `two_group_options` and
 `hyperelliptic_factoring` are the atlas's 2-group and hyperelliptic-factoring
 rules as they were before they read the full group's candidate search: each
 closes B(N) with the normalizer involutions itself.  The number-theory routes count reduced
@@ -53,6 +56,7 @@ from bielliptic.involutions import (
     _coprime3,
     _f_word,
     _word_mul,
+    fix_count,
     level_involutions,
     parse_element,
     quotient_genus_hurwitz,
@@ -533,6 +537,19 @@ def closure_by_compose(N: int, generators) -> InvolutionGroup:
     if len(group) < len(elems):
         raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
     return InvolutionGroup(N, group)
+
+
+def hurwitz_genus_reference(N: int, elements) -> int:
+    """The Hurwitz genus h of X0(N)/G, written out for the elements of G
+    (identity included): |G| (2h - 2) + sum of fix_count = 2 g(X0(N)) - 2,
+    solved in fractions from `fix_count` and `genus_x0` alone, with no
+    table, memo or group of the library.  A fractional or negative h raises."""
+    elements = list(elements)
+    fixed = sum(fix_count(e) for e in elements if not e.is_identity)
+    h = Fraction(2 * genus_x0(N) - 2 - fixed, 2 * len(elements)) + 1
+    if h.denominator != 1 or h < 0:
+        raise IntegrityError(f"no Hurwitz genus for {sorted(e.name for e in elements)} at {N}")
+    return int(h)
 
 
 def _closures_with_full(N: int, extras):

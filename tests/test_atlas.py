@@ -247,15 +247,20 @@ class TestClassification:
     ])
     def test_verify_rejects_a_flipped_field(self, classification, N, gens, field):
         # the records' quadratic points are left as they are, so only the
-        # published list of bielliptic-over-an-extension pairs catches the flip
-        key = (N, ALSubgroup(N, gens).elements)
+        # published list of bielliptic-over-an-extension pairs catches the
+        # flip, and the message names the flipped pair alone
+        sub = ALSubgroup(N, gens)
+        key = (N, sub.elements)
         flipped = [
             replace(r, field=field) if r.key() == key else r
             for r in classification
         ]
         assert [r for r in flipped if r.key() == key][0].bielliptic
-        with pytest.raises(IntegrityError, match="field mismatch"):
+        with pytest.raises(IntegrityError) as excinfo:
             atlas.verify_classification(flipped)
+        assert str(excinfo.value) == (
+            f"field mismatch for bielliptic pairs: ({N},{sub.label()}) over {field}"
+        )
 
     @pytest.mark.parametrize("pairs, missing", [
         ([(40, (8,))], "(40,<w8>)"),

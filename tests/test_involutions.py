@@ -7,6 +7,7 @@ from bielliptic import atlas, cli, involutions, modsym, screening
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
+    InvolutionGroup,
     _involution_table,
     fix_al,
     fix_count,
@@ -20,7 +21,9 @@ from bielliptic.modsym import invariant_genus
 from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors
 from bielliptic.x0invariants import genus_x0
 
-from oracles import closure_by_compose, cm_fix_oracle, compose_reference
+from oracles import (
+    closure_by_compose, cm_fix_oracle, compose_reference, hurwitz_genus_reference,
+)
 
 
 def test_fix_al_examples():
@@ -382,12 +385,14 @@ def test_classify_tables_match_compose_reference():
 def test_search_matches_compose_doubling():
     # each witness search of a classification, which closes W once and adds
     # one coset per candidate, lists the candidates outside W in order with
-    # the group and genus that doubling with the reference compose gives,
-    # and refuses exactly where that doubling raises
+    # the mask of the group that doubling with the reference compose gives
+    # and the genus the written-out Hurwitz equation gives, and refuses
+    # exactly where that doubling raises
     _, searches = _cold_classify()
     assert len(searches) == 337
     outcomes = Counter()
     for (N, sub), found in searches.items():
+        table = _involution_table(N)
         gens = list(sub.generators())
         want = []
         for v in level_involutions(N):
@@ -399,9 +404,12 @@ def test_search_matches_compose_doubling():
                 want.append((v, None, None))
                 outcomes[exc.rule] += 1
                 continue
-            want.append((v, G.elements, quotient_genus_hurwitz(N, G)))
+            want.append((v, G.elements, hurwitz_genus_reference(N, G.elements)))
             outcomes["closed"] += 1
-        got = [(v, None if G is None else G.elements, h) for v, G, h in found]
+        got = [
+            (v, None if mask is None else table.group(mask).elements, h)
+            for v, mask, h in found
+        ]
         assert got == want, (N, sub.label())
     assert outcomes == {"closed": 2427, "two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
 
@@ -429,8 +437,8 @@ def test_group_closure_matches_compose_doubling():
 
 
 def test_group_closure_shares_one_group_per_mask(monkeypatch):
-    # the level's table keeps one group per closed mask, and the group keeps
-    # its Hurwitz genus: fix_count runs once per nontrivial element
+    # the level's table keeps one group per closed mask and each mask's
+    # Hurwitz genus: fix_count runs once per nontrivial element
     monkeypatch.setattr(modsym, "_CACHE", {})
     modsym.clear_cache()
     counted = []
@@ -473,8 +481,12 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     # OrderViolation.  The searches are memoised, so the warm pass closes
     # and extends nothing, and clear_cache() drops the tables.  The cold
     # pass builds 115 spaces and caches 491 traces and the warm one adds
-    # none: the state perfbench's classify guards assume.
+    # none: the state perfbench's classify guards assume.  The tables count
+    # each element's fixed points at most once, and a warm pass not at all;
+    # they build a group only for a mask a record or rule reads: the
+    # witnesses and the 2-group rule's extended groups.
     ruled = []
+    fixed = []
     closes = []
     extensions = []
     refusals = Counter()
@@ -503,7 +515,14 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
                 refusals[grown[0]] += 1
         return grown
 
+    real_fix_count = involutions.fix_count
+
+    def counting_fix_count(elem):
+        fixed.append(elem)
+        return real_fix_count(elem)
+
     monkeypatch.setattr(involutions, "_compose_fields", counting_core)
+    monkeypatch.setattr(involutions, "fix_count", counting_fix_count)
     monkeypatch.setattr(table_cls, "close", counting_close)
     monkeypatch.setattr(table_cls, "extend", counting_extend)
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
@@ -521,8 +540,13 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
         return len(spaces), sum(len(space._trace_cache) for space in spaces)
 
     modsym.clear_cache()
-    atlas.classify_all()
+    records = atlas.classify_all()
     assert len(ruled) == sum(map(_core_calls, tables.values()))
+    assert sum(len(table.elements) - 1 for table in tables.values()) == 645
+    assert len(set(fixed)) == len(fixed) == 621
+    groups = {id(G) for table in tables.values() for G in table.groups.values()}
+    assert len(groups) == 58
+    assert {id(rec.witness.group) for rec in records if rec.witness} <= groups
     assert (len(tables), len(ruled)) == (67, 6196)
     assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert len(extensions) == 3703
@@ -537,10 +561,11 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
             for value in vars(site).values()
         ), site.__name__
 
-    for counts in (ruled, closes, extensions, refusals, traces):
+    for counts in (ruled, closes, extensions, refusals, traces, fixed):
         counts.clear()
     atlas.classify_all()
     assert ruled == []
+    assert fixed == []
     assert closes == []
     assert extensions == []
     assert refusals == {}
@@ -601,6 +626,33 @@ def test_quotient_genus_examples():
     assert quotient_genus_hurwitz(252, ["w4", "w63", "V3"]) == 1
     assert quotient_genus_hurwitz(126, ["w63", "V3"]) == 1
     assert quotient_genus_hurwitz(126, ["w9", "V3"]) == 5
+
+
+def test_quotient_genus_refuses_a_hand_built_non_group():
+    # an InvolutionGroup built by hand must hold the identity and be closed
+    # on the level's table, or it is a usage error; a closed one is counted
+    def group(*names):
+        return InvolutionGroup(60, frozenset(parse_element(60, n) for n in names))
+
+    assert quotient_genus_hurwitz(60, group("id", "w4")) == 3
+    h = quotient_genus_hurwitz(60, ["w4", "w3"])
+    assert quotient_genus_hurwitz(60, group("id", "w3", "w4", "w12")) == h
+    for names in (
+        ("id", "w4", "w3", "w5"),  # w4*w3 = w12 is missing
+        ("id", "w4", "w3", "w20"),
+        ("w4",),  # no identity
+        ("id", "w3", "w5", "w20"),  # its count would not be integral
+    ):
+        with pytest.raises(ValueError, match="is not a closed involution group at level 60"):
+            quotient_genus_hurwitz(60, group(*names))
+    identity = ExtInvolution.identity(60)
+    for stranger in (ExtInvolution(60, (0, 0), 0, 7), ExtInvolution.al(120, 3)):
+        with pytest.raises(ValueError):
+            quotient_genus_hurwitz(60, InvolutionGroup(60, frozenset({identity, stranger})))
+    with pytest.raises(ValueError, match="w7 is not an Atkin-Lehner involution"):
+        quotient_genus_hurwitz(60, [3, 7])
+    with pytest.raises(ValueError, match="group level mismatch"):
+        quotient_genus_hurwitz(120, group("id", "w4"))
 
 
 def test_hurwitz_matches_modsym_on_al_groups(classification):
@@ -724,7 +776,8 @@ def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
     # every elementary abelian group of each scope level's involution table
     # that holds an element outside the Atkin-Lehner ones (S2*w_r, V2*w_r or
     # V3*w_d): its Hurwitz count, from `fix_count`, must be an integer
-    # h >= 0 (`_hurwitz` raises otherwise).  A cold classify reaches about
+    # h >= 0 (`_hurwitz` raises otherwise), and the table's per-mask genus
+    # must equal the written-out equation's.  A cold classify reaches about
     # a quarter of these groups, so a wrong count has more equations to break.
     levels = groups = genus2 = 0
     for N in atlas.scope_levels():
@@ -734,7 +787,8 @@ def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
         levels += bool(other)
         groups += len(other)
         for mask in other:
-            h = quotient_genus_hurwitz(N, table.group(mask))
-            assert h >= 0, (N, table.group(mask).names)
+            h = table.genus(mask)
+            elements = [e for i, e in enumerate(table.elements) if mask >> i & 1]
+            assert h == hurwitz_genus_reference(N, elements) >= 0, (N, mask)
             genus2 += h >= 2
     assert (levels, groups, genus2) == (82, 1802, 1500)

@@ -92,6 +92,8 @@ def test_kronecker_examples():
     assert kronecker(-3, 7) == 1
     assert kronecker(12, 3) == 0
     assert (kronecker(0, -1), kronecker(-3, -1)) == (1, -1)
+    # (a | 0) is 1 exactly for a = 1 and a = -1
+    assert [kronecker(a, 0) for a in (1, -1, 0, 2, -3)] == [1, 1, 0, 0, 0]
 
 
 def test_kronecker_multiplicative_in_bottom():

@@ -9,7 +9,7 @@ import pytest
 
 from bielliptic.atlas import ECRecord, PairRecord, Witness
 from bielliptic.errors import IntegrityError
-from bielliptic.involutions import ExtInvolution, InvolutionGroup, group_closure
+from bielliptic.involutions import ExtInvolution, InvolutionGroup, quotient_genus_hurwitz
 from bielliptic.ntheory import ALSubgroup, Factorization, replace
 from bielliptic.screening import RuleResult, StarGate
 
@@ -97,7 +97,7 @@ def test_cached_properties_on_frozen_records():
     assert (f.omega, f.is_squarefree) == (3, False)
     v = ExtInvolution.v3(90, 10)
     assert (v.kind, v.name) == ("v3", "V3*w10")
-    assert group_closure(90, ["w9", "V3*w10"])._genus == 1
+    assert quotient_genus_hurwitz(90, ["w9", "V3*w10"]) == 1
 
 
 def test_import_leaves_dataclasses_out():

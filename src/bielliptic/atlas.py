@@ -61,8 +61,8 @@ from .involutions import (
     quotient_genus_hurwitz,
 )
 from .ntheory import (
-    ALSubgroup, Frozen, all_subgroups, factor, hall_divisors, memoise, parse_decimal,
-    parse_level, parse_w, replace,
+    ALSubgroup, Frozen, Record, all_subgroups, factor, hall_divisors, memoise,
+    parse_decimal, parse_level, parse_w, replace,
 )
 from .screening import (
     RuleResult,
@@ -100,19 +100,6 @@ class ECRecord(Frozen):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.conductor, self.rank) == (
-            other.label, other.conductor, other.rank
-        )
-
-    def __hash__(self):
-        return hash((self.label, self.conductor, self.rank))
-
-    def __repr__(self):
-        return f"ECRecord(label={self.label!r}, conductor={self.conductor!r}, rank={self.rank!r})"
 
 
 def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
@@ -307,22 +294,6 @@ class Witness(Frozen):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "chain", chain)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.element, self.group, self.field, self.chain) == (
-            other.level, other.element, other.group, other.field, other.chain
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.element, self.group, self.field, self.chain))
-
-    def __repr__(self):
-        return (
-            f"Witness(level={self.level!r}, element={self.element!r}, "
-            f"group={self.group!r}, field={self.field!r}, chain={self.chain!r})"
-        )
 
     def describe(self) -> str:
         head = f"{self.element.name}@{self.level}" if self.chain else self.element.name
@@ -547,10 +518,10 @@ def _hyperelliptic_factoring(N: int, sub: ALSubgroup, g: int):
 # records and the full classification
 
 
-class PairRecord:
+class PairRecord(Record):
     """One pair's classification; `classify_all` sets `quadratic_points`
-    after the fact.  Mutable, so it compares by its fields and is not
-    hashable."""
+    after the fact.  A mutable Record, so it compares by its fields and is
+    not hashable."""
 
     __match_args__ = (
         "N", "subgroup", "genus", "status", "hyperelliptic", "witness", "field",
@@ -572,28 +543,6 @@ class PairRecord:
         self.rule_trace = rule_trace
         self.adjudication = adjudication
         self.quadratic_points = quadratic_points
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.N, self.subgroup, self.genus, self.status, self.hyperelliptic,
-            self.witness, self.field, self.rule_trace, self.adjudication,
-            self.quadratic_points,
-        ) == (
-            other.N, other.subgroup, other.genus, other.status, other.hyperelliptic,
-            other.witness, other.field, other.rule_trace, other.adjudication,
-            other.quadratic_points,
-        )
-
-    def __repr__(self):
-        return (
-            f"PairRecord(N={self.N!r}, subgroup={self.subgroup!r}, genus={self.genus!r}, "
-            f"status={self.status!r}, hyperelliptic={self.hyperelliptic!r}, "
-            f"witness={self.witness!r}, field={self.field!r}, "
-            f"rule_trace={self.rule_trace!r}, adjudication={self.adjudication!r}, "
-            f"quadratic_points={self.quadratic_points!r})"
-        )
 
     @property
     def bielliptic(self) -> bool:

@@ -24,10 +24,15 @@ and `group` gives the one shared InvolutionGroup per mask.
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
 involutions, counted once per closed mask by the level's table
-(`_InvolutionTable.genus`) and memoised per Atkin-Lehner subgroup;
-`modsym.clear_cache()` empties the memo tables.  The only input from
-modular symbols is `fix_al`, the Lefschetz number 2 - tr(w_Q | S2) of w_Q
-on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
+(`_InvolutionTable.genus`) and memoised per Atkin-Lehner subgroup
+(`_subgroup_genus`); `modsym.clear_cache()` empties the memo tables.  A
+cold classification counts 223 groups of w_d's in both, and a test checks
+that they agree.  Both stay: 35 levels (28, 45, 50, 92, ..., 558) get
+subgroup genera and no table, and building their tables cost about 6.5 ms
+of a 130 ms cold classification (Python 3.11, 2 vCPU).
+
+The only input from modular symbols is `fix_al`, the Lefschetz number
+2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
 trace cache is the one store of a trace, and the table keeps each
 element's count.  The counts of the extra involutions reduce to those
 through conjugation and the two-commuting-involutions identity
@@ -83,22 +88,6 @@ class ExtInvolution(Frozen):
         object.__setattr__(self, "word2", word2)
         object.__setattr__(self, "e3", e3)
         object.__setattr__(self, "tail", tail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.word2, self.e3, self.tail) == (
-            other.level, other.word2, other.e3, other.tail
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.word2, self.e3, self.tail))
-
-    def __repr__(self):
-        return (
-            f"ExtInvolution(level={self.level!r}, word2={self.word2!r}, "
-            f"e3={self.e3!r}, tail={self.tail!r})"
-        )
 
     # -- constructors --------------------------------------------------
 
@@ -316,17 +305,6 @@ class InvolutionGroup(Frozen):
     def __init__(self, level: int, elements: frozenset[ExtInvolution]):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.elements) == (other.level, other.elements)
-
-    def __hash__(self):
-        return hash((self.level, self.elements))
-
-    def __repr__(self):
-        return f"InvolutionGroup(level={self.level!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:

@@ -17,9 +17,11 @@ witness or rule reads.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 
-`Frozen` and `replace` serve the package's immutable records (a
-`Factorization` here, and the involutions, groups, rule results, witnesses
-and curve records elsewhere) in place of `dataclasses`.
+`Record`, `Frozen` and `replace` serve the package's records (a
+`Factorization` here, and the involutions, groups, rule results, witnesses,
+curve records and pair records elsewhere) in place of `dataclasses`: each
+record derives `__eq__`, `__hash__` (if frozen) and `__repr__` from the
+field names in its `__match_args__`.
 
 A `Factorization` computes `omega` and `is_squarefree` once, and an
 `ALSubgroup` keeps its canonical generators, label, sort key and `is_full`
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd, prod
+from operator import attrgetter
 
 from .errors import IntegrityError
 
@@ -50,21 +53,47 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class Frozen:
-    """Base of the package's immutable records.  Assigning or deleting an
-    attribute raises AttributeError; `__init__` sets the fields through
-    `object.__setattr__`, and `functools.cached_property` writes the instance
-    dict directly, so both still work.
-
-    Each record class writes out the methods `dataclasses` would generate:
-    `__init__`, `__eq__` (the fields as one tuple, against a record of the
-    same class), `__hash__` (that tuple's) and `__repr__` (``Name(field=value,
-    ...)``), and names its fields in constructor order in `__match_args__`,
-    which `replace` reads.  Importing `dataclasses` would also import
-    `inspect`, `ast`, `dis` and `tokenize` on every start.
+class Record:
+    """Base of the package's records.  A record names its fields in
+    constructor order in `__match_args__` and keeps its own `__init__`; the
+    methods `dataclasses` would generate come from that tuple, read through
+    one `operator.attrgetter` per class: `__eq__` compares the fields with a
+    record of the same class (another class gives NotImplemented), and
+    `__repr__` writes ``Name(field=value, ...)``.  `replace` reads it too.
+    A Record may be assigned to, so it is not hashable; `Frozen` adds the
+    hash.  Importing `dataclasses` would also import `inspect`, `ast`, `dis`
+    and `tokenize` on every start.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "__match_args__"):
+            cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the package's immutable records: a Record that hashes its
+    fields.  Assigning or deleting an attribute raises AttributeError;
+    `__init__` sets the fields through `object.__setattr__`, and
+    `functools.cached_property` writes the instance dict directly, so both
+    still work, and a cached value takes no part in equality or the hash.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,17 +124,6 @@ class Factorization(Frozen):
             prod *= p**e
         if prod != n:
             raise IntegrityError(f"factorization of {n} does not multiply out")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.factors) == (other.n, other.factors)
-
-    def __hash__(self):
-        return hash((self.n, self.factors))
-
-    def __repr__(self):
-        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
 
     @functools.cached_property
     def omega(self) -> int:

@@ -52,17 +52,6 @@ class StarGate(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "star_genus", star_genus)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.N, self.kind, self.star_genus) == (other.N, other.kind, other.star_genus)
-
-    def __hash__(self):
-        return hash((self.N, self.kind, self.star_genus))
-
-    def __repr__(self):
-        return f"StarGate(N={self.N!r}, kind={self.kind!r}, star_genus={self.star_genus!r})"
-
 
 def star_gate(N: int) -> StarGate:
     """Gate verdict for a non-squarefree, non-prime-power level.  A level in
@@ -98,22 +87,6 @@ class RuleResult(Frozen):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rule_id, self.citation, self.verdict, self.inputs, self.detail) == (
-            other.rule_id, other.citation, other.verdict, other.inputs, other.detail
-        )
-
-    def __hash__(self):
-        return hash((self.rule_id, self.citation, self.verdict, self.inputs, self.detail))
-
-    def __repr__(self):
-        return (
-            f"RuleResult(rule_id={self.rule_id!r}, citation={self.citation!r}, "
-            f"verdict={self.verdict!r}, inputs={self.inputs!r}, detail={self.detail!r})"
-        )
 
     def line(self) -> str:
         args = ",".join(str(x) for x in self.inputs)

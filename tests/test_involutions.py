@@ -18,7 +18,7 @@ from bielliptic.involutions import (
     quotient_genus_hurwitz,
 )
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import _MEMO_TABLES, all_subgroups, hall_divisors
+from bielliptic.ntheory import _MEMO_TABLES, ALSubgroup, all_subgroups, hall_divisors
 from bielliptic.x0invariants import genus_x0
 
 from oracles import (
@@ -576,6 +576,31 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     for name in ("_involution_table", "_subgroup_genus"):
         assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
     assert _MEMO_TABLES["bielliptic.atlas._search"] == {}
+
+
+def test_table_and_subgroup_genus_stores_agree():
+    # two stores hold a Hurwitz genus: each level's involution table by
+    # closed mask, and `_subgroup_genus` by Atkin-Lehner subgroup, each summed
+    # from fix_al on its own.  After a cold classify, 286 table masks span
+    # only w_d's and 223 of those groups are also memo keys; both stores
+    # must give each of them the same genus.
+    modsym.clear_cache()
+    atlas.classify_all()
+    tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
+    memo = {key[0]: h for key, h in _MEMO_TABLES["bielliptic.involutions._subgroup_genus"].items()}
+    al_only = shared = 0
+    for (N,), table in tables.items():
+        for mask, h in table.genera.items():
+            elems = [e for i, e in enumerate(table.elements) if mask >> i & 1]
+            if any(e.kind not in ("id", "al") for e in elems):
+                continue
+            al_only += 1
+            sub = ALSubgroup(N, [e._al_part() for e in elems])
+            assert sub.order == len(elems), (N, sub.label())
+            if sub in memo:
+                shared += 1
+                assert memo[sub] == h, (N, sub.label())
+    assert (al_only, shared) == (286, 223)
 
 
 def test_compose_is_commutative_and_associative():

@@ -1,5 +1,7 @@
-"""The record classes: plain classes that behave as the dataclasses they
-replace, and a package import that leaves `dataclasses` out."""
+"""The record classes: plain classes whose `__eq__`, `__hash__` and
+`__repr__` come from the field names in `__match_args__`, through
+`ntheory.Record` and `ntheory.Frozen`, and behave as the dataclasses they
+replace; and a package import that leaves `dataclasses` out."""
 
 import os
 import subprocess
@@ -60,6 +62,18 @@ def test_frozen_record(make, text, change):
         replace(a, no_such_field=1)
 
 
+def test_records_of_different_classes_differ():
+    # the rows' field tuples differ, and the class check keeps two records
+    # of different classes apart even where their fields would compare
+    records = [make() for make, _, _ in FROZEN]
+    for i, a in enumerate(records):
+        for j, b in enumerate(records):
+            assert (a == b) is (i == j), (a, b)
+            assert (a != b) is (i != j), (a, b)
+    assert ECRecord("11a", 11, 0) != StarGate("11a", 11, 0)
+    assert StarGate("11a", 11, 0) != ECRecord("11a", 11, 0)
+
+
 def test_pair_record():
     sub = ALSubgroup(44, (4,))
     w = Witness(44, E, G, "Q", ((22, "<w2>"),))
@@ -98,6 +112,13 @@ def test_cached_properties_on_frozen_records():
     v = ExtInvolution.v3(90, 10)
     assert (v.kind, v.name) == ("v3", "V3*w10")
     assert quotient_genus_hurwitz(90, ["w9", "V3*w10"]) == 1
+    # a cached value sits in the instance dict beside the fields; equality,
+    # the hash and the repr read only the fields named in __match_args__
+    for read, fresh in ((f, Factorization(360, ((2, 3), (3, 2), (5, 1)))),
+                        (v, ExtInvolution.v3(90, 10))):
+        assert vars(read).keys() > vars(fresh).keys()
+        assert read == fresh and fresh == read and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) and len({read, fresh}) == 1
 
 
 def test_import_leaves_dataclasses_out():

@@ -54,7 +54,6 @@ from . import _data
 from .errors import DataError, IntegrityError
 from .involutions import (
     ExtInvolution,
-    InvolutionGroup,
     _involution_table,
     fix_al,
     fix_table,
@@ -104,17 +103,17 @@ class ECRecord(Frozen):
 
 def _read_table(source, sep: str | None, nfields: int, read_row) -> dict:
     """{key: value} from `read_row(*fields) -> (key, value)` over the lines of
-    a string or an iterable of str or UTF-8 bytes lines, skipping blank lines
-    and comments: a line whose first non-blank character is '#'.  A '#'
-    anywhere else is data.  A line splits on `sep` (None: whitespace) into
-    exactly `nfields` fields, the last keeping any further `sep`.  A
-    ValueError from a line's decoding, field count, fields or repeated key is
-    a DataError that names the line."""
+    a string or an iterable of str or UTF-8 bytes lines (a byte-order mark
+    is dropped), skipping blank lines and comments: a line whose first
+    non-blank character is '#'.  A '#' anywhere else is data.  A line
+    splits on `sep` (None: whitespace) into exactly `nfields` fields, the
+    last keeping any further `sep`.  A ValueError from a line's decoding,
+    field count, fields or repeated key is a DataError that names the line."""
     out = {}
     lines = source.splitlines() if isinstance(source, str) else source
     for lineno, raw in enumerate(lines, start=1):
         try:
-            text = (raw.decode() if isinstance(raw, bytes) else raw).strip()
+            text = (raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw).strip()
             if not text or text[0] == "#":
                 continue
             fields = text.split() if sep is None else text.split(sep, nfields - 1)
@@ -283,17 +282,23 @@ def enumerate_pairs() -> list[tuple[int, ALSubgroup]]:
 
 
 class Witness(Frozen):
-    """An exhibited bielliptic involution, possibly at a reduced level."""
+    """An exhibited bielliptic involution, possibly at a reduced level, with
+    the mask of its genus-1 group on that level's involution table."""
 
-    __match_args__ = ("level", "element", "group", "field", "chain")
+    __match_args__ = ("level", "element", "mask", "field", "chain")
 
-    def __init__(self, level: int, element: ExtInvolution, group: InvolutionGroup,
+    def __init__(self, level: int, element: ExtInvolution, mask: int,
                  field: str, chain: tuple[tuple[int, str], ...] = ()):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "element", element)
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "chain", chain)
+
+    @property
+    def group(self) -> tuple[ExtInvolution, ...]:
+        """The group's elements in table order, identity first."""
+        return _involution_table(self.level).members(self.mask)
 
     def describe(self) -> str:
         head = f"{self.element.name}@{self.level}" if self.chain else self.element.name
@@ -310,8 +315,7 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
     that group by one coset (`_InvolutionTable.extend`), and the table gives
     the Hurwitz genus of the grown mask (`_InvolutionTable.genus`), also
     after the first genus-1 group (the witness); mask and genus are None
-    when the coset holds a product that is not an involution.  A group is
-    built (`table.group`) only for a witness or a 2-group rule that reads it.
+    when the coset holds a product that is not an involution.
     """
     table = _involution_table(N)
     elems, mask = table.close([table.al_index[d] for d in sub.generators()])
@@ -368,7 +372,7 @@ def _settle(N: int, sub: ALSubgroup, g: int):
     for v, mask, h in found:
         if h == 1:
             field = SQRT_MINUS_3 if v.kind == "v3" and 9 not in sub else RATIONAL
-            witness = Witness(N, v, _involution_table(N).group(mask), field)
+            witness = Witness(N, v, mask, field)
             return "bielliptic-confirmed", witness, trace
 
     # isomorphism reduction: the reduced pair is the same curve
@@ -477,11 +481,9 @@ def _two_group_options(N: int, sub: ALSubgroup, g: int, found):
     for extra, mask, _ in _search(N, full):
         if extra not in extras or mask is None:
             continue
-        big = _involution_table(N).group(mask)
-        if all(
-            genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
-        ):
-            yield big.order // sub.order, (
+        big = _involution_table(N).members(mask)
+        if all(genus[e] is not None and genus[e] < g for e in big if e in genus):
+            yield len(big) // sub.order, (
                 f"image of the Atkin-Lehner group extended by {extra.name}"
             )
 

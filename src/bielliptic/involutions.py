@@ -15,11 +15,12 @@ per unordered pair (`_InvolutionTable`).  Each level has one memoised table,
 the one cache of its involution algebra: the identity and
 `level_involutions(N)`, the product of each ordered pair as an index or a
 refusal, each element's fixed-point count and each closed group's genus.
-A group is a list of table indices and a bitmask over them;
-`_InvolutionTable.extend` doubles it by one coset, or returns the first
-refusal in the coset.  `group_closure` and the atlas's witness search close
-groups that way; `close` is the one place a refusal raises OrderViolation,
-and `group` gives the one shared InvolutionGroup per mask.
+A group is a bitmask over the table, with the list of its indices while it
+grows; `_InvolutionTable.extend` doubles it by one coset, or returns the
+first refusal in the coset.  `group_closure` and the atlas's witness search
+close groups that way; `close` is the one place a refusal raises
+OrderViolation.  A closed group is kept only as its mask: `members` lists
+its elements in table order, and `group_closure` returns that tuple.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
@@ -297,41 +298,18 @@ def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
     return word, v3, tail
 
 
-class InvolutionGroup(Frozen):
-    """Closed set of commuting involutions plus the identity."""
-
-    __match_args__ = ("level", "elements")
-
-    def __init__(self, level: int, elements: frozenset[ExtInvolution]):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "elements", elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(sorted(self.elements, key=ExtInvolution.sort_key))
-
-    def nontrivial(self):
-        return [e for e in self if not e.is_identity]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self)
-
-
-def group_closure(N: int, generators) -> InvolutionGroup:
+def group_closure(N: int, generators) -> tuple[ExtInvolution, ...]:
     """The group a generator list spans; all elements must be involutions.
 
     Closed on the level's involution table (`_InvolutionTable.close`), by
     one doubling step per generator not yet in the group: elements are
     table indices and the group a bitmask over them, so a closure only
     reads products.  A product outside the commuting-involution framework
-    raises OrderViolation.  Returns the table's one shared group of the
-    closed mask.
+    raises OrderViolation.  Returns the closed mask's elements in table
+    order, identity first (`_InvolutionTable.members`).
     """
     table = _involution_table(N)
-    return table.group(table.close([table.position(N, g) for g in generators])[1])
+    return table.members(table.close([table.position(g) for g in generators])[1])
 
 
 class _InvolutionTable:
@@ -346,13 +324,13 @@ class _InvolutionTable:
     index; when it is refused, b*a is run too, so [j][i] names the pair in
     its own order.  A refusal is stored as it comes; `close` raises it.  A
     product that is an involution but not an element raises IntegrityError:
-    the table must be closed for bitmask closures to be exact.  ``fixed``
-    keeps each element's `fix_count` once taken, ``genera`` each closed
-    mask's Hurwitz genus (`genus`), and ``groups`` the InvolutionGroup of
-    each mask a caller reads as a group (`group`).
+    the table must be closed for bitmask closures to be exact.  A group is
+    its bitmask; `members` lists its elements.  ``fixed`` keeps each
+    element's `fix_count` once taken, and ``genera`` each closed mask's
+    Hurwitz genus (`genus`).
     """
 
-    __slots__ = ("level", "elements", "fields", "al_index", "products", "groups", "fixed", "genera")
+    __slots__ = ("level", "elements", "fields", "al_index", "products", "fixed", "genera")
 
     def __init__(self, N: int):
         elements = (ExtInvolution.identity(N), *level_involutions(N))
@@ -384,7 +362,6 @@ class _InvolutionTable:
                 if j > i:
                     products[j][i] = entry if type(entry) is int else product(b, a)
         self.products = tuple(map(tuple, products))
-        self.groups: dict[int, InvolutionGroup] = {}
         self.fixed: list = [None] * n
         self.genera: dict[int, int] = {}
 
@@ -428,13 +405,9 @@ class _InvolutionTable:
             elems, mask = grown
         return elems, mask
 
-    def group(self, mask: int) -> InvolutionGroup:
-        """The one shared InvolutionGroup of a closed mask."""
-        group = self.groups.get(mask)
-        if group is None:
-            elements = frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
-            group = self.groups.setdefault(mask, InvolutionGroup(self.level, elements))
-        return group
+    def members(self, mask: int) -> tuple[ExtInvolution, ...]:
+        """The elements of a mask in table order, identity first."""
+        return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
     def genus(self, mask: int) -> int:
         """The Hurwitz genus of X0(N)/G for the group G of a closed mask, counted
@@ -447,14 +420,16 @@ class _InvolutionTable:
                     if fixed[i] is None:
                         fixed[i] = fix_count(self.elements[i])
                     total += fixed[i]
-            h = _hurwitz(self.level, mask.bit_count(), total, lambda: self.group(mask).names())
+            h = _hurwitz(self.level, mask.bit_count(), total,
+                         lambda: tuple(e.name for e in self.members(mask)))
             self.genera[mask] = h
         return h
 
-    def position(self, N: int, g) -> int:
+    def position(self, g) -> int:
         """Index of a generator: an int d (w_d), a name, or an ExtInvolution."""
         if type(g) is int and g in self.al_index:
             return self.al_index[g]
+        N = self.level
         if isinstance(g, str):
             g = parse_element(N, g)
         elif not isinstance(g, ExtInvolution):
@@ -534,26 +509,18 @@ def fix_count(elem: ExtInvolution) -> int:
 
 
 def quotient_genus_hurwitz(N: int, group) -> int:
-    """Genus of X0(N)/G for a closed group of commuting involutions, a
-    generator list, or an `ALSubgroup`.
+    """Genus of X0(N)/G for the group G a generator list spans, or for an
+    `ALSubgroup`; the members of a closed group (`group_closure`) span it.
 
     Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
-    a non-integral solution means a wrong count somewhere and raises.  An
-    InvolutionGroup that is not closed on the level's table, identity
-    included, raises ValueError.  Counted once per mask by the level's
-    table (`_InvolutionTable.genus`) and memoised per subgroup.
+    a non-integral solution means a wrong count somewhere and raises.
+    Counted once per mask by the level's table (`_InvolutionTable.genus`)
+    and memoised per subgroup.
     """
     if isinstance(group, ALSubgroup):
         return _subgroup_genus(ALSubgroup.of(N, group))
-    closed = isinstance(group, InvolutionGroup)
-    if closed and group.level != N:
-        raise ValueError("group level mismatch")
     table = _involution_table(N)
-    given = [table.position(N, g) for g in group]
-    mask = table.close(given)[1]
-    if closed and mask != sum(1 << i for i in given):
-        raise ValueError(f"{group.names()} is not a closed involution group at level {N}")
-    return table.genus(mask)
+    return table.genus(table.close([table.position(g) for g in group])[1])
 
 
 def _hurwitz(N: int, order: int, fixed: int, name) -> int:

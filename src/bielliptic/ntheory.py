@@ -12,13 +12,13 @@ the two data tables (`hyperelliptic_pairs`, `witness_annotations`) and
 `_search`, the candidate search of each (level, subgroup).  Each table holds
 one entry per argument tuple it was called with.  An involution table keeps
 its level's involution list, product table, each element's fixed-point
-count, each closed group's Hurwitz genus by bitmask, and the groups a
-witness or rule reads.  A trace is stored only in its modular-symbols space.
+count and each closed group's Hurwitz genus by bitmask; a group is its
+bitmask, and no table keeps a group object.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 
 `Record`, `Frozen` and `replace` serve the package's records (a
-`Factorization` here, and the involutions, groups, rule results, witnesses,
+`Factorization` here, and the involutions, rule results, witnesses,
 curve records and pair records elsewhere) in place of `dataclasses`: each
 record derives `__eq__`, `__hash__` (if frozen) and `__repr__` from the
 field names in its `__match_args__`.

@@ -52,7 +52,6 @@ from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import (
     _ID2,
     ExtInvolution,
-    InvolutionGroup,
     _coprime3,
     _f_word,
     _word_mul,
@@ -508,8 +507,8 @@ def compose_reference(a: ExtInvolution, b: ExtInvolution) -> ExtInvolution:
     return result
 
 
-def closure_by_compose(N: int, generators) -> InvolutionGroup:
-    """The group a generator list spans, by doubling with
+def closure_by_compose(N: int, generators) -> frozenset:
+    """The elements of the group a generator list spans, by doubling with
     `compose_reference`: a generator g outside G adds the coset G*g.  Raises
     the OrderViolation `group_closure` raises, with the same rule and
     message."""
@@ -536,7 +535,7 @@ def closure_by_compose(N: int, generators) -> InvolutionGroup:
     group = frozenset(elems)
     if len(group) < len(elems):
         raise IntegrityError(f"closure of {len(group)} elements is not a 2-group")
-    return InvolutionGroup(N, group)
+    return group
 
 
 def hurwitz_genus_reference(N: int, elements) -> int:
@@ -580,11 +579,9 @@ def two_group_options(N: int, sub: ALSubgroup, g: int, found) -> list:
         extras.append(ExtInvolution.v3(N))
     genus = {v: h for v, _, h in found}
     for extra, big in _closures_with_full(N, extras):
-        if all(
-            genus[e] is not None and genus[e] < g for e in big.nontrivial() if e in genus
-        ):
+        if all(genus[e] is not None and genus[e] < g for e in big if e in genus):
             out.append((
-                big.order // sub.order,
+                len(big) // sub.order,
                 f"image of the Atkin-Lehner group extended by {extra.name}",
             ))
     return out

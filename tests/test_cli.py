@@ -229,6 +229,21 @@ def test_data_file_not_utf8(capsys, tmp_path):
     assert "line 2:" in err and "utf-8" in err
 
 
+def test_data_files_with_a_byte_order_mark(capsys, tmp_path):
+    # an editor may save UTF-8 with a byte-order mark; the header comment
+    # of each table is then still a comment
+    ec = tmp_path / "curves.txt"
+    ec.write_text(_data.EC_TABLE_TEXT, encoding="utf-8-sig")
+    adjudications = tmp_path / "adjudications.txt"
+    adjudications.write_text(_data.ADJUDICATIONS_TEXT, encoding="utf-8-sig")
+    assert ec.read_bytes().startswith(b"\xef\xbb\xbf#")
+    _, want, _ = run(capsys, "quadpoints")
+    for option, path in (("--ec", ec), ("--adjudications", adjudications)):
+        assert run(capsys, "quadpoints", option, str(path)) == (0, want, ""), option
+    args = ("--ec", str(ec), "--adjudications", str(adjudications))
+    assert run(capsys, "quadpoints", *args) == (0, want, "")
+
+
 def test_malformed_data_file(capsys, tmp_path):
     bad = tmp_path / "curves.txt"
     bad.write_text("15a 15 0\nbroken row\n")

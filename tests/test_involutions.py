@@ -7,7 +7,6 @@ from bielliptic import atlas, cli, involutions, modsym, screening
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
-    InvolutionGroup,
     _involution_table,
     fix_al,
     fix_count,
@@ -104,7 +103,7 @@ def _table_product(N, a, b):
     """The entry of a*b in the level's involution table, for two names: the
     product, or the (rule, message) of its refusal."""
     table = _involution_table(N)
-    entry = table.products[table.position(N, a)][table.position(N, b)]
+    entry = table.products[table.position(a)][table.position(b)]
     return table.elements[entry] if type(entry) is int else entry
 
 
@@ -160,13 +159,20 @@ def test_parse_element():
         parse_element(0, "w1")
 
 
+def _names(group):
+    return tuple(e.name for e in group)
+
+
 def test_group_closure_examples():
+    # the closed group's elements in table order, identity first
     G = group_closure(126, ["w9", "V3*w7"])
-    assert G.names() == ("id", "w9", "V3*w7", "V3*w63")
+    assert _names(G) == ("id", "w9", "V3*w7", "V3*w63")
     G = group_closure(120, ["w15", "S2"])
-    assert G.names() == ("id", "w15", "S2", "S2*w15")
+    assert _names(G) == ("id", "w15", "S2", "S2*w15")
     G = group_closure(252, ["w4", "w63", "V3"])
-    assert G.order == 8
+    assert _names(G) == ("id", "w4", "w63", "w252", "V3", "V3*w4", "V3*w63", "V3*w252")
+    assert group_closure(12, ["w12", "w4"]) == group_closure(12, ["w3", "w4"])
+    assert _names(group_closure(12, ["w12", "w4"])) == ("id", "w3", "w4", "w12")
 
 
 def test_group_closure_rejections():
@@ -261,7 +267,7 @@ def test_group_closure_matches_saturation():
     from bielliptic.atlas import scope_levels
 
     def doubling(N, gens):
-        return group_closure(N, gens).elements
+        return frozenset(group_closure(N, gens))
 
     cases = 0
     for N in scope_levels():
@@ -338,7 +344,7 @@ def test_involution_table_matches_compose():
         assert list(elems) == [ExtInvolution.identity(N), *level_involutions(N)]
         products += sum(_table_outcomes(table).values())
         for e in _accepted_elements(N):
-            assert elems[table.position(N, e)] == e, (N, e.name)
+            assert elems[table.position(e)] == e, (N, e.name)
             accepted += 1
     assert (products, accepted) == (14980, 2828)
 
@@ -404,10 +410,10 @@ def test_search_matches_compose_doubling():
                 want.append((v, None, None))
                 outcomes[exc.rule] += 1
                 continue
-            want.append((v, G.elements, hurwitz_genus_reference(N, G.elements)))
+            want.append((v, G, hurwitz_genus_reference(N, G)))
             outcomes["closed"] += 1
         got = [
-            (v, None if mask is None else table.group(mask).elements, h)
+            (v, None if mask is None else frozenset(table.members(mask)), h)
             for v, mask, h in found
         ]
         assert got == want, (N, sub.label())
@@ -424,21 +430,22 @@ def test_group_closure_matches_compose_doubling():
                 continue
             gens = list(sub.generators()) + [v]
             try:
-                want = closure_by_compose(N, gens).elements
+                want = closure_by_compose(N, gens)
             except OrderViolation as exc:
                 with pytest.raises(OrderViolation) as got:
                     group_closure(N, gens)
                 assert (got.value.rule, str(got.value)) == (exc.rule, str(exc))
                 outcomes[exc.rule] += 1
                 continue
-            assert group_closure(N, gens).elements == want, (N, sub.label(), v.name)
+            assert frozenset(group_closure(N, gens)) == want, (N, sub.label(), v.name)
             outcomes["closed"] += 1
     assert outcomes == {"closed": 4354, "two-part-rotation": 1832, "v3-tail-2-mod-3": 384}
 
 
-def test_group_closure_shares_one_group_per_mask(monkeypatch):
-    # the level's table keeps one group per closed mask and each mask's
-    # Hurwitz genus: fix_count runs once per nontrivial element
+def test_group_closure_counts_each_mask_once(monkeypatch):
+    # a closed group is its mask on the level's table, and the table keeps
+    # each mask's Hurwitz genus: fix_count runs once per nontrivial element,
+    # and the members of a closed group span that group again
     monkeypatch.setattr(modsym, "_CACHE", {})
     modsym.clear_cache()
     counted = []
@@ -450,16 +457,14 @@ def test_group_closure_shares_one_group_per_mask(monkeypatch):
 
     monkeypatch.setattr(involutions, "fix_count", counting_fix_count)
     G = group_closure(126, ["w9", "V3*w7"])
-    assert group_closure(126, ["w9", "V3*w7"]) is G
-    assert group_closure(126, ["V3*w7", "w9"]) is G
+    assert group_closure(126, ["V3*w7", "w9"]) == group_closure(126, G) == G
     assert quotient_genus_hurwitz(126, G) == 1
-    assert counted == G.nontrivial() and len(counted) == 3
+    assert counted == list(G[1:]) and len(counted) == 3
     assert quotient_genus_hurwitz(126, ["w9", "V3*w7"]) == 1
     assert quotient_genus_hurwitz(126, G) == 1
     assert len(counted) == 3
     modsym.clear_cache()
-    H = group_closure(126, ["w9", "V3*w7"])
-    assert H is not G and H == G
+    assert group_closure(126, ["w9", "V3*w7"]) == G
 
 
 def _core_calls(table):
@@ -482,9 +487,9 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     # and extends nothing, and clear_cache() drops the tables.  The cold
     # pass builds 115 spaces and caches 491 traces and the warm one adds
     # none: the state perfbench's classify guards assume.  The tables count
-    # each element's fixed points at most once, and a warm pass not at all;
-    # they build a group only for a mask a record or rule reads: the
-    # witnesses and the 2-group rule's extended groups.
+    # each element's fixed points at most once, and a warm pass not at all.
+    # A witness keeps its group as a mask on its level's table: a closed
+    # mask of genus 1, which its members close to again.
     ruled = []
     fixed = []
     closes = []
@@ -544,9 +549,6 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     assert len(ruled) == sum(map(_core_calls, tables.values()))
     assert sum(len(table.elements) - 1 for table in tables.values()) == 645
     assert len(set(fixed)) == len(fixed) == 621
-    groups = {id(G) for table in tables.values() for G in table.groups.values()}
-    assert len(groups) == 58
-    assert {id(rec.witness.group) for rec in records if rec.witness} <= groups
     assert (len(tables), len(ruled)) == (67, 6196)
     assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert len(extensions) == 3703
@@ -560,6 +562,12 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
             getattr(value, "__module__", None) == modsym.__name__
             for value in vars(site).values()
         ), site.__name__
+    witnesses = [rec.witness for rec in records if rec.witness]
+    assert (len(witnesses), sum(bool(w.chain) for w in witnesses)) == (124, 4)
+    for w in witnesses:
+        table = tables[(w.level,)]
+        assert table.genera[w.mask] == 1, (w.level, w.mask)
+        assert table.close([table.position(e) for e in w.group])[1] == w.mask
 
     for counts in (ruled, closes, extensions, refusals, traces, fixed):
         counts.clear()
@@ -653,31 +661,20 @@ def test_quotient_genus_examples():
     assert quotient_genus_hurwitz(126, ["w9", "V3"]) == 5
 
 
-def test_quotient_genus_refuses_a_hand_built_non_group():
-    # an InvolutionGroup built by hand must hold the identity and be closed
-    # on the level's table, or it is a usage error; a closed one is counted
-    def group(*names):
-        return InvolutionGroup(60, frozenset(parse_element(60, n) for n in names))
-
-    assert quotient_genus_hurwitz(60, group("id", "w4")) == 3
-    h = quotient_genus_hurwitz(60, ["w4", "w3"])
-    assert quotient_genus_hurwitz(60, group("id", "w3", "w4", "w12")) == h
-    for names in (
-        ("id", "w4", "w3", "w5"),  # w4*w3 = w12 is missing
-        ("id", "w4", "w3", "w20"),
-        ("w4",),  # no identity
-        ("id", "w3", "w5", "w20"),  # its count would not be integral
-    ):
-        with pytest.raises(ValueError, match="is not a closed involution group at level 60"):
-            quotient_genus_hurwitz(60, group(*names))
+def test_quotient_genus_refuses_a_foreign_generator():
+    # a generator must be an involution of the level's table; a closed
+    # group's members, identity first, span that group again
+    G = group_closure(60, ["w4", "w3"])
+    assert quotient_genus_hurwitz(60, G) == quotient_genus_hurwitz(60, ["w4", "w3"])
+    assert quotient_genus_hurwitz(60, group_closure(60, ["w4"])) == 3
     identity = ExtInvolution.identity(60)
-    for stranger in (ExtInvolution(60, (0, 0), 0, 7), ExtInvolution.al(120, 3)):
-        with pytest.raises(ValueError):
-            quotient_genus_hurwitz(60, InvolutionGroup(60, frozenset({identity, stranger})))
+    with pytest.raises(ValueError, match="is not an involution of level 60"):
+        quotient_genus_hurwitz(60, [identity, ExtInvolution(60, (0, 0), 0, 7)])
+    for gens in ([identity, ExtInvolution.al(120, 3)], group_closure(120, ["w8"])):
+        with pytest.raises(ValueError, match="generator level mismatch"):
+            quotient_genus_hurwitz(60, gens)
     with pytest.raises(ValueError, match="w7 is not an Atkin-Lehner involution"):
         quotient_genus_hurwitz(60, [3, 7])
-    with pytest.raises(ValueError, match="group level mismatch"):
-        quotient_genus_hurwitz(120, group("id", "w4"))
 
 
 def test_hurwitz_matches_modsym_on_al_groups(classification):

@@ -11,12 +11,11 @@ import pytest
 
 from bielliptic.atlas import ECRecord, PairRecord, Witness
 from bielliptic.errors import IntegrityError
-from bielliptic.involutions import ExtInvolution, InvolutionGroup, quotient_genus_hurwitz
+from bielliptic.involutions import ExtInvolution, quotient_genus_hurwitz
 from bielliptic.ntheory import ALSubgroup, Factorization, replace
 from bielliptic.screening import RuleResult, StarGate
 
 E = ExtInvolution(72, (0, 1), 0, 1)
-G = InvolutionGroup(72, frozenset({E}))
 R = RuleResult("castelnuovo", "cite", "consistent", (3, 2, 0))
 
 # (a constructor call twice over, its repr, one field change for `replace`)
@@ -25,20 +24,16 @@ FROZEN = [
      "Factorization(n=12, factors=((2, 2), (3, 1)))", {"n": 20, "factors": ((2, 2), (5, 1))}),
     (lambda: ExtInvolution(72, (0, 1), 0, 1),
      "ExtInvolution(level=72, word2=(0, 1), e3=0, tail=1)", {"tail": 9}),
-    (lambda: InvolutionGroup(72, frozenset({E})),
-     "InvolutionGroup(level=72, elements=frozenset({"
-     "ExtInvolution(level=72, word2=(0, 1), e3=0, tail=1)}))", {"level": 36}),
     (lambda: StarGate(558, "fails-gate", None),
      "StarGate(N=558, kind='fails-gate', star_genus=None)", {"star_genus": 7}),
     (lambda: RuleResult("castelnuovo", "cite", "consistent", (3, 2, 0)),
      "RuleResult(rule_id='castelnuovo', citation='cite', verdict='consistent', "
      "inputs=(3, 2, 0), detail='')", {"detail": "why"}),
-    (lambda: ECRecord("11a", 11, 0), "ECRecord(label='11a', conductor=11, rank=0)", {"rank": 1}),
-    (lambda: Witness(44, E, G, "Q"),
+    (lambda: Witness(44, E, 3, "Q"),
      "Witness(level=44, element=ExtInvolution(level=72, word2=(0, 1), e3=0, tail=1), "
-     "group=InvolutionGroup(level=72, elements=frozenset({"
-     "ExtInvolution(level=72, word2=(0, 1), e3=0, tail=1)})), field='Q', chain=())",
+     "mask=3, field='Q', chain=())",
      {"chain": ((22, "<w2>"),)}),
+    (lambda: ECRecord("11a", 11, 0), "ECRecord(label='11a', conductor=11, rank=0)", {"rank": 1}),
 ]
 
 
@@ -76,7 +71,7 @@ def test_records_of_different_classes_differ():
 
 def test_pair_record():
     sub = ALSubgroup(44, (4,))
-    w = Witness(44, E, G, "Q", ((22, "<w2>"),))
+    w = Witness(44, E, 3, "Q", ((22, "<w2>"),))
 
     def make():
         return PairRecord(44, sub, 4, "bielliptic-confirmed", True, w, "Q", (R,),

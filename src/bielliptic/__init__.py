@@ -4,7 +4,8 @@ Evaluates fixed-point counts of the Atkin-Lehner involutions from exact
 weight-2 modular symbols and of the normalizer involutions from those,
 computes genera of X0(N)/W for arbitrary Atkin-Lehner subgroups W as Hurwitz
 counts over them, and classifies which quotients are bielliptic and which
-have infinitely many quadratic points.
+have infinitely many quadratic points.  `clear_caches` is the package's one
+reset, `modsym.clear_cache` itself.
 """
 
 from .involutions import (
@@ -15,7 +16,7 @@ from .involutions import (
     group_closure,
     quotient_genus_hurwitz,
 )
-from .modsym import build_space, invariant_genus
+from .modsym import build_space, clear_cache as clear_caches, invariant_genus
 from .ntheory import ALSubgroup, class_number, factor, hall_divisors, psi
 from .x0invariants import cusp_count, genus_x0
 
@@ -24,6 +25,7 @@ __all__ = [
     "ExtInvolution",
     "build_space",
     "class_number",
+    "clear_caches",
     "cusp_count",
     "factor",
     "fix_al",

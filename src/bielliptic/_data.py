@@ -1,12 +1,14 @@
 """Embedded datasets: golden genus tables, classification lists, curve data.
 
 Every table is a text block, one row per line, that a reader in `atlas`
-(`published_genus_table`, `witness_table` and the others there) parses with
-`atlas._read_table` when it is called, so importing the package compiles
-strings, not dict literals.  A line whose first non-blank character is '#'
-is a comment; a '#' anywhere else is data.  Fields are separated by
+(`published_genus_table`, `witness_annotations` and the others there) parses
+with `atlas._read_table` when it is called, so importing the package
+compiles strings, not dict literals.  A line whose first non-blank character
+is '#' is a comment; a '#' anywhere else is data.  Fields are separated by
 whitespace (by ';' in the adjudications), and a pair is written as its
-level and its generators, "N w<d>,w<e>", in the order the source lists them.
+level and its generators, "N w<d>,w<e>", in the order the source lists them;
+`atlas._read_pair` reads it as its subgroup, so a pair written again in
+another generator order is a repeated row.
 
 The genus tables are regression data only; the engine recomputes every entry
 from scratch and the selftest compares.  Row order for the tables is the

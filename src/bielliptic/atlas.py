@@ -37,6 +37,13 @@ raises IntegrityError when a published bielliptic pair (a key of
 other regression data lives in the selftest helpers, which read the published
 genus tables through `_golden_genera`.
 
+The four published pair tables (the hyperelliptic quotients, the witness
+table, the non-rational pairs and the adjudications) key each row by
+(N, elements of W), as `PairRecord.key()` does, while `_read_table` reads
+it: `_read_pair` is the one pair parser.  A row that repeats a pair with
+its generators in another order, or names a generator that is not a Hall
+divisor of N, is a DataError that names its line.
+
 `emit_report` writes the JSON report through one template per record, byte
 for byte what `json.dumps(indent=2, sort_keys=True)` gives for the records as
 dicts; that route stays with the tests as the oracle
@@ -61,7 +68,7 @@ from .involutions import (
 )
 from .ntheory import (
     ALSubgroup, Frozen, Record, all_subgroups, factor, hall_divisors, memoise,
-    parse_decimal, parse_level, parse_w, replace,
+    parse_decimal, parse_level, replace,
 )
 from .screening import (
     RuleResult,
@@ -149,10 +156,10 @@ def ingest_adjudications(source) -> dict:
     """Parse adjudicated verdicts: "N;generators;verdict;citation" per line."""
 
     def read_row(level, generators, verdict, citation):
-        N = parse_level(level)
+        key = _read_pair(level, generators)
         if verdict not in _VERDICT_FIELD:
             raise ValueError(f"unknown verdict {verdict!r}")
-        return (N, ALSubgroup.parse(N, generators).elements), (verdict, citation)
+        return key, (verdict, citation)
 
     return _read_table(source, ";", 4, read_row)
 
@@ -162,12 +169,16 @@ def default_adjudications() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# embedded tables: each reader parses its text block of `_data` when called
+# embedded tables: each reader parses its text block of `_data` when called;
+# the two pair tables the classification reads are memoised
 
 
-def _read_pair(level: str, generators: str) -> tuple[int, tuple[int, ...]]:
-    """A pair as the tables write it, "N" and "w<d>,w<e>", as (N, (d, e))."""
-    return parse_level(level), tuple(parse_w(w) for w in generators.split(","))
+def _read_pair(level: str, generators: str) -> tuple[int, frozenset]:
+    """A pair as the tables write it, "N" and "w<d>,w<e>", keyed as
+    `PairRecord.key()` keys it: (N, elements of the subgroup).  The one pair
+    parser of the package; a bad level or generator is a ValueError."""
+    N = parse_level(level)
+    return N, ALSubgroup.parse(N, generators).elements
 
 
 def _numbers(fields, what: str) -> tuple[int, ...]:
@@ -187,15 +198,16 @@ def published_genus_table(omega: int) -> dict[int, tuple[int, ...]]:
 
 
 def non_rational_pairs() -> frozenset:
-    """The (N, generators) of the pairs bielliptic only over Q(sqrt(-3))."""
+    """The keys of the pairs bielliptic only over Q(sqrt(-3))."""
     rows = _read_table(
         _data.NON_RATIONAL_BIELLIPTIC_TEXT, None, 2, lambda N, gens: (_read_pair(N, gens), None)
     )
     return frozenset(rows)
 
 
-def hyperelliptic_table() -> dict:
-    """(N, generators) -> genus of the published hyperelliptic quotients."""
+@memoise
+def hyperelliptic_pairs() -> dict:
+    """Pair key -> genus of the published hyperelliptic quotients."""
     return _read_table(
         _data.HYPERELLIPTIC_TABLE_TEXT, None, 3,
         lambda N, gens, g: (_read_pair(N, gens), parse_decimal(g, "genus")),
@@ -214,43 +226,15 @@ def published_fix_tables() -> dict[int, dict[str, int]]:
     return tables
 
 
-def witness_table() -> dict:
-    """(N, generators) -> (witness families, elliptic-quotient labels) of the
-    124 published bielliptic pairs."""
+@memoise
+def witness_annotations() -> dict:
+    """Pair key -> (witness families, elliptic-quotient labels) of the 124
+    published bielliptic pairs."""
 
     def read_row(N, gens, families, curves):
         return _read_pair(N, gens), (tuple(families.split(",")), tuple(curves.split(",")))
 
     return _read_table(_data.WITNESS_TABLE_TEXT, None, 4, read_row)
-
-
-def _pair_key(N: int, gens) -> tuple[int, frozenset]:
-    return N, ALSubgroup(N, gens).elements
-
-
-def _normalized(table: dict) -> dict:
-    """The table keyed by subgroup.  `_read_table` refuses a repeated
-    generator tuple only; a pair written again with its generators in
-    another order is refused here, naming it."""
-    out = {}
-    for (N, gens), val in table.items():
-        key = _pair_key(N, gens)
-        if key in out:
-            raise DataError(
-                f"pair {N} {','.join(f'w{d}' for d in gens)} repeats an earlier entry"
-            )
-        out[key] = val
-    return out
-
-
-@memoise
-def hyperelliptic_pairs() -> dict:
-    return _normalized(hyperelliptic_table())
-
-
-@memoise
-def witness_annotations() -> dict:
-    return _normalized(witness_table())
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +320,11 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
 
 
 def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
-    """True/False when known, None when outside the covered data (squarefree);
-    no table row or hyperelliptic gate level has genus below 2."""
+    """True/False when known, None when outside the covered data: a
+    squarefree level, or the full group at a level outside the level gate's
+    standing hypothesis (a prime power, where `star_gate` raises, as for
+    `screen 64 --w w64`).  No table row or hyperelliptic gate level has
+    genus below 2."""
     if g == 2:
         return True
     fac = factor(N)
@@ -632,7 +619,7 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
     if record.bielliptic:
         if record.field != RATIONAL:
             return "finite"
-        ann = witness_annotations().get((record.N, record.subgroup.elements))
+        ann = witness_annotations().get(record.key())
         if ann is None:
             raise DataError(
                 f"missing-rank-data: no elliptic quotients recorded for "
@@ -655,15 +642,12 @@ def quadratic_points(record: PairRecord, ec_table) -> str:
 
 def published_infinite_pairs() -> set:
     """Keys of the pairs with infinitely many quadratic points."""
-    out = set()
+    out = {_read_pair("99", "w9"), _read_pair("99", "w11")}
     scope = set(scope_levels())
-    for (N, gens) in hyperelliptic_table():
-        key = _pair_key(N, gens)
-        sub = ALSubgroup(N, gens)
+    for N, elements in hyperelliptic_pairs():
+        sub = ALSubgroup(N, elements)
         if N in scope and not sub.is_fricke and not sub.is_full:
-            out.add(key)
-    out.add(_pair_key(99, (9,)))
-    out.add(_pair_key(99, (11,)))
+            out.add((N, elements))
     return out
 
 
@@ -846,13 +830,13 @@ def verify_fix_tables() -> int:
     return checked
 
 
-def _pair_names(keys, limit: int = 4) -> str:
+def _pair_names(keys) -> str:
     """The pairs (N, elements) as "(N,<label>)" in report order, the first
-    `limit` of them, with "…" when some were cut."""
+    four of them, with "…" when some were cut."""
     subs = sorted((ALSubgroup(N, elements) for N, elements in keys),
                   key=lambda sub: (sub.level, sub.sort_key()))
-    names = [f"({sub.level},{sub.label()})" for sub in subs[:limit]]
-    if len(subs) > limit:
+    names = [f"({sub.level},{sub.label()})" for sub in subs[:4]]
+    if len(subs) > 4:
         names.append("…")
     return ", ".join(names) or "none"
 
@@ -886,7 +870,7 @@ def verify_classification(records=None):
                 f"computed {rec.genus}, table {want}"
             )
     non_rational = {r.key() for r in records if r.bielliptic and r.field != RATIONAL}
-    published = {_pair_key(N, gens) for N, gens in non_rational_pairs()}
+    published = non_rational_pairs()
     if non_rational != published:
         wrong = [
             f"({r.N},{r.subgroup.label()}) over {r.field}"

@@ -35,10 +35,11 @@ forms literally and count Atkin-Lehner fixed points by complex
 multiplication.  `report_json_reference` is the JSON report as
 `atlas.emit_report` wrote it before it used one template per record: the
 records as dicts, through `json.dumps(indent=2, sort_keys=True)`.  Two
-readings of the paper's tables serve only the tests: `printed_deviations`,
-the misprinted genus cells of the published N = 294 row, and
-`witness_family`, a witness's family as the witness table's families
-column names it.
+readings of the paper's tables serve only the tests: `printed_pair_rows`,
+a pair table's rows keyed by the generators as printed, where the library
+keys a pair by its subgroup; `printed_deviations`, the misprinted genus
+cells of the published N = 294 row, read by it; and `witness_family`, a
+witness's family as the witness table's families column names it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from bielliptic.atlas import PairRecord, _numbers, _read_pair, _read_table
+from bielliptic.atlas import PairRecord, _numbers, _read_table
 from bielliptic.errors import IntegrityError, OrderViolation
 from bielliptic.involutions import (
     _ID2,
@@ -76,6 +77,8 @@ from bielliptic.ntheory import (
     hall_divisors,
     hall_product,
     kronecker,
+    parse_level,
+    parse_w,
     validate_discriminant,
 )
 from bielliptic.screening import RuleResult, star_gate
@@ -685,11 +688,20 @@ PRINTED_DEVIATIONS_TEXT = """\
 """
 
 
+def printed_pair_rows(text: str, nfields: int, read_value) -> dict:
+    """(N, generators as printed) -> `read_value` of the rest of each row of
+    a pair table, "N w<d>,w<e> ..." with `nfields` fields."""
+
+    def read_row(N, gens, *rest):
+        return (parse_level(N), tuple(parse_w(w) for w in gens.split(","))), read_value(*rest)
+
+    return _read_table(text, None, nfields, read_row)
+
+
 def printed_deviations() -> dict:
     """(N, generators) -> (printed, corrected) for the misprinted genus cells."""
-    return _read_table(
-        PRINTED_DEVIATIONS_TEXT, None, 4,
-        lambda N, gens, *cells: (_read_pair(N, gens), _numbers(cells, "genus")),
+    return printed_pair_rows(
+        PRINTED_DEVIATIONS_TEXT, 4, lambda *cells: _numbers(cells, "genus")
     )
 
 

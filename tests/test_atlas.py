@@ -76,7 +76,7 @@ class TestECTable:
 
     def test_rows_are_the_witness_curves(self):
         # every row is a curve some verdict reads, and every curve read has a row
-        named = {label for _, labels in atlas.witness_table().values() for label in labels}
+        named = {label for _, labels in atlas.witness_annotations().values() for label in labels}
         assert set(atlas.default_ec_table()) == named
         assert len(named) == 37
 
@@ -419,8 +419,8 @@ class TestQuadraticPoints:
         assert sum(r.genus == 2 for r in classification) == 28
 
     def test_hyperelliptic_table_genus_column(self):
-        for (N, gens), g in atlas.hyperelliptic_table().items():
-            assert quotient_genus_hurwitz(N, ALSubgroup(N, gens)) == g, (N, gens)
+        for (N, elements), g in atlas.hyperelliptic_pairs().items():
+            assert quotient_genus_hurwitz(N, ALSubgroup(N, elements)) == g, (N, elements)
 
     @pytest.mark.parametrize("N, genus, hyperelliptic_involutions", [
         (92, 4, ["w4", "w23"]),
@@ -534,17 +534,29 @@ class TestEmbeddedTables:
     }
 
     def test_tables_read_back_unchanged(self):
+        # the pair tables pinned as printed, keyed by generator tuple, and
+        # the library's reading of each keyed by subgroup
         fix = atlas.published_fix_tables()
+        printed = {
+            "non-rational": oracles.printed_pair_rows(
+                _data.NON_RATIONAL_BIELLIPTIC_TEXT, 2, lambda: None),
+            "hyperelliptic": oracles.printed_pair_rows(
+                _data.HYPERELLIPTIC_TABLE_TEXT, 3, int),
+            "witness": oracles.printed_pair_rows(
+                _data.WITNESS_TABLE_TEXT, 4,
+                lambda families, curves: (tuple(families.split(",")),
+                                          tuple(curves.split(",")))),
+        }
         rows = {
             "genus 2P": atlas.published_genus_table(2).items(),
             "genus 3P": atlas.published_genus_table(3).items(),
             "printed deviations": oracles.printed_deviations().items(),
-            "non-rational": atlas.non_rational_pairs(),
-            "hyperelliptic": atlas.hyperelliptic_table().items(),
+            "non-rational": printed["non-rational"].keys(),
+            "hyperelliptic": printed["hyperelliptic"].items(),
             "fix 120": fix[120].items(),
             "fix 252": fix[252].items(),
             "fix 176": fix[176].items(),
-            "witness": atlas.witness_table().items(),
+            "witness": printed["witness"].items(),
         }
         got = {
             name: (len(r), hashlib.sha256(repr(sorted(r)).encode()).hexdigest())
@@ -552,42 +564,61 @@ class TestEmbeddedTables:
         }
         assert got == self.PINS
         assert list(fix) == [120, 252, 176]
+        keyed = {
+            name: {(N, ALSubgroup(N, gens).elements): value
+                   for (N, gens), value in table.items()}
+            for name, table in printed.items()
+        }
+        assert atlas.non_rational_pairs() == keyed["non-rational"].keys()
+        assert atlas.hyperelliptic_pairs() == keyed["hyperelliptic"]
+        assert atlas.witness_annotations() == keyed["witness"]
 
-    @pytest.mark.parametrize("name, read, row", [
-        ("WITNESS_TABLE_TEXT", atlas.witness_table, "40 w8 al"),
-        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_table, "40 w8 two"),
-        ("GENUS_TABLE_3P_TEXT", lambda: atlas.published_genus_table(3), "60 7 3 4"),
-        ("FIX_TABLES_TEXT", atlas.published_fix_tables, "120 w8 0 # note"),
-        ("NON_RATIONAL_BIELLIPTIC_TEXT", atlas.non_rational_pairs, "126 63"),
-    ])
-    def test_malformed_row_names_its_line(self, monkeypatch, name, read, row):
+    @pytest.fixture
+    def fresh_pair_tables(self):
+        """The memoised pair tables emptied for one test, restored after it."""
+        memos = [_MEMO_TABLES[f"bielliptic.atlas.{read.__name__}"]
+                 for read in (atlas.hyperelliptic_pairs, atlas.witness_annotations)]
+        saved = [dict(memo) for memo in memos]
+        for memo in memos:
+            memo.clear()
+        yield
+        for memo, entries in zip(memos, saved):
+            memo.clear()
+            memo.update(entries)
+
+    def _appended_row_fails(self, monkeypatch, name, read, row):
+        """The DataError `read` raises once `row` ends the text block `name`;
+        it names that last line."""
         monkeypatch.setattr(_data, name, getattr(_data, name) + row + "\n")
         with pytest.raises(DataError) as err:
             read()
         assert err.value.line == len(getattr(_data, name).splitlines())
+        return err.value
 
-    @pytest.mark.parametrize("name, table, pairs, row", [
-        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_table, atlas.hyperelliptic_pairs,
-         "60 w4,w3 5"),
-        ("WITNESS_TABLE_TEXT", atlas.witness_table, atlas.witness_annotations,
-         "60 w4,w3 red 15a"),
+    @pytest.mark.parametrize("name, read, row", [
+        ("WITNESS_TABLE_TEXT", atlas.witness_annotations, "40 w8 al"),
+        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_pairs, "40 w8 two"),
+        ("GENUS_TABLE_3P_TEXT", lambda: atlas.published_genus_table(3), "60 7 3 4"),
+        ("FIX_TABLES_TEXT", atlas.published_fix_tables, "120 w8 0 # note"),
+        ("NON_RATIONAL_BIELLIPTIC_TEXT", atlas.non_rational_pairs, "126 63"),
+        # w7 is no Atkin-Lehner involution at level 60
+        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_pairs, "60 w7 5"),
+        ("WITNESS_TABLE_TEXT", atlas.witness_annotations, "60 w7 al 15a"),
     ])
-    def test_pair_repeated_in_another_generator_order(self, monkeypatch, name, table, pairs,
-                                                      row):
-        # the text reader checks repeats by generator tuple, so it takes the
-        # row; keyed by subgroup it would replace the row of 60 w3,w4
-        before = len(table())
-        monkeypatch.setattr(_data, name, getattr(_data, name) + row + "\n")
-        assert len(table()) == before + 1
-        memo = _MEMO_TABLES[f"bielliptic.atlas.{pairs.__name__}"]
-        saved = dict(memo)
-        memo.clear()
-        try:
-            with pytest.raises(DataError, match="pair 60 w4,w3 repeats an earlier entry"):
-                pairs()
-            assert memo == {}
-        finally:
-            memo.update(saved)
+    def test_malformed_row_names_its_line(self, monkeypatch, fresh_pair_tables, name, read,
+                                          row):
+        self._appended_row_fails(monkeypatch, name, read, row)
+
+    @pytest.mark.parametrize("name, read, row", [
+        ("HYPERELLIPTIC_TABLE_TEXT", atlas.hyperelliptic_pairs, "60 w4,w3 5"),
+        ("WITNESS_TABLE_TEXT", atlas.witness_annotations, "60 w4,w3 red 15a"),
+    ])
+    def test_pair_repeated_in_another_generator_order(self, monkeypatch, fresh_pair_tables,
+                                                      name, read, row):
+        # keyed by subgroup as it is read, the row repeats the row of 60 w3,w4
+        err = self._appended_row_fails(monkeypatch, name, read, row)
+        assert f"{row!r} repeats an earlier entry" in str(err)
+        assert _MEMO_TABLES[f"bielliptic.atlas.{read.__name__}"] == {}
 
 
 class TestGoldenTables:

@@ -7,7 +7,8 @@ import pytest
 
 from bielliptic import _data, atlas, cli
 from bielliptic.involutions import quotient_genus_hurwitz
-from bielliptic.ntheory import all_subgroups
+from bielliptic.ntheory import ALSubgroup, all_subgroups
+from bielliptic.screening import star_gate
 
 import oracles
 
@@ -86,6 +87,22 @@ def test_screen(capsys):
     assert code == 0
     assert out.splitlines()[0] == "excluded"
     assert "castelnuovo" in out
+
+
+def test_screen_prime_power_level(capsys):
+    # a prime power is outside the standing hypothesis: the level gate
+    # raises, so the full group's quotient has no hyperelliptic answer, and
+    # a quotient of genus below 2 stops before the gate while one of genus
+    # 2 or more reaches it, a usage error
+    full = ALSubgroup.full(64)
+    with pytest.raises(ValueError, match="outside the standing hypothesis"):
+        star_gate(64)
+    assert atlas._quotient_hyperelliptic(64, full, quotient_genus_hurwitz(64, full)) is None
+    code, out, _ = run(capsys, "screen", "64", "--w", "w64")
+    assert (code, out) == (0, "genus-too-small\n")
+    code, out, err = run(capsys, "screen", "128", "--w", "w128")
+    assert (code, out) == (2, "")
+    assert "level 128 is outside the standing hypothesis" in err
 
 
 def test_selftest_levels(capsys):

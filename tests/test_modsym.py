@@ -8,6 +8,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import bielliptic
 from bielliptic import atlas, modsym
 from bielliptic.modsym import ModSymSpace, build_space, invariant_genus
 from bielliptic.involutions import fix_al, group_closure, quotient_genus_hurwitz
@@ -896,7 +897,9 @@ def test_concurrent_builds_and_traces(monkeypatch):
 
 def test_clear_cache_is_the_one_reset(monkeypatch):
     # the reset empties the space cache and every per-level memo table; a
-    # private space cache keeps the session's spaces built
+    # private space cache keeps the session's spaces built.  The package
+    # exports it, under a second name only
+    assert bielliptic.clear_caches is modsym.clear_cache
     cache = {11: ModSymSpace(11)}
     monkeypatch.setattr(modsym, "_CACHE", cache)
     fix_al(11, 11)

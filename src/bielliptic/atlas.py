@@ -321,20 +321,16 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
 
 def _quotient_hyperelliptic(N: int, sub: ALSubgroup, g: int):
     """True/False when known, None when outside the covered data: a
-    squarefree level, or the full group at a level outside the level gate's
-    standing hypothesis (a prime power, where `star_gate` raises, as for
-    `screen 64 --w w64`).  No table row or hyperelliptic gate level has
-    genus below 2."""
+    squarefree level, which only a w4-reduction reaches.  The full group is
+    asked of the level gate; `classify_pair` has already refused a level
+    outside its standing hypothesis.  No table row or hyperelliptic gate
+    level has genus below 2."""
     if g == 2:
         return True
-    fac = factor(N)
-    if fac.is_squarefree:
+    if factor(N).is_squarefree:
         return None
     if sub.is_full:
-        try:
-            return star_gate(N).kind == "hyperelliptic"
-        except ValueError:
-            return None
+        return star_gate(N).kind == "hyperelliptic"
     return (N, sub.elements) in hyperelliptic_pairs()
 
 
@@ -549,15 +545,17 @@ class PairRecord(Record):
 def classify_pair(N: int, W, adjudications=None) -> PairRecord:
     """Terminal status for one in-scope pair: the level gate, then `_settle`,
     then the adjudication table for a pair `_settle` leaves inconclusive.
+    A level outside the standing hypothesis (squarefree, or a prime power)
+    raises the gate's ValueError before any genus is computed.
     At a bielliptic-gate level this gathers the inputs of the fixed-point
     closure rule, which like every screening rule is a pure predicate."""
     sub = ALSubgroup.of(N, W)
+    gate = star_gate(N)
     g = quotient_genus_hurwitz(N, sub)
     hyper = _quotient_hyperelliptic(N, sub, g) is True
     if g < 2:
         return PairRecord(N, sub, g, "genus-too-small", hyper)
 
-    gate = star_gate(N)
     trace = []
     if gate.kind == "fails-gate":
         trace.append(RuleResult("star-gate", "the full quotient is neither subhyperelliptic "

@@ -11,10 +11,11 @@ that leaves the commuting-involution framework is refused.
 The rules are written once, in `_compose_fields`, which returns the fields
 of a product, or the (rule, message) that refuses it, given the level's
 constants from `_rules`.  Only the level's involution table runs them, once
-per unordered pair (`_InvolutionTable`).  Each level has one memoised table,
-the one cache of its involution algebra: the identity and
-`level_involutions(N)`, the product of each ordered pair as an index or a
-refusal, each element's fixed-point count and each closed group's genus.
+per ordered pair of element classes (`_InvolutionTable`).  Each level has
+one memoised table, the one cache of its involution algebra: the identity
+and `level_involutions(N)`, the product rows a closure has read (an index
+or a refusal per entry), each element's fixed-point count and each closed
+group's genus.
 A group is a bitmask over the table, with the list of its indices while it
 grows; `_InvolutionTable.extend` doubles it by one coset, or returns the
 first refusal in the coset.  `group_closure` and the atlas's witness search
@@ -29,8 +30,9 @@ involutions, counted once per closed mask by the level's table
 (`_subgroup_genus`); `modsym.clear_cache()` empties the memo tables.  A
 cold classification counts 223 groups of w_d's in both, and a test checks
 that they agree.  Both stay: 35 levels (28, 45, 50, 92, ..., 558) get
-subgroup genera and no table, and building their tables cost about 6.5 ms
-of a 130 ms cold classification (Python 3.11, 2 vCPU).
+subgroup genera and no table, and building their tables with the rows of
+B(N) would cost about 4.3 ms of a 135 ms cold classification (Python 3.11,
+2 vCPU).
 
 The only input from modular symbols is `fix_al`, the Lefschetz number
 2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
@@ -313,57 +315,66 @@ def group_closure(N: int, generators) -> tuple[ExtInvolution, ...]:
 
 
 class _InvolutionTable:
-    """The identity and `level_involutions(N)`, with every ordered product.
+    """The identity and `level_involutions(N)`, with their ordered products.
 
-    ``products[i][j]`` is the index of elements[i] * elements[j], or the
-    (rule, message) with which the rules refuse the pair.  The table is the
-    one caller of the rules (`_compose_fields`): it runs them on the level's
-    `_rules`, read once, and finds each product's index by its fields, so it
-    builds no ExtInvolution.  The rules run once for each i <= j.  When a*b
-    is an involution, b*a = (a*b)^-1 = a*b, so entry [j][i] takes the same
-    index; when it is refused, b*a is run too, so [j][i] names the pair in
-    its own order.  A refusal is stored as it comes; `close` raises it.  A
-    product that is an involution but not an element raises IntegrityError:
-    the table must be closed for bitmask closures to be exact.  A group is
-    its bitmask; `members` lists its elements.  ``fixed`` keeps each
-    element's `fix_count` once taken, and ``genera`` each closed mask's
-    Hurwitz genus (`genus`).
+    ``products[i]`` is None until `row(i)` first reads it (`extend` and
+    `close` read the rows of a group's elements); entry j of the row is the
+    index of elements[i] * elements[j], or the (rule, message) with which
+    the rules (`_compose_fields`) refuse the pair.  The rules read a tail
+    only through its prime-to-3 part mod 3, which multiplies, so an outcome
+    depends only on the classes (word2, V3 bit, that residue) of the pair.
+    The rules run on the level's `_rules` for the first pair of each ordered
+    class pair; another pair's product has its word and V3 bit, and the
+    hall_product of its tails, times 9 where the class pair twists, and is
+    found by its fields.  A refused class pair keeps no outcome, so each of
+    its pairs is run and its entry names it in its own order; `close` raises
+    it.  A product that is not an element
+    raises IntegrityError.  ``fixed`` keeps each element's `fix_count` once
+    taken, and ``genera`` each closed mask's Hurwitz genus (`genus`).
     """
 
-    __slots__ = ("level", "elements", "fields", "al_index", "products", "fixed", "genera")
+    __slots__ = ("level", "elements", "fields", "al_index", "products", "fixed", "genera",
+                 "_rules", "_classes", "_outcomes")
 
     def __init__(self, N: int):
         elements = (ExtInvolution.identity(N), *level_involutions(N))
         self.level = N
         self.elements = elements
-        self.fields = fields = {(e.word2, e.e3, e.tail): i for i, e in enumerate(elements)}
-        self.al_index = {
-            e._al_part(): i for i, e in enumerate(elements) if e.kind in ("id", "al")
-        }
-        rules = _rules(N)
-
-        def product(a, b):
-            c = _compose_fields(rules, a, b)
-            if type(c[0]) is str:
-                return c
-            i = fields.get(c)
-            if i is None:
-                raise IntegrityError(
-                    f"{a.name} * {b.name} is not in the involution table of level {N}"
-                )
-            return i
-
-        n = len(elements)
-        products = [[None] * n for _ in elements]
-        for i, a in enumerate(elements):
-            for j in range(i, n):
-                b = elements[j]
-                products[i][j] = entry = product(a, b)
-                if j > i:
-                    products[j][i] = entry if type(entry) is int else product(b, a)
-        self.products = tuple(map(tuple, products))
-        self.fixed: list = [None] * n
+        self.fields = {(e.word2, e.e3, e.tail): i for i, e in enumerate(elements)}
+        self.al_index = {d: i for i, d in enumerate(hall_divisors(N))}
+        self._rules = _rules(N)
+        ids: dict = {}
+        self._classes = [
+            ids.setdefault((e.word2, e.e3, _coprime3(e.tail) % 3), len(ids)) for e in elements
+        ]
+        self._outcomes = [[None] * len(ids) for _ in ids]
+        self.products: list = [None] * len(elements)
+        self.fixed: list = [None] * len(elements)
         self.genera: dict[int, int] = {}
+
+    def row(self, i: int) -> list:
+        """The products of elements[i] with each element, filled on first read."""
+        row = self.products[i]
+        if row is None:
+            a, row = self.elements[i], []
+            outcomes = self._outcomes[self._classes[i]]
+            for b, cb in zip(self.elements, self._classes):
+                tail = hall_product(a.tail, b.tail)
+                out = outcomes[cb]
+                if out is None:
+                    c = _compose_fields(self._rules, a, b)
+                    if type(c[0]) is str:
+                        row.append(c)
+                        continue
+                    out = outcomes[cb] = c[0], c[1], c[2] != tail
+                j = self.fields.get((out[0], out[1], hall_product(tail, 9) if out[2] else tail))
+                if j is None:
+                    raise IntegrityError(
+                        f"{a.name} * {b.name} is not in the involution table of level {self.level}"
+                    )
+                row.append(j)
+            self.products[i] = row
+        return row
 
     def extend(self, elems: list, mask: int, g: int):
         """One doubling step: the group with index list `elems` and bitmask
@@ -376,7 +387,7 @@ class _InvolutionTable:
         IntegrityError.
         """
         products = self.products
-        coset = [products[e][g] for e in elems]
+        coset = [(products[e] or self.row(e))[g] for e in elems]
         for p in coset:
             if type(p) is not int:
                 return p
@@ -550,19 +561,24 @@ def level_involutions(N: int) -> list[ExtInvolution]:
     The w_d first; when 4 | N, then S2*w_r, S2C*w_r, V2*w_r and V2*w_{2^a r}
     for odd Hall divisors r; then the V3*w_d of order 2 when 9 || N.  An
     element reached twice (S2C*w_r = V2*w_r when 4 || N) is listed once.
-    Built afresh on each call; the level's involution table keeps its copy.
+    Each is built from its fields, as its constructor would build it, with
+    the level's constants read once.  Built afresh on each call.
     """
-    elems = [ExtInvolution.al(N, d) for d in hall_divisors(N)[1:]]
-    alpha = factor(N).valuation(2)
-    if alpha >= 2:
-        odd = [r for r in hall_divisors(N) if r % 2]
-        for ctor in (ExtInvolution.s2, ExtInvolution.s2_conj, ExtInvolution.v2):
-            elems += [ctor(N, r) for r in odd]
+    _, alpha, modulus, f, _ = _rules(_need_level(N))
+    divs = hall_divisors(N)
+    # the word and tail of w_d: the 2-part moves into the word when 4 | N
+    al = [(f, d >> alpha) if f and d % 2 == 0 else (_ID2, d) for d in divs]
+    elems = [ExtInvolution(N, word, 0, tail) for word, tail in al[1:]]
+    if f:
+        words = [_S2W, _word_mul(_word_mul(f, _S2W, modulus), f, modulus), _V2W]
         if alpha >= 3:
-            elems += [ExtInvolution.v2(N, r << alpha) for r in odd]
+            words.append((2, 0))
+        odd = [r for r in divs if r % 2]
+        elems += [ExtInvolution(N, word, 0, r) for word in words for r in odd]
     if factor(N).valuation(3) == 2:
         elems += [
-            ExtInvolution.v3(N, d) for d in hall_divisors(N) if _coprime3(d) % 3 == 1
+            ExtInvolution(N, word, 1, tail)
+            for d, (word, tail) in zip(divs, al) if _coprime3(d) % 3 == 1
         ]
     return list(dict.fromkeys(elems))
 

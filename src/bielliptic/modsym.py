@@ -30,7 +30,8 @@ for (0 : 1).  Three lookup lists, indexed by c mod N, hold g's table, M and
 (c/g)^-1 mod M for each c, so a lookup is three list reads, a product mod M
 and a table read, with no gcd and no inverse; entry g of a divisor g < N is
 g's own table with M = N/g, and entry 0 is the table of (0 : 1), so the
-eta-image of (g : v) is read at entry g.  The build reads the sigma and tau
+eta-image of (g : v) is read at entry g; the inverses come from one list
+per modulus M (`_unit_inverses`).  The build reads the sigma and tau
 neighbours of each point that way, as the trace reads its symbols, and no
 per-point tuple is kept.
 
@@ -106,7 +107,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import IntegrityError
 from .ntheory import (
-    _MEMO_TABLES, ALSubgroup, _is_hall_divisor, _need_level, egcd, euler_phi, psi,
+    _MEMO_TABLES, ALSubgroup, _is_hall_divisor, _need_level, egcd, euler_phi, factor,
+    memoise, psi,
 )
 from .x0invariants import cusp_count_plus, genus_x0
 
@@ -228,6 +230,16 @@ def _p1_walk(N: int, g: int, slots: int, rep_g: list, rep_v: list) -> list:
     return table
 
 
+@memoise
+def _unit_inverses(M: int) -> list:
+    """Entry k is k^-1 mod M for a unit k of Z/M, else 0; the units are what
+    a sieve by M's primes leaves.  Shared by every level with N/g = M."""
+    unit = bytearray([1]) * M
+    for p, _ in factor(M).factors:
+        unit[::p] = bytes(len(range(0, M, p)))
+    return [pow(k, -1, M) if u else 0 for k, u in enumerate(unit)]
+
+
 def _p1_points(N: int) -> tuple[list, list, list, list, list]:
     """The points of P^1(Z/N) in order, as a g list and a v list, and the
     three lookup lists indexed by c mod N.
@@ -235,36 +247,37 @@ def _p1_points(N: int) -> tuple[list, list, list, list, list]:
     Divisor g < N, with M = N/g and h = gcd(g, M), has (M/h) * phi(h) points
     (g : v), one per residue mod M prime to h, and its walk stops at the last
     of them; the point (0 : 1) comes first, as g = 0 and v = 1, with the
-    table [0].  Entry c of the lookup lists is g's table, M and
-    inv = (c/g)^-1 mod M with g = gcd(c, N) and M = N/g, so the point (c : d)
-    is `table[inv * d % M]`: a lookup reads g's table from entry c, with no
-    subscript by g.
+    table [0]; the N points (1 : v) and their table are ranges.  Entry c of
+    the lookup lists is g's table, M and inv = (c/g)^-1 mod M with
+    g = gcd(c, N) and M = N/g, so the point (c : d) is `table[inv * d % M]`.
+    Divisor g writes the slices [g::g], with k^-1 mod M at c = g*k from
+    `_unit_inverses(M)`, in ascending order, so its own divisor is the last
+    to write an entry.
     """
     rep_g, rep_v = [0], [1]
-    tables = {N: [0]}
+    table_of, mod_of, inv_of = [[0]] * N, [1] * N, [0] * N
     for g in range(1, N):
         if N % g:
             continue
         M = N // g
-        h = gcd(g, M)
-        slots = M // h * euler_phi(h)
-        start = len(rep_g)
-        tables[g] = _p1_walk(N, g, slots, rep_g, rep_v)
-        if len(rep_g) - start != slots:
-            raise IntegrityError(
-                f"P1(Z/{N}): divisor {g} filled {len(rep_g) - start} of its {slots} residues"
-            )
+        if g == 1:
+            table = list(range(1, N + 1))
+            rep_g += [1] * N
+            rep_v += range(N)
+        else:
+            h = gcd(g, M)
+            slots = M // h * euler_phi(h)
+            start = len(rep_g)
+            table = _p1_walk(N, g, slots, rep_g, rep_v)
+            if len(rep_g) - start != slots:
+                raise IntegrityError(
+                    f"P1(Z/{N}): divisor {g} filled {len(rep_g) - start} of its {slots} residues"
+                )
+        table_of[g::g] = [table] * (M - 1)
+        mod_of[g::g] = [M] * (M - 1)
+        inv_of[g::g] = _unit_inverses(M)[1:]
     if len(rep_g) != psi(N):
         raise IntegrityError(f"P1(Z/{N}) has {len(rep_g)} points, expected psi = {psi(N)}")
-    table_of = [tables[N]] * N
-    mod_of = [1] * N
-    inv_of = [0] * N
-    for c in range(1, N):
-        g = gcd(c, N)
-        M = N // g
-        table_of[c] = tables[g]
-        mod_of[c] = M
-        inv_of[c] = pow(c // g, -1, M)
     return rep_g, rep_v, table_of, mod_of, inv_of
 
 
@@ -306,6 +319,7 @@ class ModSymSpace:
         sign: list = [None] * n
         col = [0] * n
         swap = [0] * n
+        kept = []
         for i in range(n):
             if sign[i] is None:
                 c, d = rep_g[i], rep_v[i]
@@ -315,6 +329,8 @@ class ModSymSpace:
                 x = rep_g[j]
                 m = table_of[x][-rep_v[j] % mod_of[x]]
                 s = 0 if i in (j, m) else -1
+                if s:
+                    kept.append(i)
                 sign[i] = sign[k] = s
                 sign[j] = sign[m] = -s
                 col[i] = col[j] = col[k] = col[m] = i
@@ -347,7 +363,6 @@ class ModSymSpace:
                 relations.append(row)
         pivots = _int_rref(relations)
 
-        kept = sorted({x for s, x in zip(sign, col) if s})
         free = [c for c in kept if c not in pivots]
         self.free = tuple(free)
         self.dim = len(free)

@@ -4,16 +4,17 @@ Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
 `memoise` caches the pure per-level functions a classification asks for over
-and over, in nine tables: here `factor`, the sorted subspaces of F2^omega
-(`_subspace_bases`, one entry per omega) and the subgroup lattice behind
+and over, in ten tables: here `factor`, the subspaces of F2^omega with
+their spans (`_subspaces`, per omega) and the subgroup lattice behind
 `all_subgroups` that each level maps from them; `genus_x0` in `x0invariants`;
-`_involution_table` and `_subgroup_genus` in `involutions`; and in `atlas`
-the two data tables (`hyperelliptic_pairs`, `witness_annotations`) and
-`_search`, the candidate search of each (level, subgroup).  Each table holds
-one entry per argument tuple it was called with.  An involution table keeps
-its level's involution list, product table, each element's fixed-point
-count and each closed group's Hurwitz genus by bitmask; a group is its
-bitmask, and no table keeps a group object.  A trace is stored only in its modular-symbols space.
+`_unit_inverses` in `modsym`; `_involution_table` and `_subgroup_genus` in
+`involutions`; and in `atlas` the two data tables (`hyperelliptic_pairs`,
+`witness_annotations`) and `_search`, the candidate search of each (level,
+subgroup).  Each table holds one entry per argument tuple it was called
+with.  An involution table keeps its level's involution list, the product
+rows read so far, each element's fixed-point count and each closed group's
+Hurwitz genus by bitmask; a group is its bitmask, and no table keeps a
+group object.  A trace is stored only in its modular-symbols space.
 `modsym.clear_cache()` empties them together with the modular-symbols
 spaces; it is the package's one reset.
 
@@ -32,7 +33,7 @@ memo table, so the reset drops them too.
 from __future__ import annotations
 
 import functools
-from math import gcd, prod
+from math import gcd
 from operator import attrgetter
 
 from .errors import IntegrityError
@@ -206,12 +207,17 @@ def euler_phi(n: int) -> int:
     return r
 
 
-def hall_divisors(n: int) -> list[int]:
-    """All d | n with gcd(d, n/d) = 1, ascending.  Count is 2^omega(n)."""
+def _mask_divisors(n: int) -> list[int]:
+    """Hall divisors of n by mask: entry m multiplies the prime powers of bits m."""
     divs = [1]
     for q in factor(n).prime_powers():
         divs += [d * q for d in divs]
-    return sorted(divs)
+    return divs
+
+
+def hall_divisors(n: int) -> list[int]:
+    """All d | n with gcd(d, n/d) = 1, ascending.  Count is 2^omega(n)."""
+    return sorted(_mask_divisors(n))
 
 
 def hall_product(d: int, e: int) -> int:
@@ -349,6 +355,15 @@ class ALSubgroup:
         self.elements = frozenset(elems)
 
     @classmethod
+    def _of_masks(cls, level: int, divs, basis, span) -> "ALSubgroup":
+        """The lattice's subgroup of the `divs[m]`, m in `span`, unchecked."""
+        sub = object.__new__(cls)
+        sub.level = level
+        sub.elements = frozenset([divs[m] for m in span])
+        sub._gens = tuple([(m, divs[m]) for m in basis])
+        return sub
+
+    @classmethod
     def of(cls, level: int, W) -> "ALSubgroup":
         """W itself when it is a subgroup at this level, else the group its
         generators span; ValueError when W belongs to another level."""
@@ -471,41 +486,37 @@ def all_subgroups(level: int) -> list[ALSubgroup]:
 
 
 @memoise
-def _subspace_bases(omega: int) -> tuple[tuple[int, ...], ...]:
-    """Every subspace of F2^omega by its canonical basis, in `sort_key` order.
+def _subspaces(omega: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every subspace of F2^omega as (canonical basis, span), in `sort_key` order.
 
     The canonical basis of `ALSubgroup._masked_generators` takes, for each
     top bit that occurs, the least mask with that top bit; that is the
     reduced echelon basis with top bits as pivots.  Each vector is its pivot
     plus any set of the non-pivot bits below it, so the bases are grown bit
-    by bit, each subspace exactly once, ascending within a basis.
+    by bit, each subspace exactly once, ascending within a basis, and each
+    new vector doubles its basis's span.
     """
-    bases = [()]
+    spaces = [((), (0,))]
     for top in range(omega):
         grown = []
-        for basis in bases:
+        for basis, span in spaces:
             pivots = sum(1 << m.bit_length() - 1 for m in basis)
             free = [1 << b for b in range(top) if not pivots >> b & 1]
             for choice in range(1 << len(free)):
-                tail = sum(f for i, f in enumerate(free) if choice >> i & 1)
-                grown.append((*basis, 1 << top | tail))
-        bases += grown
-    bases.sort(key=lambda b: (len(b), sorted(m.bit_count() for m in b), b))
-    return tuple(bases)
+                v = 1 << top | sum(f for i, f in enumerate(free) if choice >> i & 1)
+                grown.append(((*basis, v), span + tuple(s ^ v for s in span)))
+        spaces += grown
+    spaces.sort(key=lambda t: (len(t[0]), sorted(m.bit_count() for m in t[0]), t[0]))
+    return tuple(spaces)
 
 
 @memoise
 def _subgroup_lattice(level: int) -> tuple[ALSubgroup, ...]:
-    """The subspaces of F2^omega(N), each mapped onto B(N) through its
-    canonical basis, bit i standing for the i-th prime power of N.  The
-    subspaces and their order depend only on omega, so each level costs one
-    construction per subgroup, with its generators preset.
+    """The subspaces of F2^omega(N), each mapped onto B(N) through the
+    level's divisors by mask (`_mask_divisors`), bit i standing for the i-th
+    prime power of N.  The subspaces, their spans and their order depend
+    only on omega, so a subgroup costs one list read per element.
     """
-    pp = factor(level).prime_powers()
-    lattice = []
-    for masks in _subspace_bases(len(pp)):
-        gens = [prod(q for i, q in enumerate(pp) if m >> i & 1) for m in masks]
-        sub = ALSubgroup(level, gens)
-        sub._gens = tuple(zip(masks, gens))
-        lattice.append(sub)
-    return tuple(lattice)
+    divs = _mask_divisors(level)
+    spaces = _subspaces(factor(level).omega)
+    return tuple(ALSubgroup._of_masks(level, divs, basis, span) for basis, span in spaces)

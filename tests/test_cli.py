@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bielliptic import _data, atlas, cli
-from bielliptic.involutions import quotient_genus_hurwitz
+from bielliptic.involutions import fix_al, quotient_genus_hurwitz
 from bielliptic.ntheory import ALSubgroup, all_subgroups
 from bielliptic.screening import star_gate
 
@@ -91,18 +91,21 @@ def test_screen(capsys):
 
 def test_screen_prime_power_level(capsys):
     # a prime power is outside the standing hypothesis: the level gate
-    # raises, so the full group's quotient has no hyperelliptic answer, and
-    # a quotient of genus below 2 stops before the gate while one of genus
-    # 2 or more reaches it, a usage error
-    full = ALSubgroup.full(64)
-    with pytest.raises(ValueError, match="outside the standing hypothesis"):
-        star_gate(64)
-    assert atlas._quotient_hyperelliptic(64, full, quotient_genus_hurwitz(64, full)) is None
-    code, out, _ = run(capsys, "screen", "64", "--w", "w64")
-    assert (code, out) == (0, "genus-too-small\n")
-    code, out, err = run(capsys, "screen", "128", "--w", "w128")
-    assert (code, out) == (2, "")
-    assert "level 128 is outside the standing hypothesis" in err
+    # raises before any genus is computed, so a quotient of genus below 2
+    # (64 and w64, 7 and w7) is the same usage error as one of genus 2 or more
+    for level, w in (("64", "w64"), ("128", "w128"), ("64", None), ("7", "w7")):
+        with pytest.raises(ValueError, match="outside the standing hypothesis"):
+            star_gate(int(level))
+        code, out, err = run(capsys, "screen", level, *(("--w", w) if w else ()))
+        assert (code, out) == (2, ""), (level, w)
+        assert f"level {level} is outside the standing hypothesis" in err, (level, w)
+
+
+def test_genus_and_fix_answer_outside_the_hypothesis(capsys):
+    # only screen consults the level gate
+    assert quotient_genus_hurwitz(64, ALSubgroup.full(64)) == 1
+    assert run(capsys, "genus", "64", "--w", "w64")[:2] == (0, "1\n")
+    assert run(capsys, "fix", "64", "w64")[:2] == (0, f"{fix_al(64, 64)}\n")
 
 
 def test_selftest_levels(capsys):

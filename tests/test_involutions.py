@@ -7,7 +7,10 @@ from bielliptic import atlas, cli, involutions, modsym, screening
 from bielliptic.errors import OrderViolation
 from bielliptic.involutions import (
     ExtInvolution,
+    _compose_fields,
+    _coprime3,
     _involution_table,
+    _rules,
     fix_al,
     fix_count,
     fix_table_tsv,
@@ -17,7 +20,7 @@ from bielliptic.involutions import (
     quotient_genus_hurwitz,
 )
 from bielliptic.modsym import invariant_genus
-from bielliptic.ntheory import _MEMO_TABLES, ALSubgroup, all_subgroups, hall_divisors
+from bielliptic.ntheory import _MEMO_TABLES, ALSubgroup, all_subgroups, factor, hall_divisors
 from bielliptic.x0invariants import genus_x0
 
 from oracles import (
@@ -103,7 +106,7 @@ def _table_product(N, a, b):
     """The entry of a*b in the level's involution table, for two names: the
     product, or the (rule, message) of its refusal."""
     table = _involution_table(N)
-    entry = table.products[table.position(a)][table.position(b)]
+    entry = table.row(table.position(a))[table.position(b)]
     return table.elements[entry] if type(entry) is int else entry
 
 
@@ -240,6 +243,7 @@ def _product(a, b):
     ExtInvolution.v3,
     lambda N: group_closure(N, [1]),
     lambda N: group_closure(N, []),
+    level_involutions,
 ])
 def test_level_below_one_is_rejected(N, make):
     # level 0 once sent _two_alpha into an endless loop, so the call runs in
@@ -321,7 +325,7 @@ def _table_outcomes(table):
     N = table.level
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            entry = table.products[i][j]
+            entry = table.row(i)[j]
             try:
                 c = compose_reference(a, b)
             except OrderViolation as exc:
@@ -349,9 +353,34 @@ def test_involution_table_matches_compose():
     assert (products, accepted) == (14980, 2828)
 
 
+def test_table_rows_equal_the_rules_on_each_pair():
+    # every row of a fresh table forced, last row first, so that other pairs
+    # than in a classification are the first of their class pair: each
+    # ordered entry is what the rules give that pair, a product being the
+    # index of an element (the table's closure check) and a refusal naming
+    # the pair in its own order
+    levels = entries = 0
+    for N in range(1, 1001):
+        if N % 4 and factor(N).valuation(3) != 2:
+            continue
+        table = _involution_table.__wrapped__(N)
+        rules, elems = _rules(N), table.elements
+        rows = {i: table.row(i) for i in reversed(range(len(elems)))}
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                c = _compose_fields(rules, a, b)
+                if type(c[0]) is not str:
+                    assert c in table.fields, (N, a.name, b.name)
+                    c = table.fields[c]
+                assert rows[i][j] == c, (N, a.name, b.name)
+                entries += 1
+        levels += 1
+    assert (levels, entries) == (306, 67904)
+
+
 def test_involution_table_at_its_largest_levels():
-    # 8 | N and 9 || N, so S2, S2C, V2 and V3 words all occur: the table is
-    # filled once per unordered pair, and each ordered entry still holds the
+    # 8 | N and 9 || N, so S2, S2C, V2 and V3 words all occur: the rules run
+    # once per ordered class pair, and each ordered entry still holds the
     # reference compose's product or the rule and message of its own
     # OrderViolation
     outcomes = Counter()
@@ -468,19 +497,23 @@ def test_group_closure_counts_each_mask_once(monkeypatch):
 
 
 def _core_calls(table):
-    """n(n+1)/2 runs of the rules for the pairs i <= j, plus one reverse run
-    for each pair i < j whose product was refused."""
-    n = len(table.elements)
-    raised = sum(
-        type(table.products[i][j]) is not int for i in range(n) for j in range(i + 1, n)
-    )
-    return n * (n + 1) // 2 + raised
+    """One run of the rules for each ordered pair of classes (word2, V3 bit,
+    prime-to-3 tail mod 3) met in the filled rows, plus one for each further
+    refused pair of a class pair, which is run again to name it."""
+    classes = [(e.word2, e.e3, _coprime3(e.tail) % 3) for e in table.elements]
+    pairs, refused = set(), 0
+    for i, row in enumerate(table.products):
+        for j, entry in enumerate(row or ()):
+            key = classes[i], classes[j]
+            refused += type(entry) is not int and key in pairs
+            pairs.add(key)
+    return len(pairs) + refused
 
 
 def test_classify_composes_only_to_build_tables(monkeypatch):
-    # a cold classify runs the composition rules on each unordered pair of
-    # each level's table, diagonal included, and again in the reverse order
-    # only where the first run refuses; a warm one runs them not at all.
+    # a cold classify fills only the table rows that extend and close read,
+    # and runs the composition rules once for each pair of classes met there,
+    # and again for each further refused pair; a warm one runs them not at all.
     # Each witness search closes W once and
     # extends it by one coset per candidate; a refused candidate raises no
     # OrderViolation.  The searches are memoised, so the warm pass closes
@@ -549,7 +582,7 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     assert len(ruled) == sum(map(_core_calls, tables.values()))
     assert sum(len(table.elements) - 1 for table in tables.values()) == 645
     assert len(set(fixed)) == len(fixed) == 621
-    assert (len(tables), len(ruled)) == (67, 6196)
+    assert (len(tables), len(ruled)) == (67, 1428)
     assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert len(extensions) == 3703
     assert refusals == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}

@@ -17,7 +17,7 @@ from bielliptic.ntheory import (
     ALSubgroup,
     Factorization,
     _subgroup_lattice,
-    _subspace_bases,
+    _subspaces,
     all_subgroups,
     class_number,
     egcd,
@@ -271,10 +271,31 @@ def test_all_subgroups_is_the_subgroup_lattice():
             assert {hall_product(a, b) for a in s.elements for b in s.elements} == s.elements
 
 
+def test_lattice_subgroups_equal_their_checked_construction():
+    # the lattice maps omega-templates through the divisors by mask, with no
+    # check and no product, and presets each subgroup's canonical generators;
+    # the checked constructor doubles its generators and finds its canonical
+    # generators from the elements alone.  `label` and `sort_key` are read
+    # off those generators, so equal (mask, d) pairs give equal labels and
+    # keys; one level's are compared as well.
+    count = 0
+    for N in range(1, 3001):
+        for sub in _subgroup_lattice(N):
+            checked = ALSubgroup(N, sub.generators())
+            assert checked.elements == sub.elements, (N, sub.label())
+            assert checked._masked_generators() == sub._masked_generators(), (N, sub.label())
+            count += 1
+    checked = [ALSubgroup(2310, sub.generators()) for sub in _subgroup_lattice(2310)]
+    assert [(s.label(), s.sort_key()) for s in checked] == [
+        (s.label(), s.sort_key()) for s in _subgroup_lattice(2310)
+    ]
+    assert count == 34804
+
+
 def test_subspace_tables_count_every_subspace():
     # the number of subspaces of F2^omega, one table per omega; the growth
     # oracle below checks that they are distinct and in order
-    assert [len(_subspace_bases(w)) for w in range(6)] == [1, 2, 5, 16, 67, 374]
+    assert [len(_subspaces(w)) for w in range(6)] == [1, 2, 5, 16, 67, 374]
 
 
 def test_all_subgroups_equals_the_growth_oracle():

@@ -148,7 +148,10 @@ def ingest_ec_table(source) -> dict[str, ECRecord]:
     return _read_table(source, None, 3, read_row)
 
 
+@memoise
 def default_ec_table() -> dict[str, ECRecord]:
+    """The `_data` curve table, read once per process into one dict that
+    every caller shares; a `--ec` file is read on each call."""
     return ingest_ec_table(_data.EC_TABLE_TEXT)
 
 
@@ -164,7 +167,10 @@ def ingest_adjudications(source) -> dict:
     return _read_table(source, ";", 4, read_row)
 
 
+@memoise
 def default_adjudications() -> dict:
+    """The `_data` adjudications, read once per process into one dict that
+    every caller shares; an `--adjudications` file is read on each call."""
     return ingest_adjudications(_data.ADJUDICATIONS_TEXT)
 
 
@@ -247,7 +253,13 @@ def scope_levels() -> list[int]:
 
 
 def enumerate_pairs() -> list[tuple[int, ALSubgroup]]:
-    """All (N, W) with 1 < W < B(N), W not the Fricke subgroup, genus >= 2."""
+    """All (N, W) with 1 < W < B(N), W not the Fricke subgroup, genus >= 2,
+    in report order: a fresh list of the pairs `_pairs` finds once."""
+    return list(_pairs())
+
+
+@memoise
+def _pairs() -> tuple[tuple[int, ALSubgroup], ...]:
     pairs = []
     for N in scope_levels():
         if genus_x0(N) < 2:
@@ -258,7 +270,7 @@ def enumerate_pairs() -> list[tuple[int, ALSubgroup]]:
             if quotient_genus_hurwitz(N, sub) < 2:
                 continue
             pairs.append((N, sub))
-    return pairs
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

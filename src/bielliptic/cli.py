@@ -18,7 +18,7 @@ import sys
 
 from . import atlas, involutions
 from .errors import DataError, IntegrityError
-from .ntheory import ALSubgroup, parse_decimal, parse_level
+from .ntheory import ALSubgroup, memoise, parse_decimal, parse_level
 from .x0invariants import genus_x0
 
 EXIT_OK = 0
@@ -192,10 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@memoise
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one verb and return its exit code.  The parser is built once per
+    process (`_parser`, emptied by `clear_caches` like every memo table)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

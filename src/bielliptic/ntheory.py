@@ -3,20 +3,22 @@
 Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
-`memoise` caches the pure per-level functions a classification asks for over
-and over, in ten tables: here `factor`, the subspaces of F2^omega with
-their spans (`_subspaces`, per omega) and the subgroup lattice behind
-`all_subgroups` that each level maps from them; `genus_x0` in `x0invariants`;
-`_unit_inverses` in `modsym`; `_involution_table` and `_subgroup_genus` in
-`involutions`; and in `atlas` the two data tables (`hyperelliptic_pairs`,
-`witness_annotations`) and `_search`, the candidate search of each (level,
-subgroup).  Each table holds one entry per argument tuple it was called
-with.  An involution table keeps its level's involution list, the product
-rows read so far, each element's fixed-point count and each closed group's
-Hurwitz genus by bitmask; a group is its bitmask, and no table keeps a
-group object.  A trace is stored only in its modular-symbols space.
-`modsym.clear_cache()` empties them together with the modular-symbols
-spaces; it is the package's one reset.
+`memoise` caches the pure functions a classification asks for over and
+over, in fifteen tables.  Nine hold level data: here `factor`, the
+subspaces of F2^omega with their spans (`_subspaces`, per omega) and the
+subgroup lattice behind `all_subgroups` that each level maps from them;
+`genus_x0` in `x0invariants`; `_unit_inverses` in `modsym`;
+`_involution_table` and `_subgroup_genus` in `involutions`; `star_gate` in
+`screening`; and `_search` in `atlas`, the candidate search of each (level,
+subgroup).  Six hold per-process inputs: the CLI parser (`cli._parser`), and
+in `atlas` the four data tables (the `default_*` pair, `hyperelliptic_pairs`,
+`witness_annotations`) and the pair list (`_pairs`).  Each table holds one
+entry per argument tuple it was called with.  An involution table keeps its
+level's involution list, the product rows read so far, each element's
+fixed-point count and each closed group's Hurwitz genus by bitmask; a group
+is its bitmask, and no table keeps a group object.  A trace is stored only
+in its modular-symbols space.  `modsym.clear_cache()` empties the tables
+together with the modular-symbols spaces; it is the package's one reset.
 
 `Record`, `Frozen` and `replace` serve the package's records (a
 `Factorization` here, and the involutions, rule results, witnesses,

@@ -10,7 +10,7 @@ bielliptic; outside those lists no quotient can be bielliptic at all.
 
 from __future__ import annotations
 
-from .ntheory import ALSubgroup, Frozen, factor, psi
+from .ntheory import ALSubgroup, Frozen, factor, memoise, psi
 
 # ---------------------------------------------------------------------------
 # level gate data: classification of the full quotients X0(N)/B(N)
@@ -53,9 +53,11 @@ class StarGate(Frozen):
         object.__setattr__(self, "star_genus", star_genus)
 
 
+@memoise
 def star_gate(N: int) -> StarGate:
-    """Gate verdict for a non-squarefree, non-prime-power level.  A level in
-    a hyperelliptic list and in GATE_BIELLIPTIC too is of kind hyperelliptic."""
+    """Gate verdict for a non-squarefree, non-prime-power level, memoised per
+    level (a refused level stores nothing).  A level in a hyperelliptic list
+    and in GATE_BIELLIPTIC too is of kind hyperelliptic."""
     fac = factor(N)
     if fac.is_squarefree or fac.omega < 2:
         raise ValueError(f"level {N} is outside the standing hypothesis "

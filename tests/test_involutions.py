@@ -827,18 +827,23 @@ def _closed_masks(table):
     return masks
 
 
+def _non_al_masks(N):
+    """Level N's involution table and the masks of its closed groups that
+    hold an element outside the Atkin-Lehner ones (S2*w_r, V2*w_r or V3*w_d)."""
+    table = _involution_table(N)
+    al = sum(1 << i for i, e in enumerate(table.elements) if e.kind in ("id", "al"))
+    return table, [mask for mask in _closed_masks(table) if mask & ~al]
+
+
 def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
-    # every elementary abelian group of each scope level's involution table
-    # that holds an element outside the Atkin-Lehner ones (S2*w_r, V2*w_r or
-    # V3*w_d): its Hurwitz count, from `fix_count`, must be an integer
-    # h >= 0 (`_hurwitz` raises otherwise), and the table's per-mask genus
-    # must equal the written-out equation's.  A cold classify reaches about
-    # a quarter of these groups, so a wrong count has more equations to break.
+    # every such group of each scope level: its Hurwitz count, from
+    # `fix_count`, must be an integer h >= 0 (`_hurwitz` raises otherwise),
+    # and the table's per-mask genus must equal the written-out equation's.
+    # A cold classify reaches about a quarter of these groups, so a wrong
+    # count has more equations to break.
     levels = groups = genus2 = 0
     for N in atlas.scope_levels():
-        table = _involution_table(N)
-        al = sum(1 << i for i, e in enumerate(table.elements) if e.kind in ("id", "al"))
-        other = [mask for mask in _closed_masks(table) if mask & ~al]
+        table, other = _non_al_masks(N)
         levels += bool(other)
         groups += len(other)
         for mask in other:
@@ -847,3 +852,25 @@ def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
             assert h == hurwitz_genus_reference(N, elements) >= 0, (N, mask)
             genus2 += h >= 2
     assert (levels, groups, genus2) == (82, 1802, 1500)
+
+
+def test_every_involution_group_up_to_level_1000_has_a_hurwitz_genus(monkeypatch):
+    # the same groups at every N <= 1000 whose table holds S2, V2 or V3
+    # (4 | N, or 9 || N), most of them outside the scope: each table genus
+    # must be an integer h >= 0 (`_hurwitz` raises otherwise).  The spaces
+    # go to a private cache, emptied after each level to bound the memory.
+    monkeypatch.setattr(modsym, "_CACHE", {})
+    levels = groups = genus2 = 0
+    for N in range(4, 1001):
+        if N % 4 and (N % 9 or N % 27 == 0):
+            continue
+        table, other = _non_al_masks(N)
+        levels += bool(other)
+        groups += len(other)
+        for mask in other:
+            h = table.genus(mask)
+            assert h >= 0, (N, mask)
+            genus2 += h >= 2
+        modsym._CACHE.clear()
+    modsym.clear_cache()
+    assert (levels, groups, genus2) == (306, 9214, 8877)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bielliptic
-from bielliptic import atlas, modsym
+from bielliptic import atlas, cli, modsym
 from bielliptic.modsym import ModSymSpace, build_space, invariant_genus
 from bielliptic.involutions import fix_al, group_closure, quotient_genus_hurwitz
 from bielliptic.ntheory import (
     _MEMO_TABLES, ALSubgroup, all_subgroups, hall_divisors, hall_product, psi,
 )
-from bielliptic.screening import gate_levels
+from bielliptic.screening import gate_levels, star_gate
 from bielliptic.x0invariants import cusp_count, cusp_count_plus, genus_x0
 
 import oracles
@@ -909,6 +909,11 @@ def test_clear_cache_is_the_one_reset(monkeypatch):
     atlas._search(12, ALSubgroup(12, [4]))
     atlas.hyperelliptic_pairs()
     atlas.witness_annotations()
+    atlas.default_ec_table()
+    atlas.default_adjudications()
+    atlas.enumerate_pairs()
+    star_gate(12)
+    cli._parser()
     assert all(_MEMO_TABLES.values())
     modsym.clear_cache()
     assert cache == {}

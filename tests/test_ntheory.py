@@ -27,7 +27,7 @@ from bielliptic.ntheory import (
     kronecker,
     psi,
 )
-from bielliptic.screening import gate_levels
+from bielliptic.screening import gate_levels, star_gate
 from bielliptic.x0invariants import genus_x0
 
 from oracles import class_number_oracle, extend_subgroup, subgroup_lattice_by_growth
@@ -332,6 +332,9 @@ def test_memoised_functions_stay_traceable():
         "bielliptic.x0invariants.genus_x0",
         "bielliptic.atlas.hyperelliptic_pairs",
         "bielliptic.atlas.witness_annotations",
+        "bielliptic.atlas.default_ec_table",
+        "bielliptic.atlas.default_adjudications",
+        "bielliptic.screening.star_gate",
     }
     for name, (module, fn) in public.items():
         assert inspect.isfunction(fn), name
@@ -355,7 +358,7 @@ def test_all_subgroups_returns_a_fresh_list():
 
 
 def test_failed_calls_store_nothing():
-    for fn, args in ((factor, (0,)), (genus_x0, (0,))):
+    for fn, args in ((factor, (0,)), (genus_x0, (0,)), (star_gate, (64,))):
         with pytest.raises(ValueError):
             fn(*args)
         assert args not in _table(fn)

@@ -6,14 +6,17 @@ filled rows, the per-modulus inverse lists behind the P^1 lookups, the
 spaces and their traces.  None of that sharing may change a record: a pair
 classified alone from empty caches, or in another order, must come out as
 it does in one `classify_all`, and a warm pass must find everything it asks
-for already stored.
+for already stored.  The per-process inputs are memoised too (the CLI
+parser, the default curve and adjudication tables, the pair list and the
+level gate's verdicts): a warm `classify` makes none of them again, and
+none of them may change while it is shared.
 """
 
 import random
 
 import pytest
 
-from bielliptic import atlas, modsym
+from bielliptic import _data, atlas, cli, modsym, screening
 from bielliptic.ntheory import _MEMO_TABLES
 
 
@@ -58,3 +61,40 @@ def test_classify_all_in_a_shuffled_order(classification, monkeypatch, seed):
         if run == "cold":
             cold = _memo_state()
     assert _memo_state() == cold
+
+
+def test_a_warm_classify_makes_no_input_again(capsys, monkeypatch):
+    # the second in-process `classify` builds no parser, reads no table,
+    # lists no level and builds no gate verdict, and prints the same bytes
+    assert cli.main(["classify", "--format", "json"]) == 0
+    first = capsys.readouterr().out
+    made = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: made.append(name) or real(*args))
+
+    counting(cli, "build_parser")
+    counting(atlas, "_read_table")
+    counting(atlas, "scope_levels")
+    counting(screening, "StarGate")
+    assert cli.main(["classify", "--format", "json"]) == 0
+    assert made == []
+    assert capsys.readouterr().out == first
+
+
+def test_enumerate_pairs_returns_a_fresh_list():
+    first = atlas.enumerate_pairs()
+    expected = list(first)
+    random.Random(0).shuffle(first)
+    assert first != expected
+    assert atlas.enumerate_pairs() == expected
+
+
+def test_default_tables_stay_as_read():
+    # a classification shares the memoised tables with every later caller
+    atlas.classify_all()
+    assert atlas.default_ec_table() == atlas.ingest_ec_table(_data.EC_TABLE_TEXT)
+    assert atlas.default_adjudications() == atlas.ingest_adjudications(
+        _data.ADJUDICATIONS_TEXT
+    )

@@ -24,12 +24,13 @@ many fixed points, 2-group actions, hyperelliptic factoring) and `_settle`
 records the first that excludes.  A new exclusion rule goes into
 `_exclusions`, the one place the battery is written.
 
-`_search` is memoised per (level, subgroup) and is the one place the atlas
-closes involution groups.  It reads the level's involution table: it closes
-W once and extends that group by one coset per candidate.  The 2-group and
+`_search`, memoised per (level, subgroup), is the one place the atlas grows
+involution groups: from W's mask on the level's involution table
+(`ALSubgroup.hall_mask`), by one coset per candidate.  The 2-group and
 hyperelliptic-factoring rules read the groups the normalizer involutions
-form with B(N) from the full group's search, so each level closes them once
-and a warm classification closes none.
+form with B(N) from the full group's search, so each level grows them once
+and a warm classification grows none.  Every fixed-point count and genus the
+atlas reads is the table's (`_InvolutionTable.fix`, `genus`).
 
 The pipeline checks one piece of the expected classification: `classify_all`
 raises IntegrityError when a published bielliptic pair (a key of
@@ -62,7 +63,6 @@ from .errors import DataError, IntegrityError
 from .involutions import (
     ExtInvolution,
     _involution_table,
-    fix_al,
     fix_table,
     quotient_genus_hurwitz,
 )
@@ -307,14 +307,14 @@ def _search(N: int, sub: ALSubgroup) -> tuple:
     """Every candidate of the pair, in search order, as (candidate, mask, genus).
 
     The candidates are the involutions of the level's involution table
-    outside W.  W's generators are closed once; each candidate then extends
-    that group by one coset (`_InvolutionTable.extend`), and the table gives
-    the Hurwitz genus of the grown mask (`_InvolutionTable.genus`), also
-    after the first genus-1 group (the witness); mask and genus are None
-    when the coset holds a product that is not an involution.
+    outside W.  From W's mask (`ALSubgroup.hall_mask`) and its index list,
+    each candidate extends that group by one coset (`_InvolutionTable.extend`),
+    and the table gives the Hurwitz genus of the grown mask
+    (`_InvolutionTable.genus`), also after the first genus-1 group (the
+    witness); mask and genus are None when the coset holds a non-involution.
     """
-    table = _involution_table(N)
-    elems, mask = table.close([table.al_index[d] for d in sub.generators()])
+    table, mask = _involution_table(N), sub.hall_mask
+    elems = [i for i in range(mask.bit_length()) if mask >> i & 1]
     found = []
     for g, v in enumerate(table.elements):
         if mask >> g & 1:
@@ -573,7 +573,9 @@ def classify_pair(N: int, W, adjudications=None) -> PairRecord:
         trace.append(RuleResult("star-gate", "the full quotient is neither subhyperelliptic "
                                 "nor bielliptic", "excludes", (N,)))
     elif gate.kind == "bielliptic":
-        fixed = next((d for d in hall_divisors(N)[1:] if d not in sub and fix_al(N, d) > 0), None)
+        table = _involution_table(N)
+        fixed = next((d for i, d in enumerate(hall_divisors(N)) if i and d not in sub
+                      and table.fix(i) > 0), None)
         index = (1 << factor(N).omega) // sub.order
         trace.append(rule_fixed_point_closure(N, sub.label(), g, index, gate.star_genus, fixed))
     if trace and trace[0].verdict == "excludes":

@@ -13,33 +13,29 @@ of a product, or the (rule, message) that refuses it, given the level's
 constants from `_rules`.  Only the level's involution table runs them, once
 per ordered pair of element classes (`_InvolutionTable`).  Each level has
 one memoised table, the one cache of its involution algebra: the identity
-and `level_involutions(N)`, the product rows a closure has read (an index
-or a refusal per entry), each element's fixed-point count and each closed
-group's genus.
-A group is a bitmask over the table, with the list of its indices while it
-grows; `_InvolutionTable.extend` doubles it by one coset, or returns the
-first refusal in the coset.  `group_closure` and the atlas's witness search
-close groups that way; `close` is the one place a refusal raises
-OrderViolation.  A closed group is kept only as its mask: `members` lists
-its elements in table order, and `group_closure` returns that tuple.
+and `level_involutions(N)`, the product rows a closure has read (an index or
+a refusal per entry), each element's fixed-point count and each closed
+group's genus.  A group is a bitmask over the table, with the list of its
+indices while it grows; `_InvolutionTable.extend` doubles it by one coset,
+or returns the first refusal in the coset.  `group_closure` and the atlas's
+witness search grow groups that way; `close` is the one place a refusal
+raises OrderViolation.  A closed group is kept only as its mask: `members`
+lists its elements in table order, and `group_closure` returns that tuple.
 
 Every quotient genus the package computes is a Hurwitz count, h with
 |G| (2h - 2) + sum of fixed points = 2g - 2 for a group G of commuting
 involutions, counted once per closed mask by the level's table
-(`_InvolutionTable.genus`) and memoised per Atkin-Lehner subgroup
-(`_subgroup_genus`); `modsym.clear_cache()` empties the memo tables.  A
-cold classification counts 223 groups of w_d's in both, and a test checks
-that they agree.  Both stay: 35 levels (28, 45, 50, 92, ..., 558) get
-subgroup genera and no table, and building their tables with the rows of
-B(N) would cost about 4.3 ms of a 135 ms cold classification (Python 3.11,
-2 vCPU).
+(`_InvolutionTable.genus`), the one store of fixed-point counts and
+genera; `modsym.clear_cache()` empties it with the other memo tables.  An
+Atkin-Lehner subgroup is its mask on that table (`ALSubgroup.hall_mask`),
+since the table lists w_d at the rank of d among the Hall divisors.
 
 The only input from modular symbols is `fix_al`, the Lefschetz number
-2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols.  It keeps no memo: the space's
-trace cache is the one store of a trace, and the table keeps each
-element's count.  The counts of the extra involutions reduce to those
-through conjugation and the two-commuting-involutions identity
-#(uv, X) = 2#(u, X/v) - #(u, X).
+2 - tr(w_Q | S2) of w_Q on the 2g-dimensional cuspidal symbols.  It keeps
+no memo: the space's trace cache is the one store of a trace, and the
+table keeps each element's count (`_InvolutionTable.fix`).  The counts of the
+extra involutions reduce to those through conjugation and the
+two-commuting-involutions identity #(uv, X) = 2#(u, X/v) - #(u, X).
 """
 
 from __future__ import annotations
@@ -303,12 +299,10 @@ def _compose_fields(rules, a: ExtInvolution, b: ExtInvolution):
 def group_closure(N: int, generators) -> tuple[ExtInvolution, ...]:
     """The group a generator list spans; all elements must be involutions.
 
-    Closed on the level's involution table (`_InvolutionTable.close`), by
-    one doubling step per generator not yet in the group: elements are
-    table indices and the group a bitmask over them, so a closure only
-    reads products.  A product outside the commuting-involution framework
-    raises OrderViolation.  Returns the closed mask's elements in table
-    order, identity first (`_InvolutionTable.members`).
+    Closed on the level's involution table (`_InvolutionTable.close`), one
+    coset per generator not yet in the group, so a closure only reads
+    products; one outside the commuting-involution framework raises
+    OrderViolation.  Returns the elements in table order, identity first.
     """
     table = _involution_table(N)
     return table.members(table.close([table.position(g) for g in generators])[1])
@@ -330,10 +324,10 @@ class _InvolutionTable:
     its pairs is run and its entry names it in its own order; `close` raises
     it.  A product that is not an element
     raises IntegrityError.  ``fixed`` keeps each element's `fix_count` once
-    taken, and ``genera`` each closed mask's Hurwitz genus (`genus`).
+    taken (`fix`), and ``genera`` each closed mask's Hurwitz genus (`genus`).
     """
 
-    __slots__ = ("level", "elements", "fields", "al_index", "products", "fixed", "genera",
+    __slots__ = ("level", "elements", "fields", "products", "fixed", "genera",
                  "_rules", "_classes", "_outcomes")
 
     def __init__(self, N: int):
@@ -341,7 +335,6 @@ class _InvolutionTable:
         self.level = N
         self.elements = elements
         self.fields = {(e.word2, e.e3, e.tail): i for i, e in enumerate(elements)}
-        self.al_index = {d: i for i, d in enumerate(hall_divisors(N))}
         self._rules = _rules(N)
         ids: dict = {}
         self._classes = [
@@ -420,26 +413,33 @@ class _InvolutionTable:
         """The elements of a mask in table order, identity first."""
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
+    def fix(self, i: int) -> int:
+        """The `fix_count` of elements[i], taken once."""
+        count = self.fixed[i]
+        if count is None:
+            count = self.fixed[i] = fix_count(self.elements[i])
+        return count
+
     def genus(self, mask: int) -> int:
-        """The Hurwitz genus of X0(N)/G for the group G of a closed mask, counted
-        once per mask; each element's `fix_count` is taken once."""
+        """The genus h of X0(N)/G for the group G of a closed mask, counted
+        once per mask: |G| (2h - 2) + the elements' counts (`fix`) =
+        2 g(X0(N)) - 2.  A non-integral or negative h raises IntegrityError."""
         h = self.genera.get(mask)
         if h is None:
-            fixed, total = self.fixed, 0
-            for i in range(1, mask.bit_length()):
-                if mask >> i & 1:
-                    if fixed[i] is None:
-                        fixed[i] = fix_count(self.elements[i])
-                    total += fixed[i]
-            h = _hurwitz(self.level, mask.bit_count(), total,
-                         lambda: tuple(e.name for e in self.members(mask)))
+            N, order = self.level, mask.bit_count()
+            rhs = 2 * genus_x0(N) - 2 - sum(
+                self.fix(i) for i in range(1, mask.bit_length()) if mask >> i & 1)
+            names = lambda: tuple(e.name for e in self.members(mask))
+            if rhs % (2 * order):
+                raise IntegrityError(f"Hurwitz count not integral for {names()} at level {N}")
+            h = rhs // (2 * order) + 1
+            if h < 0:
+                raise IntegrityError(f"negative quotient genus for {names()} at level {N}")
             self.genera[mask] = h
         return h
 
     def position(self, g) -> int:
         """Index of a generator: an int d (w_d), a name, or an ExtInvolution."""
-        if type(g) is int and g in self.al_index:
-            return self.al_index[g]
         N = self.level
         if isinstance(g, str):
             g = parse_element(N, g)
@@ -466,7 +466,7 @@ def fix_al(N: int, Q: int) -> int:
     the 2g-dimensional cuspidal symbols: the one place the package reads
     modular symbols.  Not memoised: the space's trace cache is the one store
     of a trace, and the level's involution table keeps each element's
-    `fix_count` (`_InvolutionTable.fixed`).
+    `fix_count` (`_InvolutionTable.fix`).
     """
     if Q == 1 or not _is_hall_divisor(Q, N):
         raise ValueError(f"need a Hall divisor Q > 1 of {N}, got {Q}")
@@ -523,33 +523,14 @@ def quotient_genus_hurwitz(N: int, group) -> int:
     """Genus of X0(N)/G for the group G a generator list spans, or for an
     `ALSubgroup`; the members of a closed group (`group_closure`) span it.
 
-    Solves |G| (2h - 2) + sum of fixed points = 2 g(X0(N)) - 2 exactly;
-    a non-integral solution means a wrong count somewhere and raises.
-    Counted once per mask by the level's table (`_InvolutionTable.genus`)
-    and memoised per subgroup.
+    One route for both: the level's table solves the Hurwitz equation once
+    per mask and raises on a non-integral or negative genus (`genus`); a
+    subgroup is its `hall_mask`, a generator list the mask it closes to.
     """
-    if isinstance(group, ALSubgroup):
-        return _subgroup_genus(ALSubgroup.of(N, group))
     table = _involution_table(N)
+    if isinstance(group, ALSubgroup):
+        return table.genus(ALSubgroup.of(N, group).hall_mask)
     return table.genus(table.close([table.position(g) for g in group])[1])
-
-
-def _hurwitz(N: int, order: int, fixed: int, name) -> int:
-    """h with order (2h - 2) + fixed = 2 g(X0(N)) - 2; `name()` names the
-    group when the count is not integral or h is negative."""
-    rhs = 2 * genus_x0(N) - 2 - fixed
-    if rhs % (2 * order):
-        raise IntegrityError(f"Hurwitz count not integral for {name()} at level {N}")
-    h = rhs // (2 * order) + 1
-    if h < 0:
-        raise IntegrityError(f"negative quotient genus for {name()} at level {N}")
-    return h
-
-
-@memoise
-def _subgroup_genus(sub: ALSubgroup) -> int:
-    N = sub.level
-    return _hurwitz(N, sub.order, sum(fix_al(N, d) for d in sub.elements if d != 1), sub.label)
 
 
 # -- tables -------------------------------------------------------------
@@ -588,9 +569,10 @@ def fix_table(N: int) -> list[tuple[str, int]]:
 
     S2C*w_r is left out: it is conjugate to S2*w_r and has the same count.
     """
-    elems = [e for e in level_involutions(N) if e.kind != "s2c"]
-    elems.sort(key=ExtInvolution.sort_key)
-    return [(e.name, fix_count(e)) for e in elems]
+    table = _involution_table(N)
+    rows = sorted((e.sort_key(), e.name, i) for i, e in enumerate(table.elements)
+                  if i and e.kind != "s2c")
+    return [(name, table.fix(i)) for _, name, i in rows]
 
 
 def fix_table_tsv(N: int) -> str:

@@ -3,22 +3,22 @@
 Everything here is exact and deterministic; trial division is fine because
 every level this package ever sees is tiny (≤ a few thousand).
 
-`memoise` caches the pure functions a classification asks for over and
-over, in fifteen tables.  Nine hold level data: here `factor`, the
-subspaces of F2^omega with their spans (`_subspaces`, per omega) and the
-subgroup lattice behind `all_subgroups` that each level maps from them;
-`genus_x0` in `x0invariants`; `_unit_inverses` in `modsym`;
-`_involution_table` and `_subgroup_genus` in `involutions`; `star_gate` in
-`screening`; and `_search` in `atlas`, the candidate search of each (level,
-subgroup).  Six hold per-process inputs: the CLI parser (`cli._parser`), and
-in `atlas` the four data tables (the `default_*` pair, `hyperelliptic_pairs`,
-`witness_annotations`) and the pair list (`_pairs`).  Each table holds one
-entry per argument tuple it was called with.  An involution table keeps its
-level's involution list, the product rows read so far, each element's
-fixed-point count and each closed group's Hurwitz genus by bitmask; a group
-is its bitmask, and no table keeps a group object.  A trace is stored only
-in its modular-symbols space.  `modsym.clear_cache()` empties the tables
-together with the modular-symbols spaces; it is the package's one reset.
+`memoise` caches the pure functions a classification asks for over and over,
+in fourteen tables.  Eight hold level data: here `factor`, the subspaces of
+F2^omega with their spans (`_subspaces`, per omega) and the subgroup lattice
+behind `all_subgroups` that each level maps from them; `genus_x0` in
+`x0invariants`; `_unit_inverses` in `modsym`; `_involution_table` in
+`involutions`; `star_gate` in `screening`; and `_search` in `atlas`, the
+candidate search of each (level, subgroup).  Six hold per-process inputs: the
+CLI parser (`cli._parser`), and in `atlas` the four data tables (the
+`default_*` pair, `hyperelliptic_pairs`, `witness_annotations`) and the pair
+list (`_pairs`).  Each table holds one entry per argument tuple it was called
+with.  An involution table keeps its level's involution list, the product
+rows read so far and, as their one store, each element's fixed-point count
+and each closed group's Hurwitz genus by bitmask (an `ALSubgroup`'s is
+`hall_mask`).  A trace is stored only in its modular-symbols space.
+`modsym.clear_cache()` empties the tables together with the modular-symbols
+spaces; it is the package's one reset.
 
 `Record`, `Frozen` and `replace` serve the package's records (a
 `Factorization` here, and the involutions, rule results, witnesses,
@@ -27,9 +27,8 @@ record derives `__eq__`, `__hash__` (if frozen) and `__repr__` from the
 field names in its `__match_args__`.
 
 A `Factorization` computes `omega` and `is_squarefree` once, and an
-`ALSubgroup` keeps its canonical generators, label, sort key and `is_full`
-in slots, each computed on first use; the lattice's subgroups live in its
-memo table, so the reset drops them too.
+`ALSubgroup` keeps its constants in slots (see its docstring); the lattice's
+subgroups live in its memo table, so the reset drops them too.
 """
 
 from __future__ import annotations
@@ -338,13 +337,12 @@ class ALSubgroup:
     doubling: a generator g not yet in the group adds the coset g*H, so
     each generator costs one pass over the elements found so far.
 
-    The canonical generators (`_gens`), `label()`, `sort_key()` and
-    `is_full` depend only on the frozen elements and the level, so each is
-    computed on first use and kept in a slot; a warm classification reuses
-    the lattice's subgroups and reads them.
+    The canonical generators (`_gens`), `label()`, `sort_key()`, `is_full`
+    and `hall_mask` depend only on the elements and the level, so each is
+    kept in a slot from first use, and a warm classification reads them.
     """
 
-    __slots__ = ("level", "elements", "_gens", "_label", "_sort_key", "_is_full")
+    __slots__ = ("level", "elements", "_gens", "_label", "_sort_key", "_is_full", "_hall_mask")
 
     def __init__(self, level: int, generators=()):
         self.level = level
@@ -357,12 +355,14 @@ class ALSubgroup:
         self.elements = frozenset(elems)
 
     @classmethod
-    def _of_masks(cls, level: int, divs, basis, span) -> "ALSubgroup":
-        """The lattice's subgroup of the `divs[m]`, m in `span`, unchecked."""
+    def _of_masks(cls, level: int, divs, bits, basis, span) -> "ALSubgroup":
+        """The lattice's subgroup of the `divs[m]`, m in `span`, unchecked;
+        `bits[m]` is the `hall_mask` bit of `divs[m]`."""
         sub = object.__new__(cls)
         sub.level = level
         sub.elements = frozenset([divs[m] for m in span])
         sub._gens = tuple([(m, divs[m]) for m in basis])
+        sub._hall_mask = sum([bits[m] for m in span])
         return sub
 
     @classmethod
@@ -412,6 +412,9 @@ class ALSubgroup:
     def __hash__(self):
         return hash((self.level, self.elements))
 
+    def __repr__(self):
+        return f"ALSubgroup({self.level}, {self.generators()})"
+
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -424,6 +427,17 @@ class ALSubgroup:
             pass
         self._is_full = self.order == 1 << factor(self.level).omega
         return self._is_full
+
+    @property
+    def hall_mask(self) -> int:
+        """Bit i is set when `hall_divisors(N)[i]` is in W: W's mask on the involution table."""
+        try:
+            return self._hall_mask
+        except AttributeError:
+            pass
+        self._hall_mask = sum(1 << i for i, d in enumerate(hall_divisors(self.level))
+                              if d in self.elements)
+        return self._hall_mask
 
     @property
     def is_fricke(self) -> bool:
@@ -517,8 +531,10 @@ def _subgroup_lattice(level: int) -> tuple[ALSubgroup, ...]:
     """The subspaces of F2^omega(N), each mapped onto B(N) through the
     level's divisors by mask (`_mask_divisors`), bit i standing for the i-th
     prime power of N.  The subspaces, their spans and their order depend
-    only on omega, so a subgroup costs one list read per element.
-    """
+    only on omega, so a subgroup costs two list reads per element: its
+    divisor, and that divisor's `hall_mask` bit (its rank, sorted)."""
     divs = _mask_divisors(level)
+    ranked = sorted(divs)
+    bits = [1 << ranked.index(d) for d in divs]
     spaces = _subspaces(factor(level).omega)
-    return tuple(ALSubgroup._of_masks(level, divs, basis, span) for basis, span in spaces)
+    return tuple(ALSubgroup._of_masks(level, divs, bits, basis, span) for basis, span in spaces)

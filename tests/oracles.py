@@ -24,7 +24,7 @@ its rules on hoisted level constants; the table is now the only library code
 that multiplies involutions.  `closure_by_compose` closes an involution
 group by calling `compose_reference` on every product, as `group_closure`
 did before it read the level's product table, and as the witness search did
-before it closed W once and extended it by one coset per candidate.
+before it grew W's group by one coset per candidate.
 `hurwitz_genus_reference` solves the Hurwitz equation for a group's
 elements from `fix_count` and `genus_x0`, with none of the per-mask genus
 store of the level's involution table.  `two_group_options` and

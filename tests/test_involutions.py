@@ -408,18 +408,18 @@ def test_classify_tables_match_compose_reference():
     # each table a classification builds, squarefree w4-reduction levels
     # included, agrees entry by entry with the reference compose
     tables, _ = _cold_classify()
-    assert len(tables) == 67
+    assert len(tables) == 102
     outcomes = Counter()
     for table in tables.values():
         outcomes += _table_outcomes(table)
     assert outcomes == {
-        "product": 6592, "two-part-rotation": 2176, "v3-tail-2-mod-3": 192, "s2-v3-mix": 176,
+        "product": 10980, "two-part-rotation": 3536, "v3-tail-2-mod-3": 360, "s2-v3-mix": 232,
     }
 
 
 def test_search_matches_compose_doubling():
-    # each witness search of a classification, which closes W once and adds
-    # one coset per candidate, lists the candidates outside W in order with
+    # each witness search of a classification, which starts from W's mask
+    # and adds one coset per candidate, lists the candidates outside W in order with
     # the mask of the group that doubling with the reference compose gives
     # and the genus the written-out Hurwitz equation gives, and refuses
     # exactly where that doubling raises
@@ -514,10 +514,10 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     # a cold classify fills only the table rows that extend and close read,
     # and runs the composition rules once for each pair of classes met there,
     # and again for each further refused pair; a warm one runs them not at all.
-    # Each witness search closes W once and
-    # extends it by one coset per candidate; a refused candidate raises no
-    # OrderViolation.  The searches are memoised, so the warm pass closes
-    # and extends nothing, and clear_cache() drops the tables.  The cold
+    # Each witness search starts from W's mask and extends it by one coset
+    # per candidate, so no pass closes a group; a refused candidate raises no
+    # OrderViolation.  The searches are memoised, so the warm pass extends
+    # nothing, and clear_cache() drops the tables.  The cold
     # pass builds 115 spaces and caches 491 traces and the warm one adds
     # none: the state perfbench's classify guards assume.  The tables count
     # each element's fixed points at most once, and a warm pass not at all.
@@ -528,7 +528,6 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     closes = []
     extensions = []
     refusals = Counter()
-    closing = []
     table_cls = involutions._InvolutionTable
     real_core = involutions._compose_fields
     real_close, real_extend = table_cls.close, table_cls.extend
@@ -539,18 +538,13 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
 
     def counting_close(table, gens):
         closes.append(table.level)
-        closing.append(table.level)
-        try:
-            return real_close(table, gens)
-        finally:
-            closing.pop()
+        return real_close(table, gens)
 
     def counting_extend(table, elems, mask, g):
         grown = real_extend(table, elems, mask, g)
-        if not closing:
-            extensions.append(table.level)
-            if type(grown[0]) is str:
-                refusals[grown[0]] += 1
+        extensions.append(table.level)
+        if type(grown[0]) is str:
+            refusals[grown[0]] += 1
         return grown
 
     real_fix_count = involutions.fix_count
@@ -580,10 +574,10 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     modsym.clear_cache()
     records = atlas.classify_all()
     assert len(ruled) == sum(map(_core_calls, tables.values()))
-    assert sum(len(table.elements) - 1 for table in tables.values()) == 645
-    assert len(set(fixed)) == len(fixed) == 621
-    assert (len(tables), len(ruled)) == (67, 1428)
-    assert len(closes) == len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
+    assert sum(len(table.elements) - 1 for table in tables.values()) == 1020
+    assert len(set(fixed)) == len(fixed) == 778
+    assert (len(tables), len(ruled)) == (102, 1428)
+    assert closes == [] and len(_MEMO_TABLES["bielliptic.atlas._search"]) == 337
     assert len(extensions) == 3703
     assert refusals == {"two-part-rotation": 1060, "v3-tail-2-mod-3": 216}
     assert cached() == (115, 491)
@@ -614,34 +608,33 @@ def test_classify_composes_only_to_build_tables(monkeypatch):
     assert cached() == (115, 491)
 
     modsym.clear_cache()
-    for name in ("_involution_table", "_subgroup_genus"):
-        assert _MEMO_TABLES[f"bielliptic.involutions.{name}"] == {}, name
+    assert _MEMO_TABLES["bielliptic.involutions._involution_table"] == {}
     assert _MEMO_TABLES["bielliptic.atlas._search"] == {}
 
 
-def test_table_and_subgroup_genus_stores_agree():
-    # two stores hold a Hurwitz genus: each level's involution table by
-    # closed mask, and `_subgroup_genus` by Atkin-Lehner subgroup, each summed
-    # from fix_al on its own.  After a cold classify, 286 table masks span
-    # only w_d's and 223 of those groups are also memo keys; both stores
-    # must give each of them the same genus.
+def test_table_genera_of_subgroups_match_a_hurwitz_count():
+    # each level's involution table is the one store of fixed-point counts
+    # and genera, and an Atkin-Lehner subgroup is its mask there.  After a
+    # cold classify, 755 table masks span only w_d's; each is the hall_mask
+    # of the subgroup those w_d's form, and its genus h solves
+    # |W| (2h - 2) + sum of fix_al = 2 g(X0(N)) - 2, summed here on its own.
     modsym.clear_cache()
     atlas.classify_all()
     tables = _MEMO_TABLES["bielliptic.involutions._involution_table"]
-    memo = {key[0]: h for key, h in _MEMO_TABLES["bielliptic.involutions._subgroup_genus"].items()}
-    al_only = shared = 0
+    al_only = 0
     for (N,), table in tables.items():
         for mask, h in table.genera.items():
-            elems = [e for i, e in enumerate(table.elements) if mask >> i & 1]
+            elems = table.members(mask)
             if any(e.kind not in ("id", "al") for e in elems):
                 continue
             al_only += 1
-            sub = ALSubgroup(N, [e._al_part() for e in elems])
-            assert sub.order == len(elems), (N, sub.label())
-            if sub in memo:
-                shared += 1
-                assert memo[sub] == h, (N, sub.label())
-    assert (al_only, shared) == (286, 223)
+            divs = [e._al_part() for e in elems]
+            sub = ALSubgroup(N, divs)
+            assert (sub.order, sub.hall_mask) == (len(elems), mask), (N, sub.label())
+            rhs = 2 * genus_x0(N) - 2 - sum(fix_al(N, d) for d in divs if d != 1)
+            assert rhs == sub.order * (2 * h - 2), (N, sub.label())
+            assert quotient_genus_hurwitz(N, sub) == h, (N, sub.label())
+    assert al_only == 755
 
 
 def test_compose_is_commutative_and_associative():
@@ -837,8 +830,8 @@ def _non_al_masks(N):
 
 def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
     # every such group of each scope level: its Hurwitz count, from
-    # `fix_count`, must be an integer h >= 0 (`_hurwitz` raises otherwise),
-    # and the table's per-mask genus must equal the written-out equation's.
+    # `fix_count`, must be an integer h >= 0 (`_InvolutionTable.genus`
+    # raises otherwise), and the table's per-mask genus must equal the written-out equation's.
     # A cold classify reaches about a quarter of these groups, so a wrong
     # count has more equations to break.
     levels = groups = genus2 = 0
@@ -857,8 +850,8 @@ def test_every_involution_group_of_the_scope_levels_has_a_hurwitz_genus():
 def test_every_involution_group_up_to_level_1000_has_a_hurwitz_genus(monkeypatch):
     # the same groups at every N <= 1000 whose table holds S2, V2 or V3
     # (4 | N, or 9 || N), most of them outside the scope: each table genus
-    # must be an integer h >= 0 (`_hurwitz` raises otherwise).  The spaces
-    # go to a private cache, emptied after each level to bound the memory.
+    # must be an integer h >= 0 (`_InvolutionTable.genus` raises otherwise).
+    # The spaces go to a private cache, emptied after each level to bound the memory.
     monkeypatch.setattr(modsym, "_CACHE", {})
     levels = groups = genus2 = 0
     for N in range(4, 1001):

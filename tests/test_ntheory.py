@@ -241,6 +241,30 @@ def test_subgroup_constants_agree_across_constructions(first):
                 assert s == shared and hash(s) == hash(shared), (N, label)
 
 
+def test_hall_mask_marks_the_ranks_of_the_elements():
+    # bit i of a subgroup's mask marks hall_divisors(N)[i], where the level's
+    # involution table keeps w_d; a subgroup built from its generators in
+    # reverse gets its lattice twin's mask
+    for N in range(1, 1001):
+        rank = {d: i for i, d in enumerate(hall_divisors(N))}
+        for sub in all_subgroups(N):
+            assert sub.hall_mask == sum(1 << rank[d] for d in sub.elements), (N, sub.label())
+            twin = ALSubgroup(N, reversed(sub.generators()))
+            assert twin.hall_mask == sub.hall_mask, (N, sub.label())
+
+
+def test_subgroup_repr_evaluates_to_an_equal_subgroup():
+    # the repr names the level and the canonical generators, so it is the
+    # same in every process
+    for N in (12, 60, 180, 420, 2310):
+        for sub in all_subgroups(N):
+            text = repr(sub)
+            assert text == f"ALSubgroup({N}, {sub.generators()})", text
+            assert eval(text, {"ALSubgroup": ALSubgroup}) == sub, text
+    assert repr(ALSubgroup(60, [12, 4])) == "ALSubgroup(60, (4, 3))"
+    assert repr(ALSubgroup(60)) == "ALSubgroup(60, ())"
+
+
 def test_factorization_constants_equal_a_recomputation():
     # omega and squarefreeness by a sieve, against the values each
     # factorization keeps once computed

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bielliptic.atlas import ECRecord, PairRecord, Witness
+from bielliptic.atlas import ECRecord, PairRecord, Witness, classify_pair
 from bielliptic.errors import IntegrityError
 from bielliptic.involutions import ExtInvolution, quotient_genus_hurwitz
 from bielliptic.ntheory import ALSubgroup, Factorization, replace
@@ -92,6 +92,13 @@ def test_pair_record():
     copy = replace(b, status="excluded", witness=None)
     assert (copy.status, copy.witness, copy.rule_trace) == ("excluded", None, (R,))
     assert b.status == "bielliptic-confirmed"
+
+
+def test_pair_record_repr_shows_its_subgroup():
+    # every field of a record shows as a value, with no object address
+    text = repr(classify_pair(60, [4]))
+    assert text.startswith("PairRecord(N=60, subgroup=ALSubgroup(60, (4,)), genus=3, "), text
+    assert " at 0x" not in text
 
 
 def test_factorization_integrity_check():
